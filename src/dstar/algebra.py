@@ -28,6 +28,7 @@ from .errors import (
     RankedBasisViolation,
     UnknownBuiltin,
 )
+from .parser import parse_json
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,7 @@ def load_spec(text):
     Top level: {"blocks": [{"basis": [...], "table": {"a*b": [[name, "p/q"],
     ...]}}]}.  Unknown keys are rejected; omitted products are zero.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ExprParseError("algebra file must be a JSON object")
     unknown = set(doc) - {"blocks"}
@@ -294,10 +292,6 @@ class DAlgebra:
         """Global slot range of the delta operators of block i."""
         base = self.slot_index(i, 0)
         return range(base + 1, base + 1 + self.blocks[i - 1].m)
-
-    def is_sigma_slot(self, s):
-        _, p = self.block_of_slot(s)
-        return p == 0
 
     @property
     def op_names(self):

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .operators import apply_composition
 from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only
-from .parser import parse_poly
+from .parser import parse_json, parse_poly
 from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from .reduction import is_reduced, is_reduced_wrt_set, reduce, verify_certificate
 
@@ -287,10 +287,7 @@ def closure_step_witness(generators, witness):
 
 
 def witness_from_json(text, algebra):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    doc = parse_json(text)
     try:
         a = parse_poly(doc["a"], algebra)
         taus = tuple(tuple(int(e) for e in tau) for tau in doc["taus"])
@@ -322,7 +319,6 @@ def witness_to_json(witness):
 @dataclass(frozen=True)
 class PrimePresentation:
     charset: AutoreducedSet
-    base_gens: tuple
     multiplier: DPolynomial   # product of initials and separants
 
 
@@ -335,4 +331,4 @@ def presentation(charset, ranking=None):
     h = DPolynomial.constant(members[0].algebra, 1)
     for c in members:
         h = h * c.initial(ranking) * c.separant(ranking)
-    return PrimePresentation(charset, (), h)
+    return PrimePresentation(charset, h)

@@ -330,11 +330,10 @@ def project_to_differential(f):
 def lift_to_dual(p):
     """Embed a differential polynomial with all sigma slots zero."""
     algebra = dual_algebra()
-    n = max((v.var for v in p.variables()), default=0)
-    out = DPolynomial.zero(algebra, n)
+    out = DPolynomial.zero(algebra)
     for m, c in p.terms.items():
         monomial = Monomial.of({DVariable(v.var, (0, v.order)): e for v, e in m})
-        out = out + DPolynomial(algebra, n, {monomial: c})
+        out = out + DPolynomial(algebra, {monomial: c})
     return out
 
 

@@ -92,7 +92,7 @@ def _cmd_reduce(args, out):
     cert = reduce(g, divisors)
     h = multiplier_product(cert, divisors)
     print(f"g0 = {format_poly(cert.remainder)}", file=out)
-    print(f"H = {'1' if h is None else format_poly(h)}", file=out)
+    print(f"H = {format_poly(h)}", file=out)
     if args.cert:
         Path(args.cert).write_text(certificate_to_json(cert) + "\n",
                                    encoding="utf-8")

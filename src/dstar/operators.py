@@ -56,7 +56,7 @@ def block_image(f, i):
         raise IndexOutOfRange(f"block index {i} out of range 1..{algebra.t}")
     m = algebra.blocks[i - 1].m
     width = m + 1
-    zero = DPolynomial.zero(algebra, f.n)
+    zero = DPolynomial.zero(algebra)
     total = [zero] * width
     for monomial, coeff in f.terms.items():
         vec = None
@@ -66,7 +66,7 @@ def block_image(f, i):
             for _ in range(e):
                 vec = vimg if vec is None else _image_mul(algebra, i, vec, vimg)
         if vec is None:  # constant term
-            vec = [DPolynomial.constant(algebra, 1, f.n)] + [zero] * m
+            vec = [DPolynomial.constant(algebra, 1)] + [zero] * m
         total = [t + c.scalar_mul(coeff) for t, c in zip(total, vec)]
     return BlockImage(i, tuple(total))
 

@@ -3,15 +3,16 @@
 A variable is an indeterminate x_j together with a multi-index theta over
 the algebra's operator slots (sigma slot first within each block, then the
 delta slots in depth order).  Rankings are total orders on variables
-subject to the three compatibility axioms; the sequential ranking compares
-(total degree, indeterminate index, slots from highest to lowest).
+subject to the three compatibility axioms.  A ranking is defined by its
+key alone: v ranks below w exactly when key(v) < key(w), and compare is
+derived from key once, in the base class.  The sequential ranking's key
+is (total degree, indeterminate index, slots from highest to lowest).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import AlgebraMismatch, ExprParseError, InvalidRanking
 
@@ -57,10 +58,6 @@ def zero_index(algebra):
 
 def bump(theta, slot):
     return theta[:slot] + (theta[slot] + 1,) + theta[slot + 1:]
-
-
-def add_indices(theta, phi):
-    return tuple(a + b for a, b in zip(theta, phi))
 
 
 def total(theta):
@@ -119,19 +116,19 @@ def transform_of(algebra, v, u):
 
 
 class Ranking:
-    """Total order on variables; compare returns -1, 0 or 1."""
-
-    kind = "custom"
+    """Total order on variables, defined by a sort key."""
 
     def __init__(self, algebra):
         self.algebra = algebra
 
-    def compare(self, v, w):
+    def key(self, v):
+        """Sort key: v ranks below w exactly when key(v) < key(w)."""
         raise NotImplementedError
 
-    def key(self, v):
-        """Sort key consistent with compare."""
-        return cmp_to_key(self.compare)(v)
+    def compare(self, v, w):
+        """-1, 0 or 1 as v ranks below, level with or above w."""
+        kv, kw = self.key(v), self.key(w)
+        return LESS if kv < kw else GREATER if kv > kw else EQUAL
 
     def max_variable(self, variables):
         best = None
@@ -147,24 +144,21 @@ class Ranking:
                 f"algebra has {self.algebra.M}")
 
 
+def sequential_key(v):
+    """Ranking key of the sequential ranking, usable without an algebra."""
+    return (total(v.theta), v.var, tuple(reversed(v.theta)))
+
+
 class SequentialRanking(Ranking):
     """Lexicographic on (total degree, indeterminate, slots top-down)."""
 
-    kind = "sequential"
-
     def key(self, v):
         self._check_theta(v)
-        return (total(v.theta), v.var, tuple(reversed(v.theta)))
-
-    def compare(self, v, w):
-        kv, kw = self.key(v), self.key(w)
-        return LESS if kv < kw else GREATER if kv > kw else EQUAL
+        return sequential_key(v)
 
 
 class CustomRanking(Ranking):
     """Ranking given by an explicit key function (for tests and tooling)."""
-
-    kind = "custom"
 
     def __init__(self, algebra, key_fn, name="custom"):
         super().__init__(algebra)
@@ -174,15 +168,6 @@ class CustomRanking(Ranking):
     def key(self, v):
         self._check_theta(v)
         return self._key_fn(v)
-
-    def compare(self, v, w):
-        kv, kw = self.key(v), self.key(w)
-        return LESS if kv < kw else GREATER if kv > kw else EQUAL
-
-
-def sequential_key(v):
-    """Ranking key of the sequential ranking, usable without an algebra."""
-    return (total(v.theta), v.var, tuple(reversed(v.theta)))
 
 
 def check_ranking_axioms(ranking, sample_variables):

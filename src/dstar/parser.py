@@ -8,10 +8,13 @@
     variable := x<j>[t0,t1,...,t(M-1)]
 
 Whitespace is insignificant.  Errors carry 1-based line and column.
+Input nested deeper than the interpreter's recursion limit is a parse
+error, here and in the JSON file formats read through parse_json.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -154,7 +157,23 @@ class _Parser:
 
 def parse_poly(text, algebra):
     """Parse an expression over the given algebra into a DPolynomial."""
-    return _Parser(text, algebra).parse()
+    parser = _Parser(text, algebra)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ExprParseError("expression nested too deeply",
+                             tok.line, tok.column) from None
+
+
+def parse_json(text):
+    """Decode a JSON document; malformed or too deeply nested text is a parse error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except RecursionError:
+        raise ExprParseError("JSON nested too deeply") from None
 
 
 def parse_generator_file(text, algebra):

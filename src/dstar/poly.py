@@ -38,9 +38,6 @@ class Monomial:
     def variables(self):
         return [v for v, _ in self.factors]
 
-    def total_degree(self):
-        return sum(e for _, e in self.factors)
-
     def mul(self, other):
         merged = dict(self.factors)
         for v, e in other.factors:
@@ -72,11 +69,10 @@ class PolyRank:
 class DPolynomial:
     """Sparse polynomial over Q in the operator variables of one algebra."""
 
-    __slots__ = ("algebra", "n", "terms")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra, n, terms):
+    def __init__(self, algebra, terms):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c != 0})
 
     def __setattr__(self, name, value):
@@ -85,22 +81,22 @@ class DPolynomial:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(algebra, n=0):
-        return DPolynomial(algebra, n, {})
+    def zero(algebra):
+        return DPolynomial(algebra, {})
 
     @staticmethod
-    def constant(algebra, value, n=0):
+    def constant(algebra, value):
         value = Fraction(value)
         if value == 0:
-            return DPolynomial.zero(algebra, n)
-        return DPolynomial(algebra, n, {UNIT_MONOMIAL: value})
+            return DPolynomial.zero(algebra)
+        return DPolynomial(algebra, {UNIT_MONOMIAL: value})
 
     @staticmethod
     def from_variable(algebra, v):
         if len(v.theta) != algebra.M:
             raise AlgebraMismatch(
                 f"variable {v} has {len(v.theta)} slots, algebra has {algebra.M}")
-        return DPolynomial(algebra, v.var, {Monomial.of({v: 1}): Fraction(1)})
+        return DPolynomial(algebra, {Monomial.of({v: 1}): Fraction(1)})
 
     # -- basics --------------------------------------------------------------
 
@@ -145,7 +141,7 @@ class DPolynomial:
                 raise AlgebraMismatch("operands live over different algebras")
             return other
         if isinstance(other, (int, Fraction)):
-            return DPolynomial.constant(self.algebra, other, self.n)
+            return DPolynomial.constant(self.algebra, other)
         return None
 
     def __add__(self, other):
@@ -155,13 +151,12 @@ class DPolynomial:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return DPolynomial(self.algebra, max(self.n, other.n), out)
+        return DPolynomial(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DPolynomial(self.algebra, self.n,
-                           {m: -c for m, c in self.terms.items()})
+        return DPolynomial(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -183,7 +178,7 @@ class DPolynomial:
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return DPolynomial(self.algebra, max(self.n, other.n), out)
+        return DPolynomial(self.algebra, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -192,13 +187,12 @@ class DPolynomial:
 
     def scalar_mul(self, c):
         c = Fraction(c)
-        return DPolynomial(self.algebra, self.n,
-                           {m: c * cf for m, cf in self.terms.items()})
+        return DPolynomial(self.algebra, {m: c * cf for m, cf in self.terms.items()})
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
-        result = DPolynomial.constant(self.algebra, 1, self.n)
+        result = DPolynomial.constant(self.algebra, 1)
         base = self
         e = exponent
         while e:
@@ -226,7 +220,7 @@ class DPolynomial:
             k, rest = m.without(v)
             bucket = parts.setdefault(k, {})
             bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        return {k: DPolynomial(self.algebra, self.n, bucket)
+        return {k: DPolynomial(self.algebra, bucket)
                 for k, bucket in parts.items()
                 if any(cf != 0 for cf in bucket.values())}
 
@@ -240,7 +234,7 @@ class DPolynomial:
     def separant(self, ranking=None):
         u = self.leader(ranking)
         parts = self.coefficients_in(u)
-        out = DPolynomial.zero(self.algebra, self.n)
+        out = DPolynomial.zero(self.algebra)
         v_poly = DPolynomial.from_variable(self.algebra, u)
         for k, g in parts.items():
             if k >= 1:
@@ -254,25 +248,22 @@ class DPolynomial:
         return PolyRank(u, self.degree_in(u))
 
 
+def _rank_tuple(f, ranking):
+    """(is_nonconstant, key(leader), degree): compares as the ranks do."""
+    if f.is_constant():
+        return (0, (), 0)
+    u = f.leader(ranking)
+    return (1, ranking.key(u), f.degree_in(u))
+
+
 def rank_compare(f, g, ranking=None):
     """Pre-order on polynomials by (leader, degree); constants lowest."""
     if isinstance(f, DPolynomial) and isinstance(g, DPolynomial):
         if f.algebra != g.algebra:
             raise AlgebraMismatch("rank comparison across algebras")
     ranking = ranking or SequentialRanking(f.algebra)
-    rf, rg = f.rank(ranking), g.rank(ranking)
-    if rf.leader is None and rg.leader is None:
-        return EQUAL
-    if rf.leader is None:
-        return LESS
-    if rg.leader is None:
-        return GREATER
-    cmp = ranking.compare(rf.leader, rg.leader)
-    if cmp != EQUAL:
-        return cmp
-    if rf.degree != rg.degree:
-        return LESS if rf.degree < rg.degree else GREATER
-    return EQUAL
+    rf, rg = _rank_tuple(f, ranking), _rank_tuple(g, ranking)
+    return LESS if rf < rg else GREATER if rf > rg else EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +311,9 @@ def format_poly(f):
 def poly_sort_key(f, ranking=None):
     """Total deterministic order on polynomials: rank first, then terms."""
     ranking = ranking or SequentialRanking(f.algebra)
-    if f.is_constant():
-        rank_part = (0, (), 0)
-    else:
-        u = f.leader(ranking)
-        rank_part = (1, ranking.key(u), f.degree_in(u))
     term_part = tuple(sorted(
         ((m.sort_key(), c) for m, c in f.terms.items()), reverse=True))
-    return (rank_part, term_part)
+    return (_rank_tuple(f, ranking), term_part)
 
 
 def monic(f):

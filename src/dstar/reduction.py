@@ -2,11 +2,12 @@
 
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
-(including the leader itself) appears below f's degree.  The reduction
-loop repeatedly eliminates the highest-ranked offending variable,
-multiplying by a sigma-transform of the divisor's separant (delta case)
-or initial (sigma case).  Every run returns a certificate witnessing the
-exact identity  H * g = g0 + sum_k c_k * theta_k(a_k).
+(including the leader itself) appears below f's degree.  a_leader is the
+single scan for offending variables; is_reduced asks it about one divisor.
+The reduction loop repeatedly eliminates the highest-ranked offending
+variable, multiplying by a sigma-transform of the divisor's separant
+(delta case) or initial (sigma case).  Every run returns a certificate
+witnessing the exact identity  H * g = g0 + sum_k c_k * theta_k(a_k).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .ordering import (
     parse_variable,
     transform_of,
 )
-from .parser import parse_poly
+from .parser import parse_json, parse_poly
 from .poly import DPolynomial, format_poly, rank_compare
 
 INITIAL = "initial"
@@ -74,20 +75,7 @@ def is_reduced(g, f, ranking=None):
     """True when g contains no offending transform of f's leader."""
     if f.is_constant():
         raise ConstantDivisor("cannot reduce with respect to a constant")
-    if g.is_constant():
-        return True
-    ranking = ranking or SequentialRanking(g.algebra)
-    u = f.leader(ranking)
-    d = f.degree_in(u)
-    for v in g.variables():
-        tr = transform_of(g.algebra, v, u)
-        if tr is None:
-            continue
-        if tr.is_delta:
-            return False
-        if g.degree_in(v) >= d:
-            return False
-    return True
+    return a_leader(g, [f], ranking) is None
 
 
 def is_reduced_wrt_set(g, divisors, ranking=None):
@@ -97,8 +85,12 @@ def is_reduced_wrt_set(g, divisors, ranking=None):
 def a_leader(g, divisors, ranking=None):
     """Highest-ranked offending variable of g, or None when g is reduced.
 
-    Ties across divisors go to the member with the highest-ranked leader,
-    then the lowest index.
+    A variable offends a divisor when it is a delta-transform of the
+    divisor's leader, or a sigma-transform of it (the leader included)
+    at a degree no lower than the divisor's.  Ties across divisors go to
+    the member with the highest-ranked leader, then the lowest index;
+    distinct variables of equal rank (possible only under a key that is
+    not injective) go to the lowest in DVariable order.
     """
     if g.is_constant():
         return None
@@ -106,25 +98,20 @@ def a_leader(g, divisors, ranking=None):
     members = list(divisors)
     leaders = [f.leader(ranking) for f in members]
     degrees = [f.degree_in(u) for f, u in zip(members, leaders)]
-    best = None
+    candidates = []
     for v in sorted(g.variables()):
-        k = g.degree_in(v)
+        k = None
         for idx, (u, d) in enumerate(zip(leaders, degrees)):
             tr = transform_of(g.algebra, v, u)
-            if tr is None or (not tr.is_delta and k < d):
+            if tr is None:
                 continue
-            candidate = ALeader(v, k, idx, tr.theta, tr.is_delta)
-            if best is None:
-                best = candidate
-                continue
-            cmp = ranking.compare(v, best.variable)
-            if cmp == GREATER:
-                best = candidate
-            elif cmp == EQUAL and idx != best.member:
-                lcmp = ranking.compare(u, leaders[best.member])
-                if lcmp == GREATER or (lcmp == EQUAL and idx < best.member):
-                    best = candidate
-    return best
+            if k is None:
+                k = g.degree_in(v)
+            if tr.is_delta or k >= d:
+                candidates.append(ALeader(v, k, idx, tr.theta, tr.is_delta))
+    # max keeps the first of equal maxima: exact ties go to the lowest variable
+    return max(candidates, default=None, key=lambda c: (
+        ranking.key(c.variable), ranking.key(leaders[c.member]), -c.member))
 
 
 def reduce(g, divisors, ranking=None):
@@ -195,12 +182,11 @@ def reduce(g, divisors, ranking=None):
 
 
 def multiplier_product(cert, divisors, ranking=None):
-    """Recompute H from the certificate's factor list."""
+    """Recompute H from the certificate's factor list; 1 when it is empty."""
     members = list(divisors)
-    if not members:
-        return None
-    ranking = ranking or SequentialRanking(members[0].algebra)
-    h = DPolynomial.constant(members[0].algebra, 1)
+    algebra = members[0].algebra if members else cert.remainder.algebra
+    ranking = ranking or SequentialRanking(algebra)
+    h = DPolynomial.constant(algebra, 1)
     for factor in cert.h_factors:
         member = members[factor.member]
         base = (member.initial(ranking) if factor.source == INITIAL
@@ -222,8 +208,6 @@ def verify_certificate(g, divisors, cert, ranking=None):
             if not is_sigma_only(g.algebra, factor.theta):
                 return False
         h = multiplier_product(cert, members, ranking)
-        if h is None:
-            h = DPolynomial.constant(g.algebra, 1)
         rhs = cert.remainder
         for cof in cert.cofactors:
             if not 0 <= cof.member < len(members):
@@ -258,10 +242,7 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(text, algebra):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    doc = parse_json(text)
     try:
         h_factors = tuple(
             HFactor(tuple(int(e) for e in f["theta"]), f["source"],

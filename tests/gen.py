@@ -35,7 +35,7 @@ def rand_poly(rng, algebra, n_vars=2, max_sum=3, max_deg=3, max_terms=3,
                 continue
             key = Monomial.of(mono)
             terms[key] = terms.get(key, Fraction(0)) + rng.choice(COEFFS)
-        p = DPolynomial(algebra, n_vars, terms)
+        p = DPolynomial(algebra, terms)
         if p.is_zero():
             continue
         if nonconstant and p.is_constant():
@@ -72,9 +72,9 @@ def rand_reduction_instance(rng, algebra, ranking, n_vars=2):
             mono[w] = mono.get(w, 0) + 1
         key = Monomial.of(mono)
         terms[key] = terms.get(key, Fraction(0)) + rng.choice(COEFFS)
-    g = DPolynomial(algebra, n_vars, terms)
+    g = DPolynomial(algebra, terms)
     if g.is_zero():
-        g = DPolynomial.constant(algebra, 1, n_vars)
+        g = DPolynomial.constant(algebra, 1)
     return g, divisors
 
 

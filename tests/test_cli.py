@@ -162,3 +162,26 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "LESS\n"
+
+
+def run_cold(args):
+    return subprocess.run([sys.executable, "-m", "dstar.cli", *args],
+                          capture_output=True, text=True)
+
+
+def assert_parse_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    deep = "(" * 3000 + "x1[0,0]" + ")" * 3000
+    assert_parse_error(run_cold(["apply", "--algebra", "dual", "--op", "d1.1", deep]))
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 5000, encoding="utf-8")
+    assert_parse_error(run_cold(["algebra-check", str(deep_json)]))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1]\n", encoding="utf-8")
+    assert_parse_error(run_cold(["closure-check", "--algebra", "dual", "--gens",
+                                 str(gens), "--witness", str(deep_json)]))

@@ -1,13 +1,23 @@
+import json
 import random
 
 import pytest
 
-from dstar.errors import ConstantDivisor, DuplicateLeaders
-from dstar.ordering import GREATER, DVariable, SequentialRanking, is_sigma_only
+from dstar.errors import ConstantDivisor, DuplicateLeaders, ExprParseError
+from dstar.ordering import (
+    EQUAL,
+    GREATER,
+    CustomRanking,
+    DVariable,
+    SequentialRanking,
+    is_sigma_only,
+    transform_of,
+)
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, rank_compare
 from dstar.reduction import (
     a_leader,
+    ALeader,
     certificate_from_json,
     certificate_to_json,
     Cofactor,
@@ -19,7 +29,7 @@ from dstar.reduction import (
     verify_certificate,
 )
 
-from gen import rand_divisors, rand_poly
+from gen import rand_divisors, rand_poly, rand_reduction_instance
 
 
 @pytest.fixture
@@ -56,6 +66,72 @@ def test_a_leader_member_tiebreak(dual):
     a1 = parse_poly("x1[0,1]", dual)
     led = a_leader(parse_poly("x1[0,2]", dual), [a0, a1])
     assert led.member == 1 and led.theta == (0, 1)
+
+
+def _offending_pairs(g, divisors, ranking):
+    """Every (variable, member) pair that breaks the offending rule."""
+    if g.is_constant():
+        return []
+    pairs = []
+    for v in g.variables():
+        for idx, f in enumerate(divisors):
+            u = f.leader(ranking)
+            tr = transform_of(g.algebra, v, u)
+            if tr is None:
+                continue
+            if tr.is_delta or g.degree_in(v) >= f.degree_in(u):
+                pairs.append(ALeader(v, g.degree_in(v), idx, tr.theta, tr.is_delta))
+    return pairs
+
+
+def _outranks(a, b, leaders, ranking):
+    """The documented order: variable, then leader, then index, then variable."""
+    cmp = ranking.compare(a.variable, b.variable)
+    if cmp == EQUAL:
+        cmp = ranking.compare(leaders[a.member], leaders[b.member])
+    if cmp != EQUAL:
+        return cmp == GREATER
+    if a.member != b.member:
+        return a.member < b.member
+    return a.variable < b.variable
+
+
+def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
+    rng = random.Random(43)
+    variable_ties = leader_ties = 0
+    for d in all_builtins.values():
+        # the custom key ties all variables of one indeterminate and one
+        # total order, so exact key ties reach both tie rules
+        for ranking in (SequentialRanking(d),
+                        CustomRanking(d, lambda v: (sum(v.theta), v.var))):
+            for _ in range(150):
+                g, divisors = rand_reduction_instance(rng, d, ranking)
+                divisors += [rand_poly(rng, d, max_sum=2, nonconstant=True)
+                             for _ in range(rng.randint(0, 2))]
+                leaders = [f.leader(ranking) for f in divisors]
+                pairs = _offending_pairs(g, divisors, ranking)
+                expected = None
+                for cand in pairs:
+                    if expected is None or _outranks(cand, expected, leaders, ranking):
+                        expected = cand
+                assert a_leader(g, divisors, ranking) == expected
+                assert is_reduced_wrt_set(g, divisors, ranking) == (not pairs)
+                for idx, f in enumerate(divisors):
+                    assert is_reduced(g, f, ranking) == all(
+                        c.member != idx for c in pairs)
+
+                variables = sorted(g.variables())
+                for v in variables:
+                    for w in variables:
+                        kv, kw = ranking.key(v), ranking.key(w)
+                        assert ranking.compare(v, w) == (kv > kw) - (kv < kw)
+
+                top = [c for c in pairs
+                       if ranking.compare(c.variable, expected.variable) == EQUAL]
+                variable_ties += len({c.variable for c in top}) > 1
+                leader_ties += len({c.member for c in top if ranking.compare(
+                    leaders[c.member], leaders[expected.member]) == EQUAL}) > 1
+    assert variable_ties > 0 and leader_ties > 0
 
 
 def test_worked_reduction(dual, worked):
@@ -147,3 +223,11 @@ def test_certificate_json_round_trip(dual, worked):
     assert again == cert
     assert verify_certificate(g, [worked], again)
     assert certificate_to_json(again) == text
+
+
+def test_deeply_nested_certificate_is_a_parse_error(dual):
+    with pytest.raises(ExprParseError):
+        certificate_from_json("[" * 5000, dual)
+    deep = "(" * 3000 + "x1[0,0]" + ")" * 3000
+    with pytest.raises(ExprParseError):
+        certificate_from_json(json.dumps({"remainder": deep}), dual)
