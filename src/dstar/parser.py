@@ -28,6 +28,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>\d+)
   | (?P<op>[-+*^/()])
 """, re.VERBOSE)
+# a variable cut off before its ']': the error points where the ']' belongs
+_OPEN_VAR_RE = re.compile(r"x\d+\[[\d,]*")
 
 
 class _Token:
@@ -47,6 +49,10 @@ def _tokenize(text):
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if not match:
+            opened = _OPEN_VAR_RE.match(text, pos)
+            if opened and not text.startswith("]", opened.end()):
+                raise ExprParseError("variable is missing its closing ']'",
+                                     line, col + opened.end() - pos)
             raise ExprParseError(f"unexpected character {text[pos]!r}", line, col)
         lexeme = match.group(0)
         if not match.group("ws"):

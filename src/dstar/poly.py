@@ -46,8 +46,9 @@ class Monomial:
 
     def without(self, v):
         """Split off the power of v: returns (exponent, monomial without v)."""
-        rest = {w: e for w, e in self.factors if w != v}
-        return self.degree_in(v), Monomial.of(rest)
+        # dropping one factor keeps the rest sorted
+        rest = tuple(it for it in self.factors if it[0] != v)
+        return self.degree_in(v), Monomial(rest)
 
     def sort_key(self):
         """Descending canonical order key (higher key prints first)."""
@@ -119,6 +120,15 @@ class DPolynomial:
             out.update(m.variables())
         return out
 
+    def degrees(self):
+        """{variable: highest exponent} over the variables present, in one pass."""
+        out = {}
+        for m in self.terms:
+            for v, e in m.factors:
+                if e > out.get(v, 0):
+                    out[v] = e
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, DPolynomial):
             return NotImplemented
@@ -173,12 +183,24 @@ class DPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(other.terms) == 1:
+            return self._times_term(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._times_term(*next(iter(self.terms.items())))
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return DPolynomial(self.algebra, out)
+
+    def _times_term(self, m, c):
+        """self * (c * m); m is a monomial and c a nonzero coefficient."""
+        # multiplying by a monomial is injective, so no two terms merge
+        if not m.factors:
+            return self.scalar_mul(c)
+        return DPolynomial(self.algebra,
+                           {m1.mul(m): c1 * c for m1, c1 in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -212,6 +234,15 @@ class DPolynomial:
 
     def degree_in(self, v):
         return max((m.degree_in(v) for m in self.terms), default=0)
+
+    def coefficient_in(self, v, k):
+        """The v-free g_k of the decomposition sum g_k * v^k (zero if absent)."""
+        # distinct monomials with equal v-degree differ off v, so none merge
+        out = {}
+        for m, c in self.terms.items():
+            if m.degree_in(v) == k:
+                out[m.without(v)[1]] = c
+        return DPolynomial(self.algebra, out)
 
     def coefficients_in(self, v):
         """Decompose as sum of g_k * v^k; returns {k: g_k} with v-free g_k."""

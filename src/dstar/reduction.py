@@ -2,12 +2,14 @@
 
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
-(including the leader itself) appears below f's degree.  a_leader is the
-single scan for offending variables; is_reduced asks it about one divisor.
-The reduction loop repeatedly eliminates the highest-ranked offending
-variable, multiplying by a sigma-transform of the divisor's separant
-(delta case) or initial (sigma case).  Every run returns a certificate
-witnessing the exact identity  H * g = g0 + sum_k c_k * theta_k(a_k).
+(including the leader itself) appears below f's degree.  There is one
+scan for offending variables: a_leader runs it, is_reduced asks it about
+one divisor, and reduce runs it with each divisor's leader and degree
+computed once per call.  The reduction loop repeatedly eliminates the
+highest-ranked offending variable, multiplying by a sigma-transform of
+the divisor's separant (delta case) or initial (sigma case).  Every run
+returns a certificate witnessing the exact identity
+H * g = g0 + sum_k c_k * theta_k(a_k).
 """
 
 from __future__ import annotations
@@ -95,19 +97,21 @@ def a_leader(g, divisors, ranking=None):
     if g.is_constant():
         return None
     ranking = ranking or SequentialRanking(g.algebra)
-    members = list(divisors)
+    return _scan(g, *_leaders_and_degrees(list(divisors), ranking), ranking)
+
+
+def _leaders_and_degrees(members, ranking):
     leaders = [f.leader(ranking) for f in members]
-    degrees = [f.degree_in(u) for f, u in zip(members, leaders)]
+    return leaders, [f.degree_in(u) for f, u in zip(members, leaders)]
+
+
+def _scan(g, leaders, degrees, ranking):
+    """a_leader against divisors given by their leaders and degrees."""
     candidates = []
-    for v in sorted(g.variables()):
-        k = None
+    for v, k in sorted(g.degrees().items()):
         for idx, (u, d) in enumerate(zip(leaders, degrees)):
             tr = transform_of(g.algebra, v, u)
-            if tr is None:
-                continue
-            if k is None:
-                k = g.degree_in(v)
-            if tr.is_delta or k >= d:
+            if tr is not None and (tr.is_delta or k >= d):
                 candidates.append(ALeader(v, k, idx, tr.theta, tr.is_delta))
     # max keeps the first of equal maxima: exact ties go to the lowest variable
     return max(candidates, default=None, key=lambda c: (
@@ -120,28 +124,32 @@ def reduce(g, divisors, ranking=None):
     Divisors must be non-constant with pairwise distinct leaders; they
     need not be autoreduced.  The (offending variable rank, degree) pair
     strictly decreases lexicographically at each step; this is asserted.
+    Step k multiplies the running polynomial by m_k and records a raw
+    cofactor; the certificate's c_k is that cofactor times m_{k+1} ... m_n,
+    formed once at the end from a running suffix product.
     """
     members = list(divisors)
     ranking = ranking or SequentialRanking(g.algebra)
     for f in members:
         if f.is_constant():
             raise ConstantDivisor("divisor sets must not contain constants")
-    leaders = [f.leader(ranking) for f in members]
+    leaders, degrees = _leaders_and_degrees(members, ranking)
     for a in range(len(leaders)):
         for b in range(a + 1, len(leaders)):
             if leaders[a] == leaders[b]:
                 raise DuplicateLeaders(
                     f"divisors {a} and {b} share the leader {leaders[a]}")
-    degrees = [f.degree_in(u) for f, u in zip(members, leaders)]
     algebra = g.algebra
 
     current = g
     h_factors = []
-    cofactors = []   # [c, theta, member]; c is folded as multipliers accrue
+    multipliers = []
+    raw = []        # (cofactor before the later multipliers, theta, member)
     steps = []
+    images = {}     # (member, theta) -> (HFactor, multiplier, transformed member)
     prev = None
     while True:
-        led = a_leader(current, members, ranking)
+        led = _scan(current, leaders, degrees, ranking)
         if led is None:
             break
         if prev is not None:
@@ -152,33 +160,41 @@ def reduce(g, divisors, ranking=None):
                     f"{led.variable}^{led.degree}")
         prev = (led.variable, led.degree)
 
-        member = members[led.member]
+        key = (led.member, led.theta)
+        if key not in images:
+            member = members[led.member]
+            if led.is_delta:
+                m_theta = rho(algebra, led.theta)
+                source, base = SEPARANT, member.separant(ranking)
+            else:
+                m_theta = led.theta
+                source, base = INITIAL, member.initial(ranking)
+            images[key] = (HFactor(m_theta, source, led.member),
+                           apply_composition(base, m_theta),
+                           apply_composition(member, led.theta))
+        factor, multiplier, transformed = images[key]
+        drop = led.degree - (1 if led.is_delta else degrees[led.member])
         v_poly = DPolynomial.from_variable(algebra, led.variable)
-        g1 = current.coefficients_in(led.variable)[led.degree]
-        if led.is_delta:
-            m_theta = rho(algebra, led.theta)
-            multiplier = apply_composition(member.separant(ranking), m_theta)
-            cof = g1 * v_poly ** (led.degree - 1)
-            h_factors.append(HFactor(m_theta, SEPARANT, led.member))
-            case = "delta"
-        else:
-            m_theta = led.theta
-            multiplier = apply_composition(member.initial(ranking), m_theta)
-            cof = g1 * v_poly ** (led.degree - degrees[led.member])
-            h_factors.append(HFactor(m_theta, INITIAL, led.member))
-            case = "sigma"
-        transformed = apply_composition(member, led.theta)
+        cof = current.coefficient_in(led.variable, led.degree) * v_poly ** drop
         current = multiplier * current - cof * transformed
-        for entry in cofactors:
-            entry[0] = entry[0] * multiplier
-        cofactors.append([cof, led.theta, led.member])
-        steps.append(Step(led.variable, case, led.degree))
+        h_factors.append(factor)
+        multipliers.append(multiplier)
+        raw.append((cof, led.theta, led.member))
+        steps.append(Step(led.variable, "delta" if led.is_delta else "sigma",
+                          led.degree))
+
+    cofactors = []
+    suffix = None   # m_{k+1} ... m_n; the product with m_1 is never needed
+    for k in range(len(raw) - 1, -1, -1):
+        cof, theta, member = raw[k]
+        cofactors.append(Cofactor(cof if suffix is None else cof * suffix,
+                                  theta, member))
+        if k:
+            suffix = multipliers[k] if suffix is None else multipliers[k] * suffix
+    cofactors.reverse()
 
     return ReductionCertificate(
-        tuple(h_factors),
-        current,
-        tuple(Cofactor(c, theta, member) for c, theta, member in cofactors),
-        tuple(steps))
+        tuple(h_factors), current, tuple(cofactors), tuple(steps))
 
 
 def multiplier_product(cert, divisors, ranking=None):

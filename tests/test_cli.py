@@ -185,3 +185,9 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     gens.write_text("x1[0,1]\n", encoding="utf-8")
     assert_parse_error(run_cold(["closure-check", "--algebra", "dual", "--gens",
                                  str(gens), "--witness", str(deep_json)]))
+
+
+def test_unterminated_variable_is_a_parse_error():
+    proc = run_cold(["apply", "--algebra", "dual", "--op", "d1.1", "x1[0,0"])
+    assert_parse_error(proc)
+    assert "']'" in proc.stderr and "column 7" in proc.stderr

@@ -26,6 +26,12 @@ def test_parse_errors_carry_position(dual):
     with pytest.raises(ExprParseError) as exc:
         parse_poly("x1[0,0] $ 2", dual)
     assert exc.value.column == 9
+    with pytest.raises(ExprParseError) as exc:
+        parse_poly("x1[0,0", dual)
+    assert "']'" in str(exc.value) and exc.value.column == 7
+    with pytest.raises(ExprParseError) as exc:
+        parse_poly("2 * x1[0,1 + x1[0,0]", dual)
+    assert "']'" in str(exc.value) and exc.value.column == 11
     with pytest.raises(ExprParseError):
         parse_poly("x1[0,0,0]", dual)   # slot count mismatch
     with pytest.raises(ExprParseError):

@@ -6,7 +6,7 @@ import pytest
 from dstar.errors import AlgebraMismatch, ConstantPolynomial
 from dstar.ordering import EQUAL, GREATER, LESS, DVariable, SequentialRanking
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, format_poly, monic, rank_compare
+from dstar.poly import DPolynomial, Monomial, format_poly, monic, rank_compare
 
 from gen import rand_poly
 
@@ -28,6 +28,28 @@ def test_mul_associative_random(all_builtins):
             f, g, h = (rand_poly(rng, d, max_terms=2) for _ in range(3))
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
+
+
+def test_single_term_products_match_termwise_sum(all_builtins):
+    rng = random.Random(16)
+    for d in all_builtins.values():
+        x = DVariable(1, (0,) * d.M)
+        dx = DVariable(1, (0,) * (d.M - 1) + (1,))
+        singles = [
+            DPolynomial(d, {Monomial.of({x: 2, dx: 1}): Fraction(-3, 4)}),
+            DPolynomial.constant(d, Fraction(5, 2)),
+            DPolynomial.constant(d, 1),
+        ] + [rand_poly(rng, d, max_terms=1) for _ in range(10)]
+        for _ in range(20):
+            f = rand_poly(rng, d)
+            for s in singles + [DPolynomial.zero(d)]:
+                # the reference forms each term product by hand, not with *
+                expected = DPolynomial.zero(d)
+                for m1, c1 in f.terms.items():
+                    for m2, c2 in s.terms.items():
+                        expected = expected + DPolynomial(d, {m1.mul(m2): c1 * c2})
+                assert f * s == expected and s * f == expected
+        assert all(len(s.terms) == 1 for s in singles)
 
 
 def test_algebra_mismatch(dual, hs2):

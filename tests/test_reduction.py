@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dstar.errors import ConstantDivisor, DuplicateLeaders, ExprParseError
+from dstar.operators import apply_composition, rho
 from dstar.ordering import (
     EQUAL,
     GREATER,
@@ -21,11 +22,15 @@ from dstar.reduction import (
     certificate_from_json,
     certificate_to_json,
     Cofactor,
+    HFactor,
+    INITIAL,
     is_reduced,
     is_reduced_wrt_set,
     multiplier_product,
     reduce,
     ReductionCertificate,
+    SEPARANT,
+    Step,
     verify_certificate,
 )
 
@@ -204,6 +209,45 @@ def test_random_certified_reductions(all_builtins):
             for factor in cert.h_factors:
                 assert is_sigma_only(d, factor.theta)
             _check_measure_decreases(ranking, cert)
+
+
+def _eager_reduce(g, divisors, ranking):
+    """The reduction loop that rescales every earlier cofactor at each step."""
+    d = g.algebra
+    current, h_factors, cofactors, steps = g, [], [], []
+    while (led := a_leader(current, divisors, ranking)) is not None:
+        member = divisors[led.member]
+        if led.is_delta:
+            m_theta, source = rho(d, led.theta), SEPARANT
+            base, drop = member.separant(ranking), led.degree - 1
+        else:
+            m_theta, source = led.theta, INITIAL
+            base, drop = member.initial(ranking), led.degree - member.degree(ranking)
+        multiplier = apply_composition(base, m_theta)
+        v_poly = DPolynomial.from_variable(d, led.variable)
+        cof = current.coefficients_in(led.variable)[led.degree] * v_poly ** drop
+        current = multiplier * current - cof * apply_composition(member, led.theta)
+        cofactors = [Cofactor(c.c * multiplier, c.theta, c.member) for c in cofactors]
+        cofactors.append(Cofactor(cof, led.theta, led.member))
+        h_factors.append(HFactor(m_theta, source, led.member))
+        steps.append(Step(led.variable, "delta" if led.is_delta else "sigma",
+                          led.degree))
+    return ReductionCertificate(
+        tuple(h_factors), current, tuple(cofactors), tuple(steps))
+
+
+def test_lazy_cofactor_fold_matches_eager_reference(all_builtins):
+    rng = random.Random(44)
+    long_runs = 0
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(100):
+            g, divisors = rand_reduction_instance(rng, d, ranking)
+            cert = reduce(g, divisors, ranking)
+            assert certificate_to_json(cert) == \
+                certificate_to_json(_eager_reduce(g, divisors, ranking))
+            long_runs += len(cert.steps) >= 4
+    assert long_runs > 0
 
 
 def _check_measure_decreases(ranking, cert):
