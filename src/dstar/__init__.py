@@ -55,7 +55,7 @@ from .ordering import (
     transform_of,
 )
 from .parser import parse_generator_file, parse_poly
-from .poly import DPolynomial, Monomial, PolyRank, format_poly, rank_compare
+from .poly import DPolynomial, Monomial, format_poly, rank_compare
 from .reduction import (
     ReductionCertificate,
     a_leader,

@@ -13,34 +13,35 @@ from pathlib import Path
 
 from .algebra import algebra_from_name, load_spec, validate_algebra
 from .charset import charset_complete, closure_step_witness, witness_from_json
-from .errors import BadWitness, DStarError, ExprParseError, UnknownBuiltin
+from .errors import BadWitness, DStarError, ExprParseError
 from .operators import apply_composition, parse_operator
 from .ordering import EQUAL, LESS, parse_variable, SequentialRanking
 from .parser import parse_generator_file, parse_poly
 from .poly import format_poly
 from .reduction import certificate_to_json, multiplier_product, reduce
 
-_BUILTIN_PREFIXES = ("dual", "fields:", "hs:", "dd:")
-
 
 def _load_algebra(arg):
-    if arg == "dual" or arg.startswith(_BUILTIN_PREFIXES[1:]):
+    if arg == "dual" or arg.startswith(("fields:", "hs:", "dd:")):
         return algebra_from_name(arg)
-    path = Path(arg)
-    if not path.exists():
-        # fall back to the builtin namespace for a helpful message
-        try:
-            return algebra_from_name(arg)
-        except UnknownBuiltin:
-            raise DStarError(f"algebra file {arg!r} not found")
-    return validate_algebra(load_spec(path.read_text(encoding="utf-8")))
+    if not Path(arg).exists():
+        raise DStarError(f"algebra file {arg!r} not found")
+    return validate_algebra(load_spec(_read(arg)))
 
 
 def _read(path):
     p = Path(path)
     if not p.exists():
         raise DStarError(f"file {path!r} not found")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode, so they give its position
+        before = exc.object[:exc.start].decode("utf-8")
+        raise ExprParseError(f"file {path!r} is not UTF-8 text",
+                             before.count("\n") + 1, len(before) - before.rfind("\n"))
+    except OSError as exc:
+        raise DStarError(f"cannot read {path!r}: {exc.strerror}")
 
 
 def _cmd_algebra_check(args, out):
@@ -94,8 +95,11 @@ def _cmd_reduce(args, out):
     print(f"g0 = {format_poly(cert.remainder)}", file=out)
     print(f"H = {format_poly(h)}", file=out)
     if args.cert:
-        Path(args.cert).write_text(certificate_to_json(cert) + "\n",
-                                   encoding="utf-8")
+        try:
+            Path(args.cert).write_text(certificate_to_json(cert) + "\n",
+                                       encoding="utf-8")
+        except OSError as exc:
+            raise DStarError(f"cannot write {args.cert!r}: {exc.strerror}")
     return 0
 
 

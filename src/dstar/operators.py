@@ -12,19 +12,10 @@ rules become testable consequences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import apply_slot, bump, ord_i, zero_index
 from .poly import DPolynomial
-
-
-@dataclass(frozen=True)
-class BlockImage:
-    """Coordinates of a polynomial's image in one block, unit slot first."""
-
-    block: int
-    coords: tuple
 
 
 def _image_mul(algebra, i, u, w):
@@ -47,6 +38,7 @@ def _image_mul(algebra, i, u, w):
 def block_image(f, i):
     """Image of f under the block-i coordinate operators.
 
+    Returns the coordinate tuple in the block basis, unit slot first.
     Variables map to their slot bumps, constants embed in the unit slot,
     sums add coordinatewise and products multiply through the structure
     constants.
@@ -68,14 +60,14 @@ def block_image(f, i):
         if vec is None:  # constant term
             vec = [DPolynomial.constant(algebra, 1)] + [zero] * m
         total = [t + c.scalar_mul(coeff) for t, c in zip(total, vec)]
-    return BlockImage(i, tuple(total))
+    return tuple(total)
 
 
 def apply(f, i, p):
     """Apply the single operator (i, p): sigma_i for p = 0, else delta_{i,p}."""
     algebra = f.algebra
     algebra.slot_index(i, p)  # validates the slot
-    return block_image(f, i).coords[p]
+    return block_image(f, i)[p]
 
 
 def apply_composition(f, theta):

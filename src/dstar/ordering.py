@@ -130,13 +130,6 @@ class Ranking:
         kv, kw = self.key(v), self.key(w)
         return LESS if kv < kw else GREATER if kv > kw else EQUAL
 
-    def max_variable(self, variables):
-        best = None
-        for v in variables:
-            if best is None or self.compare(v, best) == GREATER:
-                best = v
-        return best
-
     def _check_theta(self, v):
         if len(v.theta) != self.algebra.M:
             raise AlgebraMismatch(
@@ -160,10 +153,9 @@ class SequentialRanking(Ranking):
 class CustomRanking(Ranking):
     """Ranking given by an explicit key function (for tests and tooling)."""
 
-    def __init__(self, algebra, key_fn, name="custom"):
+    def __init__(self, algebra, key_fn):
         super().__init__(algebra)
         self._key_fn = key_fn
-        self.name = name
 
     def key(self, v):
         self._check_theta(v)

@@ -59,14 +59,6 @@ class Monomial:
 UNIT_MONOMIAL = Monomial(())
 
 
-@dataclass(frozen=True)
-class PolyRank:
-    """Leader variable (None for constants) and its degree."""
-
-    leader: object
-    degree: int
-
-
 class DPolynomial:
     """Sparse polynomial over Q in the operator variables of one algebra."""
 
@@ -105,7 +97,7 @@ class DPolynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(m is UNIT_MONOMIAL or not m.factors for m in self.terms)
+        return all(not m.factors for m in self.terms)
 
     def constant_value(self):
         if not self.terms:
@@ -230,7 +222,8 @@ class DPolynomial:
         if self.is_constant():
             raise ConstantPolynomial("constants have no leader")
         ranking = ranking or SequentialRanking(self.algebra)
-        return ranking.max_variable(self.variables())
+        # max keeps the first of equal maxima, in the set's iteration order
+        return max(self.variables(), key=ranking.key)
 
     def degree_in(self, v):
         return max((m.degree_in(v) for m in self.terms), default=0)
@@ -244,39 +237,26 @@ class DPolynomial:
                 out[m.without(v)[1]] = c
         return DPolynomial(self.algebra, out)
 
-    def coefficients_in(self, v):
-        """Decompose as sum of g_k * v^k; returns {k: g_k} with v-free g_k."""
-        parts = {}
-        for m, c in self.terms.items():
-            k, rest = m.without(v)
-            bucket = parts.setdefault(k, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        return {k: DPolynomial(self.algebra, bucket)
-                for k, bucket in parts.items()
-                if any(cf != 0 for cf in bucket.values())}
-
     def degree(self, ranking=None):
         return self.degree_in(self.leader(ranking))
 
     def initial(self, ranking=None):
         u = self.leader(ranking)
-        return self.coefficients_in(u)[self.degree_in(u)]
+        return self.coefficient_in(u, self.degree_in(u))
 
     def separant(self, ranking=None):
+        """Derivative with respect to the leader u."""
         u = self.leader(ranking)
-        parts = self.coefficients_in(u)
-        out = DPolynomial.zero(self.algebra)
-        v_poly = DPolynomial.from_variable(self.algebra, u)
-        for k, g in parts.items():
-            if k >= 1:
-                out = out + g.scalar_mul(k) * v_poly ** (k - 1)
-        return out
-
-    def rank(self, ranking=None):
-        if self.is_constant():
-            return PolyRank(None, 0)
-        u = self.leader(ranking)
-        return PolyRank(u, self.degree_in(u))
+        # lowering u's exponent keeps the factors sorted, and distinct terms
+        # containing u stay distinct, so nothing merges
+        out = {}
+        for m, c in self.terms.items():
+            k = m.degree_in(u)
+            if k:
+                lowered = tuple((v, e - 1 if v == u else e) for v, e in m.factors
+                                if v != u or e > 1)
+                out[Monomial(lowered)] = c * k
+        return DPolynomial(self.algebra, out)
 
 
 def _rank_tuple(f, ranking):

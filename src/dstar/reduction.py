@@ -3,12 +3,12 @@
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
-scan for offending variables: a_leader runs it, is_reduced asks it about
-one divisor, and reduce runs it with each divisor's leader and degree
-computed once per call.  The reduction loop repeatedly eliminates the
-highest-ranked offending variable, multiplying by a sigma-transform of
-the divisor's separant (delta case) or initial (sigma case).  Every run
-returns a certificate witnessing the exact identity
+scan for offending variables: a_leader runs it, is_reduced_wrt_set asks
+it about a divisor set, and reduce runs it with each divisor's leader
+and degree computed once per call.  The reduction loop repeatedly
+eliminates the highest-ranked offending variable, multiplying by a
+sigma-transform of the divisor's separant (delta case) or initial (sigma
+case).  Every run returns a certificate witnessing the exact identity
 H * g = g0 + sum_k c_k * theta_k(a_k).
 """
 
@@ -75,13 +75,15 @@ class ALeader:
 
 def is_reduced(g, f, ranking=None):
     """True when g contains no offending transform of f's leader."""
-    if f.is_constant():
-        raise ConstantDivisor("cannot reduce with respect to a constant")
-    return a_leader(g, [f], ranking) is None
+    return is_reduced_wrt_set(g, [f], ranking)
 
 
 def is_reduced_wrt_set(g, divisors, ranking=None):
-    return all(is_reduced(g, f, ranking) for f in divisors)
+    """True when g contains no offending transform of any divisor's leader."""
+    members = list(divisors)
+    if any(f.is_constant() for f in members):
+        raise ConstantDivisor("cannot reduce with respect to a constant")
+    return a_leader(g, members, ranking) is None
 
 
 def a_leader(g, divisors, ranking=None):

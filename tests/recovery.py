@@ -24,8 +24,7 @@ def projection_ranking():
     # delta order first, then indeterminate, then sigma order: offender
     # selection on lifted systems mirrors the classical orderly choice
     return CustomRanking(dual_algebra(),
-                         lambda v: (v.theta[1], v.var, v.theta[0]),
-                         name="projection-compatible")
+                         lambda v: (v.theta[1], v.var, v.theta[0]))
 
 
 def projected_trace(dcert):

@@ -61,14 +61,11 @@ def test_compare_autoreduced_examples(dual):
 
 def _compare_oracle(a, b, ranking):
     """Literal two-clause evaluation of the pre-order definition."""
-    ra = [f.rank(ranking) for f in a.members]
-    rb = [f.rank(ranking) for f in b.members]
-
     def rank_lt(f, g):
         return rank_compare(f, g, ranking) == -1
 
-    def strictly_less(xs, ys, xm, ym):
-        k, l = len(xs), len(ys)
+    def strictly_less(xm, ym):
+        k, l = len(xm), len(ym)
         for i in range(min(k, l)):
             if rank_lt(xm[i], ym[i]):
                 return all(rank_compare(xm[j], ym[j], ranking) == 0
@@ -76,8 +73,8 @@ def _compare_oracle(a, b, ranking):
         return l < k and all(rank_compare(xm[j], ym[j], ranking) == 0
                              for j in range(l))
 
-    a_less = strictly_less(ra, rb, a.members, b.members)
-    b_less = strictly_less(rb, ra, b.members, a.members)
+    a_less = strictly_less(a.members, b.members)
+    b_less = strictly_less(b.members, a.members)
     if a_less:
         return A_LESS_B
     if b_less:

@@ -191,3 +191,34 @@ def test_unterminated_variable_is_a_parse_error():
     proc = run_cold(["apply", "--algebra", "dual", "--op", "d1.1", "x1[0,0"])
     assert_parse_error(proc)
     assert "']'" in proc.stderr and "column 7" in proc.stderr
+
+
+def assert_domain_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: DStarError: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unreadable_files_are_domain_errors(tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1]^2 - 4 * x1[0,0]\n", encoding="utf-8")
+    assert_domain_error(run_cold(["algebra-check", str(tmp_path)]))
+    assert_domain_error(run_cold(["charset", "--algebra", "dual", "--gens",
+                                  str(tmp_path)]))
+    for cert in (tmp_path, tmp_path / "missing" / "dir" / "c.json"):
+        proc = run_cold(["reduce", "--algebra", "dual", "--set", str(gens),
+                         "--cert", str(cert), "x1[0,2]"])
+        assert_domain_error(proc)
+        assert "cannot write" in proc.stderr
+
+
+def test_undecodable_files_are_parse_errors(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    assert_parse_error(run_cold(["algebra-check", str(bad)]))
+    assert_parse_error(run_cold(["reduce", "--algebra", "dual", "--set",
+                                 str(bad), "x1[0,2]"]))
+    bad.write_bytes(b"x1[0,0]\nx1[0,1] \xff\xfe\n")
+    proc = run_cold(["charset", "--algebra", "dual", "--gens", str(bad)])
+    assert_parse_error(proc)
+    assert "line 2, column 9" in proc.stderr

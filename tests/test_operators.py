@@ -14,20 +14,20 @@ from gen import rand_poly, rand_theta
 def test_block_image_dual(dual):
     x = parse_poly("x1[0,0]", dual)
     img = block_image(x * x, 1)
-    assert img.coords[0] == parse_poly("x1[1,0]^2", dual)
-    assert img.coords[1] == parse_poly("2 * x1[1,0] * x1[0,1]", dual)
+    assert img[0] == parse_poly("x1[1,0]^2", dual)
+    assert img[1] == parse_poly("2 * x1[1,0] * x1[0,1]", dual)
     const = block_image(DPolynomial.constant(dual, 7), 1)
-    assert const.coords[0] == DPolynomial.constant(dual, 7)
-    assert const.coords[1].is_zero()
+    assert const[0] == DPolynomial.constant(dual, 7)
+    assert const[1].is_zero()
 
 
 def test_block_image_truncated_hs(hs2):
     x = parse_poly("x1[0,0,0]", hs2)
     img = block_image(x * x, 1)
     # delta_2(x^2) = 2 sigma(x) delta_2(x) + delta_1(x)^2
-    assert img.coords[2] == parse_poly(
+    assert img[2] == parse_poly(
         "2 * x1[1,0,0] * x1[0,0,1] + x1[0,1,0]^2", hs2)
-    assert img.coords[1] == parse_poly("2 * x1[1,0,0] * x1[0,1,0]", hs2)
+    assert img[1] == parse_poly("2 * x1[1,0,0] * x1[0,1,0]", hs2)
 
 
 def test_apply_examples(dual):
@@ -66,11 +66,9 @@ def test_homomorphism_random(all_builtins):
             for i in range(1, d.t + 1):
                 fi, gi, fgi = block_image(f, i), block_image(g, i), \
                     block_image(f * g, i)
-                assert list(fgi.coords) == _image_product(d, i, fi.coords,
-                                                          gi.coords)
+                assert list(fgi) == _image_product(d, i, fi, gi)
                 sumi = block_image(f + g, i)
-                assert [a + b for a, b in zip(fi.coords, gi.coords)] == \
-                    list(sumi.coords)
+                assert [a + b for a, b in zip(fi, gi)] == list(sumi)
 
 
 def _image_product(d, i, u, w):

@@ -73,6 +73,14 @@ def test_leader_initial_separant(dual):
     assert g.initial() == DPolynomial.constant(dual, 1)
     assert g.separant() == parse_poly("2 * x1[0,1]", dual)
 
+    # non-constant initial; the u^1 term's factor vanishes in the separant
+    h = parse_poly("3*x1[0,1]^3*x1[1,0] + x1[0,1]^2 - 5/2*x1[0,1] + 1", dual)
+    assert h.leader() == DVariable(1, (0, 1))
+    assert h.degree() == 3
+    assert h.initial() == parse_poly("3*x1[1,0]", dual)
+    assert h.separant() == parse_poly(
+        "9*x1[0,1]^2*x1[1,0] + 2*x1[0,1] - 5/2", dual)
+
     assert parse_poly("x1[0,0]^2 + 1", dual).degree_in(DVariable(1, (0, 1))) == 0
 
 
@@ -85,9 +93,9 @@ def test_separant_matches_formal_derivative_oracle(all_builtins):
             u = f.leader()
             expected = DPolynomial.zero(d)
             u_poly = DPolynomial.from_variable(d, u)
-            for k, g in f.coefficients_in(u).items():
-                if k:
-                    expected = expected + g.scalar_mul(k) * u_poly ** (k - 1)
+            for k in range(1, f.degree_in(u) + 1):
+                expected = expected + \
+                    f.coefficient_in(u, k).scalar_mul(k) * u_poly ** (k - 1)
             assert f.separant() == expected
 
 
@@ -144,8 +152,8 @@ def test_reconstruction_from_coefficients(all_builtins):
             u = f.leader()
             u_poly = DPolynomial.from_variable(d, u)
             rebuilt = DPolynomial.zero(d)
-            for k, g in f.coefficients_in(u).items():
-                rebuilt = rebuilt + g * u_poly ** k
+            for k in range(f.degree_in(u) + 1):
+                rebuilt = rebuilt + f.coefficient_in(u, k) * u_poly ** k
             assert rebuilt == f
 
 

@@ -55,6 +55,16 @@ def test_is_reduced_examples(dual, worked):
         is_reduced(parse_poly("x1[0,0]", dual), DPolynomial.constant(dual, 1))
 
 
+def test_constant_divisor_anywhere_in_a_set_is_rejected(dual, worked):
+    one = DPolynomial.constant(dual, 1)
+    offending = parse_poly("x1[1,1]^3", dual)
+    assert not is_reduced_wrt_set(offending, [worked])
+    for divisors in ([one], [one, worked], [worked, one]):
+        for g in (offending, parse_poly("x1[0,0]", dual), one):
+            with pytest.raises(ConstantDivisor):
+                is_reduced_wrt_set(g, divisors)
+
+
 def test_a_leader_examples(dual, worked):
     led = a_leader(parse_poly("x1[0,2]", dual), [worked])
     assert led.variable == DVariable(1, (0, 2))
@@ -225,7 +235,7 @@ def _eager_reduce(g, divisors, ranking):
             base, drop = member.initial(ranking), led.degree - member.degree(ranking)
         multiplier = apply_composition(base, m_theta)
         v_poly = DPolynomial.from_variable(d, led.variable)
-        cof = current.coefficients_in(led.variable)[led.degree] * v_poly ** drop
+        cof = current.coefficient_in(led.variable, led.degree) * v_poly ** drop
         current = multiplier * current - cof * apply_composition(member, led.theta)
         cofactors = [Cofactor(c.c * multiplier, c.theta, c.member) for c in cofactors]
         cofactors.append(Cofactor(cof, led.theta, led.member))

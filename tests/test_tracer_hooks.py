@@ -1,0 +1,36 @@
+"""The benchmark's tracer hooks dstar by name; every hook must resolve.
+
+perfbench/tracer.py wraps the functions named in its SPANS and COUNTS
+tables.  A rename in dstar would otherwise show up only when the traced
+benchmark run fails.
+"""
+
+from pathlib import Path
+
+from dstar import reduction
+from dstar.parser import parse_poly
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_and_restores_every_hook(monkeypatch, dual):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import COUNTS, SPANS, Tracer
+
+    hooks = {**SPANS, **COUNTS}
+    originals = {name: getattr(owner, attr) for name, (owner, attr) in hooks.items()}
+    tracer = Tracer(lambda algebra: "dual")
+    tracer.install()
+    try:
+        patches = list(tracer._patches)
+        for name, (owner, attr) in hooks.items():
+            assert getattr(owner, attr) is not originals[name], name
+        divisor = parse_poly("x1[0,1]^2 - 4 * x1[0,0]", dual)
+        reduction.reduce(parse_poly("x1[0,2]", dual), [divisor])
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["calls"]["reduction.reduce"] == 1
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, (owner, attr)
+    for name, (owner, attr) in hooks.items():
+        assert getattr(owner, attr) is originals[name], name
