@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .algebra import algebra_from_name, load_spec, validate_algebra
 from .charset import charset_complete, closure_step_witness, witness_from_json
-from .errors import BadWitness, DStarError, ExprParseError
+from .errors import BadWitness, DStarError, ExprParseError, UnknownBuiltin
 from .operators import apply_composition, parse_operator
 from .ordering import EQUAL, LESS, parse_variable, SequentialRanking
 from .parser import parse_generator_file, parse_poly
@@ -22,10 +22,14 @@ from .reduction import certificate_to_json, multiplier_product, reduce
 
 
 def _load_algebra(arg):
-    if arg == "dual" or arg.startswith(("fields:", "hs:", "dd:")):
+    """A valid builtin name wins; any other existing path loads as a file."""
+    try:
         return algebra_from_name(arg)
-    if not Path(arg).exists():
-        raise DStarError(f"algebra file {arg!r} not found")
+    except UnknownBuiltin:
+        if not Path(arg).exists():
+            if arg.startswith(("fields:", "hs:", "dd:")):
+                raise
+            raise DStarError(f"algebra file {arg!r} not found")
     return validate_algebra(load_spec(_read(arg)))
 
 

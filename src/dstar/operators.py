@@ -7,6 +7,11 @@ structural recursion with the block's structure constants.  Every
 individual operator application is a coordinate of a block image, so the
 homomorphism property holds by construction and the classical product
 rules become testable consequences.
+
+The image of a variable power v^e does not depend on the polynomial it
+sits in.  Within one block image, and across all unit steps of one
+apply_composition call, each (block, v, e) image is therefore built once,
+by squaring in the block algebra, and kept in a memo local to that call.
 """
 
 from __future__ import annotations
@@ -14,25 +19,72 @@ from __future__ import annotations
 import re
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import apply_slot, bump, ord_i, zero_index
+from .ordering import apply_slot, ord_i, zero_index
 from .poly import DPolynomial
+
+
+def _accumulate(acc, poly, scale=1):
+    """Add scale * poly into the term dict acc in place."""
+    for m, c in poly.terms.items():
+        if scale != 1:
+            c = c * scale
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
 
 
 def _image_mul(algebra, i, u, w):
     """Multiply two coordinate vectors in block i of the algebra."""
     block = algebra.blocks[i - 1]
     m = block.m
-    out = [u[0] * w[0]]
+    acc = [{} for _ in range(m + 1)]
+    _accumulate(acc[0], u[0] * w[0])
     for j in range(1, m + 1):
-        out.append(u[0] * w[j] + u[j] * w[0])
+        _accumulate(acc[j], u[0] * w[j])
+        _accumulate(acc[j], u[j] * w[0])
     for p in range(1, m + 1):
         for q in range(1, m + 1):
             contributions = block.products[p - 1][q - 1]
             if contributions:
                 prod = u[p] * w[q]
                 for j, coeff in contributions:
-                    out[j] = out[j] + prod.scalar_mul(coeff)
-    return out
+                    _accumulate(acc[j], prod, coeff)
+    return tuple(DPolynomial(algebra, a) for a in acc)
+
+
+def _power_image(algebra, i, v, e, memo):
+    """Block-i image of v^e, by squaring, memoised in memo under (i, v, e)."""
+    img = memo.get((i, v, e))
+    if img is None:
+        if e == 1:
+            img = tuple(DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p))
+                        for p in range(algebra.blocks[i - 1].m + 1))
+        else:
+            half = _power_image(algebra, i, v, e // 2, memo)
+            img = _image_mul(algebra, i, half, half)
+            if e & 1:
+                img = _image_mul(algebra, i, img, _power_image(algebra, i, v, 1, memo))
+        memo[(i, v, e)] = img
+    return img
+
+
+def _block_image(f, i, memo):
+    """block_image(f, i), taking variable-power images from memo."""
+    algebra = f.algebra
+    width = algebra.blocks[i - 1].m + 1
+    acc = [{} for _ in range(width)]
+    for monomial, coeff in f.terms.items():
+        if not monomial.factors:
+            # a constant embeds in the unit slot, where no other term's image
+            # has a constant
+            acc[0][monomial] = coeff
+            continue
+        vec = None
+        for v, e in monomial.factors:
+            img = _power_image(algebra, i, v, e, memo)
+            vec = img if vec is None else _image_mul(algebra, i, vec, img)
+        for a, c in zip(acc, vec):
+            _accumulate(a, c, coeff)
+    return tuple(DPolynomial(algebra, a) for a in acc)
 
 
 def block_image(f, i):
@@ -46,21 +98,7 @@ def block_image(f, i):
     algebra = f.algebra
     if not 1 <= i <= algebra.t:
         raise IndexOutOfRange(f"block index {i} out of range 1..{algebra.t}")
-    m = algebra.blocks[i - 1].m
-    width = m + 1
-    zero = DPolynomial.zero(algebra)
-    total = [zero] * width
-    for monomial, coeff in f.terms.items():
-        vec = None
-        for v, e in monomial.factors:
-            vimg = [DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p))
-                    for p in range(width)]
-            for _ in range(e):
-                vec = vimg if vec is None else _image_mul(algebra, i, vec, vimg)
-        if vec is None:  # constant term
-            vec = [DPolynomial.constant(algebra, 1)] + [zero] * m
-        total = [t + c.scalar_mul(coeff) for t, c in zip(total, vec)]
-    return tuple(total)
+    return _block_image(f, i, {})
 
 
 def apply(f, i, p):
@@ -81,11 +119,12 @@ def apply_composition(f, theta):
         raise IndexOutOfRange(
             f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
     out = f
+    memo = {}  # a variable's image is the same in every step
     for slot, count in enumerate(theta):
         if count:
             i, p = algebra.block_of_slot(slot)
             for _ in range(count):
-                out = apply(out, i, p)
+                out = _block_image(out, i, memo)[p]
     return out
 
 
@@ -122,7 +161,7 @@ def parse_operator(text, algebra):
             raise ExprParseError(
                 f"theta has {len(theta)} slots, algebra has {algebra.M}")
         return theta
-    theta = zero_index(algebra)
+    theta = list(zero_index(algebra))
     if not text:
         raise ExprParseError("empty operator string")
     for part in text.split():
@@ -138,6 +177,5 @@ def parse_operator(text, algebra):
             slot = algebra.slot_index(i, p)
         except IndexOutOfRange as exc:
             raise ExprParseError(f"operator {part!r}: {exc}")
-        for _ in range(power):
-            theta = bump(theta, slot)
-    return theta
+        theta[slot] += power
+    return tuple(theta)

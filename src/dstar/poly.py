@@ -164,10 +164,16 @@ class DPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) - c
+        return DPolynomial(self.algebra, out)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import dstar
 from dstar.cli import main
 
 
@@ -164,9 +167,14 @@ def test_console_entry_point():
     assert proc.stdout == "LESS\n"
 
 
-def run_cold(args):
+def run_cold(args, cwd=None):
+    env = dict(os.environ)
+    # the package's own parent, so that the process finds it from any cwd
+    src = str(Path(dstar.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-m", "dstar.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def assert_parse_error(proc):
@@ -222,3 +230,22 @@ def test_undecodable_files_are_parse_errors(tmp_path):
     proc = run_cold(["charset", "--algebra", "dual", "--gens", str(bad)])
     assert_parse_error(proc)
     assert "line 2, column 9" in proc.stderr
+
+
+def test_file_named_like_a_builtin_loads_as_a_file(tmp_path):
+    spec = {"blocks": [{"basis": ["1", "e"],
+                        "table": {"1*1": [["1", "1"]], "1*e": [["e", "1"]]}}]}
+    (tmp_path / "hs:dual.json").write_text(json.dumps(spec), encoding="utf-8")
+    proc = run_cold(["algebra-check", "hs:dual.json"], cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == run_cold(["algebra-check", "./hs:dual.json"],
+                                   cwd=tmp_path).stdout
+    assert "slots: s1, d1.1" in proc.stdout
+    # a valid builtin name keeps precedence over a file of that name
+    (tmp_path / "hs:2").write_text(json.dumps(spec), encoding="utf-8")
+    proc = run_cold(["algebra-check", "hs:2"], cwd=tmp_path)
+    assert proc.returncode == 0 and "slots: s1, d1.1, d1.2" in proc.stdout
+    # a bad builtin-like name that is no file keeps its builtin error
+    proc = run_cold(["algebra-check", "hs:x"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: UnknownBuiltin: ")

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
 from dstar.ordering import LESS, DVariable, SequentialRanking
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, rank_compare
+from dstar.poly import DPolynomial, Monomial, rank_compare
 
 from gen import rand_poly, rand_theta
 
@@ -83,6 +85,71 @@ def _image_product(d, i, u, w):
                     coord = coord + (u[p] * w[q]).scalar_mul(a)
         out.append(coord)
     return out
+
+
+def _reference_image(f, i):
+    """Block-i image with no memo and no squaring: v^e is e products of v's image."""
+    d = f.algebra
+    m = d.blocks[i - 1].m
+    total = [DPolynomial.zero(d)] * (m + 1)
+    for monomial, coeff in f.terms.items():
+        vec = [DPolynomial.constant(d, 1)] + [DPolynomial.zero(d)] * m
+        for v, e in monomial.factors:
+            vimg = [DPolynomial.from_variable(
+                d, DVariable(v.var, _bump(v.theta, d.slot_index(i, q))))
+                for q in range(m + 1)]
+            for _ in range(e):
+                vec = _image_product(d, i, vec, vimg)
+        total = [t + c.scalar_mul(coeff) for t, c in zip(total, vec)]
+    return total
+
+
+def _reference_composition(f, theta):
+    d = f.algebra
+    for slot, count in enumerate(theta):
+        i, p = d.block_of_slot(slot)
+        for _ in range(count):
+            f = _reference_image(f, i)[p]
+    return f
+
+
+def _rand_powers_poly(rng, d, max_exp=5):
+    """Up to three terms of one or two variable powers, exponents 1..max_exp."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = {}
+        for _ in range(rng.randint(1, 2)):
+            mono[DVariable(rng.randint(1, 2), rand_theta(rng, d, 1))] = \
+                rng.randint(1, max_exp)
+        terms[Monomial.of(mono)] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                            rng.randint(1, 2))
+    if rng.random() < 0.5:
+        terms[Monomial.of({})] = Fraction(rng.randint(1, 4))
+    return DPolynomial(d, terms)
+
+
+def test_apply_composition_matches_unmemoised_reference(all_builtins):
+    rng = random.Random(36)
+    pinned = {"dd:1,1": [(1, 1, 1), (0, 2, 1), (1, 0, 2)],  # both blocks
+              "hs:2": [(1, 1, 1), (0, 0, 2)], "dual": [(1, 2), (2, 1)],
+              "fields:2": [(1, 1), (2, 0)]}
+    for label, d in all_builtins.items():
+        thetas = pinned[label] + [rand_theta(rng, d, 3) for _ in range(6)]
+        for theta in thetas:
+            for _ in range(3):
+                f = _rand_powers_poly(rng, d)
+                assert apply_composition(f, theta) == _reference_composition(f, theta), \
+                    (label, theta, f)
+            for i in range(1, d.t + 1):
+                assert list(block_image(f, i)) == _reference_image(f, i)
+
+
+def test_dual_tower_is_the_classical_derivative(dual):
+    x = DiffPolynomial.from_variable(DiffVar(0, 1))
+    for k in range(1, 21):
+        f = parse_poly(f"x1[0,0]^{k}", dual)
+        got = apply_composition(f, parse_operator(f"d1.1^{k}", dual))
+        assert project_to_differential(got) == (x ** k).nth_derivative(k), k
 
 
 def test_commutation_all_slot_pairs(all_builtins):
@@ -175,6 +242,8 @@ def test_parse_operator(dual, dd11):
     assert parse_operator("s1^2 d1.1", dual) == (2, 1)
     assert parse_operator("theta=[1,2]", dual) == (1, 2)
     assert parse_operator("s2 d1.1^3", dd11) == (0, 3, 1)
+    assert parse_operator("d1.1 s2^2 d1.1^2", dd11) == (0, 3, 2)
+    assert parse_operator("d1.1^1000000", dual) == (0, 1000000)
     with pytest.raises(ExprParseError):
         parse_operator("d2.1", dual)
     with pytest.raises(ExprParseError):

@@ -16,6 +16,9 @@ def test_ring_arithmetic(dual):
     one = DPolynomial.constant(dual, 1)
     assert (x + (-x)).is_zero()
     assert (x + 1) * (x - 1) == x * x - one
+    assert x - x == DPolynomial.zero(dual) and (x - x).terms == {}
+    assert 3 - x == -(x - 3) == DPolynomial.constant(dual, 3) + (-x)
+    assert Fraction(1, 2) - (x + Fraction(1, 2)) == -x
     assert (x ** 3) == x * x * x
     assert (2 * x).scalar_mul(Fraction(1, 2)) == x
     assert x * 0 == DPolynomial.zero(dual)
