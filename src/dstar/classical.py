@@ -142,7 +142,7 @@ class DiffPolynomial:
 
     def derivative(self):
         """Total derivative: Leibniz over every factor of every monomial."""
-        out = DiffPolynomial.zero()
+        out = {}
         for m, c in self.terms.items():
             for v, e in m:
                 rest = dict(m)
@@ -153,8 +153,8 @@ class DiffPolynomial:
                 bumped = DiffVar(v.order + 1, v.var)
                 rest[bumped] = rest.get(bumped, 0) + 1
                 key = tuple(sorted(rest.items()))
-                out = out + DiffPolynomial({key: c * e})
-        return out
+                out[key] = out.get(key, Fraction(0)) + c * e
+        return DiffPolynomial(out)
 
     def nth_derivative(self, e):
         out = self

@@ -11,6 +11,7 @@ is (total degree, indeterminate index, slots from highest to lowest).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -19,15 +20,58 @@ from .errors import AlgebraMismatch, ExprParseError, InvalidRanking
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class DVariable:
-    """The formal image d^theta x_var (var is 1-based)."""
+    """The formal image d^theta x_var (var is 1-based).
 
-    var: int
-    theta: tuple
+    Immutable.  Compares and hashes as the tuple (var, theta); the hash is
+    computed once, at construction, because variables are hashed inside
+    every monomial operation.
+    """
+
+    __slots__ = ("var", "theta", "_hash")
+
+    def __init__(self, var, theta):
+        _set_var(self, var)
+        _set_theta(self, theta)
+        _set_var_hash(self, hash((var, theta)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DVariable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DVariable is immutable")
+
+    def __reduce__(self):
+        return DVariable, (self.var, self.theta)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not DVariable:
+            return NotImplemented
+        return self.var == other.var and self.theta == other.theta
+
+    def __lt__(self, other):
+        if other.__class__ is not DVariable:
+            return NotImplemented
+        if self.var != other.var:
+            return self.var < other.var
+        return self.theta < other.theta
+
+    def __repr__(self):
+        return f"DVariable(var={self.var!r}, theta={self.theta!r})"
 
     def __str__(self):
         return f"x{self.var}[{','.join(str(e) for e in self.theta)}]"
+
+
+# slot setters for constructors: they bypass the immutability guard and
+# cost less than object.__setattr__
+_set_var = DVariable.var.__set__
+_set_theta = DVariable.theta.__set__
+_set_var_hash = DVariable._hash.__set__
 
 
 _VAR_RE = re.compile(r"^x(\d+)\[(\d+(?:,\d+)*)\]$")

@@ -1,26 +1,58 @@
 """Exact sparse polynomials in operator variables.
 
-Terms map monomials to nonzero Fraction coefficients; monomials map
-variables to positive exponents.  All arithmetic is exact and results are
-canonical (no zero coefficients, deduplicated monomials).  The leader,
-initial and separant accessors take the ranking as a parameter and
-default to the sequential ranking.
+Terms map monomials to nonzero Fraction coefficients.  A monomial is an
+immutable tuple of (DVariable, exponent) factors with positive exponents,
+sorted by DVariable order.  Monomials and variables compute their hash
+once, when built, so dict operations on terms re-hash nothing, and the
+product of two monomials is one linear merge of their factor tuples.  All
+arithmetic is exact and results are canonical (no zero coefficients,
+deduplicated monomials); only results that cannot hold a zero (a product
+by one term, scaling by a nonzero constant) skip the zero filter.  The
+leader, initial and separant accessors take the ranking as a parameter
+and default to the sequential ranking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, ConstantPolynomial
 from .ordering import EQUAL, GREATER, LESS, SequentialRanking, sequential_key
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Product of variable powers; factors sorted by intrinsic variable order."""
+    """Product of variable powers, immutable and hashed once.
 
-    factors: tuple  # ((DVariable, exponent), ...) with exponents >= 1
+    factors is the tuple ((DVariable, exponent), ...) with exponents >= 1,
+    sorted by DVariable order.  The constructor trusts that order; of()
+    builds it from a mapping.
+    """
+
+    __slots__ = ("factors", "_hash")
+
+    def __init__(self, factors):
+        _set_factors(self, factors)
+        _set_monomial_hash(self, hash(factors))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Monomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return Monomial, (self.factors,)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self._hash == other._hash and self.factors == other.factors
+
+    def __repr__(self):
+        return f"Monomial(factors={self.factors!r})"
 
     @staticmethod
     def of(mapping):
@@ -39,22 +71,48 @@ class Monomial:
         return [v for v, _ in self.factors]
 
     def mul(self, other):
-        merged = dict(self.factors)
-        for v, e in other.factors:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial.of(merged)
+        """The product, as one linear merge of the two sorted factor tuples."""
+        a, b = self.factors, other.factors
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            v, e = a[i]
+            w, f = b[j]
+            if v is w or v == w:
+                out.append((v, e + f))
+                i += 1
+                j += 1
+            elif v < w:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial(tuple(out) + a[i:] + b[j:])
 
     def without(self, v):
         """Split off the power of v: returns (exponent, monomial without v)."""
         # dropping one factor keeps the rest sorted
-        rest = tuple(it for it in self.factors if it[0] != v)
-        return self.degree_in(v), Monomial(rest)
+        for k, (w, e) in enumerate(self.factors):
+            if w == v:
+                return e, Monomial(self.factors[:k] + self.factors[k + 1:])
+        return 0, self
 
     def sort_key(self):
         """Descending canonical order key (higher key prints first)."""
         return tuple(sorted(((sequential_key(v), e) for v, e in self.factors),
                             reverse=True))
 
+
+# slot setters for constructors: they bypass the immutability guard and
+# cost less than object.__setattr__
+_set_factors = Monomial.factors.__set__
+_set_monomial_hash = Monomial._hash.__set__
 
 UNIT_MONOMIAL = Monomial(())
 
@@ -65,8 +123,16 @@ class DPolynomial:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c != 0})
+        _set_algebra(self, algebra)
+        _set_terms(self, {m: c for m, c in terms.items() if c != 0})
+
+    @staticmethod
+    def _nonzero(algebra, terms):
+        """Wrap a term dict that holds no zero coefficient, as it is."""
+        f = object.__new__(DPolynomial)
+        _set_algebra(f, algebra)
+        _set_terms(f, terms)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("DPolynomial is immutable")
@@ -197,8 +263,8 @@ class DPolynomial:
         # multiplying by a monomial is injective, so no two terms merge
         if not m.factors:
             return self.scalar_mul(c)
-        return DPolynomial(self.algebra,
-                           {m1.mul(m): c1 * c for m1, c1 in self.terms.items()})
+        return DPolynomial._nonzero(
+            self.algebra, {m1.mul(m): c1 * c for m1, c1 in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,7 +273,10 @@ class DPolynomial:
 
     def scalar_mul(self, c):
         c = Fraction(c)
-        return DPolynomial(self.algebra, {m: c * cf for m, cf in self.terms.items()})
+        if c == 0:
+            return DPolynomial.zero(self.algebra)
+        return DPolynomial._nonzero(self.algebra,
+                                    {m: c * cf for m, cf in self.terms.items()})
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -225,11 +294,16 @@ class DPolynomial:
     # -- leader structure ----------------------------------------------------
 
     def leader(self, ranking=None):
+        """The highest-ranked variable.
+
+        Distinct variables of equal rank (possible only under a key that is
+        not injective) go to the lowest in DVariable order, as in a_leader.
+        """
         if self.is_constant():
             raise ConstantPolynomial("constants have no leader")
         ranking = ranking or SequentialRanking(self.algebra)
-        # max keeps the first of equal maxima, in the set's iteration order
-        return max(self.variables(), key=ranking.key)
+        # max keeps the first of equal maxima, here the lowest variable
+        return max(sorted(self.variables()), key=ranking.key)
 
     def degree_in(self, v):
         return max((m.degree_in(v) for m in self.terms), default=0)
@@ -263,6 +337,11 @@ class DPolynomial:
                                 if v != u or e > 1)
                 out[Monomial(lowered)] = c * k
         return DPolynomial(self.algebra, out)
+
+
+# DPolynomial's slot setters, as for Monomial above
+_set_algebra = DPolynomial.algebra.__set__
+_set_terms = DPolynomial.terms.__set__
 
 
 def _rank_tuple(f, ranking):

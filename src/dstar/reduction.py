@@ -4,11 +4,11 @@ A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
 scan for offending variables: a_leader runs it, is_reduced_wrt_set asks
-it about a divisor set, and reduce runs it with each divisor's leader
-and degree computed once per call.  The reduction loop repeatedly
-eliminates the highest-ranked offending variable, multiplying by a
-sigma-transform of the divisor's separant (delta case) or initial (sigma
-case).  Every run returns a certificate witnessing the exact identity
+it whether a divisor set has any and stops at the first, and reduce runs
+it with each divisor's leader and degree computed once per call.  The
+reduction loop repeatedly eliminates the highest-ranked offending
+variable, multiplying by a sigma-transform of the divisor's separant
+(delta case) or initial (sigma case).  Every run returns a certificate witnessing the exact identity
 H * g = g0 + sum_k c_k * theta_k(a_k).
 """
 
@@ -83,7 +83,12 @@ def is_reduced_wrt_set(g, divisors, ranking=None):
     members = list(divisors)
     if any(f.is_constant() for f in members):
         raise ConstantDivisor("cannot reduce with respect to a constant")
-    return a_leader(g, members, ranking) is None
+    if g.is_constant():
+        return True
+    ranking = ranking or SequentialRanking(g.algebra)
+    # only existence matters, so stop at the first offending pair
+    leaders, degrees = _leaders_and_degrees(members, ranking)
+    return next(_offending(g, leaders, degrees), None) is None
 
 
 def a_leader(g, divisors, ranking=None):
@@ -107,16 +112,19 @@ def _leaders_and_degrees(members, ranking):
     return leaders, [f.degree_in(u) for f, u in zip(members, leaders)]
 
 
-def _scan(g, leaders, degrees, ranking):
-    """a_leader against divisors given by their leaders and degrees."""
-    candidates = []
+def _offending(g, leaders, degrees):
+    """Each offending (variable, divisor) pair of g, lowest variable first."""
     for v, k in sorted(g.degrees().items()):
         for idx, (u, d) in enumerate(zip(leaders, degrees)):
             tr = transform_of(g.algebra, v, u)
             if tr is not None and (tr.is_delta or k >= d):
-                candidates.append(ALeader(v, k, idx, tr.theta, tr.is_delta))
+                yield ALeader(v, k, idx, tr.theta, tr.is_delta)
+
+
+def _scan(g, leaders, degrees, ranking):
+    """a_leader against divisors given by their leaders and degrees."""
     # max keeps the first of equal maxima: exact ties go to the lowest variable
-    return max(candidates, default=None, key=lambda c: (
+    return max(_offending(g, leaders, degrees), default=None, key=lambda c: (
         ranking.key(c.variable), ranking.key(leaders[c.member]), -c.member))
 
 
@@ -200,16 +208,23 @@ def reduce(g, divisors, ranking=None):
 
 
 def multiplier_product(cert, divisors, ranking=None):
-    """Recompute H from the certificate's factor list; 1 when it is empty."""
+    """Recompute H from the certificate's factor list; 1 when it is empty.
+
+    Each distinct (member, source, theta) image is built once per call.
+    """
     members = list(divisors)
     algebra = members[0].algebra if members else cert.remainder.algebra
     ranking = ranking or SequentialRanking(algebra)
+    images = {}
     h = DPolynomial.constant(algebra, 1)
     for factor in cert.h_factors:
-        member = members[factor.member]
-        base = (member.initial(ranking) if factor.source == INITIAL
-                else member.separant(ranking))
-        h = h * apply_composition(base, factor.theta)
+        key = (factor.member, factor.source, factor.theta)
+        if key not in images:
+            member = members[factor.member]
+            base = (member.initial(ranking) if factor.source == INITIAL
+                    else member.separant(ranking))
+            images[key] = apply_composition(base, factor.theta)
+        h = h * images[key]
     return h
 
 
@@ -227,10 +242,14 @@ def verify_certificate(g, divisors, cert, ranking=None):
                 return False
         h = multiplier_product(cert, members, ranking)
         rhs = cert.remainder
+        transformed = {}    # (member, theta) -> theta applied to the member
         for cof in cert.cofactors:
             if not 0 <= cof.member < len(members):
                 return False
-            rhs = rhs + cof.c * apply_composition(members[cof.member], cof.theta)
+            key = (cof.member, cof.theta)
+            if key not in transformed:
+                transformed[key] = apply_composition(members[cof.member], cof.theta)
+            rhs = rhs + cof.c * transformed[key]
         if h * g != rhs:
             return False
         if not is_reduced_wrt_set(cert.remainder, members, ranking):

@@ -1,14 +1,23 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from dstar.errors import AlgebraMismatch, ConstantPolynomial
-from dstar.ordering import EQUAL, GREATER, LESS, DVariable, SequentialRanking
+from dstar.ordering import (
+    EQUAL,
+    GREATER,
+    LESS,
+    CustomRanking,
+    DVariable,
+    SequentialRanking,
+)
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, Monomial, format_poly, monic, rank_compare
 
-from gen import rand_poly
+from gen import rand_poly, rand_variable
 
 
 def test_ring_arithmetic(dual):
@@ -174,3 +183,121 @@ def test_monic_normalisation(dual):
     f = parse_poly("2 * x1[0,1] + 4 * x1[0,0]", dual)
     assert monic(f) == parse_poly("x1[0,1] + 2 * x1[0,0]", dual)
     assert monic(DPolynomial.zero(dual)).is_zero()
+
+
+def _rand_monomial(rng, algebra, max_factors=4):
+    mono = {}
+    for _ in range(rng.randint(0, max_factors)):
+        v = rand_variable(rng, algebra, n_vars=2, max_sum=2)
+        mono[v] = mono.get(v, 0) + rng.randint(1, 3)
+    return Monomial.of(mono)
+
+
+def test_monomial_mul_matches_dict_merge_reference(all_builtins):
+    rng = random.Random(17)
+    seen = set()
+    for d in all_builtins.values():
+        for _ in range(300):
+            a, b = _rand_monomial(rng, d), _rand_monomial(rng, d)
+            summed = dict(a.factors)
+            for v, e in b.factors:
+                summed[v] = summed.get(v, 0) + e
+            expected = Monomial.of(summed)
+            assert a.mul(b) == expected and b.mul(a) == expected
+            assert a.mul(b).factors == expected.factors
+            assert hash(a.mul(b)) == hash(expected)
+            shared = set(a.variables()) & set(b.variables())
+            seen.add("empty" if not (a.factors and b.factors)
+                     else "overlapping" if shared else "disjoint")
+    assert seen == {"empty", "disjoint", "overlapping"}
+    unit = Monomial.of({})
+    m = _rand_monomial(rng, all_builtins["dual"])
+    assert unit.mul(m) == m.mul(unit) == m and unit.mul(unit) == unit
+
+
+def test_equal_monomials_compare_and_hash_equal(all_builtins):
+    rng = random.Random(18)
+    for d in all_builtins.values():
+        for _ in range(100):
+            m = _rand_monomial(rng, d)
+            if not m.factors:
+                continue
+            # rebuild from fresh variable objects, by a split product, by
+            # dropping an extra factor, and through the parser
+            fresh = Monomial.of({DVariable(v.var, tuple(v.theta)): e
+                                 for v, e in m.factors})
+            k = rng.randint(0, len(m.factors))
+            product = Monomial(m.factors[:k]).mul(Monomial(m.factors[k:]))
+            extra = DVariable(3, (0,) * d.M)
+            dropped = m.mul(Monomial.of({extra: 2})).without(extra)
+            assert dropped[0] == 2
+            parsed, = parse_poly(format_poly(DPolynomial(d, {m: Fraction(1)})), d).terms
+            variants = [m, fresh, product, dropped[1], parsed]
+            assert all(x == m and hash(x) == hash(m) for x in variants)
+            assert len(set(variants)) == 1
+
+
+def test_dvariable_compares_and_hashes_as_its_tuple(all_builtins):
+    rng = random.Random(19)
+    for d in all_builtins.values():
+        variables = [rand_variable(rng, d, n_vars=2, max_sum=2) for _ in range(30)]
+        for v in variables:
+            assert hash(v) == hash((v.var, v.theta))
+            for w in variables + [DVariable(v.var, v.theta)]:
+                tv, tw = (v.var, v.theta), (w.var, w.theta)
+                assert (v == w) == (tv == tw) and (v != w) == (tv != tw)
+                assert (v < w) == (tv < tw) and (v <= w) == (tv <= tw)
+                assert (v > w) == (tv > tw) and (v >= w) == (tv >= tw)
+        assert [(v.var, v.theta) for v in sorted(variables)] == \
+            sorted((v.var, v.theta) for v in variables)
+    assert DVariable(1, (0, 1)) != (1, (0, 1))
+
+
+def test_variables_and_monomials_are_immutable(dual):
+    v = DVariable(1, (0, 1))
+    m = Monomial.of({v: 2})
+    for obj, attr in ((v, "var"), (v, "theta"), (v, "other"),
+                      (m, "factors"), (m, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0)
+    for obj, attr in ((v, "var"), (m, "factors")):
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert (v.var, v.theta, m.factors) == (1, (0, 1), ((v, 2),))
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and hash(copied) == hash(m)
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_single_term_and_scalar_products_leave_no_zero(all_builtins):
+    rng = random.Random(20)
+    for d in all_builtins.values():
+        for _ in range(40):
+            f = rand_poly(rng, d)
+            s = rand_poly(rng, d, max_terms=1)
+            for p in (f * s, s * f):
+                assert len(p.terms) == len(f.terms)
+                assert all(c != 0 for c in p.terms.values())
+            for c in (0, Fraction(0), 1, -2, Fraction(-2, 3)):
+                for p in (f.scalar_mul(c), f * c, c * f):
+                    assert all(cf != 0 for cf in p.terms.values())
+                    assert len(p.terms) == (len(f.terms) if c else 0)
+            assert f.scalar_mul(0) == DPolynomial.zero(d)
+
+
+def test_leader_key_ties_go_to_the_lowest_variable(all_builtins):
+    rng = random.Random(21)
+    ties = 0
+    for d in all_builtins.values():
+        # all variables of one indeterminate and one total order tie
+        ranking = CustomRanking(d, lambda v: (sum(v.theta), v.var))
+        for _ in range(100):
+            f = rand_poly(rng, d, nonconstant=True)
+            variables = f.variables()
+            top = max(map(ranking.key, variables))
+            tied = [v for v in variables if ranking.key(v) == top]
+            ties += len(tied) > 1
+            expected = min(tied)
+            reversed_f = DPolynomial(d, dict(reversed(list(f.terms.items()))))
+            assert f.leader(ranking) == reversed_f.leader(ranking) == expected
+    assert ties > 0

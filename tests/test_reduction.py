@@ -131,6 +131,7 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                         expected = cand
                 assert a_leader(g, divisors, ranking) == expected
                 assert is_reduced_wrt_set(g, divisors, ranking) == (not pairs)
+                assert is_reduced_wrt_set(g, divisors, ranking) == (expected is None)
                 for idx, f in enumerate(divisors):
                     assert is_reduced(g, f, ranking) == all(
                         c.member != idx for c in pairs)
@@ -203,6 +204,56 @@ def test_certificate_perturbations_fail(dual, worked):
     bogus = ReductionCertificate(
         (), g, (Cofactor(DPolynomial.zero(dual), (0, 0), 0),), ())
     assert not verify_certificate(g, [worked], bogus)
+
+
+def _identity_holds(g, divisors, cert, ranking):
+    """H * g == g0 + sum c_k theta_k(a_k), building every image afresh."""
+    h = DPolynomial.constant(g.algebra, 1)
+    for factor in cert.h_factors:
+        member = divisors[factor.member]
+        base = (member.initial(ranking) if factor.source == INITIAL
+                else member.separant(ranking))
+        h = h * apply_composition(base, factor.theta)
+    rhs = cert.remainder
+    for cof in cert.cofactors:
+        rhs = rhs + cof.c * apply_composition(divisors[cof.member], cof.theta)
+    return h * g == rhs
+
+
+def test_forged_certificates_with_repeated_images_fail(all_builtins):
+    # verify_certificate reuses the image of a repeated (member, theta); a
+    # forgery that reuses a key with another source, member or theta must
+    # still be judged as by the unmemoised identity
+    rng = random.Random(45)
+    rejected = 0
+    other = {INITIAL: SEPARANT, SEPARANT: INITIAL}
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(60):
+            g, divisors = rand_reduction_instance(rng, d, ranking)
+            cert = reduce(g, divisors, ranking)
+            if len(cert.h_factors) < 2:
+                continue
+            assert verify_certificate(g, divisors, cert, ranking)
+            first, last = cert.h_factors[0], cert.h_factors[-1]
+            c_first, c_last = cert.cofactors[0], cert.cofactors[-1]
+            flipped = HFactor(last.theta, other[last.source], last.member)
+            moved = Cofactor(c_last.c, c_first.theta, c_first.member)
+            h_forgeries = [cert.h_factors[:-1] + (flipped,),
+                           cert.h_factors[:-1] + (first,),
+                           cert.h_factors + (first,)]
+            c_forgeries = [cert.cofactors[:-1] + (moved,),
+                           cert.cofactors + (c_first,)]
+            forgeries = (
+                [ReductionCertificate(h, cert.remainder, cert.cofactors, cert.steps)
+                 for h in h_forgeries]
+                + [ReductionCertificate(cert.h_factors, cert.remainder, c, cert.steps)
+                   for c in c_forgeries])
+            for forged in forgeries:
+                expected = _identity_holds(g, divisors, forged, ranking)
+                assert verify_certificate(g, divisors, forged, ranking) == expected
+                rejected += not expected
+    assert rejected > 400
 
 
 def test_random_certified_reductions(all_builtins):
