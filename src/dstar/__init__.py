@@ -57,6 +57,7 @@ from .ordering import (
 from .parser import parse_generator_file, parse_poly
 from .poly import DPolynomial, Monomial, format_poly, rank_compare
 from .reduction import (
+    DivisorSet,
     ReductionCertificate,
     a_leader,
     is_reduced,

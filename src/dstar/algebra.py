@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ExprParseError,
@@ -259,9 +261,20 @@ class DAlgebra:
     def m_list(self):
         return tuple(b.m for b in self.blocks)
 
-    @property
+    # The slot layout is read per variable by the kernel, so it is computed
+    # once per object.  cached_property stores it in the instance dict, past
+    # the frozen __setattr__; dataclass equality and hashing see only blocks.
+    @cached_property
+    def _offsets(self):
+        """Global slot of each block's sigma operator, followed by M."""
+        offsets = [0]
+        for block in self.blocks:
+            offsets.append(offsets[-1] + block.m + 1)
+        return tuple(offsets)
+
+    @cached_property
     def M(self):
-        return sum(b.m + 1 for b in self.blocks)
+        return self._offsets[-1]
 
     def slot_index(self, i, p):
         """Global slot of operator (i, p); p = 0 is sigma_i."""
@@ -270,7 +283,7 @@ class DAlgebra:
         block = self.blocks[i - 1]
         if not 0 <= p <= block.m:
             raise IndexOutOfRange(f"operator index {p} out of range 0..{block.m}")
-        return sum(b.m + 1 for b in self.blocks[:i - 1]) + p
+        return self._offsets[i - 1] + p
 
     def slot_pairs(self):
         """All (i, p) operator slots in global slot order."""
@@ -281,17 +294,13 @@ class DAlgebra:
         """Inverse of slot_index: global slot -> (i, p)."""
         if not 0 <= s < self.M:
             raise IndexOutOfRange(f"slot {s} out of range 0..{self.M - 1}")
-        offset = 0
-        for i, block in enumerate(self.blocks, start=1):
-            if s < offset + block.m + 1:
-                return i, s - offset
-            offset += block.m + 1
-        raise AssertionError("unreachable")
+        i = bisect_right(self._offsets, s)
+        return i, s - self._offsets[i - 1]
 
     def delta_slots(self, i):
         """Global slot range of the delta operators of block i."""
         base = self.slot_index(i, 0)
-        return range(base + 1, base + 1 + self.blocks[i - 1].m)
+        return range(base + 1, self._offsets[i])
 
     @property
     def op_names(self):

@@ -4,7 +4,14 @@ Completion runs the classical elimination loop on a finite generating
 family: greedily select a rank-minimal autoreduced subset of the pool,
 reduce everything else by it, feed nonzero remainders back, and stop when
 all remainders vanish.  Each round's selected set strictly decreases in
-the autoreduced-set pre-order, which makes the loop well-founded.  Perfect
+the autoreduced-set pre-order, which makes the loop well-founded.  A round
+builds one DivisorSet of its selected members; the separant checks, every
+pool reduction and the final certificate checks share its leaders and
+image memos, which are dropped with it when the round ends.  The input
+generators' certificates come from the last round: reduction is linear in
+the reduced polynomial, so a generator's certificate is that of its monic
+form with the cofactors scaled, and only zero and selected generators are
+reduced again.  Every one is verified before it is returned.  Perfect
 closure steps are not searched; they are accepted only with an exact
 product-membership witness.
 """
@@ -23,11 +30,19 @@ from .errors import (
     NotAutoreduced,
     SeparantDegenerate,
 )
-from .operators import apply_composition
-from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only
+from .operators import apply, apply_composition
+from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only, zero_index
 from .parser import parse_json, parse_poly
 from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
-from .reduction import is_reduced, is_reduced_wrt_set, reduce, verify_certificate
+from .reduction import (
+    Cofactor,
+    DivisorSet,
+    ReductionCertificate,
+    is_reduced,
+    is_reduced_wrt_set,
+    reduce,
+    verify_certificate,
+)
 
 A_LESS_B = "ALessB"
 B_LESS_A = "BLessA"
@@ -145,10 +160,11 @@ def charset_complete(generators, ranking=None):
     while True:
         round_no += 1
         pool.sort(key=lambda f: poly_sort_key(f, ranking))
-        selected = []
+        selection = DivisorSet((), ranking)
         for candidate in pool:
-            if is_reduced_wrt_set(candidate, selected, ranking):
-                selected.append(candidate)
+            if is_reduced_wrt_set(candidate, selection):
+                selection.add(candidate)
+        selected = selection.members
         current = validate_autoreduced(selected, ranking)
         if previous is not None:
             if compare_autoreduced(current, previous, ranking) != A_LESS_B:
@@ -157,20 +173,25 @@ def charset_complete(generators, ranking=None):
                     "autoreduced-set pre-order")
         previous = current
 
+        # one set, and so one image memo, for every reduction of the round
+        divisors = DivisorSet(current.members, ranking)
         for member in current:
             sep = member.separant(ranking)
-            if reduce(sep, current.members, ranking).remainder.is_zero():
+            if reduce(sep, divisors).remainder.is_zero():
                 raise SeparantDegenerate(
                     f"separant of {format_poly(member)} reduces to zero "
                     "modulo the selected set")
 
         new_remainders = []
         all_zero = True
+        zero_certs = {}     # pool member -> its certificate with remainder 0
         for f in pool:
             if f in selected:
                 continue
-            remainder = reduce(f, current.members, ranking).remainder
+            cert = reduce(f, divisors)
+            remainder = cert.remainder
             if remainder.is_zero():
+                zero_certs[f] = cert
                 continue
             all_zero = False
             if remainder.is_constant():
@@ -185,19 +206,41 @@ def charset_complete(generators, ranking=None):
             raise DStarError("internal: completion made no progress")
         trace.append(RoundTrace(round_no, current.members, tuple(new_remainders)))
         if not new_remainders:
-            certs = tuple(reduce(f, current.members, ranking)
+            certs = tuple(_generator_certificate(f, divisors, zero_certs)
                           for f in generators)
-            for f, cert in zip(generators, certs):
-                if not cert.remainder.is_zero():
-                    raise DStarError(
-                        "internal: an input generator does not reduce to "
-                        "zero modulo the completed set")
-                if not verify_certificate(f, current.members, cert, ranking):
-                    raise DStarError("internal: completion certificate "
-                                     "failed verification")
             return CharSetResult(current, tuple(trace), certs)
         for r in new_remainders:
             push(r)
+
+
+def _generator_certificate(f, divisors, zero_certs):
+    """Certificate that the input generator f reduces to zero, checked.
+
+    Reduction is linear in g: when f = s * monic(f) and the round reduced
+    monic(f) to zero, scaling that certificate's remainder and cofactors
+    by s gives reduce(f) exactly.  Only a zero f, or one whose monic form
+    was selected (a single step), is reduced afresh.
+    """
+    normal = monic(f)
+    cert = zero_certs.get(normal)
+    if cert is None:
+        cert = reduce(f, divisors)
+    else:
+        some = next(iter(normal.terms))
+        scale = f.terms[some] / normal.terms[some]
+        if scale != 1:
+            # the remainder is zero, so only the cofactors scale
+            cert = ReductionCertificate(
+                cert.h_factors, cert.remainder,
+                tuple(Cofactor(c.c.scalar_mul(scale), c.theta, c.member)
+                      for c in cert.cofactors),
+                cert.steps)
+    if not cert.remainder.is_zero():
+        raise DStarError("internal: an input generator does not reduce to "
+                         "zero modulo the completed set")
+    if not verify_certificate(f, divisors, cert):
+        raise DStarError("internal: completion certificate failed verification")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +251,9 @@ def d_ideal_generators(generators, order_bound):
     """All operator transforms of the generators up to the index bound.
 
     Enumerates every multi-index with entry sum <= order_bound, applies it
-    to each generator, and deduplicates.
+    to each generator, and deduplicates.  Each theta's image comes from
+    the already-built image of theta minus its last nonzero slot by one
+    unit step.
     """
     if order_bound < 0:
         raise ValueError("order bound must be >= 0")
@@ -216,11 +261,17 @@ def d_ideal_generators(generators, order_bound):
     if not generators:
         return []
     algebra = generators[0].algebra
+    zero = zero_index(algebra)
     out = []
     seen = set()
     for f in generators:
+        images = {zero: f}
         for theta in _indices_up_to(algebra.M, order_bound):
-            g = apply_composition(f, theta)
+            if theta != zero:
+                slot = max(s for s, e in enumerate(theta) if e)
+                prev = theta[:slot] + (theta[slot] - 1,) + theta[slot + 1:]
+                images[theta] = apply(images[prev], *algebra.block_of_slot(slot))
+            g = images[theta]
             if g not in seen:
                 seen.add(g)
                 out.append(g)

@@ -5,11 +5,21 @@ delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
 scan for offending variables: a_leader runs it, is_reduced_wrt_set asks
 it whether a divisor set has any and stops at the first, and reduce runs
-it with each divisor's leader and degree computed once per call.  The
-reduction loop repeatedly eliminates the highest-ranked offending
-variable, multiplying by a sigma-transform of the divisor's separant
-(delta case) or initial (sigma case).  Every run returns a certificate witnessing the exact identity
+it at every step.  The reduction loop repeatedly eliminates the
+highest-ranked offending variable, multiplying by a sigma-transform of the
+divisor's separant (delta case) or initial (sigma case).  Every run
+returns a certificate witnessing the exact identity
 H * g = g0 + sum_k c_k * theta_k(a_k).
+
+Every call takes its divisors as a DivisorSet or as a plain sequence.  A
+DivisorSet computes each member's leader and degree once, when the member
+is added, and memoises the operator images of its members and of their
+initials and separants for as long as the set lives; a caller that
+reduces many polynomials by the same divisors, such as one round of
+characteristic-set completion, builds the set once and passes it to every
+call.  A sequence is wrapped in a fresh set at entry, so its memos are
+local to the call.  Memo keys are exact, so a shared memo never changes a
+result or lets a forged certificate pass.
 """
 
 from __future__ import annotations
@@ -17,7 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ConstantDivisor, DStarError, DuplicateLeaders, ExprParseError
+from .errors import (
+    ConstantDivisor,
+    ConstantPolynomial,
+    DStarError,
+    DuplicateLeaders,
+    ExprParseError,
+)
 from .operators import apply_composition, rho
 from .ordering import (
     EQUAL,
@@ -73,6 +89,74 @@ class ALeader:
     is_delta: bool
 
 
+class DivisorSet:
+    """A divisor list under one ranking, with its per-member data built once.
+
+    Holds each member's leader and degree, computed when the member is
+    added, and two memos: theta(member) images keyed by (member, theta),
+    and theta(initial or separant) images keyed by (member, source, theta).
+    The memos live as long as the set.  A set is used only under its own
+    ranking.  Constant members and members that share a leader are
+    accepted here and rejected by the calls that forbid them, as for a list.
+    """
+
+    def __init__(self, members=(), ranking=None):
+        members = list(members)
+        if ranking is None:
+            if not members:
+                raise ValueError("an empty divisor set needs a ranking")
+            ranking = SequentialRanking(members[0].algebra)
+        self.ranking = ranking
+        self.members = []
+        self.leaders = []       # None for a constant member
+        self.degrees = []
+        self.has_constant = False
+        self._images = {}
+        self._factor_images = {}
+        for f in members:
+            self.add(f)
+
+    def add(self, f):
+        """Append f as the next member."""
+        self.members.append(f)
+        if f.is_constant():
+            self.has_constant = True
+            self.leaders.append(None)
+            self.degrees.append(0)
+        else:
+            u = f.leader(self.ranking)
+            self.leaders.append(u)
+            self.degrees.append(f.degree_in(u))
+
+    def image(self, member, theta):
+        """theta applied to the member at that index."""
+        key = (member, theta)
+        img = self._images.get(key)
+        if img is None:
+            img = self._images[key] = apply_composition(self.members[member], theta)
+        return img
+
+    def factor_image(self, member, source, theta):
+        """theta applied to the member's initial (INITIAL) or separant."""
+        key = (member, source, theta)
+        img = self._factor_images.get(key)
+        if img is None:
+            f = self.members[member]
+            base = (f.initial(self.ranking) if source == INITIAL
+                    else f.separant(self.ranking))
+            img = self._factor_images[key] = apply_composition(base, theta)
+        return img
+
+
+def _divisor_set(divisors, ranking, algebra):
+    """divisors as a DivisorSet; a list gets a fresh set, local to the call."""
+    if isinstance(divisors, DivisorSet):
+        if ranking is not None and ranking is not divisors.ranking:
+            raise ValueError("a divisor set is used only under its own ranking")
+        return divisors
+    return DivisorSet(divisors, ranking or SequentialRanking(algebra))
+
+
 def is_reduced(g, f, ranking=None):
     """True when g contains no offending transform of f's leader."""
     return is_reduced_wrt_set(g, [f], ranking)
@@ -80,15 +164,13 @@ def is_reduced(g, f, ranking=None):
 
 def is_reduced_wrt_set(g, divisors, ranking=None):
     """True when g contains no offending transform of any divisor's leader."""
-    members = list(divisors)
-    if any(f.is_constant() for f in members):
+    divisors = _divisor_set(divisors, ranking, g.algebra)
+    if divisors.has_constant:
         raise ConstantDivisor("cannot reduce with respect to a constant")
     if g.is_constant():
         return True
-    ranking = ranking or SequentialRanking(g.algebra)
     # only existence matters, so stop at the first offending pair
-    leaders, degrees = _leaders_and_degrees(members, ranking)
-    return next(_offending(g, leaders, degrees), None) is None
+    return next(_offending(g, divisors.leaders, divisors.degrees), None) is None
 
 
 def a_leader(g, divisors, ranking=None):
@@ -101,15 +183,12 @@ def a_leader(g, divisors, ranking=None):
     distinct variables of equal rank (possible only under a key that is
     not injective) go to the lowest in DVariable order.
     """
+    divisors = _divisor_set(divisors, ranking, g.algebra)
     if g.is_constant():
         return None
-    ranking = ranking or SequentialRanking(g.algebra)
-    return _scan(g, *_leaders_and_degrees(list(divisors), ranking), ranking)
-
-
-def _leaders_and_degrees(members, ranking):
-    leaders = [f.leader(ranking) for f in members]
-    return leaders, [f.degree_in(u) for f, u in zip(members, leaders)]
+    if divisors.has_constant:
+        raise ConstantPolynomial("constants have no leader")
+    return _scan(g, divisors)
 
 
 def _offending(g, leaders, degrees):
@@ -121,11 +200,12 @@ def _offending(g, leaders, degrees):
                 yield ALeader(v, k, idx, tr.theta, tr.is_delta)
 
 
-def _scan(g, leaders, degrees, ranking):
-    """a_leader against divisors given by their leaders and degrees."""
+def _scan(g, divisors):
+    """a_leader against a divisor set without constant members."""
+    key, leaders = divisors.ranking.key, divisors.leaders
     # max keeps the first of equal maxima: exact ties go to the lowest variable
-    return max(_offending(g, leaders, degrees), default=None, key=lambda c: (
-        ranking.key(c.variable), ranking.key(leaders[c.member]), -c.member))
+    return max(_offending(g, leaders, divisors.degrees), default=None,
+               key=lambda c: (key(c.variable), key(leaders[c.member]), -c.member))
 
 
 def reduce(g, divisors, ranking=None):
@@ -138,12 +218,11 @@ def reduce(g, divisors, ranking=None):
     cofactor; the certificate's c_k is that cofactor times m_{k+1} ... m_n,
     formed once at the end from a running suffix product.
     """
-    members = list(divisors)
-    ranking = ranking or SequentialRanking(g.algebra)
-    for f in members:
-        if f.is_constant():
-            raise ConstantDivisor("divisor sets must not contain constants")
-    leaders, degrees = _leaders_and_degrees(members, ranking)
+    divisors = _divisor_set(divisors, ranking, g.algebra)
+    ranking = divisors.ranking
+    if divisors.has_constant:
+        raise ConstantDivisor("divisor sets must not contain constants")
+    leaders, degrees = divisors.leaders, divisors.degrees
     for a in range(len(leaders)):
         for b in range(a + 1, len(leaders)):
             if leaders[a] == leaders[b]:
@@ -156,10 +235,9 @@ def reduce(g, divisors, ranking=None):
     multipliers = []
     raw = []        # (cofactor before the later multipliers, theta, member)
     steps = []
-    images = {}     # (member, theta) -> (HFactor, multiplier, transformed member)
     prev = None
     while True:
-        led = _scan(current, leaders, degrees, ranking)
+        led = _scan(current, divisors)
         if led is None:
             break
         if prev is not None:
@@ -170,23 +248,15 @@ def reduce(g, divisors, ranking=None):
                     f"{led.variable}^{led.degree}")
         prev = (led.variable, led.degree)
 
-        key = (led.member, led.theta)
-        if key not in images:
-            member = members[led.member]
-            if led.is_delta:
-                m_theta = rho(algebra, led.theta)
-                source, base = SEPARANT, member.separant(ranking)
-            else:
-                m_theta = led.theta
-                source, base = INITIAL, member.initial(ranking)
-            images[key] = (HFactor(m_theta, source, led.member),
-                           apply_composition(base, m_theta),
-                           apply_composition(member, led.theta))
-        factor, multiplier, transformed = images[key]
+        if led.is_delta:
+            factor = HFactor(rho(algebra, led.theta), SEPARANT, led.member)
+        else:
+            factor = HFactor(led.theta, INITIAL, led.member)
+        multiplier = divisors.factor_image(led.member, factor.source, factor.theta)
         drop = led.degree - (1 if led.is_delta else degrees[led.member])
         v_poly = DPolynomial.from_variable(algebra, led.variable)
         cof = current.coefficient_in(led.variable, led.degree) * v_poly ** drop
-        current = multiplier * current - cof * transformed
+        current = multiplier * current - cof * divisors.image(led.member, led.theta)
         h_factors.append(factor)
         multipliers.append(multiplier)
         raw.append((cof, led.theta, led.member))
@@ -208,53 +278,37 @@ def reduce(g, divisors, ranking=None):
 
 
 def multiplier_product(cert, divisors, ranking=None):
-    """Recompute H from the certificate's factor list; 1 when it is empty.
-
-    Each distinct (member, source, theta) image is built once per call.
-    """
-    members = list(divisors)
-    algebra = members[0].algebra if members else cert.remainder.algebra
-    ranking = ranking or SequentialRanking(algebra)
-    images = {}
-    h = DPolynomial.constant(algebra, 1)
+    """Recompute H from the certificate's factor list; 1 when it is empty."""
+    divisors = _divisor_set(divisors, ranking, cert.remainder.algebra)
+    h = DPolynomial.constant(cert.remainder.algebra, 1)
     for factor in cert.h_factors:
-        key = (factor.member, factor.source, factor.theta)
-        if key not in images:
-            member = members[factor.member]
-            base = (member.initial(ranking) if factor.source == INITIAL
-                    else member.separant(ranking))
-            images[key] = apply_composition(base, factor.theta)
-        h = h * images[key]
+        h = h * divisors.factor_image(factor.member, factor.source, factor.theta)
     return h
 
 
 def verify_certificate(g, divisors, cert, ranking=None):
     """Check the certificate identity and postconditions exactly."""
-    members = list(divisors)
-    ranking = ranking or SequentialRanking(g.algebra)
     try:
+        divisors = _divisor_set(divisors, ranking, g.algebra)
+        count = len(divisors.members)
         for factor in cert.h_factors:
             if factor.source not in (INITIAL, SEPARANT):
                 return False
-            if not 0 <= factor.member < len(members):
+            if not 0 <= factor.member < count:
                 return False
             if not is_sigma_only(g.algebra, factor.theta):
                 return False
-        h = multiplier_product(cert, members, ranking)
+        h = multiplier_product(cert, divisors)
         rhs = cert.remainder
-        transformed = {}    # (member, theta) -> theta applied to the member
         for cof in cert.cofactors:
-            if not 0 <= cof.member < len(members):
+            if not 0 <= cof.member < count:
                 return False
-            key = (cof.member, cof.theta)
-            if key not in transformed:
-                transformed[key] = apply_composition(members[cof.member], cof.theta)
-            rhs = rhs + cof.c * transformed[key]
+            rhs = rhs + cof.c * divisors.image(cof.member, cof.theta)
         if h * g != rhs:
             return False
-        if not is_reduced_wrt_set(cert.remainder, members, ranking):
+        if not is_reduced_wrt_set(cert.remainder, divisors):
             return False
-        if rank_compare(cert.remainder, g, ranking) == GREATER:
+        if rank_compare(cert.remainder, g, divisors.ranking) == GREATER:
             return False
     except DStarError:
         return False

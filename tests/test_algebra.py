@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from dstar.algebra import (
     AlgebraSpec,
+    DAlgebra,
     algebra_from_name,
     alpha,
     builtin,
@@ -240,3 +244,54 @@ def test_spec_structural_errors():
     with pytest.raises(InvalidAlgebraSpec):
         validate_algebra(AlgebraSpec((make_block_spec(
             ["1"], {("1", "z"): [("1", 1)]}),)))
+
+
+THREE_BLOCKS = """{"blocks": [
+  {"basis": ["a", "e", "e2"], "table": {"a*a": [["a", 1]], "a*e": [["e", 1]],
+                                        "a*e2": [["e2", 1]], "e*e": [["e2", 1]]}},
+  {"basis": ["u"], "table": {"u*u": [["u", 1]]}},
+  {"basis": ["b", "n1", "n2"], "table": {"b*b": [["b", 1]], "b*n1": [["n1", 1]],
+                                         "b*n2": [["n2", 1]]}}
+]}"""
+
+
+def test_slot_layout_is_computed_once_and_matches_the_sums(all_builtins):
+    # the summing definitions M, slot_index, block_of_slot and delta_slots had
+    # before the layout was kept in the object
+    def summed_slot_index(d, i, p):
+        return sum(b.m + 1 for b in d.blocks[:i - 1]) + p
+
+    def scanned_block_of_slot(d, s):
+        offset = 0
+        for i, block in enumerate(d.blocks, start=1):
+            if s < offset + block.m + 1:
+                return i, s - offset
+            offset += block.m + 1
+
+    algebras = dict(all_builtins, three=validate_algebra(load_spec(THREE_BLOCKS)))
+    assert algebras["three"].t == 3
+    for name, d in algebras.items():
+        assert d.M == sum(b.m + 1 for b in d.blocks), name
+        assert vars(d)["M"] == d.M    # kept in the object after the first read
+        for i, p in d.slot_pairs():
+            s = summed_slot_index(d, i, p)
+            assert d.slot_index(i, p) == s
+            assert d.block_of_slot(s) == scanned_block_of_slot(d, s) == (i, p)
+        for i in range(1, d.t + 1):
+            base = summed_slot_index(d, i, 0)
+            assert d.delta_slots(i) == range(base + 1, base + 1 + d.blocks[i - 1].m)
+        with pytest.raises(IndexOutOfRange):
+            d.block_of_slot(d.M)
+        with pytest.raises(IndexOutOfRange):
+            d.slot_index(d.t + 1, 0)
+
+        # the cached layout leaves equality, hashing, copying and pickling alone
+        fresh = DAlgebra(d.blocks)
+        assert fresh == d and hash(fresh) == hash(d) and repr(fresh) == repr(d)
+        for again in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)),
+                      pickle.loads(pickle.dumps(fresh))):
+            assert again == d and hash(again) == hash(d)
+            assert again.M == d.M
+            assert [again.block_of_slot(s) for s in range(d.M)] == d.slot_pairs()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.blocks = ()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,15 +17,18 @@ from dstar.charset import (
     validate_autoreduced,
     witness_from_json,
     witness_to_json,
+    _indices_up_to,
 )
 from dstar.errors import (
     BadWitness,
     InconsistentSystem,
     NotAutoreduced,
 )
+from dstar.operators import apply_composition
 from dstar.ordering import SequentialRanking
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, format_poly, rank_compare
+from dstar.poly import DPolynomial, format_poly, monic, rank_compare
+from dstar.reduction import certificate_to_json, reduce, verify_certificate
 
 from gen import rand_divisors, rand_poly
 
@@ -176,12 +180,71 @@ def test_charset_random_small_families(all_builtins):
                 assert compare_autoreduced(cur, prev, ranking) == A_LESS_B
 
 
+def test_charset_certificates_equal_direct_reductions(all_builtins):
+    # generator certificates are derived from the last round's certificate
+    # of the monic form; they must be byte-identical to reducing afresh
+    rng = random.Random(54)
+    cases = dict.fromkeys(
+        ("scaled", "duplicate", "selected", "zero", "derived", "rescaled"), 0)
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        done = 0
+        while done < 10:
+            family = [rand_poly(rng, d, max_sum=2, max_deg=2, max_terms=2,
+                                nonconstant=True)
+                      for _ in range(rng.randint(1, 3))]
+            family.append(rng.choice([Fraction(-2), Fraction(3), Fraction(1, 2)])
+                          * rng.choice(family))
+            family.append(rng.choice(family))
+            family.insert(rng.randint(0, len(family)), DPolynomial.zero(d))
+            try:
+                result = charset_complete(family, ranking)
+            except InconsistentSystem:
+                continue
+            done += 1
+            members = list(result.charset.members)
+            for f, cert in zip(family, result.certificates):
+                direct = reduce(f, members, ranking)
+                assert certificate_to_json(cert) == certificate_to_json(direct)
+                assert verify_certificate(f, members, cert, ranking)
+                if f.is_zero():
+                    cases["zero"] += 1
+                elif monic(f) in members:
+                    cases["selected"] += 1
+                else:
+                    cases["derived"] += 1
+                    cases["rescaled"] += f != monic(f)
+                cases["duplicate"] += family.count(f) > 1 and not f.is_zero()
+                cases["scaled"] += any(monic(g) == monic(f) and g != f
+                                       for g in family if not g.is_zero())
+    assert all(cases.values()), cases
+
+
 def test_d_ideal_generators(dual):
     x = parse_poly("x1[0,0]", dual)
     gens = d_ideal_generators([x], 1)
     assert {format_poly(g) for g in gens} == {"x1[0,0]", "x1[1,0]", "x1[0,1]"}
     assert d_ideal_generators([x], 0) == [x]
     assert len(d_ideal_generators([x], 2)) == 6
+
+
+def test_d_ideal_generators_match_transforms_from_scratch(all_builtins):
+    # reference: apply every multi-index afresh, in the enumeration order
+    rng = random.Random(53)
+    for d in all_builtins.values():
+        for bound in range(3):
+            for _ in range(3):
+                gens = [rand_poly(rng, d, max_sum=1, max_deg=2)
+                        for _ in range(rng.randint(1, 3))]
+                gens.append(gens[0])
+                expected, seen = [], set()
+                for f in gens:
+                    for theta in _indices_up_to(d.M, bound):
+                        g = apply_composition(f, theta)
+                        if g not in seen:
+                            seen.add(g)
+                            expected.append(g)
+                assert d_ideal_generators(gens, bound) == expected
 
 
 def test_closure_witness_examples(dual):

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from dstar.errors import ConstantDivisor, DuplicateLeaders, ExprParseError
+from dstar.errors import (
+    ConstantDivisor,
+    ConstantPolynomial,
+    DuplicateLeaders,
+    ExprParseError,
+)
 from dstar.operators import apply_composition, rho
 from dstar.ordering import (
     EQUAL,
@@ -17,6 +22,7 @@ from dstar.ordering import (
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, rank_compare
 from dstar.reduction import (
+    DivisorSet,
     a_leader,
     ALeader,
     certificate_from_json,
@@ -132,6 +138,11 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                 assert a_leader(g, divisors, ranking) == expected
                 assert is_reduced_wrt_set(g, divisors, ranking) == (not pairs)
                 assert is_reduced_wrt_set(g, divisors, ranking) == (expected is None)
+                # a divisor set answers exactly as the plain list
+                as_set = DivisorSet(divisors, ranking)
+                assert a_leader(g, as_set) == expected
+                assert a_leader(g, as_set, ranking) == expected
+                assert is_reduced_wrt_set(g, as_set) == (not pairs)
                 for idx, f in enumerate(divisors):
                     assert is_reduced(g, f, ranking) == all(
                         c.member != idx for c in pairs)
@@ -192,6 +203,68 @@ def test_duplicate_leaders_rejected(dual):
         reduce(parse_poly("x1[0,2]", dual), [a, b])
 
 
+def _raised(call):
+    """(exception type, message) that call raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_divisor_set_raises_as_a_list_does(dual, worked):
+    one = DPolynomial.constant(dual, 1)
+    ranking = SequentialRanking(dual)
+    twin = parse_poly("2 * x1[0,1]", dual)            # shares worked's leader
+    calls = {
+        "reduce": lambda g, s: reduce(g, s, ranking),
+        "is_reduced_wrt_set": lambda g, s: is_reduced_wrt_set(g, s, ranking),
+        "a_leader": lambda g, s: a_leader(g, s, ranking),
+    }
+    reducends = [parse_poly("x1[0,2]", dual), parse_poly("x1[0,0]", dual), one]
+    raised = set()
+    for divisors in ([one], [worked, one], [one, worked], [worked, twin],
+                     [twin, worked, worked], [worked]):
+        as_set = DivisorSet(divisors, ranking)
+        for name, call in calls.items():
+            for g in reducends:
+                outcome = _raised(lambda: call(g, divisors))
+                assert _raised(lambda: call(g, as_set)) == outcome, (name, divisors)
+                if outcome is not None:
+                    raised.add((name, outcome[0]))
+    assert raised == {("reduce", ConstantDivisor), ("reduce", DuplicateLeaders),
+                      ("is_reduced_wrt_set", ConstantDivisor),
+                      ("a_leader", ConstantPolynomial)}
+
+
+def test_divisor_set_is_used_only_under_its_own_ranking(dual, worked):
+    g = parse_poly("x1[0,2]^2 + x1[1,1]", dual)
+    ranking = SequentialRanking(dual)
+    as_set = DivisorSet([worked], ranking)
+    cert = reduce(g, as_set, ranking)
+    assert reduce(g, as_set) == cert
+    other = SequentialRanking(dual)
+    for call in (lambda: reduce(g, as_set, other),
+                 lambda: a_leader(g, as_set, other),
+                 lambda: is_reduced_wrt_set(g, as_set, other),
+                 lambda: multiplier_product(cert, as_set, other),
+                 lambda: verify_certificate(g, as_set, cert, other)):
+        with pytest.raises(ValueError, match="its own ranking"):
+            call()
+    # without a ranking, a set uses its own, and a list the sequential one;
+    # the custom key ranks x1 above x2, so the two orders of steps differ
+    custom = CustomRanking(dual, lambda v: (sum(v.theta), -v.var,
+                                            tuple(reversed(v.theta))))
+    divisors = [worked, parse_poly("x2[0,1] - x2[0,0]", dual)]
+    h = parse_poly("x1[0,2] + x2[0,2]", dual)
+    by_custom = certificate_to_json(reduce(h, DivisorSet(divisors, custom)))
+    assert by_custom == certificate_to_json(reduce(h, divisors, custom))
+    assert by_custom != certificate_to_json(reduce(h, divisors))
+    assert isinstance(DivisorSet([worked]).ranking, SequentialRanking)
+    with pytest.raises(ValueError):
+        DivisorSet([])
+
+
 def test_certificate_perturbations_fail(dual, worked):
     g = parse_poly("x1[0,2]", dual)
     cert = reduce(g, [worked])
@@ -249,9 +322,14 @@ def test_forged_certificates_with_repeated_images_fail(all_builtins):
                  for h in h_forgeries]
                 + [ReductionCertificate(cert.h_factors, cert.remainder, c, cert.steps)
                    for c in c_forgeries])
+            # again with one set whose memos reduce has already filled
+            filled = DivisorSet(divisors, ranking)
+            assert certificate_to_json(reduce(g, filled)) == certificate_to_json(cert)
+            assert verify_certificate(g, filled, cert)
             for forged in forgeries:
                 expected = _identity_holds(g, divisors, forged, ranking)
                 assert verify_certificate(g, divisors, forged, ranking) == expected
+                assert verify_certificate(g, filled, forged) == expected
                 rejected += not expected
     assert rejected > 400
 
