@@ -5,14 +5,15 @@ family: greedily select a rank-minimal autoreduced subset of the pool,
 reduce everything else by it, feed nonzero remainders back, and stop when
 all remainders vanish.  Each round's selected set strictly decreases in
 the autoreduced-set pre-order, which makes the loop well-founded.  A round
-builds one DivisorSet of its selected members; the separant checks, every
-pool reduction and the final certificate checks share its leaders and
-image memos, which are dropped with it when the round ends.  The input
-generators' certificates come from the last round: reduction is linear in
-the reduced polynomial, so a generator's certificate is that of its monic
-form with the cofactors scaled, and only zero and selected generators are
-reduced again.  Every one is verified before it is returned.  Perfect
-closure steps are not searched; they are accepted only with an exact
+grows one DivisorSet, in rank order, as it selects; the separant checks,
+every pool reduction and the final certificate checks share its leaders
+and image memo, dropped with it when the round ends.  A family with no
+nonzero generator has one empty round.  The input generators'
+certificates come from the last round: reduction is linear in the reduced
+polynomial, so a generator's certificate is that of its monic form with
+the cofactors scaled, and only zero and selected generators are reduced
+again.  Every one is verified before it is returned.  Perfect closure
+steps are not searched; they are accepted only with an exact
 product-membership witness.
 """
 
@@ -149,10 +150,6 @@ def charset_complete(generators, ranking=None):
 
     for f in generators:
         push(f)
-    if not pool:
-        empty = AutoreducedSet(())
-        certs = tuple(reduce(f, (), ranking) for f in generators)
-        return CharSetResult(empty, (RoundTrace(1, (), ()),), certs)
 
     trace = []
     previous = None
@@ -160,11 +157,12 @@ def charset_complete(generators, ranking=None):
     while True:
         round_no += 1
         pool.sort(key=lambda f: poly_sort_key(f, ranking))
-        selection = DivisorSet((), ranking)
+        # one set, and so one image memo, for every reduction of the round
+        divisors = DivisorSet((), ranking)
         for candidate in pool:
-            if is_reduced_wrt_set(candidate, selection):
-                selection.add(candidate)
-        selected = selection.members
+            if is_reduced_wrt_set(candidate, divisors):
+                divisors.add(candidate)
+        selected = divisors.members
         current = validate_autoreduced(selected, ranking)
         if previous is not None:
             if compare_autoreduced(current, previous, ranking) != A_LESS_B:
@@ -173,8 +171,6 @@ def charset_complete(generators, ranking=None):
                     "autoreduced-set pre-order")
         previous = current
 
-        # one set, and so one image memo, for every reduction of the round
-        divisors = DivisorSet(current.members, ranking)
         for member in current:
             sep = member.separant(ranking)
             if reduce(sep, divisors).remainder.is_zero():
@@ -318,6 +314,8 @@ def closure_step_witness(generators, witness):
     if any(e < 1 for e in witness.exponents):
         raise BadWitness("witness exponents must be positive")
     for tau in witness.taus:
+        if min(tau, default=0) < 0:
+            raise BadWitness(f"tau {list(tau)} has a negative entry")
         if not is_sigma_only(algebra, tau):
             raise BadWitness(f"tau {list(tau)} is not sigma-only")
     product = DPolynomial.constant(algebra, 1)

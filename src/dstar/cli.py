@@ -18,7 +18,7 @@ from .operators import apply_composition, parse_operator
 from .ordering import EQUAL, LESS, parse_variable, SequentialRanking
 from .parser import parse_generator_file, parse_poly
 from .poly import format_poly
-from .reduction import certificate_to_json, multiplier_product, reduce
+from .reduction import DivisorSet, certificate_to_json, multiplier_product, reduce
 
 
 def _load_algebra(arg):
@@ -92,7 +92,8 @@ def _cmd_apply(args, out):
 
 def _cmd_reduce(args, out):
     algebra = _load_algebra(args.algebra)
-    divisors = parse_generator_file(_read(args.set), algebra)
+    divisors = DivisorSet(parse_generator_file(_read(args.set), algebra),
+                          SequentialRanking(algebra))
     g = parse_poly(args.expr, algebra)
     cert = reduce(g, divisors)
     h = multiplier_product(cert, divisors)

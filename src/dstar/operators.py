@@ -108,6 +108,15 @@ def apply(f, i, p):
     return block_image(f, i)[p]
 
 
+def _check_index(algebra, theta):
+    """A multi-index has one natural number per slot of the algebra."""
+    if len(theta) != algebra.M:
+        raise IndexOutOfRange(
+            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    if min(theta, default=0) < 0:
+        raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
+
+
 def apply_composition(f, theta):
     """Apply the operator composition described by a multi-index.
 
@@ -115,9 +124,7 @@ def apply_composition(f, theta):
     independent of the order because the coordinate operators commute.
     """
     algebra = f.algebra
-    if len(theta) != algebra.M:
-        raise IndexOutOfRange(
-            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    _check_index(algebra, theta)
     out = f
     memo = {}  # a variable's image is the same in every step
     for slot, count in enumerate(theta):
@@ -130,9 +137,7 @@ def apply_composition(f, theta):
 
 def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
-    if len(theta) != algebra.M:
-        raise IndexOutOfRange(
-            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    _check_index(algebra, theta)
     out = list(zero_index(algebra))
     for i in range(1, algebra.t + 1):
         s = algebra.slot_index(i, 0)

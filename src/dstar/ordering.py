@@ -4,8 +4,8 @@ A variable is an indeterminate x_j together with a multi-index theta over
 the algebra's operator slots (sigma slot first within each block, then the
 delta slots in depth order).  Rankings are total orders on variables
 subject to the three compatibility axioms.  A ranking is defined by its
-key alone: v ranks below w exactly when key(v) < key(w), and compare is
-derived from key once, in the base class.  The sequential ranking's key
+key function alone: v ranks below w exactly when key(v) < key(w), and key
+and compare are defined once, in Ranking.  The sequential ranking's key
 is (total degree, indeterminate index, slots from highest to lowest).
 """
 
@@ -15,7 +15,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import AlgebraMismatch, ExprParseError, InvalidRanking
+from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -121,7 +121,10 @@ def ord_delta(algebra, theta):
 
 
 def is_sigma_only(algebra, theta):
-    return ord_delta(algebra, theta) == 0
+    sigma_only = ord_delta(algebra, theta) == 0
+    if min(theta, default=0) < 0:
+        raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
+    return sigma_only
 
 
 def apply_slot(algebra, v, i, p):
@@ -160,25 +163,24 @@ def transform_of(algebra, v, u):
 
 
 class Ranking:
-    """Total order on variables, defined by a sort key."""
+    """Total order on variables, defined by a sort key function."""
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, key_fn):
         self.algebra = algebra
+        self._key_fn = key_fn
 
     def key(self, v):
         """Sort key: v ranks below w exactly when key(v) < key(w)."""
-        raise NotImplementedError
+        if len(v.theta) != self.algebra.M:
+            raise AlgebraMismatch(
+                f"variable {v} has {len(v.theta)} slots, "
+                f"algebra has {self.algebra.M}")
+        return self._key_fn(v)
 
     def compare(self, v, w):
         """-1, 0 or 1 as v ranks below, level with or above w."""
         kv, kw = self.key(v), self.key(w)
         return LESS if kv < kw else GREATER if kv > kw else EQUAL
-
-    def _check_theta(self, v):
-        if len(v.theta) != self.algebra.M:
-            raise AlgebraMismatch(
-                f"variable {v} has {len(v.theta)} slots, "
-                f"algebra has {self.algebra.M}")
 
 
 def sequential_key(v):
@@ -189,21 +191,12 @@ def sequential_key(v):
 class SequentialRanking(Ranking):
     """Lexicographic on (total degree, indeterminate, slots top-down)."""
 
-    def key(self, v):
-        self._check_theta(v)
-        return sequential_key(v)
+    def __init__(self, algebra):
+        super().__init__(algebra, sequential_key)
 
 
 class CustomRanking(Ranking):
     """Ranking given by an explicit key function (for tests and tooling)."""
-
-    def __init__(self, algebra, key_fn):
-        super().__init__(algebra)
-        self._key_fn = key_fn
-
-    def key(self, v):
-        self._check_theta(v)
-        return self._key_fn(v)
 
 
 def check_ranking_axioms(ranking, sample_variables):

@@ -165,13 +165,6 @@ class DPolynomial:
     def is_constant(self):
         return all(not m.factors for m in self.terms)
 
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ConstantPolynomial("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def variables(self):
         out = set()
         for m in self.terms:

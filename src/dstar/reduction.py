@@ -13,11 +13,11 @@ H * g = g0 + sum_k c_k * theta_k(a_k).
 
 Every call takes its divisors as a DivisorSet or as a plain sequence.  A
 DivisorSet computes each member's leader and degree once, when the member
-is added, and memoises the operator images of its members and of their
-initials and separants for as long as the set lives; a caller that
+is added, and keeps one memo of operator images, of its members and of
+their initials and separants, for as long as the set lives; a caller that
 reduces many polynomials by the same divisors, such as one round of
 characteristic-set completion, builds the set once and passes it to every
-call.  A sequence is wrapped in a fresh set at entry, so its memos are
+call.  A sequence is wrapped in a fresh set at entry, so its memo is
 local to the call.  Memo keys are exact, so a shared memo never changes a
 result or lets a forged certificate pass.
 """
@@ -93,11 +93,11 @@ class DivisorSet:
     """A divisor list under one ranking, with its per-member data built once.
 
     Holds each member's leader and degree, computed when the member is
-    added, and two memos: theta(member) images keyed by (member, theta),
-    and theta(initial or separant) images keyed by (member, source, theta).
-    The memos live as long as the set.  A set is used only under its own
-    ranking.  Constant members and members that share a leader are
-    accepted here and rejected by the calls that forbid them, as for a list.
+    added, and one memo of operator images keyed by (member, source,
+    theta), where source is None for the member itself.  The memo lives as
+    long as the set.  A set is used only under its own ranking.  Constant
+    members and members that share a leader are accepted here and rejected
+    by the calls that forbid them, as for a list.
     """
 
     def __init__(self, members=(), ranking=None):
@@ -112,7 +112,6 @@ class DivisorSet:
         self.degrees = []
         self.has_constant = False
         self._images = {}
-        self._factor_images = {}
         for f in members:
             self.add(f)
 
@@ -128,23 +127,17 @@ class DivisorSet:
             self.leaders.append(u)
             self.degrees.append(f.degree_in(u))
 
-    def image(self, member, theta):
-        """theta applied to the member at that index."""
-        key = (member, theta)
+    def image(self, member, source, theta):
+        """theta applied to a member (source None), its initial or separant."""
+        key = (member, source, theta)
         img = self._images.get(key)
         if img is None:
-            img = self._images[key] = apply_composition(self.members[member], theta)
-        return img
-
-    def factor_image(self, member, source, theta):
-        """theta applied to the member's initial (INITIAL) or separant."""
-        key = (member, source, theta)
-        img = self._factor_images.get(key)
-        if img is None:
             f = self.members[member]
-            base = (f.initial(self.ranking) if source == INITIAL
-                    else f.separant(self.ranking))
-            img = self._factor_images[key] = apply_composition(base, theta)
+            if source == INITIAL:
+                f = f.initial(self.ranking)
+            elif source == SEPARANT:
+                f = f.separant(self.ranking)
+            img = self._images[key] = apply_composition(f, theta)
         return img
 
 
@@ -252,11 +245,12 @@ def reduce(g, divisors, ranking=None):
             factor = HFactor(rho(algebra, led.theta), SEPARANT, led.member)
         else:
             factor = HFactor(led.theta, INITIAL, led.member)
-        multiplier = divisors.factor_image(led.member, factor.source, factor.theta)
+        multiplier = divisors.image(led.member, factor.source, factor.theta)
         drop = led.degree - (1 if led.is_delta else degrees[led.member])
         v_poly = DPolynomial.from_variable(algebra, led.variable)
         cof = current.coefficient_in(led.variable, led.degree) * v_poly ** drop
-        current = multiplier * current - cof * divisors.image(led.member, led.theta)
+        image = divisors.image(led.member, None, led.theta)
+        current = multiplier * current - cof * image
         h_factors.append(factor)
         multipliers.append(multiplier)
         raw.append((cof, led.theta, led.member))
@@ -282,7 +276,7 @@ def multiplier_product(cert, divisors, ranking=None):
     divisors = _divisor_set(divisors, ranking, cert.remainder.algebra)
     h = DPolynomial.constant(cert.remainder.algebra, 1)
     for factor in cert.h_factors:
-        h = h * divisors.factor_image(factor.member, factor.source, factor.theta)
+        h = h * divisors.image(factor.member, factor.source, factor.theta)
     return h
 
 
@@ -303,7 +297,7 @@ def verify_certificate(g, divisors, cert, ranking=None):
         for cof in cert.cofactors:
             if not 0 <= cof.member < count:
                 return False
-            rhs = rhs + cof.c * divisors.image(cof.member, cof.theta)
+            rhs = rhs + cof.c * divisors.image(cof.member, None, cof.theta)
         if h * g != rhs:
             return False
         if not is_reduced_wrt_set(cert.remainder, divisors):
@@ -348,6 +342,6 @@ def certificate_from_json(text, algebra):
             Step(parse_variable(s["leader"], algebra), s["case"],
                  int(s["degree"]))
             for s in doc.get("steps", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ExprParseError(f"malformed certificate: {exc!r}")
     return ReductionCertificate(h_factors, remainder, cofactors, steps)

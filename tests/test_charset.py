@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import dstar.charset
 from dstar.charset import (
     A_LESS_B,
     B_LESS_A,
     EQUIVALENT,
     AutoreducedSet,
     ClosureWitness,
+    RoundTrace,
     charset_complete,
     closure_step_witness,
     compare_autoreduced,
@@ -28,7 +30,7 @@ from dstar.operators import apply_composition
 from dstar.ordering import SequentialRanking
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, format_poly, monic, rank_compare
-from dstar.reduction import certificate_to_json, reduce, verify_certificate
+from dstar.reduction import DivisorSet, certificate_to_json, reduce, verify_certificate
 
 from gen import rand_divisors, rand_poly
 
@@ -157,6 +159,50 @@ def test_charset_zero_and_duplicate_generators(dual):
     assert all(c.remainder.is_zero() for c in result.certificates)
 
 
+def test_charset_builds_one_divisor_set_per_round(all_builtins, monkeypatch):
+    built = []
+
+    class CountingDivisorSet(DivisorSet):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dstar.charset, "DivisorSet", CountingDivisorSet)
+    rng = random.Random(58)
+    rounds = set()
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(6):
+            family = [rand_poly(rng, d, max_sum=2, max_deg=2, max_terms=2,
+                                nonconstant=True)
+                      for _ in range(rng.randint(1, 3))]
+            built.clear()
+            try:
+                result = charset_complete(family, ranking)
+            except InconsistentSystem:
+                continue
+            assert len(built) == len(result.completion_trace)
+            # the last round's set serves the certificates: it holds the
+            # characteristic set, in rank order
+            assert tuple(built[-1].members) == result.charset.members
+            rounds.add(len(built))
+    assert max(rounds) >= 2, rounds
+
+
+def test_charset_of_an_all_zero_family_takes_one_empty_round(all_builtins):
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        zero = DPolynomial.zero(d)
+        result = charset_complete([zero, zero, zero], ranking)
+        assert result.charset == AutoreducedSet(())
+        assert result.completion_trace == (RoundTrace(1, (), ()),)
+        assert len(result.certificates) == 3
+        for cert in result.certificates:
+            assert cert.remainder.is_zero() and cert.h_factors == ()
+            assert verify_certificate(zero, [], cert, ranking)
+            assert verify_certificate(zero, DivisorSet((), ranking), cert)
+
+
 def test_charset_random_small_families(all_builtins):
     rng = random.Random(52)
     for d in all_builtins.values():
@@ -280,6 +326,20 @@ def test_closure_witness_validation(dual):
     with pytest.raises(BadWitness):
         closure_step_witness([x], ClosureWitness(x, ((0, 0),), (1,),
                                                  ((one, (0, 0), 5),)))
+
+
+def test_closure_witness_with_a_negative_tau_is_rejected(hs2):
+    # (0,1,-1) used to pass as sigma-only and apply delta_1 once, so this
+    # forged witness accepted x1[0,0,0]
+    x = parse_poly("x1[0,0,0]", hs2)
+    dx = parse_poly("x1[0,1,0]", hs2)
+    one = DPolynomial.constant(hs2, 1)
+    with pytest.raises(BadWitness, match="negative entry"):
+        closure_step_witness([dx], ClosureWitness(x, ((0, 1, -1),), (1,),
+                                                  ((one, (0, 0, 0), 0),)))
+    with pytest.raises(BadWitness, match="not sigma-only"):
+        closure_step_witness([dx], ClosureWitness(x, ((0, 1, 0),), (1,),
+                                                  ((one, (0, 0, 0), 0),)))
 
 
 def test_witness_json_round_trip(dual):

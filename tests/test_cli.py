@@ -93,6 +93,39 @@ def test_reduce_with_certificate(tmp_path):
                                  "theta": [1, 0]}]
 
 
+def test_reduce_output_and_certificate_file_are_pinned(tmp_path):
+    # three steps over two members: a sigma step on each and a delta step
+    divisors = tmp_path / "set.txt"
+    divisors.write_text("x1[0,1]^2 - 4 * x1[0,0]\nx2[1,0] - x1[0,0] * x2[0,0]\n",
+                        encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(["reduce", "--algebra", "dual", "--set",
+                              str(divisors), "--cert", str(cert_path),
+                              "x1[0,2] * x2[1,0] + x2[2,0]"])
+    remainder = ("2 * x1[0,0] * x2[0,0] * x1[1,0] * x1[1,1] "
+                 "+ 4 * x1[0,0] * x2[0,0] * x1[0,1]")
+    assert (code, err) == (0, "")
+    assert out == f"g0 = {remainder}\nH = 2 * x1[1,1]\n"
+    expected = {
+        "cofactors": [
+            {"c": "2 * x1[1,1]", "member": 1, "theta": [1, 0]},
+            {"c": "x2[1,0]", "member": 0, "theta": [0, 1]},
+            {"c": "2 * x1[1,0] * x1[1,1] + 4 * x1[0,1]", "member": 1,
+             "theta": [0, 0]}],
+        "h_factors": [
+            {"member": 1, "source": "initial", "theta": [1, 0]},
+            {"member": 0, "source": "separant", "theta": [1, 0]},
+            {"member": 1, "source": "initial", "theta": [0, 0]}],
+        "remainder": remainder,
+        "steps": [
+            {"case": "sigma", "degree": 1, "leader": "x2[2,0]"},
+            {"case": "delta", "degree": 1, "leader": "x1[0,2]"},
+            {"case": "sigma", "degree": 1, "leader": "x2[1,0]"}],
+    }
+    assert cert_path.read_text(encoding="utf-8") == (
+        json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
 def test_charset_command(tmp_path):
     gens = tmp_path / "gens.txt"
     gens.write_text("x1[0,0]\nx1[0,1]\n", encoding="utf-8")
@@ -249,3 +282,23 @@ def test_file_named_like_a_builtin_loads_as_a_file(tmp_path):
     proc = run_cold(["algebra-check", "hs:x"], cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: UnknownBuiltin: ")
+
+
+def test_closure_check_rejects_a_negative_tau(tmp_path):
+    # (0,1,-1) used to pass as sigma-only and apply delta_1 once
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1,0]\n", encoding="utf-8")
+    witness = tmp_path / "w.json"
+    for tau, reason in (([0, 1, -1], "has a negative entry"),
+                        ([0, 1, 0], "is not sigma-only")):
+        witness.write_text(json.dumps({
+            "a": "x1[0,0,0]",
+            "taus": [tau],
+            "exponents": [1],
+            "combination": [{"c": "1", "theta": [0, 0, 0], "member": 0}],
+        }), encoding="utf-8")
+        proc = run_cold(["closure-check", "--algebra", "hs:2", "--gens",
+                         str(gens), "--witness", str(witness)])
+        assert proc.returncode == 1
+        assert proc.stdout == f"Reject: tau {tau} {reason}\n"
+        assert proc.stderr == ""

@@ -285,6 +285,28 @@ def test_single_term_and_scalar_products_leave_no_zero(all_builtins):
             assert f.scalar_mul(0) == DPolynomial.zero(d)
 
 
+def _to_sympy(sympy, f):
+    """f as a sympy expression: one symbol per variable, exact coefficients."""
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(str(v)) ** e for v, e in m.factors))
+        for m, c in f.terms.items()))
+
+
+def test_arithmetic_matches_sympy(all_builtins):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(73)
+    for d in all_builtins.values():
+        for _ in range(6):
+            f = rand_poly(rng, d, max_terms=4)
+            g = rand_poly(rng, d, max_terms=4)
+            sf, sg = _to_sympy(sympy, f), _to_sympy(sympy, g)
+            for ours, theirs in ((f + g, sf + sg), (f - g, sf - sg),
+                                 (f * g, sf * sg), (f ** 0, sympy.Integer(1)),
+                                 (f ** 2, sf ** 2), (g ** 3, sg ** 3)):
+                assert sympy.expand(theirs - _to_sympy(sympy, ours)) == 0
+
+
 def test_leader_key_ties_go_to_the_lowest_variable(all_builtins):
     rng = random.Random(21)
     ties = 0

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from dstar.errors import (
+    AlgebraMismatch,
     ConstantDivisor,
     ConstantPolynomial,
     DuplicateLeaders,
     ExprParseError,
+    IndexOutOfRange,
 )
 from dstar.operators import apply_composition, rho
 from dstar.ordering import (
@@ -414,3 +416,69 @@ def test_deeply_nested_certificate_is_a_parse_error(dual):
     deep = "(" * 3000 + "x1[0,0]" + ")" * 3000
     with pytest.raises(ExprParseError):
         certificate_from_json(json.dumps({"remainder": deep}), dual)
+
+
+def test_malformed_certificate_documents_are_parse_errors(dual):
+    with pytest.raises(ExprParseError, match="malformed certificate"):
+        certificate_from_json("[]", dual)
+
+
+def test_certificate_leader_that_is_not_a_string_is_a_parse_error(dual):
+    doc = {"remainder": "0",
+           "steps": [{"leader": 5, "case": "sigma", "degree": 1}]}
+    with pytest.raises(ExprParseError, match="malformed certificate"):
+        certificate_from_json(json.dumps(doc), dual)
+
+
+def test_negative_multi_index_entries_are_rejected(hs2):
+    # a negative count used to be skipped, so (0,1,-1) passed as sigma-only
+    # and applied delta_1 once
+    x = parse_poly("x1[0,0,0]", hs2)
+    for call in (lambda: is_sigma_only(hs2, (0, 1, -1)),
+                 lambda: apply_composition(x, (0, 1, -1)),
+                 lambda: apply_composition(x, (-1, 0, 0)),
+                 lambda: rho(hs2, (0, 1, -1))):
+        with pytest.raises(IndexOutOfRange, match="negative entry"):
+            call()
+    # wrong lengths keep their own errors and messages
+    with pytest.raises(AlgebraMismatch,
+                       match="^multi-index has 2 slots, algebra has 3$"):
+        is_sigma_only(hs2, (0, 1))
+    for call in (lambda: apply_composition(x, (0, 1)), lambda: rho(hs2, (0, 1))):
+        with pytest.raises(IndexOutOfRange,
+                           match="^multi-index has 2 slots, algebra has 3$"):
+            call()
+
+
+def test_negative_theta_certificate_is_not_a_proof(hs2):
+    # H = delta_1(1) = 0 made 0 * g = 0 hold for any g
+    g = parse_poly("x1[5,0,0]^3 + 7", hs2)
+    divisors = [parse_poly("x1[0,0,0]", hs2)]
+    forged = ReductionCertificate((HFactor((0, 1, -1), INITIAL, 0),),
+                                  DPolynomial.zero(hs2), (), ())
+    assert not verify_certificate(g, divisors, forged)
+    assert not verify_certificate(g, DivisorSet(divisors), forged)
+    assert not verify_certificate(
+        g, divisors, certificate_from_json(certificate_to_json(forged), hs2))
+    negative_cofactor = ReductionCertificate(
+        (), DPolynomial.zero(hs2), (Cofactor(g, (0, 0, -1), 0),), ())
+    assert not verify_certificate(g, divisors, negative_cofactor)
+
+
+def test_divisor_set_memoises_every_image_under_one_key(all_builtins):
+    # one memo, keyed (member, source, theta), with source None for the
+    # member itself: the same member and theta under another source is
+    # another image
+    rng = random.Random(61)
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        divisors = rand_divisors(rng, d, ranking, count=2)
+        as_set = DivisorSet(divisors, ranking)
+        theta = tuple(rng.randint(0, 1) for _ in range(d.M))
+        for member, f in enumerate(divisors):
+            fresh = {None: f, INITIAL: f.initial(ranking),
+                     SEPARANT: f.separant(ranking)}
+            for source, base in fresh.items():
+                image = as_set.image(member, source, theta)
+                assert image == apply_composition(base, theta)
+                assert as_set.image(member, source, theta) is image
