@@ -11,7 +11,6 @@ from .algebra import (
     BlockSpec,
     DAlgebra,
     algebra_from_name,
-    alpha,
     builtin,
     dump_spec,
     load_spec,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -191,45 +191,35 @@ def dump_spec(spec):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q (row echelon spans)
+# exact sparse linear algebra over Q; a vector is a {basis index: coefficient}
+# dict without zeros
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns the nonzero pivot rows."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    col_count = len(rows[0]) if rows else 0
-    lead = 0
-    for col in range(col_count):
-        pivot = None
-        for r in range(lead, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        inv = Fraction(1) / rows[lead][col]
-        rows[lead] = [x * inv for x in rows[lead]]
-        for r in range(len(rows)):
-            if r != lead and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return [tuple(r) for r in rows[:lead]]
+def _reduce(rows, vec):
+    """vec minus its part in the span of rows, a {pivot: row} echelon form.
+
+    Each row is 1 at its pivot, its lowest index, so eliminating the pivots
+    in ascending order leaves vec with no entry at any of them.
+    """
+    vec = dict(vec)
+    for col in sorted(rows):
+        c = vec.get(col)
+        if c:
+            for k, x in rows[col].items():
+                vec[k] = vec.get(k, 0) - c * x
+    return {k: c for k, c in vec.items() if c}
 
 
-def _in_span(basis_rows, vec):
-    vec = list(vec)
-    for row in basis_rows:
-        col = next(i for i, x in enumerate(row) if x != 0)
-        if vec[col] != 0:
-            factor = vec[col]
-            vec = [x - factor * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
+def _echelon(vectors):
+    """An echelon basis {pivot: row} of the span of vectors."""
+    rows = {}
+    for vec in vectors:
+        vec = _reduce(rows, vec)
+        if vec:
+            col = min(vec)
+            inv = Fraction(1) / vec[col]
+            rows[col] = {k: c * inv for k, c in vec.items()}
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,10 @@ def _in_span(basis_rows, vec):
 class BlockData:
     names: tuple           # basis names, names[0] is the unit
     nu: tuple              # nu[j-1] for nilpotent index j = 1..m
-    products: tuple        # products[p-1][q-1] = ((j, alpha), ...) for p,q >= 1
+    # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m.  It is
+    # compared but not hashed: a polynomial's hash includes its algebra's,
+    # and names and nu suffice to spread validated blocks.
+    table: tuple = field(hash=False)
 
     @property
     def m(self):
@@ -340,7 +333,7 @@ class DAlgebra:
             if not 1 <= idx <= block.m:
                 raise IndexOutOfRange(
                     f"basis index {idx} out of range 1..{block.m}")
-        for jj, coeff in block.products[p - 1][q - 1]:
+        for jj, coeff in block.table[p][q]:
             if jj == j:
                 return coeff
         return Fraction(0)
@@ -370,71 +363,58 @@ def _validate_block(bi, block):
     dim = len(names)
     index = {n: k for k, n in enumerate(names)}
 
-    # dense multiplication table; mult[p][q] is a coordinate vector
-    mult = [[tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)]
-            for _ in range(dim)]
+    # sparse multiplication table; mul_table[p][q] is the vector of e_p * e_q
+    mul_table = [[{} for _ in range(dim)] for _ in range(dim)]
     for (a, b), coords in block.table:
         if a not in index or b not in index:
             bad = a if a not in index else b
             raise InvalidAlgebraSpec(
                 f"block {bi}: product {a}*{b} references unknown name {bad!r}")
-        vec = [Fraction(0)] * dim
+        vec = {}
         for n, c in coords:
             if n not in index:
                 raise InvalidAlgebraSpec(
                     f"block {bi}: product {a}*{b} yields unknown name {n!r}")
-            vec[index[n]] += c
-        mult[index[a]][index[b]] = tuple(vec)
-        mult[index[b]][index[a]] = tuple(vec)
+            vec[index[n]] = vec.get(index[n], 0) + c
+        mul_table[index[a]][index[b]] = mul_table[index[b]][index[a]] = {
+            k: c for k, c in vec.items() if c}
 
-    def vec_mul(u, w):
-        out = [Fraction(0)] * dim
-        for p, up in enumerate(u):
-            if up == 0:
-                continue
-            for q, wq in enumerate(w):
-                if wq == 0:
-                    continue
-                prod = mult[p][q]
-                for k in range(dim):
-                    if prod[k] != 0:
-                        out[k] += up * wq * prod[k]
-        return tuple(out)
-
-    def basis_vec(k):
-        return tuple(Fraction(1 if j == k else 0) for j in range(dim))
+    def times(u, w):
+        out = {}
+        for p, up in u.items():
+            for q, wq in w.items():
+                for k, c in mul_table[p][q].items():
+                    out[k] = out.get(k, 0) + up * wq * c
+        return {k: c for k, c in out.items() if c}
 
     # unitality: the first basis element must act as the identity
     for q in range(dim):
-        if mult[0][q] != basis_vec(q):
+        if mul_table[0][q] != {q: 1}:
             raise NotUnital(bi, (names[0], names[q]))
 
     # associativity on basis triples
     for p in range(dim):
         for q in range(dim):
             for r in range(dim):
-                left = vec_mul(mult[p][q], basis_vec(r))
-                right = vec_mul(basis_vec(p), mult[q][r])
-                if left != right:
+                if times(mul_table[p][q], {r: 1}) != times({p: 1}, mul_table[q][r]):
                     raise NotAssociative(bi, (names[p], names[q], names[r]))
 
     # the non-unit elements must span an ideal (products avoid the unit)
     for p in range(1, dim):
         for q in range(1, dim):
-            if mult[p][q][0] != 0:
+            if 0 in mul_table[p][q]:
                 raise NotLocalBlock(
                     bi, f"{names[p]}*{names[q]} has a unit component "
-                        f"({mult[p][q][0]}); nilpotent span is not an ideal")
+                        f"({mul_table[p][q][0]}); nilpotent span is not an ideal")
 
     # powers of the nilpotent span, as Q-subspaces
     m = dim - 1
     spans = []
-    current = _rref([basis_vec(k) for k in range(1, dim)])
-    first = current
+    first = current = {k: {k: Fraction(1)} for k in range(1, dim)}
     while current:
         spans.append(current)
-        products = [vec_mul(u, w) for u in current for w in first]
-        nxt = _rref([v for v in products if any(x != 0 for x in v)])
+        nxt = _echelon(times(u, w) for u in current.values()
+                       for w in first.values())
         if len(nxt) >= len(current):
             raise NotLocalBlock(
                 bi, f"nilpotent span stabilises at dimension {len(nxt)} "
@@ -445,7 +425,7 @@ def _validate_block(bi, block):
     for k in range(1, dim):
         depth = 0
         for r, span in enumerate(spans, start=1):
-            if _in_span(span, basis_vec(k)):
+            if not _reduce(span, {k: 1}):
                 depth = r
         nu.append(depth)
 
@@ -457,26 +437,18 @@ def _validate_block(bi, block):
 
     # products must respect the depth filtration, else the simplified
     # product rule over gamma would drop nonzero terms
+    table = tuple(tuple(tuple(sorted(vec.items())) for vec in row)
+                  for row in mul_table)
     for p in range(1, dim):
         for q in range(1, dim):
-            for j in range(1, dim):
-                if mult[p][q][j] != 0 and nu[p - 1] + nu[q - 1] > nu[j - 1]:
+            for j, _ in table[p][q]:
+                if nu[p - 1] + nu[q - 1] > nu[j - 1]:
                     raise RankedBasisViolation(
                         bi, f"{names[p]}*{names[q]} has a {names[j]} component "
                             f"but nu({p})+nu({q}) = {nu[p - 1] + nu[q - 1]} > "
                             f"nu({j}) = {nu[j - 1]}: basis not adapted to the "
                             "ideal powers")
-
-    products = tuple(
-        tuple(tuple((j, mult[p][q][j]) for j in range(1, dim) if mult[p][q][j] != 0)
-              for q in range(1, dim))
-        for p in range(1, dim))
-    return BlockData(tuple(names), tuple(nu), products)
-
-
-def alpha(d, i, j, p, q):
-    """Structure constant accessor, 1-based in all indices."""
-    return d.alpha(i, j, p, q)
+    return BlockData(tuple(names), tuple(nu), table)
 
 
 def algebra_from_name(name):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .operators import apply, apply_composition
 from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only, zero_index
-from .parser import parse_json, parse_poly
+from .parser import json_int, parse_json, parse_poly
 from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from .reduction import (
     Cofactor,
@@ -299,6 +299,15 @@ class ClosureWitness:
     combination: tuple        # (c, theta, generator_index) entries
 
 
+def _check_witness_index(algebra, theta, what):
+    """A witness multi-index has one natural number per slot of the algebra."""
+    if len(theta) != algebra.M:
+        raise BadWitness(f"{what} {list(theta)} has {len(theta)} slots, "
+                         f"algebra has {algebra.M}")
+    if min(theta, default=0) < 0:
+        raise BadWitness(f"{what} {list(theta)} has a negative entry")
+
+
 def closure_step_witness(generators, witness):
     """Accept a new element if its witness identity checks exactly.
 
@@ -314,8 +323,7 @@ def closure_step_witness(generators, witness):
     if any(e < 1 for e in witness.exponents):
         raise BadWitness("witness exponents must be positive")
     for tau in witness.taus:
-        if min(tau, default=0) < 0:
-            raise BadWitness(f"tau {list(tau)} has a negative entry")
+        _check_witness_index(algebra, tau, "tau")
         if not is_sigma_only(algebra, tau):
             raise BadWitness(f"tau {list(tau)} is not sigma-only")
     product = DPolynomial.constant(algebra, 1)
@@ -326,6 +334,7 @@ def closure_step_witness(generators, witness):
         if not 0 <= idx < len(generators):
             raise BadWitness(f"combination references generator {idx}, "
                              f"only {len(generators)} available")
+        _check_witness_index(algebra, theta, "combination theta")
         combo = combo + c * apply_composition(generators[idx], theta)
     difference = product - combo
     if not difference.is_zero():
@@ -339,11 +348,11 @@ def witness_from_json(text, algebra):
     doc = parse_json(text)
     try:
         a = parse_poly(doc["a"], algebra)
-        taus = tuple(tuple(int(e) for e in tau) for tau in doc["taus"])
-        exponents = tuple(int(e) for e in doc["exponents"])
+        taus = tuple(tuple(json_int(e) for e in tau) for tau in doc["taus"])
+        exponents = tuple(json_int(e) for e in doc["exponents"])
         combination = tuple(
-            (parse_poly(entry["c"], algebra), tuple(int(e) for e in entry["theta"]),
-             int(entry["member"]))
+            (parse_poly(entry["c"], algebra),
+             tuple(json_int(e) for e in entry["theta"]), json_int(entry["member"]))
             for entry in doc["combination"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ExprParseError(f"malformed witness file: {exc!r}")

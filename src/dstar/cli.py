@@ -64,7 +64,7 @@ def _cmd_algebra_check(args, out):
         alphas = []
         for p in range(1, block.m + 1):
             for q in range(1, block.m + 1):
-                for j, coeff in block.products[p - 1][q - 1]:
+                for j, coeff in block.table[p][q]:
                     alphas.append((j, p, q, coeff))
         for j, p, q, coeff in sorted(alphas):
             print(f"  alpha({j};{p},{q}) = {coeff}", file=out)

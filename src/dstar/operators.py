@@ -25,25 +25,20 @@ from .poly import DPolynomial
 
 def _accumulate(acc, poly, scale=1):
     """Add scale * poly into the term dict acc in place."""
-    for m, c in poly.terms.items():
-        if scale != 1:
-            c = c * scale
+    terms = poly.terms.items()
+    if scale != 1:
+        terms = ((m, c * scale) for m, c in terms)
+    for m, c in terms:
         old = acc.get(m)
         acc[m] = c if old is None else old + c
 
 
 def _image_mul(algebra, i, u, w):
     """Multiply two coordinate vectors in block i of the algebra."""
-    block = algebra.blocks[i - 1]
-    m = block.m
-    acc = [{} for _ in range(m + 1)]
-    _accumulate(acc[0], u[0] * w[0])
-    for j in range(1, m + 1):
-        _accumulate(acc[j], u[0] * w[j])
-        _accumulate(acc[j], u[j] * w[0])
-    for p in range(1, m + 1):
-        for q in range(1, m + 1):
-            contributions = block.products[p - 1][q - 1]
+    table = algebra.blocks[i - 1].table
+    acc = [{} for _ in table]
+    for p, row in enumerate(table):
+        for q, contributions in enumerate(row):
             if contributions:
                 prod = u[p] * w[q]
                 for j, coeff in contributions:

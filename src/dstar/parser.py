@@ -182,6 +182,13 @@ def parse_json(text):
         raise ExprParseError("JSON nested too deeply") from None
 
 
+def json_int(value):
+    """A decoded JSON integer as it is; a float, boolean or string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def parse_generator_file(text, algebra):
     """One expression per line; blank lines and '#' comments skipped."""
     polys = []

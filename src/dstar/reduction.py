@@ -3,9 +3,9 @@
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
-scan for offending variables: a_leader runs it, is_reduced_wrt_set asks
-it whether a divisor set has any and stops at the first, and reduce runs
-it at every step.  The reduction loop repeatedly eliminates the
+scan for offending variables: a_leader runs it, reduce calls a_leader at
+every step, and is_reduced_wrt_set asks the scan whether a divisor set
+has any and stops at the first.  The reduction loop repeatedly eliminates the
 highest-ranked offending variable, multiplying by a sigma-transform of the
 divisor's separant (delta case) or initial (sigma case).  Every run
 returns a certificate witnessing the exact identity
@@ -44,7 +44,7 @@ from .ordering import (
     parse_variable,
     transform_of,
 )
-from .parser import parse_json, parse_poly
+from .parser import json_int, parse_json, parse_poly
 from .poly import DPolynomial, format_poly, rank_compare
 
 INITIAL = "initial"
@@ -181,7 +181,10 @@ def a_leader(g, divisors, ranking=None):
         return None
     if divisors.has_constant:
         raise ConstantPolynomial("constants have no leader")
-    return _scan(g, divisors)
+    key, leaders = divisors.ranking.key, divisors.leaders
+    # max keeps the first of equal maxima: exact ties go to the lowest variable
+    return max(_offending(g, leaders, divisors.degrees), default=None,
+               key=lambda c: (key(c.variable), key(leaders[c.member]), -c.member))
 
 
 def _offending(g, leaders, degrees):
@@ -191,14 +194,6 @@ def _offending(g, leaders, degrees):
             tr = transform_of(g.algebra, v, u)
             if tr is not None and (tr.is_delta or k >= d):
                 yield ALeader(v, k, idx, tr.theta, tr.is_delta)
-
-
-def _scan(g, divisors):
-    """a_leader against a divisor set without constant members."""
-    key, leaders = divisors.ranking.key, divisors.leaders
-    # max keeps the first of equal maxima: exact ties go to the lowest variable
-    return max(_offending(g, leaders, divisors.degrees), default=None,
-               key=lambda c: (key(c.variable), key(leaders[c.member]), -c.member))
 
 
 def reduce(g, divisors, ranking=None):
@@ -230,7 +225,7 @@ def reduce(g, divisors, ranking=None):
     steps = []
     prev = None
     while True:
-        led = _scan(current, divisors)
+        led = a_leader(current, divisors)
         if led is None:
             break
         if prev is not None:
@@ -330,17 +325,17 @@ def certificate_from_json(text, algebra):
     doc = parse_json(text)
     try:
         h_factors = tuple(
-            HFactor(tuple(int(e) for e in f["theta"]), f["source"],
-                    int(f["member"]))
+            HFactor(tuple(json_int(e) for e in f["theta"]), f["source"],
+                    json_int(f["member"]))
             for f in doc.get("h_factors", ()))
         remainder = parse_poly(doc["remainder"], algebra)
         cofactors = tuple(
             Cofactor(parse_poly(c["c"], algebra),
-                     tuple(int(e) for e in c["theta"]), int(c["member"]))
+                     tuple(json_int(e) for e in c["theta"]), json_int(c["member"]))
             for c in doc.get("cofactors", ()))
         steps = tuple(
             Step(parse_variable(s["leader"], algebra), s["case"],
-                 int(s["degree"]))
+                 json_int(s["degree"]))
             for s in doc.get("steps", ()))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ExprParseError(f"malformed certificate: {exc!r}")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from dstar.algebra import (
     AlgebraSpec,
     DAlgebra,
     algebra_from_name,
-    alpha,
     builtin,
     dump_spec,
     load_spec,
@@ -163,13 +163,13 @@ def test_not_nilpotent_rejected():
 
 def test_alpha_examples(dual, hs2):
     hs3 = validate_algebra(builtin("truncated_hs", 3))
-    assert alpha(hs2, 1, 2, 1, 1) == 1     # e*e = e2 in Q[e]/e^3
-    assert alpha(dual, 1, 1, 1, 1) == 0    # e*e = 0 in dual numbers
-    assert alpha(hs3, 1, 3, 1, 2) == 1     # e*e2 = e3 in Q[e]/e^4
+    assert hs2.alpha(1, 2, 1, 1) == 1     # e*e = e2 in Q[e]/e^3
+    assert dual.alpha(1, 1, 1, 1) == 0    # e*e = 0 in dual numbers
+    assert hs3.alpha(1, 3, 1, 2) == 1     # e*e2 = e3 in Q[e]/e^4
     with pytest.raises(IndexOutOfRange):
-        alpha(dual, 1, 1, 2, 1)
+        dual.alpha(1, 1, 2, 1)
     with pytest.raises(IndexOutOfRange):
-        alpha(dual, 2, 1, 1, 1)
+        dual.alpha(2, 1, 1, 1)
 
 
 def test_alpha_vanishes_outside_gamma(all_builtins):
@@ -295,3 +295,85 @@ def test_slot_layout_is_computed_once_and_matches_the_sums(all_builtins):
             assert [again.block_of_slot(s) for s in range(d.M)] == d.slot_pairs()
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.blocks = ()
+
+
+def _unital_block(names, products):
+    """A block spec whose first name is listed as the unit of every name."""
+    table = {(names[0], n): [(n, 1)] for n in names}
+    table.update(products)
+    return make_block_spec(names, table)
+
+
+@pytest.mark.parametrize("blocks, error, message", [
+    ((make_block_spec(["1", "e"], {("1", "1"): [("1", 1)], ("1", "e"): [("e", 2)]}),),
+     NotUnital, "block 1: 1*e != e"),
+    # the first failing triple in basis order: (a*a)*a = a*(a*a) = a holds
+    ((_unital_block(["u"], {}),
+      _unital_block(["1", "a", "b"], {("a", "a"): [("b", 1)], ("a", "b"): [("a", 1)]})),
+     NotAssociative, "block 2: (a*a)*b != a*(a*b)"),
+    ((_unital_block(["1", "e"], {("e", "e"): [("1", "1/2")]}),),
+     NotLocalBlock,
+     "block 1: e*e has a unit component (1/2); nilpotent span is not an ideal"),
+    ((_unital_block(["1", "e"], {("e", "e"): [("e", 1)]}),),
+     NotLocalBlock,
+     "block 1: nilpotent span stabilises at dimension 1 (power 2); block is not local"),
+    ((_unital_block(["1", "ee", "e"], {("e", "e"): [("ee", 1)]}),),
+     RankedBasisViolation,
+     "block 1: nu(1)=2 > nu(2)=1: basis indices 1 < 2 are not depth-ordered"),
+    ((_unital_block(["1", "f", "e"], {("e", "e"): [("f", 1), ("e", -1)],
+                                      ("e", "f"): [("f", 1), ("e", -1)],
+                                      ("f", "f"): [("f", 1), ("e", -1)]}),),
+     RankedBasisViolation,
+     "block 1: f*f has a f component but nu(1)+nu(1) = 2 > nu(1) = 1: basis not "
+     "adapted to the ideal powers"),
+])
+def test_validation_failures_name_their_witness(blocks, error, message):
+    with pytest.raises(error) as exc:
+        validate_algebra(AlgebraSpec(blocks))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+BUILTIN_SPECS = (
+    [("dual",)] + [("fields", m) for m in (1, 2, 3)]
+    + [("truncated_hs", n) for n in range(1, 9)]
+    + [("diff_difference", n, m) for n in (1, 2, 3) for m in (1, 2)])
+BUILTIN_IDS = ["-".join(map(str, params)) for params in BUILTIN_SPECS]
+
+
+@pytest.mark.parametrize("params", BUILTIN_SPECS, ids=BUILTIN_IDS)
+def test_builtin_nu_matches_the_ideal_power_oracle(params):
+    spec = builtin(*params)
+    d = validate_algebra(spec)
+    for i, block in enumerate(spec.blocks, start=1):
+        products = {pair: coords for pair, coords in block.table}
+        names = block.basis_names
+        for j, name in enumerate(names[1:], start=1):
+            assert d.nu(i, j) == _ideal_power_nu_oracle(names, products, name)
+
+
+@pytest.mark.parametrize("params", BUILTIN_SPECS, ids=BUILTIN_IDS)
+def test_block_table_has_the_identity_as_unit_row_and_gives_alpha(params):
+    d = validate_algebra(builtin(*params))
+    for i, block in enumerate(d.blocks, start=1):
+        table = block.table
+        assert len(table) == block.m + 1
+        for p, row in enumerate(table):
+            assert len(row) == block.m + 1
+            assert table[0][p] == table[p][0] == ((p, 1),)
+            for q, entries in enumerate(row):
+                assert entries == table[q][p]
+                assert [j for j, _ in entries] == sorted({j for j, _ in entries})
+                assert all(c != 0 for _, c in entries)
+        for j in range(1, block.m + 1):
+            for p in range(1, block.m + 1):
+                for q in range(1, block.m + 1):
+                    assert d.alpha(i, j, p, q) == dict(block.table[p][q]).get(j, 0)
+
+
+def test_truncated_hs_40_validates_within_two_seconds():
+    start = time.perf_counter()
+    d = validate_algebra(builtin("truncated_hs", 40))
+    elapsed = time.perf_counter() - start
+    assert d.blocks[0].nu == tuple(range(1, 41))
+    assert elapsed < 2.0, elapsed

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from dstar.charset import (
 )
 from dstar.errors import (
     BadWitness,
+    ExprParseError,
     InconsistentSystem,
     NotAutoreduced,
 )
@@ -340,6 +342,40 @@ def test_closure_witness_with_a_negative_tau_is_rejected(hs2):
     with pytest.raises(BadWitness, match="not sigma-only"):
         closure_step_witness([dx], ClosureWitness(x, ((0, 1, 0),), (1,),
                                                   ((one, (0, 0, 0), 0),)))
+
+
+def test_closure_witness_with_a_malformed_index_is_rejected(hs2):
+    # these used to escape as AlgebraMismatch or IndexOutOfRange
+    x = parse_poly("x1[0,0,0]", hs2)
+    dx = parse_poly("x1[0,1,0]", hs2)
+    one = DPolynomial.constant(hs2, 1)
+    for tau, theta, message in (
+            ((0, 0), (0, 0, 0), "tau [0, 0] has 2 slots, algebra has 3"),
+            ((0, 0, 0), (0, 0, -1),
+             "combination theta [0, 0, -1] has a negative entry"),
+            ((0, 0, 0), (0, 0), "combination theta [0, 0] has 2 slots, algebra has 3")):
+        with pytest.raises(BadWitness) as exc:
+            closure_step_witness([dx], ClosureWitness(x, (tau,), (1,),
+                                                      ((one, theta, 0),)))
+        assert str(exc.value) == message
+
+
+def test_witness_numbers_must_be_json_integers(dual):
+    # these used to pass through int(): tau (0, 0), exponent 1, member 0
+    good = {"a": "x1[0,0]", "taus": [[0, 0]], "exponents": [1],
+            "combination": [{"c": "1", "theta": [0, 0], "member": 0}]}
+    assert witness_from_json(json.dumps(good), dual).exponents == (1,)
+    bad = [dict(good, taus=[[0.7, 0]], exponents=[1.9]),
+           dict(good, taus=[[0.7, 0]]), dict(good, exponents=[1.9]),
+           dict(good, exponents=[True]),
+           dict(good, combination=[{"c": "1", "theta": [0, 0], "member": 0.5}]),
+           dict(good, combination=[{"c": "1", "theta": [False, 0], "member": 0}])]
+    for doc in bad:
+        with pytest.raises(ExprParseError, match="^malformed witness file: "):
+            witness_from_json(json.dumps(doc), dual)
+    # a negative tau still parses, and the checker rejects it
+    witness = witness_from_json(json.dumps(dict(good, taus=[[0, -1]])), dual)
+    assert witness.taus == ((0, -1),)
 
 
 def test_witness_json_round_trip(dual):

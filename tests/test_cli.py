@@ -302,3 +302,26 @@ def test_closure_check_rejects_a_negative_tau(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == f"Reject: tau {tau} {reason}\n"
         assert proc.stderr == ""
+
+
+def test_closure_check_rejects_a_malformed_witness_index(tmp_path):
+    # these used to end in "error: AlgebraMismatch/IndexOutOfRange" on stderr
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1,0]\n", encoding="utf-8")
+    witness = tmp_path / "w.json"
+    for tau, theta, reason in (
+            ([0, 0], [0, 0, 0], "tau [0, 0] has 2 slots, algebra has 3"),
+            ([0, 0, 0], [0, 0, -1],
+             "combination theta [0, 0, -1] has a negative entry"),
+            ([0, 0, 0], [0, 0], "combination theta [0, 0] has 2 slots, algebra has 3")):
+        witness.write_text(json.dumps({
+            "a": "x1[0,0,0]",
+            "taus": [tau],
+            "exponents": [1],
+            "combination": [{"c": "1", "theta": theta, "member": 0}],
+        }), encoding="utf-8")
+        proc = run_cold(["closure-check", "--algebra", "hs:2", "--gens",
+                         str(gens), "--witness", str(witness)])
+        assert proc.returncode == 1
+        assert proc.stdout == f"Reject: {reason}\n"
+        assert proc.stderr == ""

@@ -482,3 +482,24 @@ def test_divisor_set_memoises_every_image_under_one_key(all_builtins):
                 image = as_set.image(member, source, theta)
                 assert image == apply_composition(base, theta)
                 assert as_set.image(member, source, theta) is image
+
+
+def test_certificate_numbers_must_be_json_integers(dual):
+    # these used to pass through int(): theta (1, 1), member 0, degree 1
+    good = {"remainder": "0",
+            "h_factors": [{"theta": [0, 0], "source": "initial", "member": 0}],
+            "cofactors": [{"c": "1", "theta": [0, 0], "member": 0}],
+            "steps": [{"leader": "x1[0,0]", "case": "sigma", "degree": 1}]}
+    bad = [("h_factors", "theta", [1.9, True]), ("h_factors", "member", 0.5),
+           ("h_factors", "theta", [True, 0]), ("cofactors", "theta", [0, 0.0]),
+           ("cofactors", "member", "0"), ("steps", "degree", 1.9)]
+    for section, field, value in bad:
+        doc = json.loads(json.dumps(good))
+        doc[section][0][field] = value
+        with pytest.raises(ExprParseError, match="^malformed certificate: "):
+            certificate_from_json(json.dumps(doc), dual)
+    # negative integers still parse; verification rejects them
+    doc = json.loads(json.dumps(good))
+    doc["h_factors"][0].update(theta=[0, -1], member=-2)
+    cert = certificate_from_json(json.dumps(doc), dual)
+    assert cert.h_factors == (HFactor((0, -1), INITIAL, -2),)
