@@ -137,9 +137,9 @@ def charset_complete(generators, ranking=None):
     pool = []
     seen = set()
 
-    def push(f):
+    def push(f):    # pools an input generator's monic form, and returns it
         if f.is_zero():
-            return
+            return None
         if f.is_constant():
             raise InconsistentSystem(
                 f"derived the nonzero constant {format_poly(f)}")
@@ -147,9 +147,9 @@ def charset_complete(generators, ranking=None):
         if f not in seen:
             seen.add(f)
             pool.append(f)
+        return f
 
-    for f in generators:
-        push(f)
+    normals = [push(f) for f in generators]
 
     trace = []
     previous = None
@@ -159,11 +159,13 @@ def charset_complete(generators, ranking=None):
         pool.sort(key=lambda f: poly_sort_key(f, ranking))
         # one set, and so one image memo, for every reduction of the round
         divisors = DivisorSet((), ranking)
+        rest = []
         for candidate in pool:
             if is_reduced_wrt_set(candidate, divisors):
                 divisors.add(candidate)
-        selected = divisors.members
-        current = validate_autoreduced(selected, ranking)
+            else:
+                rest.append(candidate)
+        current = validate_autoreduced(divisors.members, ranking)
         if previous is not None:
             if compare_autoreduced(current, previous, ranking) != A_LESS_B:
                 raise DStarError(
@@ -181,9 +183,7 @@ def charset_complete(generators, ranking=None):
         new_remainders = []
         all_zero = True
         zero_certs = {}     # pool member -> its certificate with remainder 0
-        for f in pool:
-            if f in selected:
-                continue
+        for f in rest:
             cert = reduce(f, divisors)
             remainder = cert.remainder
             if remainder.is_zero():
@@ -195,6 +195,8 @@ def charset_complete(generators, ranking=None):
                     f"derived the nonzero constant {format_poly(remainder)}")
             normal = monic(remainder)
             if normal not in seen:
+                seen.add(normal)
+                pool.append(normal)
                 new_remainders.append(normal)
         if not all_zero and not new_remainders:
             # cannot happen: nonzero remainders are reduced w.r.t. the
@@ -202,22 +204,19 @@ def charset_complete(generators, ranking=None):
             raise DStarError("internal: completion made no progress")
         trace.append(RoundTrace(round_no, current.members, tuple(new_remainders)))
         if not new_remainders:
-            certs = tuple(_generator_certificate(f, divisors, zero_certs)
-                          for f in generators)
+            certs = tuple(_generator_certificate(f, normal, divisors, zero_certs)
+                          for f, normal in zip(generators, normals))
             return CharSetResult(current, tuple(trace), certs)
-        for r in new_remainders:
-            push(r)
 
 
-def _generator_certificate(f, divisors, zero_certs):
+def _generator_certificate(f, normal, divisors, zero_certs):
     """Certificate that the input generator f reduces to zero, checked.
 
-    Reduction is linear in g: when f = s * monic(f) and the round reduced
-    monic(f) to zero, scaling that certificate's remainder and cofactors
-    by s gives reduce(f) exactly.  Only a zero f, or one whose monic form
-    was selected (a single step), is reduced afresh.
+    Reduction is linear in g: when f = s * normal, its monic form, and the
+    round reduced normal to zero, scaling that certificate's remainder and
+    cofactors by s gives reduce(f) exactly.  Only a zero f (normal None), or
+    one whose monic form was selected (a single step), is reduced afresh.
     """
-    normal = monic(f)
     cert = zero_certs.get(normal)
     if cert is None:
         cert = reduce(f, divisors)

@@ -3,13 +3,12 @@
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
-scan for offending variables: a_leader runs it, reduce calls a_leader at
-every step, and is_reduced_wrt_set asks the scan whether a divisor set
-has any and stops at the first.  The reduction loop repeatedly eliminates the
-highest-ranked offending variable, multiplying by a sigma-transform of the
-divisor's separant (delta case) or initial (sigma case).  Every run
-returns a certificate witnessing the exact identity
-H * g = g0 + sum_k c_k * theta_k(a_k).
+scan for offending variables, a_leader: reduce calls it at every step,
+and is_reduced_wrt_set asks it whether a divisor set has any.  The
+reduction loop repeatedly eliminates the highest-ranked offending
+variable, multiplying by a sigma-transform of the divisor's separant
+(delta case) or initial (sigma case).  Every run returns a certificate
+witnessing the exact identity H * g = g0 + sum_k c_k * theta_k(a_k).
 
 Every call takes its divisors as a DivisorSet or as a plain sequence.  A
 DivisorSet computes each member's leader and degree once, when the member
@@ -160,10 +159,7 @@ def is_reduced_wrt_set(g, divisors, ranking=None):
     divisors = _divisor_set(divisors, ranking, g.algebra)
     if divisors.has_constant:
         raise ConstantDivisor("cannot reduce with respect to a constant")
-    if g.is_constant():
-        return True
-    # only existence matters, so stop at the first offending pair
-    return next(_offending(g, divisors.leaders, divisors.degrees), None) is None
+    return a_leader(g, divisors) is None
 
 
 def a_leader(g, divisors, ranking=None):
@@ -181,19 +177,14 @@ def a_leader(g, divisors, ranking=None):
         return None
     if divisors.has_constant:
         raise ConstantPolynomial("constants have no leader")
-    key, leaders = divisors.ranking.key, divisors.leaders
+    key, leaders, degrees = divisors.ranking.key, divisors.leaders, divisors.degrees
+    offending = (ALeader(v, k, idx, tr.theta, tr.is_delta)
+                 for v, k in sorted(g.degrees().items())
+                 for idx, tr in enumerate(transform_of(g.algebra, v, u) for u in leaders)
+                 if tr is not None and (tr.is_delta or k >= degrees[idx]))
     # max keeps the first of equal maxima: exact ties go to the lowest variable
-    return max(_offending(g, leaders, divisors.degrees), default=None,
+    return max(offending, default=None,
                key=lambda c: (key(c.variable), key(leaders[c.member]), -c.member))
-
-
-def _offending(g, leaders, degrees):
-    """Each offending (variable, divisor) pair of g, lowest variable first."""
-    for v, k in sorted(g.degrees().items()):
-        for idx, (u, d) in enumerate(zip(leaders, degrees)):
-            tr = transform_of(g.algebra, v, u)
-            if tr is not None and (tr.is_delta or k >= d):
-                yield ALeader(v, k, idx, tr.theta, tr.is_delta)
 
 
 def reduce(g, divisors, ranking=None):
@@ -276,7 +267,11 @@ def multiplier_product(cert, divisors, ranking=None):
 
 
 def verify_certificate(g, divisors, cert, ranking=None):
-    """Check the certificate identity and postconditions exactly."""
+    """Check the certificate identity and postconditions exactly.
+
+    Judges the identity, the factor structure, that the remainder is
+    reduced and that it ranks no higher than g, but not the step trace.
+    """
     try:
         divisors = _divisor_set(divisors, ranking, g.algebra)
         count = len(divisors.members)
@@ -337,6 +332,8 @@ def certificate_from_json(text, algebra):
             Step(parse_variable(s["leader"], algebra), s["case"],
                  json_int(s["degree"]))
             for s in doc.get("steps", ()))
+        if any(s.case not in ("delta", "sigma") or s.degree < 1 for s in steps):
+            raise ValueError("a step is not delta or sigma of degree >= 1")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ExprParseError(f"malformed certificate: {exc!r}")
     return ReductionCertificate(h_factors, remainder, cofactors, steps)

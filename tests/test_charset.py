@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -31,8 +32,16 @@ from dstar.errors import (
 from dstar.operators import apply_composition
 from dstar.ordering import SequentialRanking
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, format_poly, monic, rank_compare
-from dstar.reduction import DivisorSet, certificate_to_json, reduce, verify_certificate
+from dstar.poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
+from dstar.reduction import (
+    DivisorSet,
+    certificate_to_json,
+    is_reduced,
+    is_reduced_wrt_set,
+    multiplier_product,
+    reduce,
+    verify_certificate,
+)
 
 from gen import rand_divisors, rand_poly
 
@@ -266,6 +275,96 @@ def test_charset_certificates_equal_direct_reductions(all_builtins):
                 cases["scaled"] += any(monic(g) == monic(f) and g != f
                                        for g in family if not g.is_zero())
     assert all(cases.values()), cases
+
+
+def test_charset_trace_lists_a_remainder_derived_twice_once(fields2):
+    # in round 2 both unselected pool members reduce to the same monic
+    # remainder; the trace used to list it twice
+    family = [parse_poly("-3 * x2[1,1] + 3 * x1[0,0]", fields2),
+              parse_poly("-2 * x2[1,1] - x2[0,0]", fields2)]
+    result = charset_complete(family)
+    added = [[format_poly(f) for f in entry.remainders_added]
+             for entry in result.completion_trace]
+    assert added == [["x2[0,0] + 2 * x1[0,0]"], ["x1[1,1] + 1/2 * x1[0,0]"], []]
+    assert [format_poly(f) for f in result.charset] == \
+        ["x2[0,0] + 2 * x1[0,0]", "x1[1,1] + 1/2 * x1[0,0]"]
+
+
+def test_charset_rounds_list_each_new_remainder_once(all_builtins):
+    # replay every round from its trace: reduce each unselected pool member,
+    # in rank order, by the selected set and keep the first occurrence of
+    # each new monic remainder; at this seed some rounds derive one
+    # remainder from two pool members
+    rng = random.Random(127)
+    derived_twice = 0
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(8):
+            family = [rand_poly(rng, d, max_sum=2, max_deg=2, max_terms=2,
+                                nonconstant=True)
+                      for _ in range(rng.randint(1, 3))]
+            try:
+                result = charset_complete(family, ranking)
+            except InconsistentSystem:
+                continue
+            pool = list(dict.fromkeys(monic(f) for f in family))
+            for entry in result.completion_trace:
+                pool.sort(key=lambda f: poly_sort_key(f, ranking))
+                derived = []
+                for f in pool:
+                    if f not in entry.selected:
+                        remainder = reduce(f, entry.selected, ranking).remainder
+                        if not remainder.is_zero() and monic(remainder) not in pool:
+                            derived.append(monic(remainder))
+                added = list(dict.fromkeys(derived))
+                assert list(entry.remainders_added) == added
+                derived_twice += len(derived) > len(added)
+                pool += added
+    assert derived_twice > 0
+
+
+def test_charset_coefficients_stay_exact_in_either_term_order(dual):
+    # a generator's certificate scale is read off its first term, so an
+    # inexact division there shows in one of the two term orders only
+    x = parse_poly("x1[0,0]", dual)
+    forward = parse_poly("x1[0,0] + 1/3 * x1[0,1] * x1[0,0]", dual)
+    backward = parse_poly("1/3 * x1[0,1] * x1[0,0] + x1[0,0]", dual)
+    assert forward == backward and list(forward.terms) != list(backward.terms)
+    for family in ([x, forward], [x, backward]):
+        result = charset_complete(family)
+        members = list(result.charset)
+        assert [format_poly(f) for f in members] == ["x1[0,0]"]
+        polys = list(members)
+        for f, cert in zip(family, result.certificates):
+            assert verify_certificate(f, members, cert)
+            polys += [cert.remainder, multiplier_product(cert, members)]
+            polys += [c.c for c in cert.cofactors]
+        for p in polys:
+            assert not any(isinstance(c, float) for c in p.terms.values())
+
+
+def test_greedy_selection_from_a_rank_sorted_pool_is_autoreduced(all_builtins):
+    # the lemma behind completion's selection loop: a member selected later
+    # ranks no lower, so it never offends one selected before it
+    rng = random.Random(59)
+    shapes = set()
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(25):
+            pool = list(dict.fromkeys(
+                monic(rand_poly(rng, d, max_sum=2, max_deg=2, max_terms=2,
+                                nonconstant=True))
+                for _ in range(rng.randint(2, 6))))
+            pool.sort(key=lambda f: poly_sort_key(f, ranking))
+            selected = []
+            for candidate in pool:
+                if is_reduced_wrt_set(candidate, selected, ranking):
+                    selected.append(candidate)
+            assert validate_autoreduced(selected, ranking).members == tuple(selected)
+            for low, high in itertools.combinations(selected, 2):
+                assert is_reduced(low, high, ranking)
+            shapes.add((len(selected) >= 2, len(selected) < len(pool)))
+    assert (True, True) in shapes, shapes
 
 
 def test_d_ideal_generators(dual):

@@ -325,3 +325,23 @@ def test_closure_check_rejects_a_malformed_witness_index(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == f"Reject: {reason}\n"
         assert proc.stderr == ""
+
+
+def test_charset_trace_lists_each_added_remainder_once(tmp_path):
+    # on fields:2, round 2 derives x1[1,1] + 1/2 * x1[0,0] from both
+    # unselected pool members; it is added, and listed, once
+    gens = tmp_path / "gens.txt"
+    gens.write_text("-3 * x2[1,1] + 3 * x1[0,0]\n-2 * x2[1,1] - x2[0,0]\n",
+                    encoding="utf-8")
+    proc = run_cold(["charset", "--algebra", "fields:2", "--gens", str(gens),
+                     "--trace"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "round 1: selected 1, new remainders 1\n"
+        "  + x2[0,0] + 2 * x1[0,0]\n"
+        "round 2: selected 1, new remainders 1\n"
+        "  + x1[1,1] + 1/2 * x1[0,0]\n"
+        "round 3: selected 2, new remainders 0\n"
+        "charset (2 members):\n"
+        "x2[0,0] + 2 * x1[0,0]\n"
+        "x1[1,1] + 1/2 * x1[0,0]\n")

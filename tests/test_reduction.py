@@ -410,6 +410,27 @@ def test_certificate_json_round_trip(dual, worked):
     assert certificate_to_json(again) == text
 
 
+def test_certificate_with_a_malformed_step_is_a_parse_error(dual, worked):
+    # verify_certificate does not judge the step trace, so reading one
+    # checks that each step is a delta or sigma step of degree >= 1; this
+    # forged trace used to parse and verify
+    g = parse_poly("x1[0,2] + x1[0,0]", dual)
+    text = certificate_to_json(reduce(g, [worked]))
+    assert verify_certificate(g, [worked], certificate_from_json(text, dual))
+    forged = json.loads(text)
+    forged["steps"] = [{"leader": "x7[9,9]", "case": "bogus", "degree": -5}]
+    with pytest.raises(ExprParseError, match="^malformed certificate: "):
+        certificate_from_json(json.dumps(forged), dual)
+    step = {"leader": "x1[0,2]", "case": "delta", "degree": 1}
+    for bad in ({"case": "bogus"}, {"case": "Delta"}, {"degree": 0},
+                {"degree": -5}):
+        forged["steps"] = [dict(step, **bad)]
+        with pytest.raises(ExprParseError, match="^malformed certificate: "):
+            certificate_from_json(json.dumps(forged), dual)
+    forged["steps"] = [step, dict(step, case="sigma", degree=2)]
+    assert len(certificate_from_json(json.dumps(forged), dual).steps) == 2
+
+
 def test_deeply_nested_certificate_is_a_parse_error(dual):
     with pytest.raises(ExprParseError):
         certificate_from_json("[" * 5000, dual)

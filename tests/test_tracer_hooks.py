@@ -7,7 +7,7 @@ benchmark run fails.
 
 from pathlib import Path
 
-from dstar import reduction
+from dstar import charset, reduction
 from dstar.parser import parse_poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,3 +34,33 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch, dual):
         assert getattr(owner, attr) is original, (owner, attr)
     for name, (owner, attr) in hooks.items():
         assert getattr(owner, attr) is originals[name], name
+
+
+def test_tracer_counts_every_offending_variable_scan(monkeypatch, dual):
+    # is_reduced_wrt_set asks a_leader, so its scans are traced too: a
+    # completion makes more a_leader calls than its reductions alone
+    # (one per step plus the final one of each reduce)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    def traced(call):
+        tracer = Tracer(lambda algebra: "dual")
+        tracer.install()
+        try:
+            call()
+        finally:
+            tracer.uninstall()
+        return tracer.summary()
+
+    divisor = parse_poly("x1[0,1]^2 - 4 * x1[0,0]", dual)
+    g = parse_poly("x1[0,2] + x1[1,0]", dual)
+    summary = traced(lambda: reduction.is_reduced_wrt_set(g, [divisor]))
+    assert summary["calls"].get("reduction.a_leader") == 1
+
+    family = [parse_poly("x1[0,1] + x1[0,0]", dual),
+              parse_poly("x1[0,2] + x1[0,0]^2", dual)]
+    summary = traced(lambda: charset.charset_complete(family))
+    calls, counts = summary["calls"], summary["counts"]
+    assert calls["charset.complete"] == 1
+    assert calls["reduction.a_leader"] > \
+        calls["reduction.reduce"] + counts["reduction.steps"]
