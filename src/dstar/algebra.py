@@ -269,11 +269,15 @@ class DAlgebra:
     def M(self):
         return self._offsets[-1]
 
-    def slot_index(self, i, p):
-        """Global slot of operator (i, p); p = 0 is sigma_i."""
+    def block(self, i):
+        """The data of block i, for i = 1..t."""
         if not 1 <= i <= self.t:
             raise IndexOutOfRange(f"block index {i} out of range 1..{self.t}")
-        block = self.blocks[i - 1]
+        return self.blocks[i - 1]
+
+    def slot_index(self, i, p):
+        """Global slot of operator (i, p); p = 0 is sigma_i."""
+        block = self.block(i)
         if not 0 <= p <= block.m:
             raise IndexOutOfRange(f"operator index {p} out of range 0..{block.m}")
         return self._offsets[i - 1] + p
@@ -305,9 +309,7 @@ class DAlgebra:
 
     def nu(self, i, j):
         """Nilpotency depth of epsilon_{i,j}; nu(i, 0) = 0 by convention."""
-        if not 1 <= i <= self.t:
-            raise IndexOutOfRange(f"block index {i} out of range 1..{self.t}")
-        block = self.blocks[i - 1]
+        block = self.block(i)
         if j == 0:
             return 0
         if not 1 <= j <= block.m:
@@ -316,7 +318,7 @@ class DAlgebra:
 
     def gamma(self, i, j):
         """Index pairs (p, q) allowed to contribute to coordinate j."""
-        block = self.blocks[i - 1]
+        block = self.block(i)
         if not 1 <= j <= block.m:
             raise IndexOutOfRange(f"basis index {j} out of range 1..{block.m}")
         nu = block.nu
@@ -326,9 +328,7 @@ class DAlgebra:
 
     def alpha(self, i, j, p, q):
         """Coefficient of epsilon_{i,j} in epsilon_{i,p} * epsilon_{i,q}."""
-        if not 1 <= i <= self.t:
-            raise IndexOutOfRange(f"block index {i} out of range 1..{self.t}")
-        block = self.blocks[i - 1]
+        block = self.block(i)
         for idx in (j, p, q):
             if not 1 <= idx <= block.m:
                 raise IndexOutOfRange(

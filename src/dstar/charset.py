@@ -7,14 +7,17 @@ all remainders vanish.  Each round's selected set strictly decreases in
 the autoreduced-set pre-order, which makes the loop well-founded.  A round
 grows one DivisorSet, in rank order, as it selects; the separant checks,
 every pool reduction and the final certificate checks share its leaders
-and image memo, dropped with it when the round ends.  A family with no
-nonzero generator has one empty round.  The input generators'
-certificates come from the last round: reduction is linear in the reduced
-polynomial, so a generator's certificate is that of its monic form with
-the cofactors scaled, and only zero and selected generators are reduced
-again.  Every one is verified before it is returned.  Perfect closure
-steps are not searched; they are accepted only with an exact
-product-membership witness.
+and image memo, dropped with it when the round ends.  Input generators
+and remainders enter the pool through one function, which makes them
+monic and drops repeats, so a round's new remainders are the tail it
+appended.  A family with no nonzero generator has one empty round.  The
+input generators' certificates come from one table of the last round,
+keyed by monic form: reduction is linear in the reduced polynomial, so a
+generator's certificate is that of its monic form with the cofactors
+scaled.  A form the round did not reduce (a selected one, or zero) is
+reduced once into the table.  Every certificate is verified before it is
+returned.  Perfect closure steps are not searched; they are accepted only
+with an exact product-membership witness.
 """
 
 from __future__ import annotations
@@ -137,9 +140,10 @@ def charset_complete(generators, ranking=None):
     pool = []
     seen = set()
 
-    def push(f):    # pools an input generator's monic form, and returns it
+    def pool_monic(f):
+        """Pool f's monic form unless seen, and return it; zero is not pooled."""
         if f.is_zero():
-            return None
+            return f
         if f.is_constant():
             raise InconsistentSystem(
                 f"derived the nonzero constant {format_poly(f)}")
@@ -149,7 +153,7 @@ def charset_complete(generators, ranking=None):
             pool.append(f)
         return f
 
-    normals = [push(f) for f in generators]
+    normals = [pool_monic(f) for f in generators]
 
     trace = []
     previous = None
@@ -180,47 +184,38 @@ def charset_complete(generators, ranking=None):
                     f"separant of {format_poly(member)} reduces to zero "
                     "modulo the selected set")
 
-        new_remainders = []
-        all_zero = True
-        zero_certs = {}     # pool member -> its certificate with remainder 0
+        certs = {}      # monic form -> its certificate with remainder 0
+        pooled = len(pool)
         for f in rest:
             cert = reduce(f, divisors)
-            remainder = cert.remainder
-            if remainder.is_zero():
-                zero_certs[f] = cert
-                continue
-            all_zero = False
-            if remainder.is_constant():
-                raise InconsistentSystem(
-                    f"derived the nonzero constant {format_poly(remainder)}")
-            normal = monic(remainder)
-            if normal not in seen:
-                seen.add(normal)
-                pool.append(normal)
-                new_remainders.append(normal)
-        if not all_zero and not new_remainders:
+            if cert.remainder.is_zero():
+                certs[f] = cert
+            else:
+                pool_monic(cert.remainder)
+        added = tuple(pool[pooled:])
+        if len(certs) < len(rest) and not added:
             # cannot happen: nonzero remainders are reduced w.r.t. the
             # selected set, hence never collide with the existing pool
             raise DStarError("internal: completion made no progress")
-        trace.append(RoundTrace(round_no, current.members, tuple(new_remainders)))
-        if not new_remainders:
-            certs = tuple(_generator_certificate(f, normal, divisors, zero_certs)
-                          for f, normal in zip(generators, normals))
-            return CharSetResult(current, tuple(trace), certs)
+        trace.append(RoundTrace(round_no, current.members, added))
+        if not added:
+            return CharSetResult(current, tuple(trace), tuple(
+                _generator_certificate(f, normal, divisors, certs)
+                for f, normal in zip(generators, normals)))
 
 
-def _generator_certificate(f, normal, divisors, zero_certs):
+def _generator_certificate(f, normal, divisors, certs):
     """Certificate that the input generator f reduces to zero, checked.
 
-    Reduction is linear in g: when f = s * normal, its monic form, and the
-    round reduced normal to zero, scaling that certificate's remainder and
-    cofactors by s gives reduce(f) exactly.  Only a zero f (normal None), or
-    one whose monic form was selected (a single step), is reduced afresh.
+    certs maps monic forms to their certificates; a form it lacks (one that
+    was selected, or the zero polynomial) is reduced once and added.
+    Reduction is linear in g: when f = s * normal, scaling the cofactors of
+    normal's certificate by s gives reduce(f) exactly.
     """
-    cert = zero_certs.get(normal)
+    cert = certs.get(normal)
     if cert is None:
-        cert = reduce(f, divisors)
-    else:
+        cert = certs[normal] = reduce(normal, divisors)
+    if cert.cofactors:
         some = next(iter(normal.terms))
         scale = f.terms[some] / normal.terms[some]
         if scale != 1:

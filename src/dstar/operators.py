@@ -20,17 +20,7 @@ import re
 
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import apply_slot, ord_i, zero_index
-from .poly import DPolynomial
-
-
-def _accumulate(acc, poly, scale=1):
-    """Add scale * poly into the term dict acc in place."""
-    terms = poly.terms.items()
-    if scale != 1:
-        terms = ((m, c * scale) for m, c in terms)
-    for m, c in terms:
-        old = acc.get(m)
-        acc[m] = c if old is None else old + c
+from .poly import DPolynomial, _accumulate
 
 
 def _image_mul(algebra, i, u, w):
@@ -90,9 +80,7 @@ def block_image(f, i):
     sums add coordinatewise and products multiply through the structure
     constants.
     """
-    algebra = f.algebra
-    if not 1 <= i <= algebra.t:
-        raise IndexOutOfRange(f"block index {i} out of range 1..{algebra.t}")
+    f.algebra.block(i)  # validates the block index
     return _block_image(f, i, {})
 
 
@@ -172,6 +160,8 @@ def parse_operator(text, algebra):
             i, p = int(match.group(1)), 0
         else:
             i, p = int(match.group(2)), int(match.group(3))
+            if p == 0:      # slot (i, 0) is sigma_i, spelled s<i>
+                raise ExprParseError(f"bad operator {part!r}")
         power = int(match.group(4)) if match.group(4) else 1
         try:
             slot = algebra.slot_index(i, p)

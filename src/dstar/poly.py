@@ -210,8 +210,7 @@ class DPolynomial:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+        _accumulate(out, other)
         return DPolynomial(self.algebra, out)
 
     __radd__ = __add__
@@ -224,8 +223,7 @@ class DPolynomial:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
+        _accumulate(out, other, -1)
         return DPolynomial(self.algebra, out)
 
     def __rsub__(self, other):
@@ -248,7 +246,8 @@ class DPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                old = out.get(m)
+                out[m] = c1 * c2 if old is None else old + c1 * c2
         return DPolynomial(self.algebra, out)
 
     def _times_term(self, m, c):
@@ -335,6 +334,16 @@ class DPolynomial:
 # DPolynomial's slot setters, as for Monomial above
 _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
+
+
+def _accumulate(acc, poly, scale=1):
+    """Add scale * poly into the term dict acc in place; zeros may remain."""
+    terms = poly.terms.items()
+    if scale != 1:
+        terms = ((m, c * scale) for m, c in terms)
+    for m, c in terms:
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
 
 
 def _rank_tuple(f, ranking):

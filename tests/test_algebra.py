@@ -172,6 +172,20 @@ def test_alpha_examples(dual, hs2):
         dual.alpha(2, 1, 1, 1)
 
 
+def test_block_index_is_checked_by_every_block_accessor(hs2, dd11):
+    # gamma(0, 1) used to answer for the last block, and gamma(t + 1, 1)
+    # to raise a bare IndexError
+    for d in (hs2, dd11):
+        for i in (0, d.t + 1):
+            message = f"block index {i} out of range 1..{d.t}"
+            for call in (lambda: d.gamma(i, 1), lambda: d.nu(i, 1),
+                         lambda: d.alpha(i, 1, 1, 1), lambda: d.slot_index(i, 0),
+                         lambda: d.block(i)):
+                with pytest.raises(IndexOutOfRange) as info:
+                    call()
+                assert str(info.value) == message
+
+
 def test_alpha_vanishes_outside_gamma(all_builtins):
     for d in all_builtins.values():
         for i in range(1, d.t + 1):

@@ -277,6 +277,31 @@ def test_charset_certificates_equal_direct_reductions(all_builtins):
     assert all(cases.values()), cases
 
 
+def test_charset_reduces_a_selected_monic_form_once(dual, monkeypatch):
+    # f and 2 * f share their monic form, which is selected: the round's
+    # certificate table reduces it once and scales it for each generator
+    reduced = []
+
+    def counting_reduce(g, *args, **kwargs):
+        reduced.append(g)
+        return reduce(g, *args, **kwargs)
+
+    monkeypatch.setattr(dstar.charset, "reduce", counting_reduce)
+    f = parse_poly("2 * x1[0,1] + x1[0,0]", dual)
+    zero = DPolynomial.zero(dual)
+    family = [f, 2 * f, zero]
+    result = charset_complete(family)
+    normal = monic(f)
+    assert result.charset.members == (normal,)
+    assert sum(1 for g in reduced if monic(g) == normal) == 1
+    assert result.certificates[2].cofactors == ()
+    assert result.certificates[2].h_factors == ()
+    assert result.certificates[2].remainder.is_zero()
+    members = list(result.charset.members)
+    for g, cert in zip(family, result.certificates):
+        assert verify_certificate(g, members, cert)
+
+
 def test_charset_trace_lists_a_remainder_derived_twice_once(fields2):
     # in round 2 both unselected pool members reduce to the same monic
     # remainder; the trace used to list it twice

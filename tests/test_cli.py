@@ -234,6 +234,14 @@ def test_unterminated_variable_is_a_parse_error():
     assert "']'" in proc.stderr and "column 7" in proc.stderr
 
 
+def test_delta_index_zero_is_a_parse_error():
+    proc = run_cold(["apply", "--algebra", "dual", "--op", "d1.0", "x1[0,0]"])
+    assert_parse_error(proc)
+    assert "bad operator 'd1.0'" in proc.stderr and proc.stdout == ""
+    proc = run_cold(["apply", "--algebra", "dual", "--op", "s1", "x1[0,0]"])
+    assert proc.returncode == 0 and proc.stdout == "x1[1,0]\n"
+
+
 def assert_domain_error(proc):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: DStarError: ")

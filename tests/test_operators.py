@@ -250,3 +250,15 @@ def test_parse_operator(dual, dd11):
         parse_operator("theta=[1,2,3]", dual)
     with pytest.raises(ExprParseError):
         parse_operator("sigma", dual)
+
+
+def test_parse_operator_rejects_delta_index_zero(dual, dd11):
+    # d<i>.0 used to name slot (i, 0), which is sigma_i
+    for text in ("d1.0", "d1.0^2", "s1 d1.0", "d1.00"):
+        with pytest.raises(ExprParseError, match="bad operator 'd1.0"):
+            parse_operator(text, dual)
+    with pytest.raises(ExprParseError, match="bad operator 'd2.0'"):
+        parse_operator("d2.0", dd11)
+    assert parse_operator("s1 d1.1^2", dual) == (1, 2)
+    assert parse_operator("d1.01", dual) == (0, 1)
+    assert parse_operator("theta=[1,0]", dual) == (1, 0)
