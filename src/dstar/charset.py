@@ -34,8 +34,8 @@ from .errors import (
     NotAutoreduced,
     SeparantDegenerate,
 )
-from .operators import apply, apply_composition
-from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only, zero_index
+from .operators import apply_composition
+from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only
 from .parser import json_int, parse_json, parse_poly
 from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from .reduction import (
@@ -241,9 +241,7 @@ def d_ideal_generators(generators, order_bound):
     """All operator transforms of the generators up to the index bound.
 
     Enumerates every multi-index with entry sum <= order_bound, applies it
-    to each generator, and deduplicates.  Each theta's image comes from
-    the already-built image of theta minus its last nonzero slot by one
-    unit step.
+    to each generator, and deduplicates.
     """
     if order_bound < 0:
         raise ValueError("order bound must be >= 0")
@@ -251,17 +249,11 @@ def d_ideal_generators(generators, order_bound):
     if not generators:
         return []
     algebra = generators[0].algebra
-    zero = zero_index(algebra)
     out = []
     seen = set()
     for f in generators:
-        images = {zero: f}
         for theta in _indices_up_to(algebra.M, order_bound):
-            if theta != zero:
-                slot = max(s for s, e in enumerate(theta) if e)
-                prev = theta[:slot] + (theta[slot] - 1,) + theta[slot + 1:]
-                images[theta] = apply(images[prev], *algebra.block_of_slot(slot))
-            g = images[theta]
+            g = apply_composition(f, theta)
             if g not in seen:
                 seen.add(g)
                 out.append(g)
@@ -269,18 +261,9 @@ def d_ideal_generators(generators, order_bound):
 
 
 def _indices_up_to(width, bound):
-    if width == 0:
-        yield ()
-        return
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + width - 1), width - 1):
-            prev = -1
-            parts = []
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + width - 2 - prev)
-            yield tuple(parts)
+    """Multi-indices of the given width with entry sum <= bound, by (sum, index)."""
+    return sorted((t for t in itertools.product(range(bound + 1), repeat=width)
+                   if sum(t) <= bound), key=lambda t: (sum(t), t))
 
 
 @dataclass(frozen=True)

@@ -97,14 +97,14 @@ def _cmd_reduce(args, out):
     g = parse_poly(args.expr, algebra)
     cert = reduce(g, divisors)
     h = multiplier_product(cert, divisors)
-    print(f"g0 = {format_poly(cert.remainder)}", file=out)
-    print(f"H = {format_poly(h)}", file=out)
-    if args.cert:
+    if args.cert:   # written first, so a failed write prints no result
         try:
             Path(args.cert).write_text(certificate_to_json(cert) + "\n",
                                        encoding="utf-8")
         except OSError as exc:
             raise DStarError(f"cannot write {args.cert!r}: {exc.strerror}")
+    print(f"g0 = {format_poly(cert.remainder)}", file=out)
+    print(f"H = {format_poly(h)}", file=out)
     return 0
 
 

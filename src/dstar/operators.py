@@ -9,9 +9,9 @@ homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
 The image of a variable power v^e does not depend on the polynomial it
-sits in.  Within one block image, and across all unit steps of one
-apply_composition call, each (block, v, e) image is therefore built once,
-by squaring in the block algebra, and kept in a memo local to that call.
+sits in.  Within one block image each (v, e) image is therefore built
+once, by squaring in the block algebra, and kept in a memo local to that
+block image.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def _image_mul(algebra, i, u, w):
 
 
 def _power_image(algebra, i, v, e, memo):
-    """Block-i image of v^e, by squaring, memoised in memo under (i, v, e)."""
-    img = memo.get((i, v, e))
+    """Block-i image of v^e, by squaring, memoised in memo under (v, e)."""
+    img = memo.get((v, e))
     if img is None:
         if e == 1:
             img = tuple(DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p))
@@ -48,15 +48,22 @@ def _power_image(algebra, i, v, e, memo):
             img = _image_mul(algebra, i, half, half)
             if e & 1:
                 img = _image_mul(algebra, i, img, _power_image(algebra, i, v, 1, memo))
-        memo[(i, v, e)] = img
+        memo[(v, e)] = img
     return img
 
 
-def _block_image(f, i, memo):
-    """block_image(f, i), taking variable-power images from memo."""
+def block_image(f, i):
+    """Image of f under the block-i coordinate operators.
+
+    Returns the coordinate tuple in the block basis, unit slot first.
+    Variables map to their slot bumps, constants embed in the unit slot,
+    sums add coordinatewise and products multiply through the structure
+    constants.
+    """
     algebra = f.algebra
-    width = algebra.blocks[i - 1].m + 1
+    width = algebra.block(i).m + 1  # validates the block index
     acc = [{} for _ in range(width)]
+    memo = {}
     for monomial, coeff in f.terms.items():
         if not monomial.factors:
             # a constant embeds in the unit slot, where no other term's image
@@ -70,18 +77,6 @@ def _block_image(f, i, memo):
         for a, c in zip(acc, vec):
             _accumulate(a, c, coeff)
     return tuple(DPolynomial(algebra, a) for a in acc)
-
-
-def block_image(f, i):
-    """Image of f under the block-i coordinate operators.
-
-    Returns the coordinate tuple in the block basis, unit slot first.
-    Variables map to their slot bumps, constants embed in the unit slot,
-    sums add coordinatewise and products multiply through the structure
-    constants.
-    """
-    f.algebra.block(i)  # validates the block index
-    return _block_image(f, i, {})
 
 
 def apply(f, i, p):
@@ -109,12 +104,11 @@ def apply_composition(f, theta):
     algebra = f.algebra
     _check_index(algebra, theta)
     out = f
-    memo = {}  # a variable's image is the same in every step
     for slot, count in enumerate(theta):
         if count:
             i, p = algebra.block_of_slot(slot)
             for _ in range(count):
-                out = _block_image(out, i, memo)[p]
+                out = block_image(out, i)[p]
     return out
 
 

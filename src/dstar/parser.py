@@ -33,13 +33,18 @@ _OPEN_VAR_RE = re.compile(r"x\d+\[[\d,]*")
 
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+    __slots__ = ("kind", "value", "text", "line", "column")
 
-    def __init__(self, kind, value, line, column):
+    def __init__(self, kind, value, text, line, column):
         self.kind = kind
         self.value = value
+        self.text = text    # the source text, None for the end token
         self.line = line
         self.column = column
+
+    def describe(self):
+        """The token as an error message shows it."""
+        return "end of input" if self.text is None else repr(self.text)
 
 
 def _tokenize(text):
@@ -57,11 +62,11 @@ def _tokenize(text):
         lexeme = match.group(0)
         if not match.group("ws"):
             if match.group("var"):
-                tokens.append(_Token("var", match, line, col))
+                tokens.append(_Token("var", match, lexeme, line, col))
             elif match.group("int") is not None:
-                tokens.append(_Token("int", int(match.group("int")), line, col))
+                tokens.append(_Token("int", int(lexeme), lexeme, line, col))
             else:
-                tokens.append(_Token(match.group("op"), lexeme, line, col))
+                tokens.append(_Token(lexeme, lexeme, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -69,7 +74,7 @@ def _tokenize(text):
         else:
             col += len(lexeme)
         pos = match.end()
-    tokens.append(_Token("end", None, line, col))
+    tokens.append(_Token("end", None, None, line, col))
     return tokens
 
 
@@ -86,7 +91,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
             raise ExprParseError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.column)
+                f"expected {kind!r}, found {tok.describe()}", tok.line, tok.column)
         self.pos += 1
         return tok
 
@@ -95,7 +100,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExprParseError(
-                f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+                f"unexpected trailing input {tok.describe()}", tok.line, tok.column)
         return value
 
     def expr(self):
@@ -158,7 +163,7 @@ class _Parser:
             value = self.expr()
             self.take(")")
             return value
-        raise ExprParseError(f"unexpected token {tok.value!r}", tok.line, tok.column)
+        raise ExprParseError(f"unexpected token {tok.describe()}", tok.line, tok.column)
 
 
 def parse_poly(text, algebra):

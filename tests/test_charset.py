@@ -419,6 +419,13 @@ def test_d_ideal_generators_match_transforms_from_scratch(all_builtins):
                 assert d_ideal_generators(gens, bound) == expected
 
 
+def test_indices_up_to_lists_by_entry_sum_then_index():
+    assert list(_indices_up_to(3, 2)) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2),
+        (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert list(_indices_up_to(0, 3)) == [()]
+
+
 def test_closure_witness_examples(dual):
     x = parse_poly("x1[0,0]", dual)
     sx = parse_poly("x1[1,0]", dual)

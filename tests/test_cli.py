@@ -353,3 +353,21 @@ def test_charset_trace_lists_each_added_remainder_once(tmp_path):
         "charset (2 members):\n"
         "x2[0,0] + 2 * x1[0,0]\n"
         "x1[1,1] + 1/2 * x1[0,0]\n")
+
+
+def test_parse_errors_show_source_text_not_objects():
+    for expr in ("x1[0,0] x1[0,1]", "x1[0,0] ^ x1[0,1]", "(x1[0,0]", ""):
+        proc = run_cold(["apply", "--algebra", "dual", "--op", "d1.1", expr])
+        assert_parse_error(proc)
+        assert "re.Match" not in proc.stderr and "None" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_failed_cert_write_prints_no_result(tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1]^2 - 4 * x1[0,0]\n", encoding="utf-8")
+    for cert in (tmp_path, tmp_path / "missing" / "dir" / "c.json"):
+        proc = run_cold(["reduce", "--algebra", "dual", "--set", str(gens),
+                         "--cert", str(cert), "x1[0,2]"])
+        assert_domain_error(proc)
+        assert proc.stdout == ""

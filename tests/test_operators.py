@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dstar.operators
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
@@ -262,3 +263,22 @@ def test_parse_operator_rejects_delta_index_zero(dual, dd11):
     assert parse_operator("s1 d1.1^2", dual) == (1, 2)
     assert parse_operator("d1.01", dual) == (0, 1)
     assert parse_operator("theta=[1,0]", dual) == (1, 0)
+
+
+def test_apply_composition_takes_one_block_image_per_unit_step(all_builtins, monkeypatch):
+    calls = []
+    real = dstar.operators.block_image
+
+    def counting(f, i):
+        calls.append(i)
+        return real(f, i)
+
+    monkeypatch.setattr(dstar.operators, "block_image", counting)
+    rng = random.Random(61)
+    for d in all_builtins.values():
+        for _ in range(10):
+            f = rand_poly(rng, d)
+            theta = rand_theta(rng, d, 4)
+            calls.clear()
+            apply_composition(f, theta)
+            assert len(calls) == sum(theta)

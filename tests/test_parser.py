@@ -40,6 +40,20 @@ def test_parse_errors_carry_position(dual):
         parse_poly("", dual)
 
 
+def test_parse_errors_quote_the_source_text(dual):
+    cases = {
+        "x1[0,0] x1[0,1]": ("unexpected trailing input 'x1[0,1]'", 9),
+        "x1[0,0] ^ x1[0,1]": ("expected 'int', found 'x1[0,1]'", 11),
+        "(x1[0,0]": ("expected ')', found end of input", 9),
+        "": ("unexpected token end of input", 1),
+    }
+    for text, (message, column) in cases.items():
+        with pytest.raises(ExprParseError) as exc:
+            parse_poly(text, dual)
+        assert str(exc.value).startswith(message + " (")
+        assert exc.value.line == 1 and exc.value.column == column
+
+
 def test_multiline_error_position(dual):
     with pytest.raises(ExprParseError) as exc:
         parse_poly("x1[0,0] +\n  %", dual)

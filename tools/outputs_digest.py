@@ -1,4 +1,4 @@
-"""Digest the charset outputs that the benchmark's pins do not cover.
+"""Digest the outputs that the benchmark's pins do not cover.
 
     python3 tools/outputs_digest.py
 
@@ -9,6 +9,11 @@ over every certificate_to_json, every round trace, and every raised
 exception's name and message.  The pins hash only the charsets, so equal
 lines from two checkouts show that a change kept the certificates, the
 traces and the exceptions too.
+
+It then prints one line each for the operator layer: format_poly of every
+apply-tower result, certificate_to_json of every reduction in the
+reduce-c6 stream, and format_poly of every d_ideal_generators output of
+the prolonged family's base on dd:1,1 for order bounds 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -22,14 +27,17 @@ for path in (ROOT / "src", ROOT / "perfbench"):
     sys.path.insert(0, str(path))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
-from dstar import SequentialRanking, charset_complete, format_poly  # noqa: E402
+from dstar import (  # noqa: E402
+    SequentialRanking, apply_composition, charset_complete, d_ideal_generators,
+    format_poly, parse_operator, parse_poly, reduce)
 from dstar.errors import DStarError  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
+KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal")
 
-def families():
+
+def families(algebras):
     """(name, generators, ranking) for every charset-workload family."""
-    algebras = inputs.make_algebras()
     out = [("prolonged", inputs.prolonged_family(algebras), "dd:1,1")]
     out += [(f"{label}#{index}", family, label)
             for label, index, family in inputs.charset_pool(algebras)]
@@ -38,14 +46,15 @@ def families():
 
 
 def main():
-    digests = {key: hashlib.sha256() for key in ("certificates", "traces", "exceptions")}
+    digests = {key: hashlib.sha256() for key in KEYS}
     counts = dict.fromkeys(digests, 0)
 
     def record(key, name, text):
         digests[key].update(f"{name}\n{text}\n".encode())
         counts[key] += 1
 
-    items = families()
+    algebras = inputs.make_algebras()
+    items = families(algebras)
     for name, family, ranking in items:
         try:
             result = charset_complete(family, ranking)
@@ -59,6 +68,19 @@ def main():
                 [f"round {entry.round}"]
                 + ["selected " + format_poly(f) for f in entry.selected]
                 + ["added " + format_poly(f) for f in entry.remainders_added]))
+
+    for name, label, op, _, f in inputs.tower_inputs(algebras):
+        theta = parse_operator(op, algebras[label])
+        record("towers", name, format_poly(apply_composition(f, theta)))
+    for label, index, g, divisors in inputs.reduction_stream(algebras):
+        cert = reduce(g, divisors, SequentialRanking(algebras[label]))
+        record("reduce-c6", f"{label}#{index}", certificate_to_json(cert))
+    dd11 = algebras["dd:1,1"]
+    base = [parse_poly(t, dd11) for t in inputs.PROLONGED_BASE]
+    for bound in range(3):
+        record("d-ideal", f"bound {bound}", "\n".join(
+            format_poly(g) for g in d_ideal_generators(base, bound)))
+
     print(f"families {len(items)}")
     for key, h in digests.items():
         print(f"{key} {counts[key]} {h.hexdigest()}")
