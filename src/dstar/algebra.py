@@ -31,6 +31,7 @@ from .errors import (
     UnknownBuiltin,
 )
 from .parser import parse_json
+from .poly import _coefficient
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,8 @@ def _echelon(vectors):
 class BlockData:
     names: tuple           # basis names, names[0] is the unit
     nu: tuple              # nu[j-1] for nilpotent index j = 1..m
-    # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m.  It is
+    # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m, each
+    # alpha stored as a polynomial coefficient (an int when integral).  It is
     # compared but not hashed: a polynomial's hash includes its algebra's,
     # and names and nu suffice to spread validated blocks.
     table: tuple = field(hash=False)
@@ -336,7 +338,7 @@ class DAlgebra:
         for jj, coeff in block.table[p][q]:
             if jj == j:
                 return coeff
-        return Fraction(0)
+        return 0
 
 
 def validate_algebra(spec):
@@ -437,8 +439,8 @@ def _validate_block(bi, block):
 
     # products must respect the depth filtration, else the simplified
     # product rule over gamma would drop nonzero terms
-    table = tuple(tuple(tuple(sorted(vec.items())) for vec in row)
-                  for row in mul_table)
+    table = tuple(tuple(tuple((j, _coefficient(c)) for j, c in sorted(vec.items()))
+                        for vec in row) for row in mul_table)
     for p in range(1, dim):
         for q in range(1, dim):
             for j, _ in table[p][q]:

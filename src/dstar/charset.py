@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     BadWitness,
@@ -217,7 +218,8 @@ def _generator_certificate(f, normal, divisors, certs):
         cert = certs[normal] = reduce(normal, divisors)
     if cert.cofactors:
         some = next(iter(normal.terms))
-        scale = f.terms[some] / normal.terms[some]
+        # a Fraction, never int / int, which is a float
+        scale = Fraction(f.terms[some], normal.terms[some])
         if scale != 1:
             # the remainder is zero, so only the cofactors scale
             cert = ReductionCertificate(

@@ -1,15 +1,18 @@
 """Exact sparse polynomials in operator variables.
 
-Terms map monomials to nonzero Fraction coefficients.  A monomial is an
-immutable tuple of (DVariable, exponent) factors with positive exponents,
-sorted by DVariable order.  Monomials and variables compute their hash
-once, when built, so dict operations on terms re-hash nothing, and the
-product of two monomials is one linear merge of their factor tuples.  All
-arithmetic is exact and results are canonical (no zero coefficients,
-deduplicated monomials); only results that cannot hold a zero (a product
-by one term, scaling by a nonzero constant) skip the zero filter.  The
-leader, initial and separant accessors take the ranking as a parameter
-and default to the sequential ranking.
+Terms map monomials to nonzero exact coefficients: an int when the
+coefficient is integral, else a Fraction with denominator > 1, never a
+float.  Every coefficient is stored through _coefficient, which also
+rejects any other type with a TypeError.  A monomial is an immutable tuple
+of (DVariable, exponent) factors with positive exponents, sorted by
+DVariable order.  Monomials and variables compute their hash once, when
+built, so dict operations on terms re-hash nothing, and the product of two
+monomials is one linear merge of their factor tuples.  All arithmetic is
+exact and results are canonical (no zero coefficients, deduplicated
+monomials); only results that cannot hold a zero (a product by one term,
+scaling by a nonzero constant) skip the zero filter.  The leader, initial
+and separant accessors take the ranking as a parameter and default to the
+sequential ranking.
 """
 
 from __future__ import annotations
@@ -124,11 +127,16 @@ class DPolynomial:
 
     def __init__(self, algebra, terms):
         _set_algebra(self, algebra)
-        _set_terms(self, {m: c for m, c in terms.items() if c != 0})
+        out = {}
+        for m, c in terms.items():
+            c = _coefficient(c)
+            if c:  # a zero is the int 0 once stored
+                out[m] = c
+        _set_terms(self, out)
 
     @staticmethod
     def _nonzero(algebra, terms):
-        """Wrap a term dict that holds no zero coefficient, as it is."""
+        """Wrap a term dict of nonzero coefficients in stored form, as it is."""
         f = object.__new__(DPolynomial)
         _set_algebra(f, algebra)
         _set_terms(f, terms)
@@ -145,9 +153,6 @@ class DPolynomial:
 
     @staticmethod
     def constant(algebra, value):
-        value = Fraction(value)
-        if value == 0:
-            return DPolynomial.zero(algebra)
         return DPolynomial(algebra, {UNIT_MONOMIAL: value})
 
     @staticmethod
@@ -155,7 +160,7 @@ class DPolynomial:
         if len(v.theta) != algebra.M:
             raise AlgebraMismatch(
                 f"variable {v} has {len(v.theta)} slots, algebra has {algebra.M}")
-        return DPolynomial(algebra, {Monomial.of({v: 1}): Fraction(1)})
+        return DPolynomial(algebra, {Monomial.of({v: 1}): 1})
 
     # -- basics --------------------------------------------------------------
 
@@ -256,7 +261,8 @@ class DPolynomial:
         if not m.factors:
             return self.scalar_mul(c)
         return DPolynomial._nonzero(
-            self.algebra, {m1.mul(m): c1 * c for m1, c1 in self.terms.items()})
+            self.algebra,
+            {m1.mul(m): _coefficient(c1 * c) for m1, c1 in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,11 +270,11 @@ class DPolynomial:
         return NotImplemented
 
     def scalar_mul(self, c):
-        c = Fraction(c)
-        if c == 0:
+        c = _coefficient(c)
+        if not c:
             return DPolynomial.zero(self.algebra)
-        return DPolynomial._nonzero(self.algebra,
-                                    {m: c * cf for m, cf in self.terms.items()})
+        return DPolynomial._nonzero(
+            self.algebra, {m: _coefficient(c * cf) for m, cf in self.terms.items()})
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -334,6 +340,20 @@ class DPolynomial:
 # DPolynomial's slot setters, as for Monomial above
 _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
+
+
+def _coefficient(c):
+    """c as a polynomial stores it: an int when integral, else a Fraction.
+
+    int arithmetic is exact and several times cheaper than Fraction's, so a
+    Fraction with denominator 1 is stored as its numerator.  A float, a bool
+    or any other type is a TypeError, so no inexact value is ever stored.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _accumulate(acc, poly, scale=1):

@@ -172,6 +172,23 @@ def test_alpha_examples(dual, hs2):
         dual.alpha(2, 1, 1, 1)
 
 
+def test_structure_constants_are_ints_when_integral():
+    # alpha feeds every block image, whose coefficients stay ints only if
+    # the table's integral constants are ints
+    hs3 = validate_algebra(builtin("truncated_hs", 3))
+    for j in range(1, 4):
+        for p in range(1, 4):
+            for q in range(1, 4):
+                assert type(hs3.alpha(1, j, p, q)) is int
+    # Q[e]/(e^3) with e*e = 1/2 * f: a rational constant stays a Fraction
+    half = validate_algebra(AlgebraSpec((make_block_spec(
+        ["1", "e", "f"], {("1", "1"): [("1", 1)], ("1", "e"): [("e", 1)],
+                          ("1", "f"): [("f", 1)], ("e", "e"): [("f", "1/2")]}),)))
+    assert half.alpha(1, 2, 1, 1) == Fraction(1, 2)
+    assert type(half.alpha(1, 2, 1, 1)) is Fraction
+    assert type(half.alpha(1, 1, 1, 1)) is int
+
+
 def test_block_index_is_checked_by_every_block_accessor(hs2, dd11):
     # gamma(0, 1) used to answer for the last block, and gamma(t + 1, 1)
     # to raise a bare IndexError

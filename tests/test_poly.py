@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dstar.errors import AlgebraMismatch, ConstantPolynomial
+from dstar.charset import charset_complete
+from dstar.errors import AlgebraMismatch, ConstantPolynomial, InconsistentSystem
+from dstar.operators import apply_composition, block_image
 from dstar.ordering import (
     EQUAL,
     GREATER,
@@ -15,9 +17,17 @@ from dstar.ordering import (
     SequentialRanking,
 )
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, Monomial, format_poly, monic, rank_compare
+from dstar.poly import (
+    UNIT_MONOMIAL,
+    DPolynomial,
+    Monomial,
+    format_poly,
+    monic,
+    rank_compare,
+)
+from dstar.reduction import reduce
 
-from gen import rand_poly, rand_variable
+from gen import rand_poly, rand_reduction_instance, rand_theta, rand_variable
 
 
 def test_ring_arithmetic(dual):
@@ -323,3 +333,68 @@ def test_leader_key_ties_go_to_the_lowest_variable(all_builtins):
             reversed_f = DPolynomial(d, dict(reversed(list(f.terms.items()))))
             assert f.leader(ranking) == reversed_f.leader(ranking) == expected
     assert ties > 0
+
+
+def test_non_rational_coefficients_are_a_type_error(dual):
+    x = parse_poly("x1[0,0]", dual)
+    (m,) = x.terms
+    for bad in (0.1, 0.25, True, "3"):
+        for build in (lambda: DPolynomial.constant(dual, bad),
+                      lambda: x.scalar_mul(bad),
+                      lambda: DPolynomial(dual, {m: bad}),
+                      lambda: x * bad, lambda: x + bad):
+            with pytest.raises(TypeError):
+                build()
+
+
+def test_integral_coefficients_are_stored_as_ints(all_builtins):
+    """Every stored coefficient is an int, or a Fraction that is not integral.
+
+    int arithmetic is what keeps the kernel fast; a Fraction with
+    denominator 1, or a float, on any path would silently undo that.
+    """
+    kinds = set()
+
+    def check(f):
+        for c in f.terms.values():
+            exact = type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            assert exact, repr(c)
+            kinds.add(type(c))
+
+    rng = random.Random(15)
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(15):
+            f, g = rand_poly(rng, d), rand_poly(rng, d)
+            term = rand_poly(rng, d, max_terms=1, nonconstant=True)
+            for h in (parse_poly(format_poly(f), d), f + g, f - g, 3 - f, f * g,
+                      f * term, term * f, f * 2, f ** 2, g ** 3,
+                      f.scalar_mul(Fraction(4, 2)), monic(f)):
+                check(h)
+            for i in range(1, d.t + 1):
+                for h in block_image(f, i):
+                    check(h)
+            check(apply_composition(f, rand_theta(rng, d, 3)))
+            cert = reduce(*rand_reduction_instance(rng, d, ranking), ranking)
+            for h in [cert.remainder] + [c.c for c in cert.cofactors]:
+                check(h)
+            family = [rand_poly(rng, d, max_sum=2, max_deg=2, max_terms=2,
+                                nonconstant=True) for _ in range(rng.randint(1, 3))]
+            try:
+                result = charset_complete(family, ranking)
+            except InconsistentSystem:
+                continue
+            for cert in result.certificates:
+                for h in [cert.remainder] + [c.c for c in cert.cofactors]:
+                    check(h)
+    assert kinds == {int, Fraction}
+    check(parse_poly("4/2 * x1[0,0] + 6/4", all_builtins["dual"]))
+
+    # the two types agree on equality, hashing and printing
+    x = parse_poly("x1[0,0]", all_builtins["dual"])
+    (m,) = x.terms
+    half = Fraction(-1, 2)
+    as_fraction = DPolynomial(x.algebra, {m: Fraction(3), UNIT_MONOMIAL: half})
+    as_int = DPolynomial(x.algebra, {m: 3, UNIT_MONOMIAL: half})
+    assert as_fraction == as_int and hash(as_fraction) == hash(as_int)
+    assert format_poly(as_fraction) == format_poly(as_int) == "3 * x1[0,0] - 1/2"

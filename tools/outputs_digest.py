@@ -14,11 +14,15 @@ It then prints one line each for the operator layer: format_poly of every
 apply-tower result, certificate_to_json of every reduction in the
 reduce-c6 stream, and format_poly of every d_ideal_generators output of
 the prolonged family's base on dd:1,1 for order bounds 0, 1 and 2.
+The last line covers the structure constants: the exit code and stdout of
+`dstar algebra-check`, run in-process through cli.main, on each of
+ALGEBRA_CHECK.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -28,12 +32,14 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
-    SequentialRanking, apply_composition, charset_complete, d_ideal_generators,
+    SequentialRanking, apply_composition, charset_complete, cli, d_ideal_generators,
     format_poly, parse_operator, parse_poly, reduce)
 from dstar.errors import DStarError  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
-KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal")
+KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
+        "algebra-check")
+ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 
 
 def families(algebras):
@@ -80,6 +86,10 @@ def main():
     for bound in range(3):
         record("d-ideal", f"bound {bound}", "\n".join(
             format_poly(g) for g in d_ideal_generators(base, bound)))
+    for name in ALGEBRA_CHECK:
+        out = io.StringIO()
+        code = cli.main(["algebra-check", name], out=out)
+        record("algebra-check", name, f"exit {code}\n{out.getvalue()}")
 
     print(f"families {len(items)}")
     for key, h in digests.items():
