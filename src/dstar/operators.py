@@ -8,10 +8,15 @@ individual operator application is a coordinate of a block image, so the
 homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
-The image of a variable power v^e does not depend on the polynomial it
-sits in.  Within one block image each (v, e) image is therefore built
-once, by squaring in the block algebra, and kept in a memo local to that
-block image.
+Coordinates are multiplied as plain term dicts {Monomial: coefficient}
+and wrapped in a DPolynomial once per output coordinate, at the end of
+block_image, whose constructor drops zeros and stores each coefficient in
+its canonical form; no intermediate dict leaves this module.  The image
+of a variable power v^e does not depend on the polynomial it sits in.
+Within one block image each (v, e) image is therefore built once, by
+squaring in the block algebra, and kept in a memo local to that block
+image.  Memoised vectors are shared, so products always accumulate into
+fresh dicts.
 """
 
 from __future__ import annotations
@@ -23,31 +28,40 @@ from .ordering import apply_slot, ord_i, zero_index
 from .poly import DPolynomial, _accumulate
 
 
-def _image_mul(algebra, i, u, w):
-    """Multiply two coordinate vectors in block i of the algebra."""
-    table = algebra.blocks[i - 1].table
+def _image_mul(table, u, w):
+    """Multiply two coordinate vectors of term dicts through a block table.
+
+    Returns a new vector of fresh dicts, in which zero coefficients may
+    remain; u and w are never modified.
+    """
     acc = [{} for _ in table]
-    for p, row in enumerate(table):
-        for q, contributions in enumerate(row):
+    for up, row in zip(u, table):
+        for wq, contributions in zip(w, row):
             if contributions:
-                prod = u[p] * w[q]
-                for j, coeff in contributions:
-                    _accumulate(acc[j], prod, coeff)
-    return tuple(DPolynomial(algebra, a) for a in acc)
+                for m1, c1 in up.items():
+                    for m2, c2 in wq.items():
+                        m = m1.mul(m2)
+                        c = c1 * c2
+                        for j, alpha in contributions:
+                            a = acc[j]
+                            old = a.get(m)
+                            a[m] = c * alpha if old is None else old + c * alpha
+    return acc
 
 
 def _power_image(algebra, i, v, e, memo):
-    """Block-i image of v^e, by squaring, memoised in memo under (v, e)."""
+    """Block-i image of v^e as term dicts, by squaring, memoised under (v, e)."""
     img = memo.get((v, e))
     if img is None:
         if e == 1:
-            img = tuple(DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p))
-                        for p in range(algebra.blocks[i - 1].m + 1))
+            img = [DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p)).terms
+                   for p in range(algebra.blocks[i - 1].m + 1)]
         else:
+            table = algebra.blocks[i - 1].table
             half = _power_image(algebra, i, v, e // 2, memo)
-            img = _image_mul(algebra, i, half, half)
+            img = _image_mul(table, half, half)
             if e & 1:
-                img = _image_mul(algebra, i, img, _power_image(algebra, i, v, 1, memo))
+                img = _image_mul(table, img, _power_image(algebra, i, v, 1, memo))
         memo[(v, e)] = img
     return img
 
@@ -61,8 +75,8 @@ def block_image(f, i):
     constants.
     """
     algebra = f.algebra
-    width = algebra.block(i).m + 1  # validates the block index
-    acc = [{} for _ in range(width)]
+    block = algebra.block(i)  # validates the block index
+    acc = [{} for _ in range(block.m + 1)]
     memo = {}
     for monomial, coeff in f.terms.items():
         if not monomial.factors:
@@ -73,9 +87,9 @@ def block_image(f, i):
         vec = None
         for v, e in monomial.factors:
             img = _power_image(algebra, i, v, e, memo)
-            vec = img if vec is None else _image_mul(algebra, i, vec, img)
-        for a, c in zip(acc, vec):
-            _accumulate(a, c, coeff)
+            vec = img if vec is None else _image_mul(block.table, vec, img)
+        for a, terms in zip(acc, vec):
+            _accumulate(a, terms, coeff)
     return tuple(DPolynomial(algebra, a) for a in acc)
 
 

@@ -59,10 +59,17 @@ class Monomial:
 
     @staticmethod
     def of(mapping):
-        items = tuple(sorted((v, e) for v, e in mapping.items() if e != 0))
-        if any(e < 0 for _, e in items):
-            raise ValueError("negative exponent in monomial")
-        return Monomial(items)
+        """The monomial of a {DVariable: exponent} map; zero exponents drop out.
+
+        An exponent that is not an int (a bool or a float included) is a
+        TypeError, since it would print as text parse_poly rejects.
+        """
+        for e in mapping.values():
+            if type(e) is not int:
+                raise TypeError(f"exponent {e!r} is not an int")
+            if e < 0:
+                raise ValueError("negative exponent in monomial")
+        return Monomial(tuple(sorted((v, e) for v, e in mapping.items() if e)))
 
     def degree_in(self, v):
         for w, e in self.factors:
@@ -145,6 +152,9 @@ class DPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("DPolynomial is immutable")
 
+    def __reduce__(self):
+        return DPolynomial, (self.algebra, self.terms)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -215,7 +225,7 @@ class DPolynomial:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        _accumulate(out, other)
+        _accumulate(out, other.terms)
         return DPolynomial(self.algebra, out)
 
     __radd__ = __add__
@@ -228,7 +238,7 @@ class DPolynomial:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        _accumulate(out, other, -1)
+        _accumulate(out, other.terms, -1)
         return DPolynomial(self.algebra, out)
 
     def __rsub__(self, other):
@@ -356,9 +366,9 @@ def _coefficient(c):
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _accumulate(acc, poly, scale=1):
-    """Add scale * poly into the term dict acc in place; zeros may remain."""
-    terms = poly.terms.items()
+def _accumulate(acc, terms, scale=1):
+    """Add scale * terms into the term dict acc in place; zeros may remain."""
+    terms = terms.items()
     if scale != 1:
         terms = ((m, c * scale) for m, c in terms)
     for m, c in terms:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import dstar.operators
+from dstar.algebra import AlgebraSpec, make_block_spec, validate_algebra
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
@@ -143,6 +144,31 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
                     (label, theta, f)
             for i in range(1, d.t + 1):
                 assert list(block_image(f, i)) == _reference_image(f, i)
+
+
+@pytest.mark.parametrize("c", ["1/2", "2", "-3"])
+def test_non_unit_structure_constants_match_the_reference(c):
+    # every builtin's structure constants are 1, so only an algebra like
+    # this one multiplies by an alpha other than 1 inside a block image
+    d = validate_algebra(AlgebraSpec((
+        make_block_spec(["1", "e", "f"], {("1", "1"): [("1", 1)], ("1", "e"): [("e", 1)],
+                                          ("1", "f"): [("f", 1)], ("e", "e"): [("f", c)]}),
+        make_block_spec(["u", "n"], {("u", "u"): [("u", 1)], ("u", "n"): [("n", 1)]}))))
+    assert d.alpha(1, 2, 1, 1) == Fraction(c)
+    rng = random.Random(37)
+    for _ in range(10):
+        f = _rand_powers_poly(rng, d)
+        theta = rand_theta(rng, d, 3)
+        results = [apply_composition(f, theta)]
+        assert results[0] == _reference_composition(f, theta), (theta, f)
+        for i in (1, 2):
+            image = list(block_image(f, i))
+            assert image == _reference_image(f, i), (i, f)
+            results += image
+        for h in results:
+            for coeff in h.terms.values():
+                assert type(coeff) is int or \
+                    (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
 
 
 def test_dual_tower_is_the_classical_derivative(dual):

@@ -279,6 +279,30 @@ def test_variables_and_monomials_are_immutable(dual):
     assert pickle.loads(pickle.dumps(v)) == v
 
 
+def test_polynomials_copy_and_pickle(hs2):
+    # the immutability guard used to make copy and pickle raise AttributeError
+    f = parse_poly("1/3 * x1[0,1,0]^2 - 2 * x2[1,0,1] + 5", hs2)
+    assert Fraction(1, 3) in f.terms.values()
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f)
+        assert format_poly(copied) == format_poly(f)
+
+
+def test_monomial_exponents_are_ints(dual):
+    # a float exponent used to print as text that parse_poly rejects
+    v, w = DVariable(1, (0, 1)), DVariable(1, (0, 0))
+    for bad in (2.0, 0.0, Fraction(2), True):
+        with pytest.raises(TypeError):
+            Monomial.of({v: bad})
+        with pytest.raises(TypeError):
+            Monomial.of({v: 1, w: bad})
+    with pytest.raises(ValueError):
+        Monomial.of({v: -1})
+    f = DPolynomial(dual, {Monomial.of({v: 2, w: 0}): 3})
+    assert format_poly(f) == "3 * x1[0,1]^2"
+    assert parse_poly(format_poly(f), dual) == f
+
+
 def test_single_term_and_scalar_products_leave_no_zero(all_builtins):
     rng = random.Random(20)
     for d in all_builtins.values():

@@ -12,8 +12,11 @@ traces and the exceptions too.
 
 It then prints one line each for the operator layer: format_poly of every
 apply-tower result, certificate_to_json of every reduction in the
-reduce-c6 stream, and format_poly of every d_ideal_generators output of
-the prolonged family's base on dd:1,1 for order bounds 0, 1 and 2.
+reduce-c6 stream, format_poly of every coordinate of every block image
+of each reduce-c6 input and divisor (every sigma and delta coordinate on
+all four stream algebras), and format_poly of every d_ideal_generators
+output of the prolonged family's base on dd:1,1 for order bounds 0, 1
+and 2.
 The last line covers the structure constants: the exit code and stdout of
 `dstar algebra-check`, run in-process through cli.main, on each of
 ALGEBRA_CHECK.
@@ -32,13 +35,13 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
-    SequentialRanking, apply_composition, charset_complete, cli, d_ideal_generators,
-    format_poly, parse_operator, parse_poly, reduce)
+    SequentialRanking, apply_composition, block_image, charset_complete, cli,
+    d_ideal_generators, format_poly, parse_operator, parse_poly, reduce)
 from dstar.errors import DStarError  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check")
+        "algebra-check", "block-images")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 
 
@@ -81,6 +84,10 @@ def main():
     for label, index, g, divisors in inputs.reduction_stream(algebras):
         cert = reduce(g, divisors, SequentialRanking(algebras[label]))
         record("reduce-c6", f"{label}#{index}", certificate_to_json(cert))
+        for h in [g, *divisors]:
+            for i in range(1, h.algebra.t + 1):
+                record("block-images", f"{label}#{index} block {i}", "\n".join(
+                    format_poly(c) for c in block_image(h, i)))
     dd11 = algebras["dd:1,1"]
     base = [parse_poly(t, dd11) for t in inputs.PROLONGED_BASE]
     for bound in range(3):
