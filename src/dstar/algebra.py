@@ -30,6 +30,7 @@ from .errors import (
     RankedBasisViolation,
     UnknownBuiltin,
 )
+from .ordering import parse_int
 from .parser import parse_json
 from .poly import _coefficient
 
@@ -175,7 +176,8 @@ def _parse_rational(value, bi, key):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
+        num, _, den = value.strip().partition("/")
+        return Fraction(parse_int(num), parse_int(den or "1"))
     raise ExprParseError(f"block {bi}: coefficient {value!r} in {key!r} "
                          "is not a decimal-free rational")
 

@@ -26,8 +26,15 @@ def _load_algebra(arg):
     try:
         return algebra_from_name(arg)
     except UnknownBuiltin:
-        if not Path(arg).exists():
-            if arg.startswith(("fields:", "hs:", "dd:")):
+        builtin = arg.startswith(("fields:", "hs:", "dd:"))
+        try:
+            found = Path(arg).exists()
+        except OSError as exc:  # a path the OS cannot look up, e.g. too long
+            if not builtin:
+                raise DStarError(f"cannot read {arg!r}: {exc.strerror}") from None
+            found = False
+        if not found:
+            if builtin:
                 raise
             raise DStarError(f"algebra file {arg!r} not found")
     return validate_algebra(load_spec(_read(arg)))
@@ -35,9 +42,9 @@ def _load_algebra(arg):
 
 def _read(path):
     p = Path(path)
-    if not p.exists():
-        raise DStarError(f"file {path!r} not found")
     try:
+        if not p.exists():
+            raise DStarError(f"file {path!r} not found")
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the first bad one decode, so they give its position

@@ -8,15 +8,26 @@ individual operator application is a coordinate of a block image, so the
 homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
-Coordinates are multiplied as plain term dicts {Monomial: coefficient}
-and wrapped in a DPolynomial once per output coordinate, at the end of
-block_image, whose constructor drops zeros and stores each coefficient in
-its canonical form; no intermediate dict leaves this module.  The image
-of a variable power v^e does not depend on the polynomial it sits in.
-Within one block image each (v, e) image is therefore built once, by
-squaring in the block algebra, and kept in a memo local to that block
-image.  Memoised vectors are shared, so products always accumulate into
-fresh dicts.
+Inside one block image, monomials are packed ints.  A local registry
+lists the slot bumps of f's variables, each once, in DVariable order, and
+gives each a bit field; a monomial's key is the sum of its exponents
+shifted into their fields, so a monomial product is one int addition.
+Each field is as wide as the bit length of f's highest monomial total
+degree d.  That is enough because every coordinate of a degree-d
+monomial's image is homogeneous of degree d in the bumps, so no exponent
+of any intermediate product exceeds d and no field carries into the
+next.  Coordinates are multiplied as term dicts {packed key: coefficient}.
+At the end of block_image each output key is decoded once, lowest field
+first, into a Monomial whose factors come out sorted, and each output
+coordinate is wrapped in a DPolynomial once; its constructor drops zeros
+and stores each coefficient in its canonical form.  No packed dict
+leaves this module.
+
+The image of a variable power v^e does not depend on the polynomial it
+sits in.  Within one block image each (v, e) image is therefore built
+once, by squaring in the block algebra, and kept in a memo local to that
+block image.  Memoised vectors are shared, so products always accumulate
+into fresh dicts.
 """
 
 from __future__ import annotations
@@ -24,12 +35,12 @@ from __future__ import annotations
 import re
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import apply_slot, ord_i, zero_index
-from .poly import DPolynomial, _accumulate
+from .ordering import apply_slot, ord_i, parse_int, zero_index
+from .poly import DPolynomial, Monomial, _accumulate
 
 
 def _image_mul(table, u, w):
-    """Multiply two coordinate vectors of term dicts through a block table.
+    """Multiply two coordinate vectors of packed term dicts through a block table.
 
     Returns a new vector of fresh dicts, in which zero coefficients may
     remain; u and w are never modified.
@@ -40,7 +51,7 @@ def _image_mul(table, u, w):
             if contributions:
                 for m1, c1 in up.items():
                     for m2, c2 in wq.items():
-                        m = m1.mul(m2)
+                        m = m1 + m2
                         c = c1 * c2
                         for j, alpha in contributions:
                             a = acc[j]
@@ -49,21 +60,65 @@ def _image_mul(table, u, w):
     return acc
 
 
-def _power_image(algebra, i, v, e, memo):
-    """Block-i image of v^e as term dicts, by squaring, memoised under (v, e)."""
-    img = memo.get((v, e))
-    if img is None:
-        if e == 1:
-            img = [DPolynomial.from_variable(algebra, apply_slot(algebra, v, i, p)).terms
-                   for p in range(algebra.blocks[i - 1].m + 1)]
-        else:
-            table = algebra.blocks[i - 1].table
-            half = _power_image(algebra, i, v, e // 2, memo)
-            img = _image_mul(table, half, half)
-            if e & 1:
-                img = _image_mul(table, img, _power_image(algebra, i, v, 1, memo))
+def _power_image(table, v, e, memo):
+    """Block image of v^e as packed term dicts, by squaring, memoised under (v, e).
+
+    The memo holds every (v, 1) image before the first call.  The halvings
+    down to a memoised power are a loop, not a recursion, so an exponent
+    of any bit length is built without exhausting the interpreter's stack.
+    """
+    halvings = []
+    while (v, e) not in memo:
+        halvings.append(e)
+        e //= 2
+    img = memo[(v, e)]
+    for e in reversed(halvings):
+        img = _image_mul(table, img, img)
+        if e & 1:
+            img = _image_mul(table, img, memo[(v, 1)])
         memo[(v, e)] = img
     return img
+
+
+def _registry(f, i, m):
+    """The packed-key registry of f's block-i image.
+
+    Returns (bumps, width, memo): the distinct slot bumps of f's variables
+    in DVariable order, bump k owning bits [k*width, (k+1)*width) of a key;
+    the field width, the bit length of f's highest monomial total degree;
+    and the power memo seeded with every variable's (v, 1) image.
+    """
+    algebra = f.algebra
+    images = {}     # variable -> its slot bumps, unit slot first
+    degree = 0
+    for monomial in f.terms:
+        d = 0
+        for v, e in monomial.factors:
+            d += e
+            if v not in images:
+                images[v] = [apply_slot(algebra, v, i, p) for p in range(m + 1)]
+        if d > degree:
+            degree = d
+    bumps = sorted({b for image in images.values() for b in image})
+    width = degree.bit_length()
+    shift = {b: k * width for k, b in enumerate(bumps)}
+    memo = {(v, 1): [{1 << shift[b]: 1} for b in image]
+            for v, image in images.items()}
+    return bumps, width, memo
+
+
+def _decode(key, bumps, width):
+    """The Monomial of a packed key; fields read lowest first come out sorted."""
+    mask = (1 << width) - 1
+    factors = []
+    for b in bumps:
+        if not key:
+            break
+        e = key & mask
+        if e:
+            factors.append((b, e))
+        key >>= width
+    return Monomial(tuple(factors))
 
 
 def block_image(f, i):
@@ -76,21 +131,24 @@ def block_image(f, i):
     """
     algebra = f.algebra
     block = algebra.block(i)  # validates the block index
-    acc = [{} for _ in range(block.m + 1)]
-    memo = {}
+    table = block.table
+    bumps, width, memo = _registry(f, i, block.m)
+    acc = [{} for _ in table]
     for monomial, coeff in f.terms.items():
         if not monomial.factors:
-            # a constant embeds in the unit slot, where no other term's image
-            # has a constant
-            acc[0][monomial] = coeff
+            # a constant embeds in the unit slot (key 0), where no other
+            # term's image has a constant
+            acc[0][0] = coeff
             continue
         vec = None
         for v, e in monomial.factors:
-            img = _power_image(algebra, i, v, e, memo)
-            vec = img if vec is None else _image_mul(block.table, vec, img)
+            img = _power_image(table, v, e, memo)
+            vec = img if vec is None else _image_mul(table, vec, img)
         for a, terms in zip(acc, vec):
             _accumulate(a, terms, coeff)
-    return tuple(DPolynomial(algebra, a) for a in acc)
+    return tuple(DPolynomial(algebra, {_decode(key, bumps, width): c
+                                       for key, c in a.items() if c})
+                 for a in acc)
 
 
 def apply(f, i, p):
@@ -152,7 +210,7 @@ def parse_operator(text, algebra):
     text = text.strip()
     match = _THETA_RE.match(text)
     if match:
-        theta = tuple(int(e) for e in match.group(1).split(","))
+        theta = tuple(parse_int(e) for e in match.group(1).split(","))
         if len(theta) != algebra.M:
             raise ExprParseError(
                 f"theta has {len(theta)} slots, algebra has {algebra.M}")
@@ -165,12 +223,12 @@ def parse_operator(text, algebra):
         if not match:
             raise ExprParseError(f"bad operator {part!r}")
         if match.group(1) is not None:
-            i, p = int(match.group(1)), 0
+            i, p = parse_int(match.group(1)), 0
         else:
-            i, p = int(match.group(2)), int(match.group(3))
+            i, p = parse_int(match.group(2)), parse_int(match.group(3))
             if p == 0:      # slot (i, 0) is sigma_i, spelled s<i>
                 raise ExprParseError(f"bad operator {part!r}")
-        power = int(match.group(4)) if match.group(4) else 1
+        power = parse_int(match.group(4)) if match.group(4) else 1
         try:
             slot = algebra.slot_index(i, p)
         except IndexOutOfRange as exc:

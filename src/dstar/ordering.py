@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
@@ -77,15 +78,31 @@ _set_var_hash = DVariable._hash.__set__
 _VAR_RE = re.compile(r"^x(\d+)\[(\d+(?:,\d+)*)\]$")
 
 
+def parse_int(literal, line=1, column=1):
+    """An integer literal (digits, optionally signed) as an int.
+
+    A literal longer than the interpreter's int/str conversion limit is a
+    parse error that names it, not a ValueError.
+    """
+    try:
+        return int(literal)
+    except ValueError:
+        shown = literal if len(literal) <= 20 else literal[:20] + "..."
+        digits = len(literal.lstrip("+-"))
+        raise ExprParseError(
+            f"integer literal {shown!r} has {digits} digits, more than "
+            f"{sys.get_int_max_str_digits()}", line, column) from None
+
+
 def parse_variable(text, algebra=None):
     """Parse the x<j>[t0,...,t(M-1)] literal form."""
     match = _VAR_RE.match(text.strip())
     if not match:
         raise ExprParseError(f"bad variable syntax {text!r}")
-    var = int(match.group(1))
+    var = parse_int(match.group(1))
     if var < 1:
         raise ExprParseError(f"indeterminate index must be >= 1 in {text!r}")
-    theta = tuple(int(e) for e in match.group(2).split(","))
+    theta = tuple(parse_int(e) for e in match.group(2).split(","))
     if algebra is not None and len(theta) != algebra.M:
         raise ExprParseError(
             f"variable {text!r} has {len(theta)} slots, algebra has {algebra.M}")

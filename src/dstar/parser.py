@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ExprParseError
 from .poly import DPolynomial
-from .ordering import DVariable
+from .ordering import DVariable, parse_int
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -64,7 +64,8 @@ def _tokenize(text):
             if match.group("var"):
                 tokens.append(_Token("var", match, lexeme, line, col))
             elif match.group("int") is not None:
-                tokens.append(_Token("int", int(lexeme), lexeme, line, col))
+                tokens.append(_Token("int", parse_int(lexeme, line, col), lexeme,
+                                      line, col))
             else:
                 tokens.append(_Token(lexeme, lexeme, lexeme, line, col))
         newlines = lexeme.count("\n")
@@ -148,12 +149,13 @@ class _Parser:
         if tok.kind == "var":
             self.take()
             match = tok.value
-            theta = tuple(int(e) for e in match.group("slots").split(","))
+            theta = tuple(parse_int(e, tok.line, tok.column)
+                          for e in match.group("slots").split(","))
             if len(theta) != self.algebra.M:
                 raise ExprParseError(
                     f"variable has {len(theta)} slots, algebra has "
                     f"{self.algebra.M}", tok.line, tok.column)
-            var = int(match.group("vidx"))
+            var = parse_int(match.group("vidx"), tok.line, tok.column)
             if var < 1:
                 raise ExprParseError("indeterminate index must be >= 1",
                                      tok.line, tok.column)
@@ -178,9 +180,12 @@ def parse_poly(text, algebra):
 
 
 def parse_json(text):
-    """Decode a JSON document; malformed or too deeply nested text is a parse error."""
+    """Decode a JSON document; malformed or too deeply nested text is a parse error.
+
+    So is an integer too long for the interpreter to convert.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
     except RecursionError:

@@ -371,3 +371,49 @@ def test_failed_cert_write_prints_no_result(tmp_path):
                          "--cert", str(cert), "x1[0,2]"])
         assert_domain_error(proc)
         assert proc.stdout == ""
+
+
+def test_huge_integer_literals_are_parse_errors(tmp_path):
+    # a literal past the interpreter's int/str conversion limit (4300 digits
+    # by default) used to end in a ValueError traceback
+    digits = "7" * 5000
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,0]\n", encoding="utf-8")
+    witness = tmp_path / "w.json"
+    witness.write_text('{"a": "x1[0,0]", "taus": [[0, 0]], "exponents": [%s], '
+                       '"combination": []}' % digits, encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"blocks": [{"basis": ["1"], "table": {"1*1": [["1", "%s"]]}}]}'
+                    % digits, encoding="utf-8")
+    for args in (
+            ["apply", "--algebra", "dual", "--op", "d1.1", f"x1[0,0] + {digits}"],
+            ["apply", "--algebra", "dual", "--op", "d1.1", f"x1[0,{digits}]"],
+            ["apply", "--algebra", "dual", "--op", f"s1^{digits}", "x1[0,0]"],
+            ["apply", "--algebra", "dual", "--op", f"theta=[{digits},0]", "x1[0,0]"],
+            ["rank", "--algebra", "dual", f"x1[{digits},0]", "x1[0,0]"],
+            ["closure-check", "--algebra", "dual", "--gens", str(gens),
+             "--witness", str(witness)],
+            ["algebra-check", str(spec)]):
+        proc = run_cold(args)
+        assert_parse_error(proc)
+        assert "integer literal '77777777777777777777...' has 5000 digits" \
+            in proc.stderr, args
+        assert proc.stdout == ""
+
+
+def test_over_long_paths_are_domain_errors(tmp_path):
+    # a name past the OS limit used to end in an OSError traceback
+    proc = run_cold(["algebra-check", "hs:" + "9" * 5000])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: UnknownBuiltin: ")
+    assert "Traceback" not in proc.stderr
+    long = str(tmp_path / ("a" * 300))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1]\n", encoding="utf-8")
+    for args in (["algebra-check", long],
+                 ["reduce", "--algebra", "dual", "--set", long, "x1[0,2]"],
+                 ["closure-check", "--algebra", "dual", "--gens", str(gens),
+                  "--witness", long]):
+        proc = run_cold(args)
+        assert_domain_error(proc)
+        assert f"cannot read {long!r}" in proc.stderr and proc.stdout == ""

@@ -8,7 +8,7 @@ from dstar.algebra import AlgebraSpec, make_block_spec, validate_algebra
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
-from dstar.ordering import LESS, DVariable, SequentialRanking
+from dstar.ordering import LESS, DVariable, SequentialRanking, parse_variable
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, Monomial, rank_compare
 
@@ -144,6 +144,43 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
                     (label, theta, f)
             for i in range(1, d.t + 1):
                 assert list(block_image(f, i)) == _reference_image(f, i)
+        # packed block-image keys: powers on both sides of each field-width
+        # boundary, a degree-8 term beside a degree-1 term and a constant
+        # (one width for all of them), and on dual two variables with a
+        # common slot bump (sigma x1[0,1] = delta x1[1,0] = x1[1,1])
+        zero, last = ",".join("0" * d.M), ",".join("0" * (d.M - 1) + "1")
+        x, y, z = f"x1[{zero}]", f"x2[{zero}]", f"x1[{last}]"
+        exprs = [f"{x}^{e}" for e in (1, 2, 3, 4, 7, 8, 15, 16)]
+        exprs.append(f"{x}^6 * {y}^2 - 2 * {z} + 3")
+        if label == "dual":
+            exprs.append("x1[1,0]^3 * x1[0,1]^2")
+        theta = pinned[label][0]
+        for expr in exprs:
+            f = parse_poly(expr, d)
+            assert apply_composition(f, theta) == _reference_composition(f, theta), \
+                (label, theta, expr)
+            for i in range(1, d.t + 1):
+                assert list(block_image(f, i)) == _reference_image(f, i), (label, i, expr)
+
+
+@pytest.mark.parametrize("n", [99999999, 2 ** 1100 + 1], ids=["1e8", "2^1100+1"])
+def test_block_image_of_a_huge_power_has_its_closed_form(dual, hs2, n):
+    # 2^1100 + 1 has more bits than the interpreter's default recursion
+    # limit, which a recursive squaring chain used to exhaust
+
+    def term(d, c, **factors):
+        return DPolynomial(d, {Monomial.of({parse_variable(v, d): e
+                                            for v, e in factors.items()}): c})
+
+    assert block_image(parse_poly(f"x1[0,0]^{n}", dual), 1) == (
+        term(dual, 1, **{"x1[1,0]": n}),
+        term(dual, n, **{"x1[1,0]": n - 1, "x1[0,1]": 1}))
+    s, d1, d2 = "x1[1,0,0]", "x1[0,1,0]", "x1[0,0,1]"
+    assert block_image(parse_poly(f"x1[0,0,0]^{n}", hs2), 1) == (
+        term(hs2, 1, **{s: n}),
+        term(hs2, n, **{s: n - 1, d1: 1}),
+        term(hs2, n, **{s: n - 1, d2: 1})
+        + term(hs2, n * (n - 1) // 2, **{s: n - 2, d1: 2}))
 
 
 @pytest.mark.parametrize("c", ["1/2", "2", "-3"])

@@ -17,9 +17,11 @@ of each reduce-c6 input and divisor (every sigma and delta coordinate on
 all four stream algebras), and format_poly of every d_ideal_generators
 output of the prolonged family's base on dd:1,1 for order bounds 0, 1
 and 2.
-The last line covers the structure constants: the exit code and stdout of
-`dstar algebra-check`, run in-process through cli.main, on each of
-ALGEBRA_CHECK.
+The algebra-check line covers the structure constants: the exit code and
+stdout of `dstar algebra-check`, run in-process through cli.main, on each
+of ALGEBRA_CHECK.  The last line, big-towers, hashes format_poly of each of
+BIG_TOWERS: operator towers beyond the benchmark's sizes, whose block
+images have wide packed keys.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from dstar.errors import DStarError  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check", "block-images")
+        "algebra-check", "block-images", "big-towers")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
+# (algebra, operator, k): the operator to the k applied to x1^k
+BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
 
 
 def families(algebras):
@@ -97,6 +101,12 @@ def main():
         out = io.StringIO()
         code = cli.main(["algebra-check", name], out=out)
         record("algebra-check", name, f"exit {code}\n{out.getvalue()}")
+    for label, op, k in BIG_TOWERS:
+        algebra = algebras[label]
+        x1 = f"x1[{','.join('0' * algebra.M)}]"
+        f = apply_composition(parse_poly(f"{x1}^{k}", algebra),
+                              parse_operator(f"{op}^{k}", algebra))
+        record("big-towers", f"{label} {op}^{k}", format_poly(f))
 
     print(f"families {len(items)}")
     for key, h in digests.items():
