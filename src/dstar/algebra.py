@@ -169,15 +169,17 @@ def load_spec(text):
     return AlgebraSpec(tuple(blocks))
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# the expression grammar's rational, sign included
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational(value, bi, key):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        num, _, den = value.strip().partition("/")
-        return Fraction(parse_int(num), parse_int(den or "1"))
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    den = parse_int(match[2] or "1") if match else 0
+    if den:
+        return Fraction(parse_int(match[1]), den)
     raise ExprParseError(f"block {bi}: coefficient {value!r} in {key!r} "
                          "is not a decimal-free rational")
 
@@ -474,9 +476,9 @@ def algebra_from_name(name):
 
 def _int_param(name, text):
     try:
-        value = int(text)
-    except ValueError:
-        raise UnknownBuiltin(f"bad parameter in builtin algebra name {name!r}")
+        value = parse_int(text)
+    except ExprParseError:
+        value = 0   # rejected below, with the values out of range
     if value < 1:
         raise UnknownBuiltin(f"bad parameter in builtin algebra name {name!r}")
     return value

@@ -15,6 +15,7 @@ class ExprParseError(DStarError):
 
     def __init__(self, message, line=1, column=1):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 

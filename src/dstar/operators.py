@@ -197,8 +197,8 @@ def rho(algebra, theta):
 # ---------------------------------------------------------------------------
 # operator syntax for the CLI: s<i>, d<i>.<j>, compositions, theta=[...]
 
-_OP_RE = re.compile(r"^(?:s(\d+)|d(\d+)\.(\d+))(?:\^(\d+))?$")
-_THETA_RE = re.compile(r"^theta=\[(\d+(?:,\d+)*)\]$")
+_OP_RE = re.compile(r"^(?:s([0-9]+)|d([0-9]+)\.([0-9]+))(?:\^([0-9]+))?$")
+_THETA_RE = re.compile(r"^theta=\[([0-9]+(?:,[0-9]+)*)\]$")
 
 
 def parse_operator(text, algebra):

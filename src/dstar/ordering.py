@@ -21,8 +21,23 @@ from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRan
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+class Frozen:
+    """Immutability guard; copy and pickle rebuild from the attributes in _args."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
 @functools.total_ordering
-class DVariable:
+class DVariable(Frozen):
     """The formal image d^theta x_var (var is 1-based).
 
     Immutable.  Compares and hashes as the tuple (var, theta); the hash is
@@ -31,20 +46,12 @@ class DVariable:
     """
 
     __slots__ = ("var", "theta", "_hash")
+    _args = ("var", "theta")
 
     def __init__(self, var, theta):
         _set_var(self, var)
         _set_theta(self, theta)
         _set_var_hash(self, hash((var, theta)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DVariable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DVariable is immutable")
-
-    def __reduce__(self):
-        return DVariable, (self.var, self.theta)
 
     def __hash__(self):
         return self._hash
@@ -75,38 +82,49 @@ _set_theta = DVariable.theta.__set__
 _set_var_hash = DVariable._hash.__set__
 
 
-_VAR_RE = re.compile(r"^x(\d+)\[(\d+(?:,\d+)*)\]$")
+_INT_RE = re.compile(r"-?[0-9]+")
+# x<j>[t0,...,t(M-1)]; its pattern is the expression tokenizer's variable rule
+VAR_RE = re.compile(r"x(?P<vidx>[0-9]+)\[(?P<slots>[0-9]+(?:,[0-9]+)*)\]")
 
 
 def parse_int(literal, line=1, column=1):
-    """An integer literal (digits, optionally signed) as an int.
+    """An integer literal, exactly ASCII -?[0-9]+, as an int.
 
-    A literal longer than the interpreter's int/str conversion limit is a
-    parse error that names it, not a ValueError.
+    A '+', whitespace, '_' or a digit of another script is a parse error,
+    and so is a literal longer than the int/str conversion limit.
     """
-    try:
-        return int(literal)
-    except ValueError:
-        shown = literal if len(literal) <= 20 else literal[:20] + "..."
-        digits = len(literal.lstrip("+-"))
+    if _INT_RE.fullmatch(literal):
+        try:
+            return int(literal)
+        except ValueError:
+            problem = (f"has {len(literal.lstrip('-'))} digits, more than "
+                       f"{sys.get_int_max_str_digits()}")
+    else:
+        problem = "is not an optional '-' and ASCII digits"
+    shown = literal if len(literal) <= 20 else literal[:20] + "..."
+    raise ExprParseError(f"integer literal {shown!r} {problem}", line, column)
+
+
+def variable_from_match(match, algebra=None, line=1, column=1):
+    """The DVariable of a VAR_RE match, checked against the algebra."""
+    var = parse_int(match["vidx"], line, column)
+    if var < 1:
         raise ExprParseError(
-            f"integer literal {shown!r} has {digits} digits, more than "
-            f"{sys.get_int_max_str_digits()}", line, column) from None
+            f"indeterminate index must be >= 1 in {match[0]!r}", line, column)
+    theta = tuple(parse_int(e, line, column) for e in match["slots"].split(","))
+    if algebra is not None and len(theta) != algebra.M:
+        raise ExprParseError(
+            f"variable {match[0]!r} has {len(theta)} slots, algebra has "
+            f"{algebra.M}", line, column)
+    return DVariable(var, theta)
 
 
 def parse_variable(text, algebra=None):
     """Parse the x<j>[t0,...,t(M-1)] literal form."""
-    match = _VAR_RE.match(text.strip())
+    match = VAR_RE.fullmatch(text.strip())
     if not match:
         raise ExprParseError(f"bad variable syntax {text!r}")
-    var = parse_int(match.group(1))
-    if var < 1:
-        raise ExprParseError(f"indeterminate index must be >= 1 in {text!r}")
-    theta = tuple(parse_int(e) for e in match.group(2).split(","))
-    if algebra is not None and len(theta) != algebra.M:
-        raise ExprParseError(
-            f"variable {text!r} has {len(theta)} slots, algebra has {algebra.M}")
-    return DVariable(var, theta)
+    return variable_from_match(match, algebra)
 
 
 # ---------------------------------------------------------------------------

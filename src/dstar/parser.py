@@ -20,16 +20,16 @@ from fractions import Fraction
 
 from .errors import ExprParseError
 from .poly import DPolynomial
-from .ordering import DVariable, parse_int
+from .ordering import VAR_RE, parse_int, variable_from_match
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<var>x(?P<vidx>\d+)\[(?P<slots>\d+(?:,\d+)*)\])
-  | (?P<int>\d+)
+  | (?P<var>{VAR_RE.pattern})
+  | (?P<int>[0-9]+)
   | (?P<op>[-+*^/()])
 """, re.VERBOSE)
 # a variable cut off before its ']': the error points where the ']' belongs
-_OPEN_VAR_RE = re.compile(r"x\d+\[[\d,]*")
+_OPEN_VAR_RE = re.compile(r"x[0-9]+\[[0-9,]*")
 
 
 class _Token:
@@ -148,18 +148,8 @@ class _Parser:
             return DPolynomial.constant(self.algebra, tok.value)
         if tok.kind == "var":
             self.take()
-            match = tok.value
-            theta = tuple(parse_int(e, tok.line, tok.column)
-                          for e in match.group("slots").split(","))
-            if len(theta) != self.algebra.M:
-                raise ExprParseError(
-                    f"variable has {len(theta)} slots, algebra has "
-                    f"{self.algebra.M}", tok.line, tok.column)
-            var = parse_int(match.group("vidx"), tok.line, tok.column)
-            if var < 1:
-                raise ExprParseError("indeterminate index must be >= 1",
-                                     tok.line, tok.column)
-            return DPolynomial.from_variable(self.algebra, DVariable(var, theta))
+            return DPolynomial.from_variable(self.algebra, variable_from_match(
+                tok.value, self.algebra, tok.line, tok.column))
         if tok.kind == "(":
             self.take()
             value = self.expr()
@@ -209,6 +199,5 @@ def parse_generator_file(text, algebra):
         try:
             polys.append(parse_poly(stripped, algebra))
         except ExprParseError as exc:
-            raise ExprParseError(str(exc).rsplit(" (line", 1)[0],
-                                 lineno, exc.column)
+            raise ExprParseError(exc.message, lineno, exc.column)
     return polys

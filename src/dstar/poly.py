@@ -17,13 +17,14 @@ sequential ranking.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import AlgebraMismatch, ConstantPolynomial
-from .ordering import EQUAL, GREATER, LESS, SequentialRanking, sequential_key
+from .errors import AlgebraMismatch, ConstantPolynomial, DStarError
+from .ordering import EQUAL, GREATER, LESS, Frozen, SequentialRanking, sequential_key
 
 
-class Monomial:
+class Monomial(Frozen):
     """Product of variable powers, immutable and hashed once.
 
     factors is the tuple ((DVariable, exponent), ...) with exponents >= 1,
@@ -32,19 +33,11 @@ class Monomial:
     """
 
     __slots__ = ("factors", "_hash")
+    _args = ("factors",)
 
     def __init__(self, factors):
         _set_factors(self, factors)
         _set_monomial_hash(self, hash(factors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Monomial is immutable")
-
-    def __reduce__(self):
-        return Monomial, (self.factors,)
 
     def __hash__(self):
         return self._hash
@@ -127,10 +120,11 @@ _set_monomial_hash = Monomial._hash.__set__
 UNIT_MONOMIAL = Monomial(())
 
 
-class DPolynomial:
+class DPolynomial(Frozen):
     """Sparse polynomial over Q in the operator variables of one algebra."""
 
     __slots__ = ("algebra", "terms")
+    _args = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
         _set_algebra(self, algebra)
@@ -148,12 +142,6 @@ class DPolynomial:
         _set_algebra(f, algebra)
         _set_terms(f, terms)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DPolynomial is immutable")
-
-    def __reduce__(self):
-        return DPolynomial, (self.algebra, self.terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -413,26 +401,27 @@ def format_poly(f):
     """Deterministic canonical form; reparses to the identical polynomial.
 
     Monomials print in descending canonical order, variables within a
-    monomial in descending sequential rank.
+    monomial in descending sequential rank.  A number too long to print
+    under the interpreter's int/str conversion limit is a DStarError.
     """
     if f.is_zero():
         return "0"
     ordered = sorted(f.terms.items(), key=lambda it: it[0].sort_key(), reverse=True)
     chunks = []
-    for idx, (m, c) in enumerate(ordered):
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        factors = _format_monomial(m)
-        if not factors:
-            body = format_fraction(mag)
-        elif mag == 1:
+    try:
+        for idx, (m, c) in enumerate(ordered):
+            factors = _format_monomial(m)
+            if not factors or abs(c) != 1:
+                factors = [format_fraction(abs(c))] + factors
             body = " * ".join(factors)
-        else:
-            body = " * ".join([format_fraction(mag)] + factors)
-        if idx == 0:
-            chunks.append(body if sign == "+" else f"-{body}")
-        else:
-            chunks.append(f" {sign} {body}")
+            if idx:
+                chunks.append(f" {'-' if c < 0 else '+'} {body}")
+            else:
+                chunks.append(f"-{body}" if c < 0 else body)
+    except ValueError:  # str() of an int past the int/str conversion limit
+        raise DStarError(
+            f"a number in the result has more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's int/str conversion limit") from None
     return "".join(chunks)
 
 

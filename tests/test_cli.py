@@ -401,6 +401,36 @@ def test_huge_integer_literals_are_parse_errors(tmp_path):
         assert proc.stdout == ""
 
 
+def test_results_past_the_int_str_limit_are_domain_errors(tmp_path):
+    # printing a number of more than 4300 digits (the interpreter's default
+    # int/str conversion limit) used to end in a ValueError traceback
+    nines = "9" * 4300
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,1]\n", encoding="utf-8")
+    cert = tmp_path / "cert.json"
+    for args in (["apply", "--algebra", "dual", "--op", "s1", "2^20000"],
+                 ["apply", "--algebra", "dual", "--op", "s1",
+                  f"x1[0,0]^{nines} * x1[0,0]^{nines}"],
+                 ["reduce", "--algebra", "dual", "--set", str(gens),
+                  "--cert", str(cert), "2^20000 * x1[0,1]"]):
+        proc = run_cold(args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert "int/str conversion limit" in proc.stderr and proc.stdout == ""
+    assert not cert.exists()
+
+
+def test_integer_literals_are_ascii_digits_only():
+    # int() took 'hs:1_0' as hs:10, and \d took other scripts' digits
+    proc = run_cold(["algebra-check", "hs:1_0"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: UnknownBuiltin: ")
+    assert "Traceback" not in proc.stderr
+    proc = run_cold(["rank", "--algebra", "dual", "x1[0,\u0662]", "x1[0,1]"])
+    assert_parse_error(proc)
+    assert proc.stdout == ""
+
+
 def test_over_long_paths_are_domain_errors(tmp_path):
     # a name past the OS limit used to end in an OSError traceback
     proc = run_cold(["algebra-check", "hs:" + "9" * 5000])

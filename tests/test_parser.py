@@ -1,10 +1,15 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from dstar.errors import ExprParseError
+from dstar.algebra import algebra_from_name, load_spec
+from dstar.errors import ExprParseError, UnknownBuiltin
+from dstar.operators import parse_operator
+from dstar.ordering import DVariable, parse_int, parse_variable
 from dstar.parser import parse_generator_file, parse_poly
-from dstar.poly import format_poly
+from dstar.poly import DPolynomial, format_poly
 
 from gen import rand_poly
 
@@ -84,3 +89,48 @@ x1[0,0]   # trailing comment
     with pytest.raises(ExprParseError) as exc:
         parse_generator_file("x1[0,0]\nx1[0,0] +\n", dual)
     assert exc.value.line == 2
+
+
+# every reader takes exactly ASCII -?[0-9]+ as an integer; int() and the \d
+# patterns used to take more
+ASCII_INTS = (("1", 1), ("2", 2), ("10", 10), ("007", 7))
+NOT_INTS = ("1_0", "+2", " 2", "2 ", "2\n", "\u0662", "\uff12", "\u00b2", "3/0", "")
+
+
+def _coefficient_spec(text):
+    """A one-block algebra file whose e*e coefficient is the string text."""
+    return json.dumps({"blocks": [{"basis": ["1", "e"], "table": {
+        "1*1": [["1", "1"]], "1*e": [["e", "1"]], "e*e": [["e", text]]}}]})
+
+
+def test_every_reader_takes_the_same_integer_literals(dual):
+    for text, n in ASCII_INTS:
+        v = DVariable(n, (0, n))
+        assert parse_int(text) == n and parse_int("-" + text) == -n
+        assert parse_variable(f"x{text}[0,{text}]", dual) == v
+        assert parse_poly(f"{text} * x{text}[0,{text}]^{text}", dual) == \
+            n * DPolynomial.from_variable(dual, v) ** n
+        assert parse_operator(f"theta=[0,{text}]", dual) == (0, n)
+        assert parse_operator(f"d1.1^{text}", dual) == (0, n)
+        assert dict(load_spec(_coefficient_spec(text)).blocks[0].table)[
+            ("e", "e")] == (("e", n),)
+        assert algebra_from_name(f"hs:{text}").M == n + 1
+        assert algebra_from_name(f"dd:{text},{text}").t == n + 1
+    for text in NOT_INTS:
+        for read in (lambda: parse_int(text),
+                     lambda: parse_variable(f"x1[0,{text}]", dual),
+                     lambda: parse_variable(f"x{text}[0,0]", dual),
+                     lambda: parse_poly(f"x1[0,{text}]", dual),
+                     lambda: parse_operator(f"theta=[0,{text}]", dual),
+                     lambda: load_spec(_coefficient_spec(text))):
+            with pytest.raises(ExprParseError):
+                read()
+        for name in (f"hs:{text}", f"fields:{text}", f"dd:1,{text}"):
+            with pytest.raises(UnknownBuiltin):
+                algebra_from_name(name)
+    # an algebra-file rational reads as the expression grammar reads it
+    for text, value in (("3/02", Fraction(3, 2)), ("-3/02", Fraction(-3, 2)),
+                        ("6/4", Fraction(3, 2)), ("-0", 0), ("4/2", 2)):
+        assert dict(load_spec(_coefficient_spec(text)).blocks[0].table)[
+            ("e", "e")] == (("e", value),)
+        assert parse_poly(text, dual) == DPolynomial.constant(dual, value)

@@ -266,14 +266,17 @@ def test_dvariable_compares_and_hashes_as_its_tuple(all_builtins):
 def test_variables_and_monomials_are_immutable(dual):
     v = DVariable(1, (0, 1))
     m = Monomial.of({v: 2})
+    f = DPolynomial.from_variable(dual, v)
     for obj, attr in ((v, "var"), (v, "theta"), (v, "other"),
-                      (m, "factors"), (m, "other")):
+                      (m, "factors"), (m, "other"), (f, "terms"), (f, "algebra")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, 0)
-    for obj, attr in ((v, "var"), (m, "factors")):
+    # DPolynomial used to let its terms be deleted
+    for obj, attr in ((v, "var"), (m, "factors"), (f, "terms"), (f, "algebra")):
         with pytest.raises(AttributeError):
             delattr(obj, attr)
     assert (v.var, v.theta, m.factors) == (1, (0, 1), ((v, 2),))
+    assert f.algebra is dual and f.terms == {Monomial.of({v: 1}): 1}
     for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert copied == m and hash(copied) == hash(m)
     assert pickle.loads(pickle.dumps(v)) == v

@@ -19,9 +19,13 @@ output of the prolonged family's base on dd:1,1 for order bounds 0, 1
 and 2.
 The algebra-check line covers the structure constants: the exit code and
 stdout of `dstar algebra-check`, run in-process through cli.main, on each
-of ALGEBRA_CHECK.  The last line, big-towers, hashes format_poly of each of
+of ALGEBRA_CHECK.  The big-towers line hashes format_poly of each of
 BIG_TOWERS: operator towers beyond the benchmark's sizes, whose block
-images have wide packed keys.
+images have wide packed keys.  The last line, readers, feeds each of
+LITERALS to every reader of textual integers (expressions, variables,
+operators, JSON, algebra-file coefficients and builtin algebra names) and
+hashes what each returns, as str or format_poly, or the name of the
+exception it raises.
 """
 
 from __future__ import annotations
@@ -39,14 +43,45 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
     SequentialRanking, apply_composition, block_image, charset_complete, cli,
     d_ideal_generators, format_poly, parse_operator, parse_poly, reduce)
+from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
 from dstar.errors import DStarError  # noqa: E402
+from dstar.ordering import parse_int, parse_variable  # noqa: E402
+from dstar.parser import parse_json  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check", "block-images", "big-towers")
+        "algebra-check", "block-images", "big-towers", "readers")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
+# ASCII literals, accepted and rejected; the builtin names they make stay small
+LITERALS = ("0", "1", "2", "3", "007", "10", "-1", "-0", "-007", "3/2", "-3/2",
+            "6/4", "4/2", "0/5", "1/0", "1/-2", "2/3/4", "x", "", "-", "--1",
+            "1.5", "1e3", "0x10", "9" * 4301)
+
+
+def readers(algebras):
+    """(name, function of a literal returning text) for every integer reader."""
+    dual, hs2 = algebras["dual"], algebras["hs:2"]
+
+    def coefficient(text):
+        spec = load_spec('{"blocks": [{"basis": ["1"], "table": '
+                         '{"1*1": [["1", "%s"]]}}]}' % text)
+        return str(spec.blocks[0].table)
+
+    return (
+        ("parse_int", lambda t: str(parse_int(t))),
+        ("expression", lambda t: format_poly(parse_poly(t, dual))),
+        ("power", lambda t: format_poly(parse_poly(f"(x1[0,0] + 1)^{t}", dual))),
+        ("slot", lambda t: format_poly(parse_poly(f"x1[0,{t}] * x2[{t},1]", dual))),
+        ("variable", lambda t: str(parse_variable(f"x{t}[0,1,{t}]", hs2))),
+        ("theta", lambda t: str(parse_operator(f"theta=[{t},0,1]", hs2))),
+        ("operator", lambda t: str(parse_operator(f"d1.{t}^{t} s1", hs2))),
+        ("json", lambda t: str(parse_json(t))),
+        ("coefficient", coefficient),
+        ("hs", lambda t: str(algebra_from_name(f"hs:{t}").op_names)),
+        ("dd", lambda t: str(algebra_from_name(f"dd:1,{t}").op_names)),
+    )
 
 
 def families(algebras):
@@ -107,6 +142,13 @@ def main():
         f = apply_composition(parse_poly(f"{x1}^{k}", algebra),
                               parse_operator(f"{op}^{k}", algebra))
         record("big-towers", f"{label} {op}^{k}", format_poly(f))
+    for reader, read in readers(algebras):
+        for text in LITERALS:
+            try:
+                result = read(text)
+            except DStarError as exc:
+                result = type(exc).__name__
+            record("readers", f"{reader} {text!r}", result)
 
     print(f"families {len(items)}")
     for key, h in digests.items():
