@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -30,27 +29,25 @@ from .errors import (
     RankedBasisViolation,
     UnknownBuiltin,
 )
-from .ordering import parse_int
+from .ordering import Record, parse_int
 from .parser import parse_json
 from .poly import _coefficient
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Record):
     """One local block: ordered basis names and its multiplication table.
 
     The table maps unordered basis-name pairs to the coordinates of the
-    product; pairs not listed multiply to zero.  The first basis name is
-    the block unit, so unit products must be listed explicitly.
+    product, as ((name_a, name_b), ((name, Fraction), ...)) entries; pairs
+    not listed multiply to zero.  The first basis name is the block unit,
+    so unit products must be listed explicitly.
     """
 
-    basis_names: tuple
-    table: tuple  # ((name_a, name_b), ((name, Fraction), ...)) entries
+    __slots__ = _args = ("basis_names", "table")
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    blocks: tuple
+class AlgebraSpec(Record):
+    __slots__ = _args = ("blocks",)
 
 
 def make_block_spec(basis_names, products):
@@ -231,26 +228,26 @@ def _echelon(vectors):
 # validated algebra
 
 
-@dataclass(frozen=True)
-class BlockData:
-    names: tuple           # basis names, names[0] is the unit
-    nu: tuple              # nu[j-1] for nilpotent index j = 1..m
-    # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m, each
-    # alpha stored as a polynomial coefficient (an int when integral).  It is
-    # compared but not hashed: a polynomial's hash includes its algebra's,
-    # and names and nu suffice to spread validated blocks.
-    table: tuple = field(hash=False)
+class BlockData(Record):
+    # names[0] is the unit, nu[j-1] the depth of nilpotent index j = 1..m, and
+    # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m, each alpha a
+    # polynomial coefficient.  The table is compared but not hashed: a
+    # polynomial's hash includes its algebra's, and names and nu spread blocks.
+    __slots__ = _args = ("names", "nu", "table")
+
+    def __hash__(self):
+        return hash((self.names, self.nu))
 
     @property
     def m(self):
         return len(self.names) - 1
 
 
-@dataclass(frozen=True)
-class DAlgebra:
+class DAlgebra(Record):
     """Validated coefficient algebra with ranked-basis data."""
 
-    blocks: tuple
+    __slots__ = ("blocks", "__dict__")
+    _args = ("blocks",)
 
     @property
     def t(self):
@@ -261,8 +258,8 @@ class DAlgebra:
         return tuple(b.m for b in self.blocks)
 
     # The slot layout is read per variable by the kernel, so it is computed
-    # once per object.  cached_property stores it in the instance dict, past
-    # the frozen __setattr__; dataclass equality and hashing see only blocks.
+    # once per object.  cached_property stores it in the instance __dict__, past
+    # the frozen __setattr__; equality, hashing and pickling see only blocks.
     @cached_property
     def _offsets(self):
         """Global slot of each block's sigma operator, followed by M."""

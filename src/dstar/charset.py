@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     SeparantDegenerate,
 )
 from .operators import apply_composition
-from .ordering import GREATER, LESS, SequentialRanking, is_sigma_only
+from .ordering import GREATER, LESS, Record, SequentialRanking, is_sigma_only
 from .parser import json_int, parse_json, parse_poly
 from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from .reduction import (
@@ -54,11 +53,10 @@ B_LESS_A = "BLessA"
 EQUIVALENT = "Equivalent"
 
 
-@dataclass(frozen=True)
-class AutoreducedSet:
+class AutoreducedSet(Record):
     """Pairwise-reduced family, sorted by ascending rank."""
 
-    members: tuple
+    __slots__ = _args = ("members",)
 
     def __iter__(self):
         return iter(self.members)
@@ -112,18 +110,13 @@ def compare_autoreduced(a, b, ranking=None):
     return EQUIVALENT
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    round: int
-    selected: tuple
-    remainders_added: tuple
+class RoundTrace(Record):
+    __slots__ = _args = ("round", "selected", "remainders_added")
 
 
-@dataclass(frozen=True)
-class CharSetResult:
-    charset: AutoreducedSet
-    completion_trace: tuple
-    certificates: tuple       # one ReductionCertificate per input generator
+class CharSetResult(Record):
+    # certificates holds one ReductionCertificate per input generator
+    __slots__ = _args = ("charset", "completion_trace", "certificates")
 
 
 def charset_complete(generators, ranking=None):
@@ -268,14 +261,11 @@ def _indices_up_to(width, bound):
                    if sum(t) <= bound), key=lambda t: (sum(t), t))
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
+class ClosureWitness(Record):
     """Product membership datum: prod tau_j(a)^(n_j) = sum c_k * theta_k(g_k)."""
 
-    a: DPolynomial
-    taus: tuple               # sigma-only multi-indices
-    exponents: tuple          # positive naturals, one per tau
-    combination: tuple        # (c, theta, generator_index) entries
+    # taus are sigma-only, exponents >= 1, combination holds (c_k, theta_k, k)
+    __slots__ = _args = ("a", "taus", "exponents", "combination")
 
 
 def _check_witness_index(algebra, theta, what):
@@ -353,10 +343,9 @@ def witness_to_json(witness):
 # prime presentations
 
 
-@dataclass(frozen=True)
-class PrimePresentation:
-    charset: AutoreducedSet
-    multiplier: DPolynomial   # product of initials and separants
+class PrimePresentation(Record):
+    # multiplier: the product of the initials and separants
+    __slots__ = _args = ("charset", "multiplier")
 
 
 def presentation(charset, ranking=None):

@@ -14,21 +14,25 @@ on the order of reduction steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
 from .algebra import builtin, validate_algebra
 from .errors import ConstantDivisor, DuplicateLeaders, WrongAlgebra
-from .ordering import DVariable
+from .ordering import DVariable, Record
 from .poly import DPolynomial, Monomial
 
 
-@dataclass(frozen=True, order=True)
-class DiffVar:
+@functools.total_ordering
+class DiffVar(Record):
     """The i-th formal derivative of x_var, ordered orderly: (order, var)."""
 
-    order: int
-    var: int
+    __slots__ = _args = ("order", "var")
+
+    def __lt__(self, other):
+        if other.__class__ is not DiffVar:
+            return NotImplemented
+        return (self.order, self.var) < (other.order, other.var)
 
     def __str__(self):
         if self.order == 0:
@@ -203,12 +207,9 @@ def _dmono_key(m):
 # classical Ritt reduction (independent of the operator-ring reduction)
 
 
-@dataclass(frozen=True)
-class RittCertificate:
-    h: DiffPolynomial
-    remainder: DiffPolynomial
-    cofactors: tuple          # (c, derivative_order, member)
-    steps: tuple              # (variable, case)
+class RittCertificate(Record):
+    # cofactors: (c, derivative_order, member); steps: (variable, case)
+    __slots__ = _args = ("h", "remainder", "cofactors", "steps")
 
 
 def diff_is_reduced(g, f):

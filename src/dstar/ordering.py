@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
 
@@ -22,18 +21,77 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class Frozen:
-    """Immutability guard; copy and pickle rebuild from the attributes in _args."""
+    """Base of every immutable value, whose attributes are named in _args.
+
+    Values compare, hash, print, copy and pickle as those attributes, and
+    setting or deleting one raises FrozenInstanceError.
+    """
 
     __slots__ = ()
 
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._args])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__qualname__}({fields})"
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        from dataclasses import FrozenInstanceError  # slow to import: not at start-up
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._args)
+        return type(self), self._values()
+
+
+class _DataclassAttribute:
+    """A record's __dataclass_fields__ or __dataclass_params__, taken from a
+    dataclass twin made on first use, not at start-up."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        return getattr(_dataclass_twin(cls), self.name)
+
+
+@functools.cache
+def _dataclass_twin(cls):
+    from dataclasses import make_dataclass
+    return make_dataclass(cls.__name__, cls._args, frozen=True)
+
+
+class Record(Frozen):
+    """A Frozen value made of the attributes in _args alone.
+
+    Like the frozen dataclass it stands for, it takes them positionally or
+    by keyword, and dataclasses' fields(), replace() and asdict() accept it.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassAttribute()
+    __dataclass_params__ = _DataclassAttribute()
+
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple([named.pop(name) for name in self._args[len(values):]
+                             if name in named])
+        if named or len(values) != len(self._args):
+            raise TypeError(f"{type(self).__name__} takes ({', '.join(self._args)})")
+        for name, value in zip(self._args, values):
+            object.__setattr__(self, name, value)
 
 
 @functools.total_ordering
@@ -67,9 +125,6 @@ class DVariable(Frozen):
         if self.var != other.var:
             return self.var < other.var
         return self.theta < other.theta
-
-    def __repr__(self):
-        return f"DVariable(var={self.var!r}, theta={self.theta!r})"
 
     def __str__(self):
         return f"x{self.var}[{','.join(str(e) for e in self.theta)}]"
@@ -171,10 +226,8 @@ def apply_slot(algebra, v, i, p):
     return DVariable(v.var, bump(v.theta, slot))
 
 
-@dataclass(frozen=True)
-class Transform:
-    theta: tuple
-    is_delta: bool
+class Transform(Record):
+    __slots__ = _args = ("theta", "is_delta")
 
 
 def transform_of(algebra, v, u):

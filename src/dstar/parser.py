@@ -28,8 +28,9 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<int>[0-9]+)
   | (?P<op>[-+*^/()])
 """, re.VERBOSE)
-# a variable cut off before its ']': the error points where the ']' belongs
+# a variable cut off before its ']': by a bad character if a ']' still follows
 _OPEN_VAR_RE = re.compile(r"x[0-9]+\[[0-9,]*")
+_CLOSED_RE = re.compile(r"[^\[\]]*\]")
 
 
 class _Token:
@@ -56,8 +57,9 @@ def _tokenize(text):
         if not match:
             opened = _OPEN_VAR_RE.match(text, pos)
             if opened and not text.startswith("]", opened.end()):
-                raise ExprParseError("variable is missing its closing ']'",
-                                     line, col + opened.end() - pos)
+                col, pos = col + opened.end() - pos, opened.end()
+                if not _CLOSED_RE.match(text, pos):
+                    raise ExprParseError("variable is missing its closing ']'", line, col)
             raise ExprParseError(f"unexpected character {text[pos]!r}", line, col)
         lexeme = match.group(0)
         if not match.group("ws"):

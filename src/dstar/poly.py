@@ -47,9 +47,6 @@ class Monomial(Frozen):
             return NotImplemented
         return self._hash == other._hash and self.factors == other.factors
 
-    def __repr__(self):
-        return f"Monomial(factors={self.factors!r})"
-
     @staticmethod
     def of(mapping):
         """The monomial of a {DVariable: exponent} map; zero exponents drop out.
@@ -158,7 +155,7 @@ class DPolynomial(Frozen):
         if len(v.theta) != algebra.M:
             raise AlgebraMismatch(
                 f"variable {v} has {len(v.theta)} slots, algebra has {algebra.M}")
-        return DPolynomial(algebra, {Monomial.of({v: 1}): 1})
+        return DPolynomial._nonzero(algebra, {Monomial(((v, 1),)): 1})
 
     # -- basics --------------------------------------------------------------
 

@@ -24,7 +24,6 @@ result or lets a forged certificate pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     ConstantDivisor,
@@ -38,6 +37,7 @@ from .ordering import (
     EQUAL,
     GREATER,
     LESS,
+    Record,
     SequentialRanking,
     is_sigma_only,
     parse_variable,
@@ -50,42 +50,26 @@ INITIAL = "initial"
 SEPARANT = "separant"
 
 
-@dataclass(frozen=True)
-class HFactor:
-    theta: tuple          # sigma-only multi-index
-    source: str           # INITIAL or SEPARANT
-    member: int           # 0-based index into the divisor list
+class HFactor(Record):
+    # theta is sigma-only, source INITIAL or SEPARANT, member 0-based
+    __slots__ = _args = ("theta", "source", "member")
 
 
-@dataclass(frozen=True)
-class Cofactor:
-    c: DPolynomial
-    theta: tuple
-    member: int
+class Cofactor(Record):
+    __slots__ = _args = ("c", "theta", "member")
 
 
-@dataclass(frozen=True)
-class Step:
-    leader: object        # the offending variable handled in this iteration
-    case: str             # "delta" or "sigma"
-    degree: int
+class Step(Record):
+    # leader: the offending variable of this step; case: "delta" or "sigma"
+    __slots__ = _args = ("leader", "case", "degree")
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    h_factors: tuple
-    remainder: DPolynomial
-    cofactors: tuple
-    steps: tuple
+class ReductionCertificate(Record):
+    __slots__ = _args = ("h_factors", "remainder", "cofactors", "steps")
 
 
-@dataclass(frozen=True)
-class ALeader:
-    variable: object
-    degree: int
-    member: int
-    theta: tuple
-    is_delta: bool
+class ALeader(Record):
+    __slots__ = _args = ("variable", "degree", "member", "theta", "is_delta")
 
 
 class DivisorSet:

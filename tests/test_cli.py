@@ -200,14 +200,18 @@ def test_console_entry_point():
     assert proc.stdout == "LESS\n"
 
 
-def run_cold(args, cwd=None):
+def cold_env():
     env = dict(os.environ)
     # the package's own parent, so that the process finds it from any cwd
     src = str(Path(dstar.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def run_cold(args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dstar.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=cold_env())
 
 
 def assert_parse_error(proc):
@@ -447,3 +451,24 @@ def test_over_long_paths_are_domain_errors(tmp_path):
         proc = run_cold(args)
         assert_domain_error(proc)
         assert f"cannot read {long!r}" in proc.stderr and proc.stdout == ""
+
+
+def test_bad_character_in_a_generator_file_variable_is_named(tmp_path):
+    # the parser used to say "variable is missing its closing ']'" here
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1[0,0]\nx1[0,\u0662]\n", encoding="utf-8")
+    proc = run_cold(["charset", "--algebra", "dual", "--gens", str(gens)])
+    assert_parse_error(proc)
+    assert proc.stderr == "parse error: unexpected character '\u0662' (line 2, column 6)\n"
+    assert proc.stdout == ""
+
+
+def test_cli_start_up_does_not_import_dataclasses_or_inspect():
+    # dataclasses brings inspect, ast and dis with it; the records used to
+    # import it, which cost every cold process several milliseconds
+    code = ("import sys; before = set(sys.modules); import dstar.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cold_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "[]\n"

@@ -134,3 +134,21 @@ def test_every_reader_takes_the_same_integer_literals(dual):
         assert dict(load_spec(_coefficient_spec(text)).blocks[0].table)[
             ("e", "e")] == (("e", value),)
         assert parse_poly(text, dual) == DPolynomial.constant(dual, value)
+
+
+def test_a_bad_character_inside_variable_brackets_is_named_at_its_column(dual):
+    # these used to report "variable is missing its closing ']'", though the
+    # ']' is there
+    for text, bad, column in (("x1[0,٢]", "'٢'", 6),
+                              ("x1[0, 2]", "' '", 6),
+                              ("1 + x1[0,2 ]", "' '", 11)):
+        with pytest.raises(ExprParseError) as exc:
+            parse_poly(text, dual)
+        assert exc.value.message == f"unexpected character {bad}"
+        assert (exc.value.line, exc.value.column) == (1, column)
+    # with no ']' ahead of the next variable, the ']' is what is missing
+    for text, column in (("x1[0,2", 7), ("x1[0,2 + x1[0,0]", 7), ("(x1[0,1) + 1", 8)):
+        with pytest.raises(ExprParseError) as exc:
+            parse_poly(text, dual)
+        assert exc.value.message == "variable is missing its closing ']'"
+        assert exc.value.column == column

@@ -25,7 +25,9 @@ images have wide packed keys.  The last line, readers, feeds each of
 LITERALS to every reader of textual integers (expressions, variables,
 operators, JSON, algebra-file coefficients and builtin algebra names) and
 hashes what each returns, as str or format_poly, or the name of the
-exception it raises.
+exception it raises.  The reprs line hashes repr() of every reduce-c6
+certificate and of every charset-workload CharSetResult, so it covers how
+each result record prints.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dstar.parser import parse_json  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check", "block-images", "big-towers", "readers")
+        "algebra-check", "block-images", "big-towers", "readers", "reprs")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -109,6 +111,7 @@ def main():
         except DStarError as exc:
             record("exceptions", name, f"{type(exc).__name__}: {exc}")
             continue
+        record("reprs", name, repr(result))
         for cert in result.certificates:
             record("certificates", name, certificate_to_json(cert))
         for entry in result.completion_trace:
@@ -123,6 +126,7 @@ def main():
     for label, index, g, divisors in inputs.reduction_stream(algebras):
         cert = reduce(g, divisors, SequentialRanking(algebras[label]))
         record("reduce-c6", f"{label}#{index}", certificate_to_json(cert))
+        record("reprs", f"{label}#{index}", repr(cert))
         for h in [g, *divisors]:
             for i in range(1, h.algebra.t + 1):
                 record("block-images", f"{label}#{index} block {i}", "\n".join(
