@@ -51,7 +51,12 @@ class AlgebraSpec(Record):
 
 
 def make_block_spec(basis_names, products):
-    """Build a BlockSpec from a {(a, b): [(name, coeff), ...]} mapping."""
+    """Build a BlockSpec from a {(a, b): [(name, coeff), ...]} mapping.
+
+    A coefficient is an int, a Fraction or a string in the expression
+    grammar's rational form, such as "-3/2".  A bad string is an
+    ExprParseError; a float, a bool or any other type is a TypeError.
+    """
     entries = []
     seen = set()
     for pair, coords in products.items():
@@ -59,9 +64,28 @@ def make_block_spec(basis_names, products):
         if key in seen:
             raise InvalidAlgebraSpec(f"duplicate product entry {key[0]}*{key[1]}")
         seen.add(key)
-        entries.append((key, tuple((n, Fraction(c)) for n, c in coords)))
+        entries.append((key, tuple((n, _rational(c, key)) for n, c in coords)))
     entries.sort(key=lambda e: e[0])
     return BlockSpec(tuple(basis_names), tuple(entries))
+
+
+# the expression grammar's rational, sign included
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(c, key):
+    """The coefficient c of the product key as a Fraction."""
+    if isinstance(c, str):
+        match = _RATIONAL_RE.fullmatch(c)
+        den = parse_int(match[2] or "1") if match else 0
+        if den:
+            return Fraction(parse_int(match[1]), den)
+        raise ExprParseError(f"coefficient {c!r} in {key[0]}*{key[1]} "
+                             "is not a decimal-free rational")
+    if type(c) is int or isinstance(c, Fraction):
+        return Fraction(c)
+    raise TypeError(f"coefficient {c!r} in {key[0]}*{key[1]} "
+                    "is not an int, a Fraction or a string")
 
 
 # ---------------------------------------------------------------------------
@@ -71,48 +95,58 @@ def make_block_spec(basis_names, products):
 def builtin(name, *params):
     """Return the AlgebraSpec of one of the stock algebras.
 
-    dual               -> Q[e]/(e^2), operators (s1, d1.1)
+    dual               -> truncated_hs(1)
     fields(m)          -> Q^m, operators (s1, ..., sm)
-    diff_difference(n, m) -> Q[n1..nn]/(n1..nn)^2 x Q^m
+    diff_difference(n, m) -> Q[n1..nn]/(n1..nn)^2 x fields(m)
     truncated_hs(n)    -> Q[e]/(e^(n+1)), operators (s1, d1.1, ..., d1.n)
     """
     if name == "dual":
-        if params:
-            raise UnknownBuiltin("dual takes no parameters")
-        block = make_block_spec(["1", "e"], {("1", "1"): [("1", 1)],
-                                             ("1", "e"): [("e", 1)]})
-        return AlgebraSpec((block,))
+        _check_params(name, params, 0)
+        return builtin("truncated_hs", 1)
     if name == "fields":
         (m,) = _check_params(name, params, 1)
-        blocks = [make_block_spec([f"u{k}"], {(f"u{k}", f"u{k}"): [(f"u{k}", 1)]})
-                  for k in range(1, m + 1)]
-        return AlgebraSpec(tuple(blocks))
+        return AlgebraSpec(tuple(
+            make_block_spec([f"u{k}"], {(f"u{k}", f"u{k}"): [(f"u{k}", 1)]})
+            for k in range(1, m + 1)))
     if name == "truncated_hs":
         (n,) = _check_params(name, params, 1)
         names = ["1"] + [f"e{j}" if j > 1 else "e" for j in range(1, n + 1)]
-        products = {}
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if i + j <= n:
-                    products[(names[i], names[j])] = [(names[i + j], 1)]
+        products = {(names[i], names[j]): [(names[i + j], 1)]
+                    for i in range(n + 1) for j in range(i, n + 1 - i)}
         return AlgebraSpec((make_block_spec(names, products),))
     if name == "diff_difference":
         n, m = _check_params(name, params, 2)
         names = ["1"] + [f"n{j}" for j in range(1, n + 1)]
-        products = {("1", nm): [(nm, 1)] for nm in names}
-        blocks = [make_block_spec(names, products)]
-        for k in range(1, m + 1):
-            blocks.append(make_block_spec(
-                [f"u{k}"], {(f"u{k}", f"u{k}"): [(f"u{k}", 1)]}))
-        return AlgebraSpec(tuple(blocks))
+        block = make_block_spec(names, {("1", nm): [(nm, 1)] for nm in names})
+        return AlgebraSpec((block, *builtin("fields", m).blocks))
     raise UnknownBuiltin(f"unknown builtin algebra {name!r}")
 
 
 def _check_params(name, params, count):
-    if len(params) != count or any(not isinstance(p, int) or p < 1 for p in params):
+    if len(params) != count or any(type(p) is not int or p < 1 for p in params):
         raise UnknownBuiltin(
             f"builtin {name!r} expects {count} positive integer parameter(s)")
     return params
+
+
+# the builtin each CLI name with parameters stands for, as in hs:2 and dd:1,2;
+# a name without a ':' is the builtin's own, as dual is
+BUILTIN_NAMES = {"fields": "fields", "hs": "truncated_hs", "dd": "diff_difference"}
+
+
+def algebra_from_name(name):
+    """Resolve a CLI algebra name: dual, fields:m, hs:n or dd:n,m."""
+    head, colon, rest = name.partition(":")
+    if not colon:
+        return validate_algebra(builtin(name))
+    if head not in BUILTIN_NAMES:
+        raise UnknownBuiltin(f"unknown builtin algebra {name!r}")
+    try:
+        params = [parse_int(text) for text in rest.split(",")]
+    except ExprParseError:
+        raise UnknownBuiltin(
+            f"bad parameter in builtin algebra name {name!r}") from None
+    return validate_algebra(builtin(BUILTIN_NAMES[head], *params))
 
 
 # ---------------------------------------------------------------------------
@@ -157,28 +191,17 @@ def load_spec(text):
                 if (not isinstance(item, list) or len(item) != 2
                         or not isinstance(item[0], str)):
                     raise ExprParseError(f"block {bi}: bad coordinate in {key!r}")
-                entry.append((item[0], _parse_rational(item[1], bi, key)))
+                coeff = item[1]
+                if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+                    raise ExprParseError(f"block {bi}: coefficient {coeff!r} in "
+                                         f"{key!r} is not a decimal-free rational")
+                entry.append((item[0], coeff))
             pair = tuple(sorted((a, b)))
             if pair in products:
                 raise ExprParseError(f"block {bi}: duplicate product {a}*{b}")
             products[pair] = entry
         blocks.append(make_block_spec(basis, products))
     return AlgebraSpec(tuple(blocks))
-
-
-# the expression grammar's rational, sign included
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_rational(value, bi, key):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
-    den = parse_int(match[2] or "1") if match else 0
-    if den:
-        return Fraction(parse_int(match[1]), den)
-    raise ExprParseError(f"block {bi}: coefficient {value!r} in {key!r} "
-                         "is not a decimal-free rational")
 
 
 def dump_spec(spec):
@@ -252,10 +275,6 @@ class DAlgebra(Record):
     @property
     def t(self):
         return len(self.blocks)
-
-    @property
-    def m_list(self):
-        return tuple(b.m for b in self.blocks)
 
     # The slot layout is read per variable by the kernel, so it is computed
     # once per object.  cached_property stores it in the instance __dict__, past
@@ -453,29 +472,3 @@ def _validate_block(bi, block):
                             "ideal powers")
     return BlockData(tuple(names), tuple(nu), table)
 
-
-def algebra_from_name(name):
-    """Resolve the CLI shorthand names dual, fields:m, hs:n, dd:n,m."""
-    if name == "dual":
-        return validate_algebra(builtin("dual"))
-    if name.startswith("fields:"):
-        return validate_algebra(builtin("fields", _int_param(name, name[7:])))
-    if name.startswith("hs:"):
-        return validate_algebra(builtin("truncated_hs", _int_param(name, name[3:])))
-    if name.startswith("dd:"):
-        parts = name[3:].split(",")
-        if len(parts) != 2:
-            raise UnknownBuiltin(f"bad builtin algebra name {name!r}")
-        return validate_algebra(builtin(
-            "diff_difference", _int_param(name, parts[0]), _int_param(name, parts[1])))
-    raise UnknownBuiltin(f"unknown builtin algebra {name!r}")
-
-
-def _int_param(name, text):
-    try:
-        value = parse_int(text)
-    except ExprParseError:
-        value = 0   # rejected below, with the values out of range
-    if value < 1:
-        raise UnknownBuiltin(f"bad parameter in builtin algebra name {name!r}")
-    return value

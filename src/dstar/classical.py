@@ -303,14 +303,9 @@ def verify_ritt_certificate(g, divisors, cert):
 # ---------------------------------------------------------------------------
 # projection to and from the dual-number operator ring
 
-_DUAL = None
-
-
+@functools.cache
 def dual_algebra():
-    global _DUAL
-    if _DUAL is None:
-        _DUAL = validate_algebra(builtin("dual"))
-    return _DUAL
+    return validate_algebra(builtin("dual"))
 
 
 def project_to_differential(f):

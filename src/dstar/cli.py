@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import algebra_from_name, load_spec, validate_algebra
+from .algebra import BUILTIN_NAMES, algebra_from_name, load_spec, validate_algebra
 from .charset import charset_complete, closure_step_witness, witness_from_json
 from .errors import BadWitness, DStarError, ExprParseError, UnknownBuiltin
 from .operators import apply_composition, parse_operator
@@ -26,7 +26,8 @@ def _load_algebra(arg):
     try:
         return algebra_from_name(arg)
     except UnknownBuiltin:
-        builtin = arg.startswith(("fields:", "hs:", "dd:"))
+        head, colon, _ = arg.partition(":")
+        builtin = colon and head in BUILTIN_NAMES
         try:
             found = Path(arg).exists()
         except OSError as exc:  # a path the OS cannot look up, e.g. too long

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import apply_slot, ord_i, parse_int, zero_index
+from .ordering import ord_i, parse_int, slot_bumps, zero_index
 from .poly import DPolynomial, Monomial, _accumulate
 
 
@@ -89,6 +89,8 @@ def _registry(f, i, m):
     and the power memo seeded with every variable's (v, 1) image.
     """
     algebra = f.algebra
+    base = algebra.slot_index(i, 0)
+    slots = range(base, base + m + 1)
     images = {}     # variable -> its slot bumps, unit slot first
     degree = 0
     for monomial in f.terms:
@@ -96,7 +98,7 @@ def _registry(f, i, m):
         for v, e in monomial.factors:
             d += e
             if v not in images:
-                images[v] = [apply_slot(algebra, v, i, p) for p in range(m + 1)]
+                images[v] = slot_bumps(algebra, v, slots)
         if d > degree:
             degree = d
     bumps = sorted({b for image in images.values() for b in image})

@@ -219,11 +219,15 @@ def is_sigma_only(algebra, theta):
 
 def apply_slot(algebra, v, i, p):
     """Apply operator (i, p) to a variable: add 1 in its slot."""
-    slot = algebra.slot_index(i, p)
+    return slot_bumps(algebra, v, (algebra.slot_index(i, p),))[0]
+
+
+def slot_bumps(algebra, v, slots):
+    """v with 1 added in each of the given global slots, one variable each."""
     if len(v.theta) != algebra.M:
         raise AlgebraMismatch(
             f"variable has {len(v.theta)} slots, algebra has {algebra.M}")
-    return DVariable(v.var, bump(v.theta, slot))
+    return [DVariable(v.var, bump(v.theta, s)) for s in slots]
 
 
 class Transform(Record):

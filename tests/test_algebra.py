@@ -92,7 +92,6 @@ def _ideal_power_nu_oracle(names, products, j):
 
 def test_dual_numbers_validate(dual):
     assert dual.t == 1
-    assert dual.m_list == (1,)
     assert dual.nu(1, 1) == 1
     assert dual.gamma(1, 1) == frozenset()
     assert dual.op_names == ("s1", "d1.1")
@@ -235,6 +234,12 @@ def test_builtins():
         builtin("octonions")
     with pytest.raises(UnknownBuiltin):
         builtin("fields", 0)
+    # a bool is not a parameter: builtin("fields", True) used to build fields(1)
+    for name, params in (("fields", (True,)), ("truncated_hs", (True,)),
+                         ("diff_difference", (1, True)), ("fields", (2.0,)),
+                         ("dual", (1,))):
+        with pytest.raises(UnknownBuiltin):
+            builtin(name, *params)
 
 
 def test_algebra_from_name():
@@ -244,6 +249,41 @@ def test_algebra_from_name():
     assert algebra_from_name("dd:1,2").t == 3
     with pytest.raises(UnknownBuiltin):
         algebra_from_name("dd:1")
+
+
+def test_each_builtin_name_is_read_from_one_table():
+    # dual is truncated_hs(1), and dd(n, m) has fields(m) beside its first block
+    assert builtin("dual") == builtin("truncated_hs", 1)
+    assert algebra_from_name("hs:1") == algebra_from_name("dual")
+    for k in (1, 2, 3):
+        assert algebra_from_name(f"fields:{k}") == validate_algebra(builtin("fields", k))
+        assert algebra_from_name(f"hs:{k}") == validate_algebra(builtin("truncated_hs", k))
+        for m in (1, 2):
+            assert algebra_from_name(f"dd:{k},{m}") == \
+                validate_algebra(builtin("diff_difference", k, m))
+            assert builtin("diff_difference", k, m).blocks[1:] == builtin("fields", m).blocks
+    for name in ("fields", "hs", "dd", "truncated_hs:2", "dual:", "dual:1", "hs:",
+                 "hs:0", "hs:1,2", "fields:1,", "dd:1", "dd:1,1,1", "dd:0,1",
+                 "dd:1;1", "octonions", ""):
+        with pytest.raises(UnknownBuiltin):
+            algebra_from_name(name)
+
+
+def test_block_spec_coefficients_follow_the_rational_rule():
+    # Fraction(c) used to read all of these: other scripts' digits, '_', '+',
+    # exponents, padding, and floats and bools as exact rationals
+    def unit_block(c):
+        return make_block_spec(["1"], {("1", "1"): [("1", c)]})
+
+    for c, value in (("1/2", Fraction(1, 2)), ("2", 2), ("-3", -3), ("6/4", Fraction(3, 2)),
+                     (5, 5), (Fraction(-2, 3), Fraction(-2, 3))):
+        assert unit_block(c).table == ((("1", "1"), (("1", value),)),)
+    for text in ("\u0661", "1_0", "+2", "1e3", " 1/2 ", "1/0", "1/-2", "1.5", ""):
+        with pytest.raises(ExprParseError):
+            unit_block(text)
+    for c in (0.1, 1.0, True, False, None):
+        with pytest.raises(TypeError):
+            unit_block(c)
 
 
 def test_spec_json_round_trip():

@@ -294,6 +294,18 @@ def test_file_named_like_a_builtin_loads_as_a_file(tmp_path):
     proc = run_cold(["algebra-check", "hs:x"], cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: UnknownBuiltin: ")
+    # the same holds for each prefix in the builtin table
+    for prefix, valid, slots in (("fields:", "fields:2", "slots: s1, s2"),
+                                 ("dd:", "dd:1,1", "slots: s1, d1.1, s2")):
+        (tmp_path / f"{prefix}dual.json").write_text(json.dumps(spec), encoding="utf-8")
+        proc = run_cold(["algebra-check", f"{prefix}dual.json"], cwd=tmp_path)
+        assert proc.returncode == 0 and "slots: s1, d1.1" in proc.stdout
+        (tmp_path / valid).write_text(json.dumps(spec), encoding="utf-8")
+        proc = run_cold(["algebra-check", valid], cwd=tmp_path)
+        assert proc.returncode == 0 and slots in proc.stdout
+        proc = run_cold(["algebra-check", f"{prefix}x"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: UnknownBuiltin: ")
 
 
 def test_closure_check_rejects_a_negative_tau(tmp_path):

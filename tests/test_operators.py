@@ -6,7 +6,7 @@ import pytest
 import dstar.operators
 from dstar.algebra import AlgebraSpec, make_block_spec, validate_algebra
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
-from dstar.errors import ExprParseError, IndexOutOfRange
+from dstar.errors import AlgebraMismatch, ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
 from dstar.ordering import LESS, DVariable, SequentialRanking, parse_variable
 from dstar.parser import parse_poly
@@ -44,6 +44,15 @@ def test_apply_examples(dual):
         apply(dx, 1, 2)
     with pytest.raises(IndexOutOfRange):
         apply(dx, 2, 0)
+
+
+def test_block_image_rejects_a_variable_with_the_wrong_slot_count(dual, hs2):
+    for algebra, theta in ((dual, (0, 0, 0)), (hs2, (0, 1))):
+        x = DVariable(1, (0,) * algebra.M)
+        bad = DPolynomial(algebra, {Monomial.of({x: 1, DVariable(2, theta): 2}): 1})
+        with pytest.raises(AlgebraMismatch, match=f"variable has {len(theta)} slots, "
+                                                  f"algebra has {algebra.M}"):
+            block_image(bad, 1)
 
 
 def test_apply_composition_on_variables(dual):
