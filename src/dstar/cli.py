@@ -8,6 +8,7 @@ domain or validation errors (message on stderr), 2 for parse errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -27,25 +28,18 @@ def _load_algebra(arg):
         return algebra_from_name(arg)
     except UnknownBuiltin:
         head, colon, _ = arg.partition(":")
-        builtin = colon and head in BUILTIN_NAMES
-        try:
-            found = Path(arg).exists()
-        except OSError as exc:  # a path the OS cannot look up, e.g. too long
-            if not builtin:
-                raise DStarError(f"cannot read {arg!r}: {exc.strerror}") from None
-            found = False
-        if not found:
-            if builtin:
-                raise
-            raise DStarError(f"algebra file {arg!r} not found")
-    return validate_algebra(load_spec(_read(arg)))
+        # a failed builtin-like name stays a builtin error unless a file has it
+        if colon and head in BUILTIN_NAMES and not os.path.exists(arg):
+            raise
+    return validate_algebra(load_spec(_read(arg, "algebra file")))
 
 
-def _read(path):
+def _read(path, kind="file"):
+    """The text of a file; a missing or unreadable one is exit 1, bad UTF-8 exit 2."""
     p = Path(path)
     try:
         if not p.exists():
-            raise DStarError(f"file {path!r} not found")
+            raise DStarError(f"{kind} {path!r} not found")
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the first bad one decode, so they give its position
@@ -56,8 +50,7 @@ def _read(path):
         raise DStarError(f"cannot read {path!r}: {exc.strerror}")
 
 
-def _cmd_algebra_check(args, out):
-    algebra = _load_algebra(args.file)
+def _cmd_algebra_check(algebra, args, out):
     print(f"blocks: {algebra.t}", file=out)
     print(f"slots: {', '.join(algebra.op_names)}", file=out)
     for i, block in enumerate(algebra.blocks, start=1):
@@ -80,8 +73,7 @@ def _cmd_algebra_check(args, out):
     return 0
 
 
-def _cmd_rank(args, out):
-    algebra = _load_algebra(args.algebra)
+def _cmd_rank(algebra, args, out):
     v = parse_variable(args.v1, algebra)
     w = parse_variable(args.v2, algebra)
     cmp = SequentialRanking(algebra).compare(v, w)
@@ -90,16 +82,14 @@ def _cmd_rank(args, out):
     return 0
 
 
-def _cmd_apply(args, out):
-    algebra = _load_algebra(args.algebra)
+def _cmd_apply(algebra, args, out):
     theta = parse_operator(args.op, algebra)
     f = parse_poly(args.expr, algebra)
     print(format_poly(apply_composition(f, theta)), file=out)
     return 0
 
 
-def _cmd_reduce(args, out):
-    algebra = _load_algebra(args.algebra)
+def _cmd_reduce(algebra, args, out):
     divisors = DivisorSet(parse_generator_file(_read(args.set), algebra),
                           SequentialRanking(algebra))
     g = parse_poly(args.expr, algebra)
@@ -116,8 +106,7 @@ def _cmd_reduce(args, out):
     return 0
 
 
-def _cmd_charset(args, out):
-    algebra = _load_algebra(args.algebra)
+def _cmd_charset(algebra, args, out):
     generators = parse_generator_file(_read(args.gens), algebra)
     result = charset_complete(generators)
     if args.trace:
@@ -133,8 +122,7 @@ def _cmd_charset(args, out):
     return 0
 
 
-def _cmd_closure_check(args, out):
-    algebra = _load_algebra(args.algebra)
+def _cmd_closure_check(algebra, args, out):
     generators = parse_generator_file(_read(args.gens), algebra)
     witness = witness_from_json(_read(args.witness), algebra)
     try:
@@ -152,38 +140,40 @@ def build_parser():
         description="polynomial rings with commuting generalised "
                     "Hasse-Schmidt operators")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand works over one algebra; algebra-check takes it as its file
+    with_algebra = argparse.ArgumentParser(add_help=False)
+    with_algebra.add_argument("--algebra", required=True)
 
     p = sub.add_parser("algebra-check", help="validate an algebra description")
-    p.add_argument("file", help="algebra JSON file or builtin name")
+    p.add_argument("algebra", metavar="file", help="algebra JSON file or builtin name")
     p.set_defaults(handler=_cmd_algebra_check)
 
-    p = sub.add_parser("rank", help="compare two variables")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("rank", parents=[with_algebra], help="compare two variables")
     p.add_argument("v1")
     p.add_argument("v2")
     p.set_defaults(handler=_cmd_rank)
 
-    p = sub.add_parser("apply", help="apply an operator to an expression")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("apply", parents=[with_algebra],
+                       help="apply an operator to an expression")
     p.add_argument("--op", required=True)
     p.add_argument("expr")
     p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("reduce", help="reduce an expression modulo a set")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("reduce", parents=[with_algebra],
+                       help="reduce an expression modulo a set")
     p.add_argument("--set", required=True, dest="set")
     p.add_argument("--cert", help="write the reduction certificate JSON here")
     p.add_argument("expr")
     p.set_defaults(handler=_cmd_reduce)
 
-    p = sub.add_parser("charset", help="characteristic set of a generator file")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("charset", parents=[with_algebra],
+                       help="characteristic set of a generator file")
     p.add_argument("--gens", required=True)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(handler=_cmd_charset)
 
-    p = sub.add_parser("closure-check", help="check a perfect-closure witness")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("closure-check", parents=[with_algebra],
+                       help="check a perfect-closure witness")
     p.add_argument("--gens", required=True)
     p.add_argument("--witness", required=True)
     p.set_defaults(handler=_cmd_closure_check)
@@ -196,7 +186,7 @@ def main(argv=None, out=None, err=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, out)
+        return args.handler(_load_algebra(args.algebra), args, out)
     except ExprParseError as exc:
         print(f"parse error: {exc}", file=err)
         return 2

@@ -272,7 +272,7 @@ class DPolynomial(Frozen):
             self.algebra, {m: _coefficient(c * cf) for m, cf in self.terms.items()})
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:   # a bool is not an int
             raise ValueError("exponent must be a natural number")
         result = DPolynomial.constant(self.algebra, 1)
         base = self

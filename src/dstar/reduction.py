@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import (
+    AlgebraMismatch,
     ConstantDivisor,
     ConstantPolynomial,
     DStarError,
@@ -100,6 +101,7 @@ class DivisorSet:
 
     def add(self, f):
         """Append f as the next member."""
+        _check_algebra(f.algebra, self.ranking.algebra)
         self.members.append(f)
         if f.is_constant():
             self.has_constant = True
@@ -124,13 +126,22 @@ class DivisorSet:
         return img
 
 
+def _check_algebra(algebra, expected):
+    # identity first: the members of one family share one algebra object
+    if algebra is not expected and algebra != expected:
+        raise AlgebraMismatch(
+            "a divisor set over one algebra met a polynomial over another")
+
+
 def _divisor_set(divisors, ranking, algebra):
     """divisors as a DivisorSet; a list gets a fresh set, local to the call."""
     if isinstance(divisors, DivisorSet):
         if ranking is not None and ranking is not divisors.ranking:
             raise ValueError("a divisor set is used only under its own ranking")
-        return divisors
-    return DivisorSet(divisors, ranking or SequentialRanking(algebra))
+    else:
+        divisors = DivisorSet(divisors, ranking or SequentialRanking(algebra))
+    _check_algebra(algebra, divisors.ranking.algebra)
+    return divisors
 
 
 def is_reduced(g, f, ranking=None):

@@ -448,3 +448,51 @@ def test_truncated_hs_40_validates_within_two_seconds():
     elapsed = time.perf_counter() - start
     assert d.blocks[0].nu == tuple(range(1, 41))
     assert elapsed < 2.0, elapsed
+
+
+def _spec_with_table(table):
+    return '{"blocks": [{"basis": ["1", "e"], "table": %s}]}' % table
+
+
+# one input per raise site, with a fragment of the message that site writes
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: load_spec("[]"), ExprParseError, "must be a JSON object"),
+    (lambda: load_spec("{}"), ExprParseError, 'needs a "blocks" list'),
+    (lambda: load_spec('{"blocks": [1]}'), ExprParseError, "block 1 must be an object"),
+    (lambda: load_spec('{"blocks": [{"basis": ["1", 2]}]}'), ExprParseError,
+     '"basis" must be a list of names'),
+    (lambda: load_spec('{"blocks": [{"basis": ["1"], "table": []}]}'), ExprParseError,
+     '"table" must be an object'),
+    (lambda: load_spec(_spec_with_table('{"1e": []}')), ExprParseError,
+     "bad product key '1e'"),
+    (lambda: load_spec(_spec_with_table('{"1*e": [["e"]]}')), ExprParseError,
+     "bad coordinate in '1*e'"),
+    (lambda: load_spec(_spec_with_table('{"1*e": [["e", 1.0]]}')), ExprParseError,
+     "coefficient 1.0 in '1*e' is not"),
+    (lambda: load_spec(_spec_with_table('{"1*e": [["e", true]]}')), ExprParseError,
+     "coefficient True in '1*e' is not"),
+    (lambda: load_spec(_spec_with_table('{"1*e": [["e", null]]}')), ExprParseError,
+     "coefficient None in '1*e' is not"),
+    (lambda: load_spec(_spec_with_table('{"1*e": [], "e*1": []}')), ExprParseError,
+     "duplicate product e*1"),
+    (lambda: make_block_spec(["1", "e"], {("1", "e"): [], ("e", "1"): []}),
+     InvalidAlgebraSpec, "duplicate product entry 1*e"),
+    (lambda: validate_algebra(AlgebraSpec(())), InvalidAlgebraSpec,
+     "at least one block"),
+    (lambda: validate_algebra(AlgebraSpec((
+        make_block_spec(["1"], {("1", "1"): [("z", 1)]}),))), InvalidAlgebraSpec,
+     "yields unknown name 'z'"),
+    (lambda: validate_algebra(builtin("dual")).nu(1, 2), IndexOutOfRange,
+     "basis index 2 out of range 0..1"),
+    (lambda: validate_algebra(builtin("dual")).gamma(1, 0), IndexOutOfRange,
+     "basis index 0 out of range 1..1"),
+], ids=["not-an-object", "no-blocks-list", "block-not-an-object", "basis-not-names",
+        "table-not-an-object", "key-without-star", "coordinate-not-a-pair",
+        "float-coefficient", "bool-coefficient", "null-coefficient",
+        "duplicate-product", "duplicate-block-spec-entry", "no-blocks",
+        "yields-unknown-name", "nu-index", "gamma-index"])
+def test_each_algebra_input_rejection_raises_its_class(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert fragment in str(exc.value)

@@ -24,6 +24,7 @@ from dstar.charset import (
     _indices_up_to,
 )
 from dstar.errors import (
+    AlgebraMismatch,
     BadWitness,
     ExprParseError,
     InconsistentSystem,
@@ -313,6 +314,24 @@ def test_charset_trace_lists_a_remainder_derived_twice_once(fields2):
     assert added == [["x2[0,0] + 2 * x1[0,0]"], ["x1[1,1] + 1/2 * x1[0,0]"], []]
     assert [format_poly(f) for f in result.charset] == \
         ["x2[0,0] + 2 * x1[0,0]", "x1[1,1] + 1/2 * x1[0,0]"]
+
+
+def test_a_family_over_two_algebras_is_an_algebra_mismatch(dual, fields2):
+    # both have two slots; completion used to return a two-member "charset"
+    # whose certificates verified, and the set checks judged across algebras
+    x = parse_poly("x1[0,1]", dual)
+    y = parse_poly("x2[1,0]", fields2)
+    over_fields = DivisorSet([], SequentialRanking(fields2))
+    for call in (lambda: charset_complete([x, y]),
+                 lambda: charset_complete([y, x]),
+                 lambda: validate_autoreduced([x, y]),
+                 lambda: is_reduced_wrt_set(x, [y]),
+                 lambda: is_reduced_wrt_set(x, over_fields)):
+        with pytest.raises(AlgebraMismatch):
+            call()
+    cert = reduce(x, [x])
+    assert verify_certificate(x, [x], cert)
+    assert not verify_certificate(x, [y], cert)
 
 
 def test_charset_rounds_list_each_new_remainder_once(all_builtins):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dstar
 from dstar.cli import main
 
@@ -484,3 +486,94 @@ def test_cli_start_up_does_not_import_dataclasses_or_inspect():
                           text=True, env=cold_env())
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "[]\n"
+
+
+SUBCOMMANDS = "{algebra-check,rank,apply,reduce,charset,closure-check}"
+USAGES = {
+    "algebra-check": "usage: dstar algebra-check [-h] file\n",
+    "rank": "usage: dstar rank [-h] --algebra ALGEBRA v1 v2\n",
+    "apply": "usage: dstar apply [-h] --algebra ALGEBRA --op OP expr\n",
+    "reduce": "usage: dstar reduce [-h] --algebra ALGEBRA --set SET [--cert CERT] expr\n",
+    "charset": "usage: dstar charset [-h] --algebra ALGEBRA --gens GENS [--trace]\n",
+    "closure-check": ("usage: dstar closure-check [-h] --algebra ALGEBRA --gens GENS"
+                      " --witness\n                           WITNESS\n"),
+}
+HELP_BODIES = {
+    "algebra-check": ("positional arguments:\n"
+                      "  file        algebra JSON file or builtin name\n\n"
+                      "options:\n"
+                      "  -h, --help  show this help message and exit\n"),
+    "rank": ("positional arguments:\n  v1\n  v2\n\n"
+             "options:\n"
+             "  -h, --help         show this help message and exit\n"
+             "  --algebra ALGEBRA\n"),
+    "apply": ("positional arguments:\n  expr\n\n"
+              "options:\n"
+              "  -h, --help         show this help message and exit\n"
+              "  --algebra ALGEBRA\n  --op OP\n"),
+    "reduce": ("positional arguments:\n  expr\n\n"
+               "options:\n"
+               "  -h, --help         show this help message and exit\n"
+               "  --algebra ALGEBRA\n  --set SET\n"
+               "  --cert CERT        write the reduction certificate JSON here\n"),
+    "charset": ("options:\n"
+                "  -h, --help         show this help message and exit\n"
+                "  --algebra ALGEBRA\n  --gens GENS\n  --trace\n"),
+    "closure-check": ("options:\n"
+                      "  -h, --help         show this help message and exit\n"
+                      "  --algebra ALGEBRA\n  --gens GENS\n  --witness WITNESS\n"),
+}
+MISSING = {
+    "algebra-check": "file",
+    "rank": "--algebra, v1, v2",
+    "apply": "--algebra, --op, expr",
+    "reduce": "--algebra, --set, expr",
+    "charset": "--algebra, --gens",
+    "closure-check": "--algebra, --gens, --witness",
+}
+TOP_HELP = (
+    f"usage: dstar [-h] {SUBCOMMANDS} ...\n\n"
+    "polynomial rings with commuting generalised Hasse-Schmidt operators\n\n"
+    "positional arguments:\n"
+    f"  {SUBCOMMANDS}\n"
+    "    algebra-check       validate an algebra description\n"
+    "    rank                compare two variables\n"
+    "    apply               apply an operator to an expression\n"
+    "    reduce              reduce an expression modulo a set\n"
+    "    charset             characteristic set of a generator file\n"
+    "    closure-check       check a perfect-closure witness\n\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n")
+
+
+def help_and_usage_cases():
+    yield ["-h"], 0, TOP_HELP, ""
+    yield [], 2, "", (f"usage: dstar [-h] {SUBCOMMANDS} ...\n"
+                      "dstar: error: the following arguments are required: command\n")
+    for name, usage in USAGES.items():
+        yield [name, "-h"], 0, f"{usage}\n{HELP_BODIES[name]}", ""
+        yield [name], 2, "", (f"{usage}dstar {name}: error: the following "
+                              f"arguments are required: {MISSING[name]}\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", list(help_and_usage_cases()))
+def test_help_and_usage_text_is_pinned(argv, code, stdout, stderr, capsys, monkeypatch):
+    # argparse wraps at the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    assert capsys.readouterr() == (stdout, stderr)
+
+
+def test_a_bad_algebra_file_is_a_parse_error_for_every_subcommand(tmp_path):
+    # algebra-check and --algebra read the file through the same loader
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"blocks": [{"basis": ["1"], "table": {"1*1": [["1", 1.5]]}}]}',
+                    encoding="utf-8")
+    message = ("parse error: block 1: coefficient 1.5 in '1*1' is not a "
+               "decimal-free rational (line 1, column 1)\n")
+    for args in (["algebra-check", str(spec)],
+                 ["rank", "--algebra", str(spec), "x1[0]", "x1[0]"]):
+        proc = run_cold(args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message), args

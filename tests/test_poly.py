@@ -425,3 +425,12 @@ def test_integral_coefficients_are_stored_as_ints(all_builtins):
     as_int = DPolynomial(x.algebra, {m: 3, UNIT_MONOMIAL: half})
     assert as_fraction == as_int and hash(as_fraction) == hash(as_int)
     assert format_poly(as_fraction) == format_poly(as_int) == "3 * x1[0,0] - 1/2"
+
+
+def test_power_takes_only_natural_int_exponents(dual):
+    # x ** True used to return x; a bool is not an int here, as in Monomial.of
+    x = parse_poly("x1[0,0] + 1", dual)
+    assert x ** 0 == DPolynomial.constant(dual, 1) and x ** 2 == x * x
+    for exponent in (True, False, -1, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="^exponent must be a natural number$"):
+            x ** exponent

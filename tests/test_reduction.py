@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dstar.algebra import builtin, validate_algebra
 from dstar.errors import (
     AlgebraMismatch,
     ConstantDivisor,
@@ -524,3 +525,71 @@ def test_certificate_numbers_must_be_json_integers(dual):
     doc["h_factors"][0].update(theta=[0, -1], member=-2)
     cert = certificate_from_json(json.dumps(doc), dual)
     assert cert.h_factors == (HFactor((0, -1), INITIAL, -2),)
+
+
+def _structural_forgeries(dual, worked):
+    """(name, g, divisors, certificate): each fails exactly one structural check."""
+    f = parse_poly("x1[0,1] - 1", dual)
+    g = parse_poly("x1[0,0]^3 + 7", dual)
+    zero = DPolynomial.zero(dual)
+    # H = delta(1) = 0, so 0 * g = 0 holds for any g
+    yield ("delta H factor", g, [f],
+           ReductionCertificate((HFactor((0, 1), INITIAL, 0),), zero, (), ()))
+    # a source that is neither initial nor separant made H = f
+    yield ("member source", g, [f],
+           ReductionCertificate((HFactor((0, 0), "member", 0),), zero,
+                                (Cofactor(g, (0, 0), 0),), ()))
+    # H = x1[0,1] and g0 = H * g: reduced, but ranked above g
+    above = parse_poly("x2[0,1] * x1[0,1] - 1", dual)
+    low = parse_poly("x1[0,0]", dual)
+    yield ("remainder above g", low, [above],
+           ReductionCertificate((HFactor((0, 0), INITIAL, 0),),
+                                parse_poly("x1[0,0] * x1[0,1]", dual), (), ()))
+    # -1 would name the last member, and len(divisors) would index past it
+    worked_g = parse_poly("x1[0,2]", dual)
+    cert = reduce(worked_g, [worked])
+    for member in (-1, 1):
+        h_factors = tuple(HFactor(h.theta, h.source, member) for h in cert.h_factors)
+        yield (f"H-factor member {member}", worked_g, [worked],
+               ReductionCertificate(h_factors, cert.remainder, cert.cofactors, ()))
+        cofactors = tuple(Cofactor(c.c, c.theta, member) for c in cert.cofactors)
+        yield (f"cofactor member {member}", worked_g, [worked],
+               ReductionCertificate(cert.h_factors, cert.remainder, cofactors, ()))
+
+
+FORGERIES = ("delta H factor", "member source", "remainder above g",
+             "H-factor member -1", "cofactor member -1",
+             "H-factor member 1", "cofactor member 1")
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_each_structural_check_rejects_its_forgery(dual, worked, name):
+    # each forgery satisfies the identity, or breaks it only through an
+    # index, so only its own structural check stands between it and True
+    forgeries = {case[0]: case[1:] for case in _structural_forgeries(dual, worked)}
+    assert sorted(forgeries) == sorted(FORGERIES)
+    g, divisors, cert = forgeries[name]
+    assert verify_certificate(g, divisors, cert) is False
+    assert verify_certificate(g, DivisorSet(divisors), cert) is False
+
+
+def test_divisor_sets_never_mix_algebras(dual, fields2):
+    # dual and fields:2 both have two slots, so nothing else notices the mix
+    x = parse_poly("x1[0,1]", dual)
+    y = parse_poly("x2[1,0]", fields2)
+    ranking = SequentialRanking(dual)
+    for call in (lambda: DivisorSet([x, y]),
+                 lambda: DivisorSet([], ranking).add(y),
+                 lambda: is_reduced_wrt_set(x, [y]),
+                 lambda: is_reduced_wrt_set(y, [x], ranking),
+                 lambda: is_reduced(y, x),
+                 lambda: a_leader(x, [y]),
+                 lambda: a_leader(y, DivisorSet([x])),
+                 lambda: reduce(y, [x]),
+                 lambda: multiplier_product(reduce(y, []), [x])):
+        with pytest.raises(AlgebraMismatch, match="^a divisor set over one algebra"):
+            call()
+    # an equal algebra built separately is the same algebra
+    twin = parse_poly("x1[0,2]", validate_algebra(builtin("truncated_hs", 1)))
+    assert twin.algebra is not dual
+    assert reduce(twin, [parse_poly("x1[0,1]", dual)]).remainder.is_zero()

@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Compare the output digest of a git revision with that of the working tree.
+#
+#     tools/compare_outputs.sh [REV]        (REV defaults to HEAD)
+#
+# Unpacks `git archive REV` into a temporary directory, copies the working
+# tree's tools/outputs_digest.py into it, runs each tree's copy of that
+# script against its own tree, and prints the diff of the two outputs, or
+# the lines themselves when they agree.  Exits 1 when any line differs.  The working tree and the index are left
+# as they are; no bytecode is written.
+set -euo pipefail
+rev=${1:-HEAD}
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/tree"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/tree"
+mkdir -p "$tmp/tree/tools"
+cp "$root/tools/outputs_digest.py" "$tmp/tree/tools/outputs_digest.py"
+export PYTHONDONTWRITEBYTECODE=1
+python3 "$tmp/tree/tools/outputs_digest.py" > "$tmp/before"
+python3 "$root/tools/outputs_digest.py" > "$tmp/after"
+if diff -u --label "$rev" --label "working tree" "$tmp/before" "$tmp/after"; then
+    cat "$tmp/after"
+    echo "all $(wc -l < "$tmp/after") lines identical to $rev"
+else
+    exit 1
+fi
