@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
@@ -305,16 +304,15 @@ class DAlgebra(Record):
         return self._offsets[i - 1] + p
 
     def slot_pairs(self):
-        """All (i, p) operator slots in global slot order."""
-        return [(i, p) for i in range(1, self.t + 1)
-                for p in range(self.blocks[i - 1].m + 1)]
+        """All (i, p) operator slots in global slot order, one per basis element."""
+        return [(i, p) for i, block in enumerate(self.blocks, start=1)
+                for p in range(len(block.names))]
 
     def block_of_slot(self, s):
         """Inverse of slot_index: global slot -> (i, p)."""
         if not 0 <= s < self.M:
             raise IndexOutOfRange(f"slot {s} out of range 0..{self.M - 1}")
-        i = bisect_right(self._offsets, s)
-        return i, s - self._offsets[i - 1]
+        return self.slot_pairs()[s]
 
     def delta_slots(self, i):
         """Global slot range of the delta operators of block i."""
@@ -323,11 +321,7 @@ class DAlgebra(Record):
 
     @property
     def op_names(self):
-        names = []
-        for i, block in enumerate(self.blocks, start=1):
-            names.append(f"s{i}")
-            names.extend(f"d{i}.{j}" for j in range(1, block.m + 1))
-        return tuple(names)
+        return tuple(f"d{i}.{p}" if p else f"s{i}" for i, p in self.slot_pairs())
 
     def nu(self, i, j):
         """Nilpotency depth of epsilon_{i,j}; nu(i, 0) = 0 by convention."""

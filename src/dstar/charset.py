@@ -27,6 +27,7 @@ import json
 from fractions import Fraction
 
 from .errors import (
+    AlgebraMismatch,
     BadWitness,
     DStarError,
     ExprParseError,
@@ -35,9 +36,9 @@ from .errors import (
     SeparantDegenerate,
 )
 from .operators import apply_composition
-from .ordering import GREATER, LESS, Record, SequentialRanking, is_sigma_only
+from .ordering import Record, SequentialRanking, is_sigma_only
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
+from .poly import DPolynomial, _rank_tuple, format_poly, monic, poly_sort_key
 from .reduction import (
     Cofactor,
     DivisorSet,
@@ -98,11 +99,11 @@ def compare_autoreduced(a, b, ranking=None):
         return EQUIVALENT
     ranking = ranking or SequentialRanking(first.algebra)
     for fa, fb in zip(a.members, b.members):
-        cmp = rank_compare(fa, fb, ranking)
-        if cmp == LESS:
-            return A_LESS_B
-        if cmp == GREATER:
-            return B_LESS_A
+        if fa.algebra != fb.algebra:
+            raise AlgebraMismatch("rank comparison across algebras")
+        ra, rb = _rank_tuple(fa, ranking), _rank_tuple(fb, ranking)
+        if ra != rb:
+            return A_LESS_B if ra < rb else B_LESS_A
     if len(a) > len(b):
         return A_LESS_B
     if len(b) > len(a):

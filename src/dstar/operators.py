@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import ord_i, parse_int, slot_bumps, zero_index
+from .ordering import parse_int, slot_bumps, zero_index
 from .poly import DPolynomial, Monomial, _accumulate
 
 
@@ -190,9 +190,8 @@ def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
     _check_index(algebra, theta)
     out = list(zero_index(algebra))
-    for i in range(1, algebra.t + 1):
-        s = algebra.slot_index(i, 0)
-        out[s] = theta[s] + ord_i(algebra, theta, i)
+    for count, (i, _) in zip(theta, algebra.slot_pairs()):
+        out[algebra.slot_index(i, 0)] += count
     return tuple(out)
 
 

@@ -35,9 +35,6 @@ from .errors import (
 )
 from .operators import apply_composition, rho
 from .ordering import (
-    EQUAL,
-    GREATER,
-    LESS,
     Record,
     SequentialRanking,
     is_sigma_only,
@@ -45,7 +42,7 @@ from .ordering import (
     transform_of,
 )
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, format_poly, rank_compare
+from .poly import DPolynomial, _rank_tuple, format_poly
 
 INITIAL = "initial"
 SEPARANT = "separant"
@@ -214,13 +211,12 @@ def reduce(g, divisors, ranking=None):
         led = a_leader(current, divisors)
         if led is None:
             break
-        if prev is not None:
-            cmp = ranking.compare(led.variable, prev[0])
-            if not (cmp == LESS or (cmp == EQUAL and led.degree < prev[1])):
-                raise DStarError(
-                    "internal: reduction measure failed to decrease at "
-                    f"{led.variable}^{led.degree}")
-        prev = (led.variable, led.degree)
+        rank = (ranking.key(led.variable), led.degree)
+        if prev is not None and not rank < prev:
+            raise DStarError(
+                "internal: reduction measure failed to decrease at "
+                f"{led.variable}^{led.degree}")
+        prev = rank
 
         if led.is_delta:
             factor = HFactor(rho(algebra, led.theta), SEPARANT, led.member)
@@ -287,7 +283,8 @@ def verify_certificate(g, divisors, cert, ranking=None):
             return False
         if not is_reduced_wrt_set(cert.remainder, divisors):
             return False
-        if rank_compare(cert.remainder, g, divisors.ranking) == GREATER:
+        ranking = divisors.ranking
+        if _rank_tuple(cert.remainder, ranking) > _rank_tuple(g, ranking):
             return False
     except DStarError:
         return False
