@@ -18,6 +18,16 @@ scaled.  A form the round did not reduce (a selected one, or zero) is
 reduced once into the table.  Every certificate is verified before it is
 returned.  Perfect closure steps are not searched; they are accepted only
 with an exact product-membership witness.
+
+SeparantDegenerate is checked every round but cannot be raised under a
+ranking that passes check_ranking_axioms.  A selected member f with leader
+u of degree d is reduced with respect to the other selected members
+(validate_autoreduced checks this every round), and by axiom 1 it holds no
+proper transform of u, since one would rank above u.  Its separant holds
+only f's variables, each at no higher degree, and u at degree d - 1, so
+it is reduced with respect to the selected set: reduce takes no step and
+returns the separant itself, which is nonzero over Q, as the remainder.
+The same holds for the initial, which holds no u at all.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ from .reduction import (
     Cofactor,
     DivisorSet,
     ReductionCertificate,
+    _is_index,
+    _is_member,
     is_reduced,
     is_reduced_wrt_set,
     reduce,
@@ -123,7 +135,10 @@ class CharSetResult(Record):
 def charset_complete(generators, ranking=None):
     """Characteristic set of a finite family, with zero-remainder proofs.
 
-    Raises InconsistentSystem when a nonzero constant is generated and
+    The ranking must pass check_ranking_axioms, totality included: the
+    selection loop relies on a total order for the earlier members of the
+    rank-sorted pool to be reduced with respect to the later ones.  Raises
+    InconsistentSystem when a nonzero constant is generated and
     SeparantDegenerate when a selected member's separant reduces to zero
     modulo the selected set.
     """
@@ -271,6 +286,8 @@ class ClosureWitness(Record):
 
 def _check_witness_index(algebra, theta, what):
     """A witness multi-index has one natural number per slot of the algebra."""
+    if not _is_index(theta):
+        raise BadWitness(f"{what} {theta!r} is not a tuple of integers")
     if len(theta) != algebra.M:
         raise BadWitness(f"{what} {list(theta)} has {len(theta)} slots, "
                          f"algebra has {algebra.M}")
@@ -278,18 +295,29 @@ def _check_witness_index(algebra, theta, what):
         raise BadWitness(f"{what} {list(theta)} has a negative entry")
 
 
+def _is_polynomial_over(p, algebra):
+    return isinstance(p, DPolynomial) and p.algebra == algebra
+
+
 def closure_step_witness(generators, witness):
     """Accept a new element if its witness identity checks exactly.
 
     Returns the accepted polynomial; raises BadWitness (with the nonzero
-    difference) when the identity fails or the witness is malformed.
+    difference) when the identity fails or the witness is malformed: a
+    multi-index that is not a tuple of natural numbers, an exponent or a
+    member index that is not an int, or an a or c that is not a
+    polynomial over the generators' algebra.
     """
     generators = list(generators)
     if not generators:
         raise BadWitness("no generators to check against")
     algebra = generators[0].algebra
+    if not _is_polynomial_over(witness.a, algebra):
+        raise BadWitness("witness a is not a polynomial over the generators' algebra")
     if len(witness.taus) != len(witness.exponents) or not witness.taus:
         raise BadWitness("witness needs matching, nonempty taus and exponents")
+    if any(type(e) is not int for e in witness.exponents):
+        raise BadWitness("witness exponents must be integers")
     if any(e < 1 for e in witness.exponents):
         raise BadWitness("witness exponents must be positive")
     for tau in witness.taus:
@@ -301,9 +329,12 @@ def closure_step_witness(generators, witness):
         product = product * apply_composition(witness.a, tau) ** e
     combo = DPolynomial.zero(algebra)
     for c, theta, idx in witness.combination:
-        if not 0 <= idx < len(generators):
-            raise BadWitness(f"combination references generator {idx}, "
+        if not _is_member(idx, len(generators)):
+            raise BadWitness(f"combination references generator {idx!r}, "
                              f"only {len(generators)} available")
+        if not _is_polynomial_over(c, algebra):
+            raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
+                             "over the generators' algebra")
         _check_witness_index(algebra, theta, "combination theta")
         combo = combo + c * apply_composition(generators[idx], theta)
     difference = product - combo

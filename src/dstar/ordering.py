@@ -292,10 +292,11 @@ class CustomRanking(Ranking):
 
 
 def check_ranking_axioms(ranking, sample_variables):
-    """Verify the three ranking axioms on a finite variable sample.
+    """Verify totality and the three ranking axioms on a finite variable sample.
 
-    Mandatory for custom rankings before use; raises InvalidRanking with
-    the offending instance.
+    Totality: distinct sample variables never rank equal.  Mandatory for
+    custom rankings before use; raises InvalidRanking with the offending
+    instance.
     """
     alg = ranking.algebra
     slots = alg.slot_pairs()
@@ -307,6 +308,8 @@ def check_ranking_axioms(ranking, sample_variables):
                 raise InvalidRanking(f"axiom 1 fails: {v} !< {w}")
     for v in sample:
         for w in sample:
+            if ranking.key(v) == ranking.key(w) and v != w:
+                raise InvalidRanking(f"not a total order: {v} and {w} rank equal")
             if not ranking.key(v) < ranking.key(w):
                 continue
             for (i, p) in slots:

@@ -257,26 +257,44 @@ def multiplier_product(cert, divisors, ranking=None):
     return h
 
 
+def _is_index(theta):
+    """True for a multi-index as the kernel keys it: a tuple of ints, no bools."""
+    return type(theta) is tuple and all(type(e) is int for e in theta)
+
+
+def _is_member(k, count):
+    """True for a member index: an int (not a bool) in 0..count-1."""
+    return type(k) is int and 0 <= k < count
+
+
 def verify_certificate(g, divisors, cert, ranking=None):
     """Check the certificate identity and postconditions exactly.
 
     Judges the identity, the factor structure, that the remainder is
     reduced and that it ranks no higher than g, but not the step trace.
+    Malformed input (a multi-index that is not a tuple of ints, a member
+    index that is not an int, a remainder or cofactor that is not a
+    polynomial) is judged False like any other failed check.
     """
     try:
         divisors = _divisor_set(divisors, ranking, g.algebra)
         count = len(divisors.members)
+        if not isinstance(cert.remainder, DPolynomial):
+            return False
         for factor in cert.h_factors:
             if factor.source not in (INITIAL, SEPARANT):
                 return False
-            if not 0 <= factor.member < count:
+            if not _is_member(factor.member, count):
+                return False
+            if not _is_index(factor.theta):
                 return False
             if not is_sigma_only(g.algebra, factor.theta):
                 return False
         h = multiplier_product(cert, divisors)
         rhs = cert.remainder
         for cof in cert.cofactors:
-            if not 0 <= cof.member < count:
+            if not (_is_member(cof.member, count) and _is_index(cof.theta)
+                    and isinstance(cof.c, DPolynomial)):
                 return False
             rhs = rhs + cof.c * divisors.image(cof.member, None, cof.theta)
         if h * g != rhs:

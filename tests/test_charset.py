@@ -31,7 +31,7 @@ from dstar.errors import (
     NotAutoreduced,
 )
 from dstar.operators import apply_composition
-from dstar.ordering import SequentialRanking
+from dstar.ordering import CustomRanking, SequentialRanking, check_ranking_axioms
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from dstar.reduction import (
@@ -236,6 +236,33 @@ def test_charset_random_small_families(all_builtins):
             rounds = [AutoreducedSet(e.selected) for e in result.completion_trace]
             for prev, cur in zip(rounds, rounds[1:]):
                 assert compare_autoreduced(cur, prev, ranking) == A_LESS_B
+
+
+def test_selected_separants_and_initials_are_reduced(all_builtins):
+    # why SeparantDegenerate cannot be raised: under a ranking that passes
+    # the axioms, every selected member's separant and initial are already
+    # reduced with respect to that round's selected set
+    rng = random.Random(58)
+    for d in all_builtins.values():
+        demoted = CustomRanking(
+            d, lambda v: (sum(v.theta), tuple(reversed(v.theta)), v.var))
+        for ranking in (SequentialRanking(d), demoted):
+            rounds = 0
+            for _ in range(12):
+                family = [rand_poly(rng, d, max_sum=2, max_deg=3, max_terms=3,
+                                    nonconstant=True)
+                          for _ in range(rng.randint(1, 3))]
+                check_ranking_axioms(ranking, {v for f in family for v in f.variables()})
+                try:
+                    result = charset_complete(family, ranking)
+                except InconsistentSystem:
+                    continue
+                for entry in result.completion_trace:
+                    rounds += 1
+                    for member in entry.selected:
+                        for part in (member.separant(ranking), member.initial(ranking)):
+                            assert is_reduced_wrt_set(part, entry.selected, ranking)
+            assert rounds >= 12
 
 
 def test_charset_certificates_equal_direct_reductions(all_builtins):
@@ -508,6 +535,29 @@ def test_closure_witness_with_a_malformed_index_is_rejected(hs2):
             closure_step_witness([dx], ClosureWitness(x, (tau,), (1,),
                                                       ((one, theta, 0),)))
         assert str(exc.value) == message
+
+
+def test_closure_witness_with_a_malformed_type_is_rejected(dual, fields2):
+    # these used to raise ValueError, AlgebraMismatch or TypeError, or to be
+    # accepted: a list tau, and member True read as member 1
+    x = parse_poly("x1[0,0]", dual)
+    sx = parse_poly("x1[1,0]", dual)
+    one = DPolynomial.constant(dual, 1)
+    gens = [x, x * sx]
+    assert closure_step_witness(
+        gens, ClosureWitness(x, ((0, 0), (1, 0)), (1, 1), ((one, (0, 0), 1),))) == x
+    malformed = (
+        ClosureWitness(x, ((0, 0), (1, 0)), (True, 1), ((one, (0, 0), 1),)),
+        ClosureWitness(x, ((0, 0), (1, 0)), (1.5, 1), ((one, (0, 0), 1),)),
+        ClosureWitness(parse_poly("x1[0,0]", fields2), ((0, 0), (1, 0)), (1, 1),
+                       ((one, (0, 0), 1),)),
+        ClosureWitness(x, ((0, 0), (1, 0)), (1, 1), ((1.0, (0, 0), 1),)),
+        ClosureWitness(x, ((0, 0), (1, 0)), (1, 1), ((one, (0, 0), True),)),
+        ClosureWitness(x, ([0, 0], (1, 0)), (1, 1), ((one, (0, 0), 1),)),
+        ClosureWitness(x, ((0, 0), (1, 0)), (1, 1), ((one, (0, False), 1),)))
+    for witness in malformed:
+        with pytest.raises(BadWitness):
+            closure_step_witness(gens, witness)
 
 
 def test_witness_numbers_must_be_json_integers(dual):

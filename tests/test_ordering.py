@@ -137,6 +137,22 @@ def test_custom_ranking_validates(dual):
         check_ranking_axioms(broken, sample)
 
 
+def test_ranking_checker_rejects_a_key_that_is_not_a_total_order(fields2):
+    # fields:2 has one-element blocks, so axiom 3 is vacuous and this key used
+    # to pass on any sample; charset_complete under it could then end in
+    # NotAutoreduced, which is not one of its outcomes
+    tied = CustomRanking(fields2, lambda v: sum(v.theta))
+    sample = [DVariable(1, (0, 1)), DVariable(1, (1, 0))]
+    with pytest.raises(InvalidRanking) as exc:
+        check_ranking_axioms(tied, sample)
+    assert str(exc.value) == "not a total order: x1[0,1] and x1[1,0] rank equal"
+    rng = random.Random(7)
+    with pytest.raises(InvalidRanking, match="^not a total order: "):
+        check_ranking_axioms(tied, [rand_variable(rng, fields2) for _ in range(25)])
+    # a variable repeated in the sample is not a tie
+    check_ranking_axioms(SequentialRanking(fields2), sample + sample)
+
+
 def test_variable_parse_and_print(dual):
     v = parse_variable("x1[0,2]", dual)
     assert v == DVariable(1, (0, 2))

@@ -573,6 +573,29 @@ def test_each_structural_check_rejects_its_forgery(dual, worked, name):
     assert verify_certificate(g, DivisorSet(divisors), cert) is False
 
 
+def test_malformed_certificates_verify_false(dual, worked):
+    # a list multi-index and a float cofactor used to raise TypeError, and a
+    # bool member or multi-index entry was read as the int it equals
+    g = parse_poly("x1[0,2]", dual)
+    cert = reduce(g, [worked])
+    (h,), (c,) = cert.h_factors, cert.cofactors
+    assert verify_certificate(g, [worked], cert)
+
+    def forged(h_factors=cert.h_factors, remainder=cert.remainder,
+               cofactors=cert.cofactors):
+        return ReductionCertificate(h_factors, remainder, cofactors, cert.steps)
+
+    for bad in (forged(h_factors=(HFactor(list(h.theta), h.source, h.member),)),
+                forged(h_factors=(HFactor((True, 0), h.source, h.member),)),
+                forged(h_factors=(HFactor(h.theta, h.source, False),)),
+                forged(cofactors=(Cofactor(c.c, list(c.theta), c.member),)),
+                forged(cofactors=(Cofactor(c.c, c.theta, False),)),
+                forged(cofactors=(Cofactor(1.0, c.theta, c.member),)),
+                forged(remainder=4.0)):
+        assert verify_certificate(g, [worked], bad) is False
+        assert verify_certificate(g, DivisorSet([worked]), bad) is False
+
+
 def test_divisor_sets_never_mix_algebras(dual, fields2):
     # dual and fields:2 both have two slots, so nothing else notices the mix
     x = parse_poly("x1[0,1]", dual)
