@@ -308,9 +308,10 @@ def check_ranking_axioms(ranking, sample_variables):
                 raise InvalidRanking(f"axiom 1 fails: {v} !< {w}")
     for v in sample:
         for w in sample:
-            if ranking.key(v) == ranking.key(w) and v != w:
+            kv, kw = ranking.key(v), ranking.key(w)
+            if kv == kw and v != w:
                 raise InvalidRanking(f"not a total order: {v} and {w} rank equal")
-            if not ranking.key(v) < ranking.key(w):
+            if not kv < kw:
                 continue
             for (i, p) in slots:
                 dv, dw = apply_slot(alg, v, i, p), apply_slot(alg, w, i, p)
