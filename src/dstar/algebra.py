@@ -287,6 +287,12 @@ class DAlgebra(Record):
         return tuple(offsets)
 
     @cached_property
+    def _slot_pairs(self):
+        """(i, p) of each global slot, in slot order."""
+        return tuple((i, p) for i, block in enumerate(self.blocks, start=1)
+                     for p in range(len(block.names)))
+
+    @cached_property
     def M(self):
         return self._offsets[-1]
 
@@ -305,14 +311,13 @@ class DAlgebra(Record):
 
     def slot_pairs(self):
         """All (i, p) operator slots in global slot order, one per basis element."""
-        return [(i, p) for i, block in enumerate(self.blocks, start=1)
-                for p in range(len(block.names))]
+        return list(self._slot_pairs)
 
     def block_of_slot(self, s):
         """Inverse of slot_index: global slot -> (i, p)."""
         if not 0 <= s < self.M:
             raise IndexOutOfRange(f"slot {s} out of range 0..{self.M - 1}")
-        return self.slot_pairs()[s]
+        return self._slot_pairs[s]
 
     def delta_slots(self, i):
         """Global slot range of the delta operators of block i."""
@@ -321,7 +326,7 @@ class DAlgebra(Record):
 
     @property
     def op_names(self):
-        return tuple(f"d{i}.{p}" if p else f"s{i}" for i, p in self.slot_pairs())
+        return tuple(f"d{i}.{p}" if p else f"s{i}" for i, p in self._slot_pairs)
 
     def nu(self, i, j):
         """Nilpotency depth of epsilon_{i,j}; nu(i, 0) = 0 by convention."""

@@ -37,7 +37,6 @@ import json
 from fractions import Fraction
 
 from .errors import (
-    AlgebraMismatch,
     BadWitness,
     DStarError,
     ExprParseError,
@@ -48,7 +47,7 @@ from .errors import (
 from .operators import apply_composition
 from .ordering import Record, SequentialRanking, is_sigma_only
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, _rank_tuple, format_poly, monic, poly_sort_key
+from .poly import DPolynomial, _rank_tuples, format_poly, monic, poly_sort_key
 from .reduction import (
     Cofactor,
     DivisorSet,
@@ -111,9 +110,7 @@ def compare_autoreduced(a, b, ranking=None):
         return EQUIVALENT
     ranking = ranking or SequentialRanking(first.algebra)
     for fa, fb in zip(a.members, b.members):
-        if fa.algebra != fb.algebra:
-            raise AlgebraMismatch("rank comparison across algebras")
-        ra, rb = _rank_tuple(fa, ranking), _rank_tuple(fb, ranking)
+        ra, rb = _rank_tuples(fa, fb, ranking)
         if ra != rb:
             return A_LESS_B if ra < rb else B_LESS_A
     if len(a) > len(b):

@@ -191,7 +191,8 @@ def rho(algebra, theta):
     _check_index(algebra, theta)
     out = list(zero_index(algebra))
     for count, (i, _) in zip(theta, algebra.slot_pairs()):
-        out[algebra.slot_index(i, 0)] += count
+        if count:
+            out[algebra.slot_index(i, 0)] += count
     return tuple(out)
 
 

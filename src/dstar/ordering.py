@@ -320,8 +320,8 @@ def check_ranking_axioms(ranking, sample_variables):
                         f"axiom 2 fails at slot ({i},{p}): {v} < {w} but "
                         f"{dv} !< {dw}")
     for i, j in slots:
-        for other, k in slots:
-            if other != i or alg.nu(i, j) >= alg.nu(i, k):
+        for k in range(len(alg.block(i).names)):
+            if alg.nu(i, j) >= alg.nu(i, k):
                 continue
             for v in sample:
                 dj, dk = apply_slot(alg, v, i, j), apply_slot(alg, v, i, k)

@@ -369,13 +369,17 @@ def _rank_tuple(f, ranking):
     return (1, ranking.key(u), f.degree_in(u))
 
 
-def rank_compare(f, g, ranking=None):
-    """Pre-order on polynomials by (leader, degree); constants lowest."""
+def _rank_tuples(f, g, ranking):
+    """The _rank_tuple of f and of g, which must share an algebra."""
     if isinstance(f, DPolynomial) and isinstance(g, DPolynomial):
         if f.algebra != g.algebra:
             raise AlgebraMismatch("rank comparison across algebras")
-    ranking = ranking or SequentialRanking(f.algebra)
-    rf, rg = _rank_tuple(f, ranking), _rank_tuple(g, ranking)
+    return _rank_tuple(f, ranking), _rank_tuple(g, ranking)
+
+
+def rank_compare(f, g, ranking=None):
+    """Pre-order on polynomials by (leader, degree); constants lowest."""
+    rf, rg = _rank_tuples(f, g, ranking or SequentialRanking(f.algebra))
     return LESS if rf < rg else GREATER if rf > rg else EQUAL
 
 

@@ -81,3 +81,11 @@ def test_report_marks_a_wide_revision_spread_unresolved_and_differing_sides(caps
     runs["working tree"] = records([(21.0, 100.0)] * 4)
     bench_pairs.report("charset", runs, END_TO_END)
     assert table_rows(capsys.readouterr().out)["ops_per_s"][-1] == "ok"
+
+
+def test_workloads_default_to_and_are_checked_against_benchmark_json(capsys):
+    with pytest.raises(SystemExit) as exit:
+        bench_pairs.main(["no-such-workload"])
+    assert exit.value.code == 2
+    listed = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["workloads"]
+    assert f"lists {', '.join(w['name'] for w in listed)}" in capsys.readouterr().err

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark a git revision against the working tree in alternating pairs.
 
-    tools/bench_pairs.py [--rev REV] [--pairs 10] [--seconds 3] WORKLOAD...
+    tools/bench_pairs.py [--rev REV] [WORKLOAD...]
 
 Unpacks `git archive REV` (default HEAD) into a temporary directory, and
 copies the working tree's files (tracked and untracked, not ignored) into
-another, so that no run writes into the checkout.  For seeds 1..N it runs
+another, so that no run writes into the checkout.  The command, the run
+length S and the workloads (by default all of them) come from
+BENCHMARK.json.  For seeds 1..10 it runs
 
-    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
+    COMMAND --workload W --seed N --seconds S --trace 0
 
 in both trees, the revision first on odd seeds and the working tree first
 on even ones, one run at a time.  From each run it reads the JSON object
@@ -46,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PASSES_RE = re.compile(r"([0-9]+) operations in ([0-9]+) pass\(es\)")
 TAIL_RE = re.compile(r"op_tail_ms is (p[0-9.]+) ")
+PAIRS = 10
 
 
 def unpack_revision(rev, dest):
@@ -65,12 +68,12 @@ def copy_working_tree(dest):
             shutil.copy2(source, dest / name)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, command, workload, seed, seconds):
     """One untraced run in tree, read by parse_run."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds",
+         str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
     return parse_run(proc.returncode, proc.stdout, proc.stderr)
 
@@ -132,15 +135,17 @@ def report(workload, runs, end_to_end):
 
 
 def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=3)
-    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help=f"default: all of {', '.join(names)}")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs needs at least 2 pairs for quartiles")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    unknown = [w for w in args.workloads if w not in names]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json lists "
+                     f"{', '.join(names)}")
 
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -149,19 +154,20 @@ def main(argv=None):
             tree.mkdir()
         unpack_revision(args.rev, trees["revision"])
         copy_working_tree(trees["working tree"])
-        for workload in args.workloads:
+        for workload in args.workloads or names:
             runs = {side: [] for side in trees}
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 order = list(trees) if seed % 2 else list(reversed(trees))
                 for side in order:
-                    record, problem = run_once(trees[side], workload, seed, args.seconds)
+                    record, problem = run_once(trees[side], bench["command"], workload,
+                                               seed, bench["run_seconds"])
                     print(f"{workload} seed {seed} {side}: "
                           f"{problem or 'ok'}", file=sys.stderr, flush=True)
                     failed = failed or problem is not None
                     if record is not None:
                         runs[side].append(record)
-            if all(len(records) == args.pairs for records in runs.values()):
-                report(workload, runs, end_to_end)
+            if all(len(records) == PAIRS for records in runs.values()):
+                report(workload, runs, bench["end_to_end"])
             else:
                 print(f"\nworkload {workload}: no table, a run gave no record")
     return 1 if failed else 0
