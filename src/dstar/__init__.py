@@ -2,8 +2,8 @@
 
 Exact computation over Q: validated coefficient algebras, operator
 variables and rankings, sparse polynomial arithmetic, reduction with
-verifiable certificates, characteristic-set completion, and classical
-differential/difference specialisations.
+verifiable certificates, characteristic-set completion, and a classical
+differential oracle reached by projection from the dual numbers.
 """
 
 from .algebra import (
@@ -32,7 +32,6 @@ from .charset import (
 from .classical import (
     DiffPolynomial,
     DiffVar,
-    difference_specialize,
     dual_algebra,
     lift_to_dual,
     project_to_differential,

@@ -10,9 +10,10 @@ every pool reduction and the final certificate checks share its leaders
 and image memo, dropped with it when the round ends.  Input generators
 and remainders enter the pool through one function, which makes them
 monic and drops repeats, so a round's new remainders are the tail it
-appended.  A family with no nonzero generator has one empty round.  The
-input generators' certificates come from one table of the last round,
-keyed by monic form: reduction is linear in the reduced polynomial, so a
+appended.  An empty family has no rounds; a family whose generators are
+all zero has one round that selects and adds nothing.  The input
+generators' certificates come from one table of the last round, keyed by
+monic form: reduction is linear in the reduced polynomial, so a
 generator's certificate is that of its monic form with the cofactors
 scaled.  A form the round did not reduce (a selected one, or zero) is
 reduced once into the table.  Every certificate is verified before it is
@@ -46,14 +47,17 @@ from .errors import (
 )
 from .operators import apply_composition
 from .ordering import Record, SequentialRanking, is_sigma_only
-from .parser import json_int, parse_json, parse_poly
+from .parser import parse_json, parse_poly
 from .poly import DPolynomial, _rank_tuples, format_poly, monic, poly_sort_key
 from .reduction import (
     Cofactor,
     DivisorSet,
     ReductionCertificate,
+    _index_from_json,
     _is_index,
     _is_member,
+    _term_from_json,
+    _term_to_json,
     is_reduced,
     is_reduced_wrt_set,
     reduce,
@@ -163,10 +167,7 @@ def charset_complete(generators, ranking=None):
     normals = [pool_monic(f) for f in generators]
 
     trace = []
-    previous = None
-    round_no = 0
     while True:
-        round_no += 1
         pool.sort(key=lambda f: poly_sort_key(f, ranking))
         # one set, and so one image memo, for every reduction of the round
         divisors = DivisorSet((), ranking)
@@ -177,12 +178,11 @@ def charset_complete(generators, ranking=None):
             else:
                 rest.append(candidate)
         current = validate_autoreduced(divisors.members, ranking)
-        if previous is not None:
-            if compare_autoreduced(current, previous, ranking) != A_LESS_B:
-                raise DStarError(
-                    "internal: completion round did not decrease the "
-                    "autoreduced-set pre-order")
-        previous = current
+        if trace and compare_autoreduced(
+                current, AutoreducedSet(trace[-1].selected), ranking) != A_LESS_B:
+            raise DStarError(
+                "internal: completion round did not decrease the "
+                "autoreduced-set pre-order")
 
         for member in current:
             sep = member.separant(ranking)
@@ -204,7 +204,7 @@ def charset_complete(generators, ranking=None):
             # cannot happen: nonzero remainders are reduced w.r.t. the
             # selected set, hence never collide with the existing pool
             raise DStarError("internal: completion made no progress")
-        trace.append(RoundTrace(round_no, current.members, added))
+        trace.append(RoundTrace(len(trace) + 1, current.members, added))
         if not added:
             return CharSetResult(current, tuple(trace), tuple(
                 _generator_certificate(f, normal, divisors, certs)
@@ -270,8 +270,12 @@ def d_ideal_generators(generators, order_bound):
 
 def _indices_up_to(width, bound):
     """Multi-indices of the given width with entry sum <= bound, by (sum, index)."""
-    return sorted((t for t in itertools.product(range(bound + 1), repeat=width)
-                   if sum(t) <= bound), key=lambda t: (sum(t), t))
+    # each counts a multiset of slots, so only the C(width + bound, bound)
+    # wanted indices are made, not all (bound + 1)^width tuples
+    return sorted((tuple(map(slots.count, range(width)))
+                   for k in range(bound + 1)
+                   for slots in itertools.combinations_with_replacement(range(width), k)),
+                  key=lambda t: (sum(t), t))
 
 
 class ClosureWitness(Record):
@@ -346,12 +350,10 @@ def witness_from_json(text, algebra):
     doc = parse_json(text)
     try:
         a = parse_poly(doc["a"], algebra)
-        taus = tuple(tuple(json_int(e) for e in tau) for tau in doc["taus"])
-        exponents = tuple(json_int(e) for e in doc["exponents"])
-        combination = tuple(
-            (parse_poly(entry["c"], algebra),
-             tuple(json_int(e) for e in entry["theta"]), json_int(entry["member"]))
-            for entry in doc["combination"])
+        taus = tuple(_index_from_json(tau) for tau in doc["taus"])
+        exponents = _index_from_json(doc["exponents"])
+        combination = tuple(_term_from_json(entry, algebra)
+                            for entry in doc["combination"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ExprParseError(f"malformed witness file: {exc!r}")
     return ClosureWitness(a, taus, exponents, combination)
@@ -362,7 +364,7 @@ def witness_to_json(witness):
         "a": format_poly(witness.a),
         "taus": [list(t) for t in witness.taus],
         "exponents": list(witness.exponents),
-        "combination": [{"c": format_poly(c), "theta": list(theta), "member": idx}
+        "combination": [_term_to_json(c, theta, idx)
                         for c, theta, idx in witness.combination],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -332,10 +332,3 @@ def lift_to_dual(p):
         out = out + DPolynomial(algebra, {monomial: c})
     return out
 
-
-def difference_specialize(algebra):
-    """Check that the signature is endomorphisms only; returns the names."""
-    if any(block.m != 0 for block in algebra.blocks):
-        raise WrongAlgebra(
-            "difference specialisation needs a product-of-fields algebra")
-    return algebra.op_names

@@ -73,7 +73,7 @@ class ConstantPolynomial(DStarError):
 
 
 class InvalidRanking(DStarError):
-    """A custom ranking failed one of the three ranking axioms."""
+    """A custom ranking is not total or fails one of the three ranking axioms."""
 
 
 # reduction / characteristic sets

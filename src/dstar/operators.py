@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import parse_int, slot_bumps, zero_index
+from .ordering import parse_int, slot_bumps
 from .poly import DPolynomial, Monomial, _accumulate
 
 
@@ -189,7 +189,7 @@ def apply_composition(f, theta):
 def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
     _check_index(algebra, theta)
-    out = list(zero_index(algebra))
+    out = [0] * algebra.M
     for count, (i, _) in zip(theta, algebra.slot_pairs()):
         if count:
             out[algebra.slot_index(i, 0)] += count
@@ -217,7 +217,7 @@ def parse_operator(text, algebra):
             raise ExprParseError(
                 f"theta has {len(theta)} slots, algebra has {algebra.M}")
         return theta
-    theta = list(zero_index(algebra))
+    theta = [0] * algebra.M
     if not text:
         raise ExprParseError("empty operator string")
     for part in text.split():

@@ -186,16 +186,8 @@ def parse_variable(text, algebra=None):
 # multi-index helpers (multi-indices are plain tuples of naturals)
 
 
-def zero_index(algebra):
-    return (0,) * algebra.M
-
-
 def bump(theta, slot):
     return theta[:slot] + (theta[slot] + 1,) + theta[slot + 1:]
-
-
-def total(theta):
-    return sum(theta)
 
 
 def ord_i(algebra, theta, i):
@@ -277,7 +269,7 @@ class Ranking:
 
 def sequential_key(v):
     """Ranking key of the sequential ranking, usable without an algebra."""
-    return (total(v.theta), v.var, tuple(reversed(v.theta)))
+    return (sum(v.theta), v.var, tuple(reversed(v.theta)))
 
 
 class SequentialRanking(Ranking):

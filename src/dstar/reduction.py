@@ -310,7 +310,21 @@ def verify_certificate(g, divisors, cert, ranking=None):
 
 
 # ---------------------------------------------------------------------------
-# certificate serialisation
+# certificate serialisation; closure witnesses share the term codec
+
+
+def _term_to_json(c, theta, member):
+    return {"c": format_poly(c), "theta": list(theta), "member": member}
+
+
+def _term_from_json(entry, algebra):
+    """(c, theta, member) back from JSON; each caller words its own errors."""
+    return (parse_poly(entry["c"], algebra), _index_from_json(entry["theta"]),
+            json_int(entry["member"]))
+
+
+def _index_from_json(values):
+    return tuple(json_int(e) for e in values)
 
 
 def certificate_to_json(cert):
@@ -318,8 +332,7 @@ def certificate_to_json(cert):
         "h_factors": [{"theta": list(f.theta), "source": f.source,
                        "member": f.member} for f in cert.h_factors],
         "remainder": format_poly(cert.remainder),
-        "cofactors": [{"c": format_poly(c.c), "theta": list(c.theta),
-                       "member": c.member} for c in cert.cofactors],
+        "cofactors": [_term_to_json(c.c, c.theta, c.member) for c in cert.cofactors],
         "steps": [{"leader": str(s.leader), "case": s.case,
                    "degree": s.degree} for s in cert.steps],
     }
@@ -330,14 +343,11 @@ def certificate_from_json(text, algebra):
     doc = parse_json(text)
     try:
         h_factors = tuple(
-            HFactor(tuple(json_int(e) for e in f["theta"]), f["source"],
-                    json_int(f["member"]))
+            HFactor(_index_from_json(f["theta"]), f["source"], json_int(f["member"]))
             for f in doc.get("h_factors", ()))
         remainder = parse_poly(doc["remainder"], algebra)
-        cofactors = tuple(
-            Cofactor(parse_poly(c["c"], algebra),
-                     tuple(json_int(e) for e in c["theta"]), json_int(c["member"]))
-            for c in doc.get("cofactors", ()))
+        cofactors = tuple(Cofactor(*_term_from_json(c, algebra))
+                          for c in doc.get("cofactors", ()))
         steps = tuple(
             Step(parse_variable(s["leader"], algebra), s["case"],
                  json_int(s["degree"]))

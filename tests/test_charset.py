@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from dstar.charset import (
     B_LESS_A,
     EQUIVALENT,
     AutoreducedSet,
+    CharSetResult,
     ClosureWitness,
     RoundTrace,
     charset_complete,
@@ -23,9 +25,11 @@ from dstar.charset import (
     witness_to_json,
     _indices_up_to,
 )
+from dstar.algebra import builtin, validate_algebra
 from dstar.errors import (
     AlgebraMismatch,
     BadWitness,
+    DStarError,
     ExprParseError,
     InconsistentSystem,
     NotAutoreduced,
@@ -470,6 +474,63 @@ def test_indices_up_to_lists_by_entry_sum_then_index():
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2),
         (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert list(_indices_up_to(0, 3)) == [()]
+
+
+def test_d_ideal_generators_over_fields_40_within_two_seconds():
+    # the C(42, 2) = 861 indices of entry sum <= 2; walking all 3^40 tuples
+    # of entries <= 2 never ends, so the alarm fails it instead of hanging
+    fields40 = validate_algebra(builtin("fields", 40))
+    x1 = parse_poly(f"x1[{','.join(['0'] * 40)}]", fields40)
+
+    def expire(signum, frame):
+        pytest.fail("d_ideal_generators took more than two seconds")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        generators = d_ideal_generators([x1], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(generators) == 861
+
+
+def test_empty_families_and_sets(dual):
+    empty = AutoreducedSet(())
+    assert compare_autoreduced(empty, empty) == EQUIVALENT
+    assert charset_complete([]) == CharSetResult(empty, (), ())
+    assert d_ideal_generators([], 2) == []
+    with pytest.raises(ValueError) as exc:
+        d_ideal_generators([parse_poly("x1[0,0]", dual)], -1)
+    assert str(exc.value) == "order bound must be >= 0"
+    with pytest.raises(DStarError) as exc:
+        presentation(empty)
+    assert str(exc.value) == "presentation needs a nonempty characteristic set"
+
+
+def test_rank_comparison_across_algebras_is_rejected(dual, fields2):
+    # both algebras have two slots, so only the algebra check tells them apart
+    x = parse_poly("x1[0,0]", dual)
+    y = parse_poly("x1[0,0]", fields2)
+    for compare in (lambda: compare_autoreduced(AutoreducedSet((x,)), AutoreducedSet((y,))),
+                    lambda: rank_compare(x, y)):
+        with pytest.raises(AlgebraMismatch) as exc:
+            compare()
+        assert str(exc.value) == "rank comparison across algebras"
+
+
+def test_closure_witness_needs_generators_and_matched_taus_and_exponents(dual):
+    x = parse_poly("x1[0,0]", dual)
+    combination = ((DPolynomial.constant(dual, 1), (0, 0), 0),)
+    assert closure_step_witness([x], ClosureWitness(x, ((0, 0),), (1,), combination)) == x
+    with pytest.raises(BadWitness) as exc:
+        closure_step_witness([], ClosureWitness(x, ((0, 0),), (1,), combination))
+    assert str(exc.value) == "no generators to check against"
+    # zipped, the first two would drop their unmatched entry and accept x
+    for taus, exponents in ((((0, 0), (1, 0)), (1,)), (((0, 0),), (1, 1)), ((), ())):
+        with pytest.raises(BadWitness) as exc:
+            closure_step_witness([x], ClosureWitness(x, taus, exponents, combination))
+        assert str(exc.value) == "witness needs matching, nonempty taus and exponents"
 
 
 def test_closure_witness_examples(dual):

@@ -6,7 +6,6 @@ from dstar.classical import (
     DiffPolynomial,
     DiffVar,
     diff_is_reduced,
-    difference_specialize,
     lift_to_dual,
     project_to_differential,
     ritt_reduce,
@@ -145,16 +144,6 @@ def test_oracle_divergence_counterexample(dual):
     assert {DVariable(1, (0, 2)), DVariable(1, (1, 2))} <= leaders
     # the projected certificate is still an exact classical identity
     assert projected_certificate_holds(g_cl, [a_cl], dcert, projection_ranking())
-
-
-def test_difference_specialize(fields2, dual):
-    assert difference_specialize(fields2) == ("s1", "s2")
-    with pytest.raises(WrongAlgebra):
-        difference_specialize(dual)
-    # endomorphism: sigma_1(x*y) = sigma_1(x) * sigma_1(y)
-    x = parse_poly("x1[0,0]", fields2)
-    y = parse_poly("x2[0,0]", fields2)
-    assert apply(x * y, 1, 0) == apply(x, 1, 0) * apply(y, 1, 0)
 
 
 def test_difference_reduction_sigma_case_only(fields2):

@@ -337,6 +337,13 @@ def test_parse_operator_rejects_delta_index_zero(dual, dd11):
     assert parse_operator("theta=[1,0]", dual) == (1, 0)
 
 
+def test_parse_operator_rejects_an_empty_string(dual):
+    for text in ("", "   "):
+        with pytest.raises(ExprParseError) as exc:
+            parse_operator(text, dual)
+        assert exc.value.message == "empty operator string"
+
+
 def test_apply_composition_takes_one_block_image_per_unit_step(all_builtins, monkeypatch):
     calls = []
     real = dstar.operators.block_image

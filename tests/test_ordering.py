@@ -61,6 +61,15 @@ def test_transform_of(dual):
     assert tr.theta == (0, 0) and not tr.is_delta
 
 
+def test_transform_of_rejects_a_variable_with_the_wrong_slot_count(dual):
+    for v, u in ((DVariable(1, (0,)), DVariable(1, (0, 0))),
+                 (DVariable(1, (0, 0)), DVariable(1, (0,)))):
+        with pytest.raises(AlgebraMismatch) as exc:
+            transform_of(dual, v, u)
+        assert str(exc.value) == \
+            f"variables {v}, {u} do not match an algebra with 2 slots"
+
+
 def test_sequential_compare_examples(dual):
     r = SequentialRanking(dual)
     assert r.compare(DVariable(1, (1, 0)), DVariable(1, (0, 1))) == LESS
@@ -151,6 +160,21 @@ def test_ranking_checker_rejects_a_key_that_is_not_a_total_order(fields2):
         check_ranking_axioms(tied, [rand_variable(rng, fields2) for _ in range(25)])
     # a variable repeated in the sample is not a tie
     check_ranking_axioms(SequentialRanking(fields2), sample + sample)
+
+
+def test_ranking_checker_names_the_instance_that_breaks_axiom_1_or_2(dual):
+    # both keys break axiom 3 as well, so only the message tells which check ran
+    falling = CustomRanking(dual, lambda v: (-sum(v.theta), v.var, v.theta))
+    with pytest.raises(InvalidRanking) as exc:
+        check_ranking_axioms(falling, [DVariable(1, (0, 0))])
+    assert str(exc.value) == "axiom 1 fails: x1[0,0] !< x1[1,0]"
+    # the indeterminates' order flips once the delta slot is nonzero
+    flipped = CustomRanking(dual, lambda v: (
+        sum(v.theta), v.var if v.theta[1] == 0 else -v.var, v.theta))
+    with pytest.raises(InvalidRanking) as exc:
+        check_ranking_axioms(flipped, [DVariable(1, (0, 0)), DVariable(2, (0, 0))])
+    assert str(exc.value) == ("axiom 2 fails at slot (1,1): x1[0,0] < x2[0,0] "
+                              "but x1[0,1] !< x2[0,1]")
 
 
 def test_variable_parse_and_print(dual):

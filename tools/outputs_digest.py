@@ -15,17 +15,18 @@ apply-tower result, certificate_to_json of every reduction in the
 reduce-c6 stream, format_poly of every coordinate of every block image
 of each reduce-c6 input and divisor (every sigma and delta coordinate on
 all four stream algebras), and format_poly of every d_ideal_generators
-output of the prolonged family's base on dd:1,1 for order bounds 0, 1
-and 2.
+output, in order, of the prolonged family's base on dd:1,1 for order
+bounds 0, 1 and 2 and of the first reduce-c6 divisor set of each stream
+algebra (2, 3 and 4 slots) for order bounds 0 to 3.
 The algebra-check line covers the structure constants: the exit code and
 stdout of `dstar algebra-check`, run in-process through cli.main, on each
 of ALGEBRA_CHECK.  The big-towers line hashes format_poly of each of
 BIG_TOWERS: operator towers beyond the benchmark's sizes, whose block
-images have wide packed keys.  The last line, readers, feeds each of
-LITERALS to every reader of textual integers (expressions, variables,
-operators, JSON, algebra-file coefficients and builtin algebra names) and
-hashes what each returns, as str or format_poly, or the name of the
-exception it raises.  The reprs line hashes repr() of every reduce-c6
+images have wide packed keys.  The readers line feeds each of LITERALS to
+every reader of textual integers (expressions, variables, operators,
+JSON, algebra-file coefficients and builtin algebra names) and hashes
+what each returns, as str or format_poly, or the name of the exception it
+raises.  The last line, reprs, hashes repr() of every reduce-c6
 certificate and of every charset-workload CharSetResult, so it covers how
 each result record prints.
 """
@@ -127,6 +128,10 @@ def main():
         cert = reduce(g, divisors, SequentialRanking(algebras[label]))
         record("reduce-c6", f"{label}#{index}", certificate_to_json(cert))
         record("reprs", f"{label}#{index}", repr(cert))
+        if index == 0:
+            for bound in range(4):
+                record("d-ideal", f"{label}#0 bound {bound}", "\n".join(
+                    format_poly(f) for f in d_ideal_generators(divisors, bound)))
         for h in [g, *divisors]:
             for i in range(1, h.algebra.t + 1):
                 record("block-images", f"{label}#{index} block {i}", "\n".join(
