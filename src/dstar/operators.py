@@ -9,19 +9,22 @@ homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
 Inside one block image, monomials are packed ints.  A local registry
-lists the slot bumps of f's variables, each once, in DVariable order, and
-gives each a bit field; a monomial's key is the sum of its exponents
-shifted into their fields, so a monomial product is one int addition.
-Each field is as wide as the bit length of f's highest monomial total
-degree d.  That is enough because every coordinate of a degree-d
-monomial's image is homogeneous of degree d in the bumps, so no exponent
-of any intermediate product exceeds d and no field carries into the
-next.  Coordinates are multiplied as term dicts {packed key: coefficient}.
-At the end of block_image each output key is decoded once, lowest field
-first, into a Monomial whose factors come out sorted, and each output
-coordinate is wrapped in a DPolynomial once; its constructor drops zeros
-and stores each coefficient in its canonical form.  No packed dict
-leaves this module.
+reads f's variable ids from its monomial keys, interns the slot bumps of
+those variables in poly.py's process-wide id table, lists the bumps once
+each in ascending id order and gives each a bit field; a monomial's
+packed int is the sum of its exponents shifted into their fields, so a
+monomial product is one int addition.  Each field is as wide as the bit
+length of f's highest monomial total degree d.  That is enough because
+every coordinate of a degree-d monomial's image is homogeneous of degree
+d in the bumps, so no exponent of any intermediate product exceeds d and
+no field carries into the next.  Coordinates are multiplied as term dicts
+{packed int: coefficient}.  At the end of block_image each packed int is
+decoded once, lowest field first, straight into a Monomial key, which
+comes out in ascending id order with no sort, so block images and
+polynomials share one variable numbering.  Each output coordinate is
+wrapped in a DPolynomial once; its constructor drops zeros and stores
+each coefficient in its canonical form.  No packed dict leaves this
+module.
 
 The image of a variable power v^e does not depend on the polynomial it
 sits in.  Within one block image each (v, e) image is therefore built
@@ -36,7 +39,7 @@ import re
 
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import parse_int, slot_bumps
-from .poly import DPolynomial, Monomial, _accumulate
+from .poly import _VARIABLES, DPolynomial, _accumulate, _intern, _monomial
 
 
 def _image_mul(table, u, w):
@@ -63,9 +66,10 @@ def _image_mul(table, u, w):
 def _power_image(table, v, e, memo):
     """Block image of v^e as packed term dicts, by squaring, memoised under (v, e).
 
-    The memo holds every (v, 1) image before the first call.  The halvings
-    down to a memoised power are a loop, not a recursion, so an exponent
-    of any bit length is built without exhausting the interpreter's stack.
+    v is a variable id.  The memo holds every (v, 1) image before the
+    first call.  The halvings down to a memoised power are a loop, not a
+    recursion, so an exponent of any bit length is built without
+    exhausting the interpreter's stack.
     """
     halvings = []
     while (v, e) not in memo:
@@ -81,24 +85,26 @@ def _power_image(table, v, e, memo):
 
 
 def _registry(f, i, m):
-    """The packed-key registry of f's block-i image.
+    """The packed-int registry of f's block-i image.
 
-    Returns (bumps, width, memo): the distinct slot bumps of f's variables
-    in DVariable order, bump k owning bits [k*width, (k+1)*width) of a key;
-    the field width, the bit length of f's highest monomial total degree;
-    and the power memo seeded with every variable's (v, 1) image.
+    Returns (bumps, width, memo): the ids of the distinct slot bumps of f's
+    variables in ascending order, bump k owning bits [k*width, (k+1)*width)
+    of a packed int; the field width, the bit length of f's highest
+    monomial total degree; and the power memo, keyed by (variable id,
+    exponent), seeded with every variable's (v, 1) image.
     """
     algebra = f.algebra
     base = algebra.slot_index(i, 0)
     slots = range(base, base + m + 1)
-    images = {}     # variable -> its slot bumps, unit slot first
+    images = {}     # variable id -> its slot bumps' ids, unit slot first
     degree = 0
     for monomial in f.terms:
-        d = 0
-        for v, e in monomial.factors:
-            d += e
+        key = monomial.key
+        for v in key[::2]:
             if v not in images:
-                images[v] = slot_bumps(algebra, v, slots)
+                images[v] = [_intern(b)
+                             for b in slot_bumps(algebra, _VARIABLES[v], slots)]
+        d = sum(key[1::2])
         if d > degree:
             degree = d
     bumps = sorted({b for image in images.values() for b in image})
@@ -109,18 +115,18 @@ def _registry(f, i, m):
     return bumps, width, memo
 
 
-def _decode(key, bumps, width):
-    """The Monomial of a packed key; fields read lowest first come out sorted."""
+def _decode(packed, bumps, width):
+    """The Monomial of a packed int; fields read lowest first come out in id order."""
     mask = (1 << width) - 1
-    factors = []
+    key = []
     for b in bumps:
-        if not key:
+        if not packed:
             break
-        e = key & mask
+        e = packed & mask
         if e:
-            factors.append((b, e))
-        key >>= width
-    return Monomial(tuple(factors))
+            key += (b, e)
+        packed >>= width
+    return _monomial(tuple(key))
 
 
 def block_image(f, i):
@@ -137,19 +143,20 @@ def block_image(f, i):
     bumps, width, memo = _registry(f, i, block.m)
     acc = [{} for _ in table]
     for monomial, coeff in f.terms.items():
-        if not monomial.factors:
-            # a constant embeds in the unit slot (key 0), where no other
-            # term's image has a constant
+        key = monomial.key
+        if not key:
+            # a constant embeds in the unit slot (packed int 0), where no
+            # other term's image has a constant
             acc[0][0] = coeff
             continue
         vec = None
-        for v, e in monomial.factors:
+        for v, e in zip(key[::2], key[1::2]):
             img = _power_image(table, v, e, memo)
             vec = img if vec is None else _image_mul(table, vec, img)
         for a, terms in zip(acc, vec):
             _accumulate(a, terms, coeff)
-    return tuple(DPolynomial(algebra, {_decode(key, bumps, width): c
-                                       for key, c in a.items() if c})
+    return tuple(DPolynomial(algebra, {_decode(packed, bumps, width): c
+                                       for packed, c in a.items() if c})
                  for a in acc)
 
 

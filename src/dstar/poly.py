@@ -3,41 +3,99 @@
 Terms map monomials to nonzero exact coefficients: an int when the
 coefficient is integral, else a Fraction with denominator > 1, never a
 float.  Every coefficient is stored through _coefficient, which also
-rejects any other type with a TypeError.  A monomial is an immutable tuple
-of (DVariable, exponent) factors with positive exponents, sorted by
-DVariable order.  Monomials and variables compute their hash once, when
-built, so dict operations on terms re-hash nothing, and the product of two
-monomials is one linear merge of their factor tuples.  All arithmetic is
-exact and results are canonical (no zero coefficients, deduplicated
-monomials); only results that cannot hold a zero (a product by one term,
-scaling by a nonzero constant) skip the zero filter.  The leader, initial
-and separant accessors take the ranking as a parameter and default to the
-sequential ranking.
+rejects any other type with a TypeError.
+
+A monomial is keyed by interned variable ids.  The first time a
+DVariable is met it gets the next small int id; ids are never reused,
+and a miss takes a lock, so two threads cannot give one variable two ids
+or two variables one id.  The table is process-wide, not per algebra,
+because a monomial is built without an algebra, and block images
+(operators.py) key their outputs through the same numbering.  It keeps
+alive every variable it has met (99 over the whole reduce-c6 stream).  A
+monomial stores only its key, the flat tuple (id, exponent, id,
+exponent, ...) in ascending id order with exponents >= 1, and the key's
+hash, computed once; so equality, hashing and the product, one linear
+merge of two keys, compare and add plain ints.  Exponents are unbounded
+ints.  Its factors, ((DVariable, exponent), ...) sorted by DVariable
+order, are decoded from the key when read.  Ids never decide an order:
+leaders, printing and sort keys order by DVariable or by a ranking key.
+
+All arithmetic is exact and results are canonical (no zero coefficients,
+deduplicated monomials); only results that cannot hold a zero (a product
+by one term, scaling by a nonzero constant) skip the zero filter.  The
+leader, initial and separant accessors take the ranking as a parameter
+and default to the sequential ranking.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from fractions import Fraction
+from itertools import chain
 
 from .errors import AlgebraMismatch, ConstantPolynomial, DStarError
 from .ordering import EQUAL, GREATER, LESS, Frozen, SequentialRanking, sequential_key
 
 
+_IDS = {}            # DVariable -> id
+_VARIABLES = []      # id -> DVariable
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(v):
+    """v's id in the process-wide table, assigned on first sight."""
+    i = _IDS.get(v)
+    if i is None:
+        with _INTERN_LOCK:
+            i = _IDS.get(v)
+            if i is None:
+                # publish the variable before its id, for lock-free readers
+                i = len(_VARIABLES)
+                _VARIABLES.append(v)
+                _IDS[v] = i
+    return i
+
+
+def _key_of(factors):
+    """The key of (DVariable, exponent) pairs over distinct variables."""
+    return tuple(chain.from_iterable(sorted([(_intern(v), e) for v, e in factors])))
+
+
+def _pairs(key):
+    """The (DVariable, exponent) pairs of a key, in id order."""
+    return zip(map(_VARIABLES.__getitem__, key[::2]), key[1::2])
+
+
+def _split(key, i):
+    """(exponent of id i, key without it), or (0, key) when i is absent."""
+    ids = key[::2]
+    if i in ids:
+        p = 2 * ids.index(i)
+        return key[p + 1], key[:p] + key[p + 2:]
+    return 0, key
+
+
 class Monomial(Frozen):
     """Product of variable powers, immutable and hashed once.
 
-    factors is the tuple ((DVariable, exponent), ...) with exponents >= 1,
-    sorted by DVariable order.  The constructor trusts that order; of()
-    builds it from a mapping.
+    key is the tuple (id, exponent, ...) in ascending id order, with
+    exponents >= 1; factors is ((DVariable, exponent), ...) sorted by
+    DVariable order, decoded from the key on each read.  The constructor
+    takes factors in any order; of() builds them from a mapping.
     """
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("key", "_hash")
     _args = ("factors",)
 
     def __init__(self, factors):
-        _set_factors(self, factors)
-        _set_monomial_hash(self, hash(factors))
+        key = _key_of(factors)
+        _set_key(self, key)
+        _set_monomial_hash(self, hash(key))
+
+    @property
+    def factors(self):
+        return tuple(sorted(_pairs(self.key)))
 
     def __hash__(self):
         return self._hash
@@ -45,7 +103,7 @@ class Monomial(Frozen):
     def __eq__(self, other):
         if other.__class__ is not Monomial:
             return NotImplemented
-        return self._hash == other._hash and self.factors == other.factors
+        return self._hash == other._hash and self.key == other.key
 
     @staticmethod
     def of(mapping):
@@ -59,20 +117,17 @@ class Monomial(Frozen):
                 raise TypeError(f"exponent {e!r} is not an int")
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        return Monomial(tuple(sorted((v, e) for v, e in mapping.items() if e)))
+        return _monomial(_key_of([(v, e) for v, e in mapping.items() if e]))
 
     def degree_in(self, v):
-        for w, e in self.factors:
-            if w == v:
-                return e
-        return 0
+        return _split(self.key, _IDS.get(v))[0]
 
     def variables(self):
         return [v for v, _ in self.factors]
 
     def mul(self, other):
-        """The product, as one linear merge of the two sorted factor tuples."""
-        a, b = self.factors, other.factors
+        """The product, as one linear merge of the two keys."""
+        a, b = self.key, other.key
         if not b:
             return self
         if not a:
@@ -81,38 +136,44 @@ class Monomial(Frozen):
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
-            v, e = a[i]
-            w, f = b[j]
-            if v is w or v == w:
-                out.append((v, e + f))
-                i += 1
-                j += 1
+            v = a[i]
+            w = b[j]
+            if v == w:
+                out += (v, a[i + 1] + b[j + 1])
+                i += 2
+                j += 2
             elif v < w:
-                out.append(a[i])
-                i += 1
+                out += a[i:i + 2]
+                i += 2
             else:
-                out.append(b[j])
-                j += 1
-        return Monomial(tuple(out) + a[i:] + b[j:])
+                out += b[j:j + 2]
+                j += 2
+        return _monomial(tuple(out) + a[i:] + b[j:])
 
     def without(self, v):
         """Split off the power of v: returns (exponent, monomial without v)."""
-        # dropping one factor keeps the rest sorted
-        for k, (w, e) in enumerate(self.factors):
-            if w == v:
-                return e, Monomial(self.factors[:k] + self.factors[k + 1:])
-        return 0, self
+        e, key = _split(self.key, _IDS.get(v))
+        return (e, _monomial(key)) if e else (0, self)
 
     def sort_key(self):
         """Descending canonical order key (higher key prints first)."""
-        return tuple(sorted(((sequential_key(v), e) for v, e in self.factors),
+        return tuple(sorted(((sequential_key(v), e) for v, e in _pairs(self.key)),
                             reverse=True))
 
 
 # slot setters for constructors: they bypass the immutability guard and
 # cost less than object.__setattr__
-_set_factors = Monomial.factors.__set__
+_set_key = Monomial.key.__set__
 _set_monomial_hash = Monomial._hash.__set__
+
+
+def _monomial(key):
+    """The Monomial of a key already in canonical form."""
+    m = object.__new__(Monomial)
+    _set_key(m, key)
+    _set_monomial_hash(m, hash(key))
+    return m
+
 
 UNIT_MONOMIAL = Monomial(())
 
@@ -155,7 +216,7 @@ class DPolynomial(Frozen):
         if len(v.theta) != algebra.M:
             raise AlgebraMismatch(
                 f"variable {v} has {len(v.theta)} slots, algebra has {algebra.M}")
-        return DPolynomial._nonzero(algebra, {Monomial(((v, 1),)): 1})
+        return DPolynomial._nonzero(algebra, {_monomial((_intern(v), 1)): 1})
 
     # -- basics --------------------------------------------------------------
 
@@ -163,22 +224,25 @@ class DPolynomial(Frozen):
         return not self.terms
 
     def is_constant(self):
-        return all(not m.factors for m in self.terms)
+        # the terms are distinct monomials, so a constant has at most one: the unit
+        terms = self.terms
+        return not terms or (len(terms) == 1 and UNIT_MONOMIAL in terms)
 
     def variables(self):
-        out = set()
+        ids = set()
         for m in self.terms:
-            out.update(m.variables())
-        return out
+            ids.update(m.key[::2])
+        return {_VARIABLES[i] for i in ids}
 
     def degrees(self):
         """{variable: highest exponent} over the variables present, in one pass."""
         out = {}
         for m in self.terms:
-            for v, e in m.factors:
-                if e > out.get(v, 0):
-                    out[v] = e
-        return out
+            key = iter(m.key)
+            for i, e in zip(key, key):
+                if e > out.get(i, 0):
+                    out[i] = e
+        return {_VARIABLES[i]: e for i, e in out.items()}
 
     def __eq__(self, other):
         if not isinstance(other, DPolynomial):
@@ -253,7 +317,7 @@ class DPolynomial(Frozen):
     def _times_term(self, m, c):
         """self * (c * m); m is a monomial and c a nonzero coefficient."""
         # multiplying by a monomial is injective, so no two terms merge
-        if not m.factors:
+        if not m.key:
             return self.scalar_mul(c)
         return DPolynomial._nonzero(
             self.algebra,
@@ -299,15 +363,18 @@ class DPolynomial(Frozen):
         return max(sorted(self.variables()), key=ranking.key)
 
     def degree_in(self, v):
-        return max((m.degree_in(v) for m in self.terms), default=0)
+        i = _IDS.get(v)
+        return max((_split(m.key, i)[0] for m in self.terms), default=0)
 
     def coefficient_in(self, v, k):
         """The v-free g_k of the decomposition sum g_k * v^k (zero if absent)."""
         # distinct monomials with equal v-degree differ off v, so none merge
+        i = _IDS.get(v)
         out = {}
         for m, c in self.terms.items():
-            if m.degree_in(v) == k:
-                out[m.without(v)[1]] = c
+            e, key = _split(m.key, i)
+            if e == k:
+                out[_monomial(key) if e else m] = c
         return DPolynomial(self.algebra, out)
 
     def degree(self, ranking=None):
@@ -319,16 +386,18 @@ class DPolynomial(Frozen):
 
     def separant(self, ranking=None):
         """Derivative with respect to the leader u."""
-        u = self.leader(ranking)
-        # lowering u's exponent keeps the factors sorted, and distinct terms
+        i = _IDS[self.leader(ranking)]
+        # lowering u's exponent keeps the key in id order, and distinct terms
         # containing u stay distinct, so nothing merges
         out = {}
         for m, c in self.terms.items():
-            k = m.degree_in(u)
-            if k:
-                lowered = tuple((v, e - 1 if v == u else e) for v, e in m.factors
-                                if v != u or e > 1)
-                out[Monomial(lowered)] = c * k
+            key = m.key
+            ids = key[::2]
+            if i in ids:
+                p = 2 * ids.index(i)
+                k = key[p + 1]
+                lowered = key[p + 2:] if k == 1 else (i, k - 1) + key[p + 2:]
+                out[_monomial(key[:p] + lowered)] = c * k
         return DPolynomial(self.algebra, out)
 
 

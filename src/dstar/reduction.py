@@ -170,13 +170,20 @@ def a_leader(g, divisors, ranking=None):
     if divisors.has_constant:
         raise ConstantPolynomial("constants have no leader")
     key, leaders, degrees = divisors.ranking.key, divisors.leaders, divisors.degrees
-    offending = (ALeader(v, k, idx, tr.theta, tr.is_delta)
-                 for v, k in sorted(g.degrees().items())
-                 for idx, tr in enumerate(transform_of(g.algebra, v, u) for u in leaders)
-                 if tr is not None and (tr.is_delta or k >= degrees[idx]))
-    # max keeps the first of equal maxima: exact ties go to the lowest variable
-    return max(offending, default=None,
-               key=lambda c: (key(c.variable), key(leaders[c.member]), -c.member))
+    best = best_rank = None
+    for v, k in sorted(g.degrees().items()):
+        for idx, u in enumerate(leaders):
+            tr = transform_of(g.algebra, v, u)
+            if tr is not None and (tr.is_delta or k >= degrees[idx]):
+                rank = (key(v), key(u), -idx)
+                # only a strictly higher rank wins: exact ties go to the
+                # first offender met, the lowest variable
+                if best is None or rank > best_rank:
+                    best, best_rank = (v, k, idx, tr), rank
+    if best is None:
+        return None
+    v, k, idx, tr = best
+    return ALeader(v, k, idx, tr.theta, tr.is_delta)
 
 
 def reduce(g, divisors, ranking=None):

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,14 +20,17 @@ from dstar.ordering import (
 )
 from dstar.parser import parse_poly
 from dstar.poly import (
+    _IDS,
+    _VARIABLES,
     UNIT_MONOMIAL,
     DPolynomial,
     Monomial,
     format_poly,
     monic,
+    poly_sort_key,
     rank_compare,
 )
-from dstar.reduction import reduce
+from dstar.reduction import a_leader, reduce
 
 from gen import rand_poly, rand_reduction_instance, rand_theta, rand_variable
 
@@ -434,3 +439,139 @@ def test_power_takes_only_natural_int_exponents(dual):
     for exponent in (True, False, -1, 2.0, Fraction(2)):
         with pytest.raises(ValueError, match="^exponent must be a natural number$"):
             x ** exponent
+
+
+# ---------------------------------------------------------------------------
+# monomial keys: variables are interned to ids in order of first sight, and
+# each test below uses indeterminates that no other test meets, so their
+# ids are assigned there, in the order the test meets them
+
+
+def _same_as_of(m):
+    """m equals, and hashes equal to, the monomial Monomial.of builds."""
+    built = Monomial.of(dict(m.factors))
+    assert m == built and hash(m) == hash(built) and m.key == built.key
+
+
+def _met_in_reverse(*variables):
+    """Intern the variables highest first and check that their ids run backwards."""
+    for v in sorted(variables, reverse=True):
+        Monomial.of({v: 1})
+    ids = [_IDS[v] for v in sorted(variables)]
+    assert ids == sorted(ids, reverse=True)
+
+
+def test_variables_met_out_of_order_come_out_sorted(dual):
+    x41, x43, x44, x45 = (DVariable(j, (0, 0)) for j in (41, 43, 44, 45))
+    _met_in_reverse(x41, x43, x44, x45)
+    a, b = Monomial.of({x45: 2, x43: 1}), Monomial.of({x44: 1, x41: 3})
+    product = a.mul(b)
+    assert product.factors == ((x41, 3), (x43, 1), (x44, 1), (x45, 2))
+    assert product == b.mul(a) and product.variables() == [x41, x43, x44, x45]
+    assert Monomial(((x45, 2), (x41, 3), (x44, 1), (x43, 1))) == product
+    e, rest = product.without(x43)
+    assert e == 1 and rest.factors == ((x41, 3), (x44, 1), (x45, 2))
+    for m in (product, rest, a.mul(a), b.mul(product)):
+        _same_as_of(m)
+
+    f = DPolynomial(dual, {product: 1, Monomial.of({x41: 1, x45: 3}): 2})
+    assert format_poly(f) == ("2 * x41[0,0] * x45[0,0]^3"
+                              " + x41[0,0]^3 * x43[0,0] * x44[0,0] * x45[0,0]^2")
+    assert format_poly(f.separant()) == (
+        "6 * x41[0,0] * x45[0,0]^2 + 2 * x41[0,0]^3 * x43[0,0] * x44[0,0] * x45[0,0]")
+    assert f.leader() == x45 and f.degree_in(x45) == 3 and f.degree_in(x43) == 1
+    assert f.degrees() == {x41: 3, x43: 1, x44: 1, x45: 3}
+    assert sorted(m.factors for m in f.separant().terms) == [
+        ((x41, 1), (x45, 2)), ((x41, 3), (x43, 1), (x44, 1), (x45, 1))]
+    coefficient, = f.coefficient_in(x44, 1).terms
+    assert coefficient.factors == ((x41, 3), (x43, 1), (x45, 2))
+    for g in (f.separant(), f.coefficient_in(x45, 2), f.initial(), f * f):
+        for m in g.terms:
+            _same_as_of(m)
+
+
+def test_block_images_do_not_depend_on_the_order_variables_are_met(all_builtins):
+    # x51-x55 are met highest first and x71-x75 lowest first; the same
+    # polynomial over either set has the same block images, up to the names
+    for j in range(71, 76):
+        Monomial.of({DVariable(j, (0, 0)): 1})
+    _met_in_reverse(*(DVariable(j, (0, 0)) for j in range(51, 56)))
+    text = "x51[{0}]^2 * x55[{1}] + 3 * x53[{1}] * x52[{0}] - x54[{1}]^3 * x51[{1}] + 1"
+    for d in all_builtins.values():
+        zero, one = ",".join("0" * d.M), ",".join("0" * (d.M - 1) + "1")
+        low = parse_poly(text.format(zero, one), d)
+        high = parse_poly(text.format(zero, one).replace("x5", "x7"), d)
+        for i in range(1, d.t + 1):
+            for c_low, c_high in zip(block_image(low, i), block_image(high, i)):
+                assert format_poly(c_low).replace("x5", "x7") == format_poly(c_high)
+                for m in c_low.terms:
+                    _same_as_of(m)
+
+
+def test_ids_never_decide_an_order(dual):
+    x61, x65 = DVariable(61, (0, 0)), DVariable(65, (0, 0))
+    dx61, sx61 = DVariable(61, (0, 1)), DVariable(61, (1, 0))
+    _met_in_reverse(x61, x65)
+    _met_in_reverse(dx61, sx61)
+    # the highest ranked variable and, on a key tie, the lowest in DVariable
+    # order, although the variables were met the other way round
+    f = parse_poly("x61[0,0] + x65[0,0]", dual)
+    assert f.leader() == x65
+    assert f.leader(CustomRanking(dual, lambda v: 0)) == x61
+    g = parse_poly("x61[1,0] + x61[0,1]", dual)
+    ties = CustomRanking(dual, lambda v: sum(v.theta))
+    assert a_leader(g, [parse_poly("x61[0,0]", dual)], ties).variable == dx61
+    assert format_poly(g) == "x61[0,1] + x61[1,0]"
+    assert format_poly(g * f) == ("x65[0,0] * x61[0,1] + x61[0,0] * x61[0,1]"
+                                  " + x65[0,0] * x61[1,0] + x61[0,0] * x61[1,0]")
+    low, high = parse_poly("x61[0,0]", dual), parse_poly("x65[0,0]", dual)
+    assert sorted([high, low], key=poly_sort_key) == [low, high]
+
+
+def test_monomials_copy_and_pickle_through_their_factors(dual):
+    x46, x47, x48 = (DVariable(j, (0, 0)) for j in (46, 47, 48))
+    m = Monomial.of({x48: 2, x46: 1, x47: 7})
+    assert m.__reduce__() == (Monomial, (((x46, 1), (x47, 7), (x48, 2)),))
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and hash(copied) == hash(m) and copied.factors == m.factors
+    f = DPolynomial(dual, {m: 3, UNIT_MONOMIAL: 1})
+    assert pickle.loads(pickle.dumps(f)) == copy.deepcopy(f) == f
+
+
+def test_huge_exponents_multiply_exactly(dual):
+    x = DVariable(81, (0, 0))
+    m = Monomial.of({x: 2 ** 70})
+    assert m.mul(m).factors == ((x, 2 ** 71),) and m.mul(m).degree_in(x) == 2 ** 71
+    f = DPolynomial(dual, {m: 1})
+    assert format_poly(f * f) == f"x81[0,0]^{2 ** 71}"
+    assert (f * f).separant().terms == {Monomial.of({x: 2 ** 71 - 1}): 2 ** 71}
+
+
+def test_threads_interning_the_same_variables_get_one_id_each():
+    # a race is rare in any one round, so each of several rounds meets 50
+    # variables that no earlier round or test has met
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        for first in range(201, 1201, 50):
+            fresh = [(j, (0, 0)) for j in range(first, first + 50)]
+            assert not any(DVariable(*v) in _IDS for v in fresh)
+            start = threading.Barrier(8)
+            seen = [None] * 8
+
+            def intern(k):
+                variables = [DVariable(*v) for v in fresh]   # the thread's own objects
+                start.wait(timeout=10)
+                seen[k] = [Monomial(((v, 1),)).key[0] for v in variables]
+
+            threads = [threading.Thread(target=intern, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            ids = seen[0]
+            assert all(s == ids for s in seen) and len(set(ids)) == len(fresh)
+            assert [_VARIABLES[i] for i in ids] == [DVariable(*v) for v in fresh]
+    finally:
+        sys.setswitchinterval(interval)

@@ -26,9 +26,13 @@ images have wide packed keys.  The readers line feeds each of LITERALS to
 every reader of textual integers (expressions, variables, operators,
 JSON, algebra-file coefficients and builtin algebra names) and hashes
 what each returns, as str or format_poly, or the name of the exception it
-raises.  The last line, reprs, hashes repr() of every reduce-c6
-certificate and of every charset-workload CharSetResult, so it covers how
-each result record prints.
+raises.  The reprs line hashes repr() of every reduce-c6 certificate and
+of every charset-workload CharSetResult, so it covers how each result
+record prints.  The last line, monomials, hashes repr(m.factors) of every
+monomial and format_poly of every result of products and block images
+over indeterminates no other line uses, met highest first on each of the
+four stream algebras, so that the order in which variables are first met
+runs against DVariable order.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ from dstar import (  # noqa: E402
     d_ideal_generators, format_poly, parse_operator, parse_poly, reduce)
 from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
 from dstar.errors import DStarError  # noqa: E402
-from dstar.ordering import parse_int, parse_variable  # noqa: E402
+from dstar.ordering import DVariable, parse_int, parse_variable  # noqa: E402
 from dstar.parser import parse_json  # noqa: E402
+from dstar.poly import DPolynomial, Monomial  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check", "block-images", "big-towers", "readers", "reprs")
+        "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -61,6 +66,8 @@ BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
 LITERALS = ("0", "1", "2", "3", "007", "10", "-1", "-0", "-007", "3/2", "-3/2",
             "6/4", "4/2", "0/5", "1/0", "1/-2", "2/3/4", "x", "", "-", "--1",
             "1.5", "1e3", "0x10", "9" * 4301)
+# indeterminates of the monomials line, met in this order (highest first)
+FRESH = (94, 93, 92, 91)
 
 
 def readers(algebras):
@@ -85,6 +92,36 @@ def readers(algebras):
         ("hs", lambda t: str(algebra_from_name(f"hs:{t}").op_names)),
         ("dd", lambda t: str(algebra_from_name(f"dd:1,{t}").op_names)),
     )
+
+
+def monomial_records(algebras):
+    """(name, text) for products and block images over variables met out of order.
+
+    Each text holds repr(m.factors) of the result's monomials, sorted, and
+    its format_poly.
+    """
+    def text(f):
+        return "\n".join(sorted(repr(m.factors) for m in f.terms) + [format_poly(f)])
+
+    for label in ("dual", "fields:2", "hs:2", "dd:1,1"):
+        algebra = algebras[label]
+        # the zero index and each single bump, highest first
+        thetas = sorted((tuple(int(s == k) for s in range(algebra.M))
+                         for k in range(-1, algebra.M)), reverse=True)
+        variables = [DVariable(j, theta) for j in FRESH for theta in thetas]
+        exponents = (1, 2, 3, 2 ** 70)
+        # the first sight of each variable, in descending DVariable order
+        powers = [Monomial.of({v: exponents[k % 4]}) for k, v in enumerate(variables)]
+        n = len(powers)
+        for k in range(n):
+            m = powers[k].mul(powers[n - 1 - k]).mul(powers[3 * k % n]).mul(powers[k])
+            yield f"{label} product {k}", text(DPolynomial(algebra, {m: k + 1}))
+        low = [Monomial.of({v: 1 + k % 3}) for k, v in enumerate(variables)]
+        f = DPolynomial(algebra, {low[k].mul(low[5 * k % n]): k - 2 for k in range(n)})
+        yield f"{label} square", text(f * f)
+        for i in range(1, algebra.t + 1):
+            for p, c in enumerate(block_image(f, i)):
+                yield f"{label} block {i} coordinate {p}", text(c)
 
 
 def families(algebras):
@@ -158,6 +195,8 @@ def main():
             except DStarError as exc:
                 result = type(exc).__name__
             record("readers", f"{reader} {text!r}", result)
+    for name, text in monomial_records(algebras):
+        record("monomials", name, text)
 
     print(f"families {len(items)}")
     for key, h in digests.items():
