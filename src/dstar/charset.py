@@ -46,16 +46,16 @@ from .errors import (
     SeparantDegenerate,
 )
 from .operators import apply_composition
-from .ordering import Record, SequentialRanking, is_sigma_only
+from .ordering import Record, SequentialRanking
 from .parser import parse_json, parse_poly
 from .poly import DPolynomial, _rank_tuples, format_poly, monic, poly_sort_key
 from .reduction import (
     Cofactor,
     DivisorSet,
     ReductionCertificate,
+    _check_theta,
     _index_from_json,
-    _is_index,
-    _is_member,
+    _sum_terms,
     _term_from_json,
     _term_to_json,
     is_reduced,
@@ -281,23 +281,8 @@ def _indices_up_to(width, bound):
 class ClosureWitness(Record):
     """Product membership datum: prod tau_j(a)^(n_j) = sum c_k * theta_k(g_k)."""
 
-    # taus are sigma-only, exponents >= 1, combination holds (c_k, theta_k, k)
+    # sigma-only taus, exponents >= 1, (c_k, theta_k, k) terms checked as cofactors
     __slots__ = _args = ("a", "taus", "exponents", "combination")
-
-
-def _check_witness_index(algebra, theta, what):
-    """A witness multi-index has one natural number per slot of the algebra."""
-    if not _is_index(theta):
-        raise BadWitness(f"{what} {theta!r} is not a tuple of integers")
-    if len(theta) != algebra.M:
-        raise BadWitness(f"{what} {list(theta)} has {len(theta)} slots, "
-                         f"algebra has {algebra.M}")
-    if min(theta, default=0) < 0:
-        raise BadWitness(f"{what} {list(theta)} has a negative entry")
-
-
-def _is_polynomial_over(p, algebra):
-    return isinstance(p, DPolynomial) and p.algebra == algebra
 
 
 def closure_step_witness(generators, witness):
@@ -307,13 +292,14 @@ def closure_step_witness(generators, witness):
     difference) when the identity fails or the witness is malformed: a
     multi-index that is not a tuple of natural numbers, an exponent or a
     member index that is not an int, or an a or c that is not a
-    polynomial over the generators' algebra.
+    polynomial over the generators' algebra.  Taus and terms are checked as
+    a certificate's H-factor thetas and cofactors are, by the same code.
     """
     generators = list(generators)
     if not generators:
         raise BadWitness("no generators to check against")
     algebra = generators[0].algebra
-    if not _is_polynomial_over(witness.a, algebra):
+    if not (isinstance(witness.a, DPolynomial) and witness.a.algebra == algebra):
         raise BadWitness("witness a is not a polynomial over the generators' algebra")
     if len(witness.taus) != len(witness.exponents) or not witness.taus:
         raise BadWitness("witness needs matching, nonempty taus and exponents")
@@ -322,22 +308,12 @@ def closure_step_witness(generators, witness):
     if any(e < 1 for e in witness.exponents):
         raise BadWitness("witness exponents must be positive")
     for tau in witness.taus:
-        _check_witness_index(algebra, tau, "tau")
-        if not is_sigma_only(algebra, tau):
-            raise BadWitness(f"tau {list(tau)} is not sigma-only")
+        _check_theta(algebra, tau, "tau", sigma_only=True)
     product = DPolynomial.constant(algebra, 1)
     for tau, e in zip(witness.taus, witness.exponents):
         product = product * apply_composition(witness.a, tau) ** e
-    combo = DPolynomial.zero(algebra)
-    for c, theta, idx in witness.combination:
-        if not _is_member(idx, len(generators)):
-            raise BadWitness(f"combination references generator {idx!r}, "
-                             f"only {len(generators)} available")
-        if not _is_polynomial_over(c, algebra):
-            raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
-                             "over the generators' algebra")
-        _check_witness_index(algebra, theta, "combination theta")
-        combo = combo + c * apply_composition(generators[idx], theta)
+    combo = _sum_terms(DPolynomial.zero(algebra), witness.combination, len(generators),
+                       lambda idx, theta: apply_composition(generators[idx], theta))
     difference = product - combo
     if not difference.is_zero():
         raise BadWitness(
@@ -364,8 +340,7 @@ def witness_to_json(witness):
         "a": format_poly(witness.a),
         "taus": [list(t) for t in witness.taus],
         "exponents": list(witness.exponents),
-        "combination": [_term_to_json(c, theta, idx)
-                        for c, theta, idx in witness.combination],
+        "combination": [_term_to_json(*term) for term in witness.combination],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

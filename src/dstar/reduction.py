@@ -27,6 +27,7 @@ import json
 
 from .errors import (
     AlgebraMismatch,
+    BadWitness,
     ConstantDivisor,
     ConstantPolynomial,
     DStarError,
@@ -55,6 +56,9 @@ class HFactor(Record):
 
 class Cofactor(Record):
     __slots__ = _args = ("c", "theta", "member")
+
+    def __iter__(self):     # unpacks like a closure witness's term
+        return iter((self.c, self.theta, self.member))
 
 
 class Step(Record):
@@ -264,14 +268,43 @@ def multiplier_product(cert, divisors, ranking=None):
     return h
 
 
-def _is_index(theta):
-    """True for a multi-index as the kernel keys it: a tuple of ints, no bools."""
-    return type(theta) is tuple and all(type(e) is int for e in theta)
-
-
 def _is_member(k, count):
     """True for a member index: an int (not a bool) in 0..count-1."""
     return type(k) is int and 0 <= k < count
+
+
+def _check_theta(algebra, theta, what, sigma_only=False):
+    """BadWitness unless theta is one natural number per slot, sigma-only if asked."""
+    if type(theta) is not tuple or any(type(e) is not int for e in theta):
+        raise BadWitness(f"{what} {theta!r} is not a tuple of integers")
+    if len(theta) != algebra.M:
+        raise BadWitness(f"{what} {list(theta)} has {len(theta)} slots, "
+                         f"algebra has {algebra.M}")
+    if min(theta, default=0) < 0:
+        raise BadWitness(f"{what} {list(theta)} has a negative entry")
+    if sigma_only and not is_sigma_only(algebra, theta):
+        raise BadWitness(f"{what} {list(theta)} is not sigma-only")
+
+
+def _sum_terms(total, terms, count, image):
+    """total + sum c * image(member, theta) over (c, theta, member) terms.
+
+    Sums certificate cofactors and witness combinations alike.  Raises
+    BadWitness at the first term whose member is not an int in 0..count-1,
+    whose c is not a polynomial over total's algebra or whose theta fails
+    _check_theta.
+    """
+    algebra = total.algebra
+    for c, theta, member in terms:
+        if not _is_member(member, count):
+            raise BadWitness(f"combination references generator {member!r}, "
+                             f"only {count} available")
+        if not (isinstance(c, DPolynomial) and c.algebra == algebra):
+            raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
+                             "over the generators' algebra")
+        _check_theta(algebra, theta, "combination theta")
+        total = total + c * image(member, theta)
+    return total
 
 
 def verify_certificate(g, divisors, cert, ranking=None):
@@ -279,9 +312,9 @@ def verify_certificate(g, divisors, cert, ranking=None):
 
     Judges the identity, the factor structure, that the remainder is
     reduced and that it ranks no higher than g, but not the step trace.
-    Malformed input (a multi-index that is not a tuple of ints, a member
-    index that is not an int, a remainder or cofactor that is not a
-    polynomial) is judged False like any other failed check.
+    Cofactors and H-factor thetas pass the checks of closure witnesses:
+    a malformed multi-index, member, remainder or cofactor is judged False
+    like any other failed check.
     """
     try:
         divisors = _divisor_set(divisors, ranking, g.algebra)
@@ -289,21 +322,13 @@ def verify_certificate(g, divisors, cert, ranking=None):
         if not isinstance(cert.remainder, DPolynomial):
             return False
         for factor in cert.h_factors:
-            if factor.source not in (INITIAL, SEPARANT):
+            if factor.source not in (INITIAL, SEPARANT) or not _is_member(
+                    factor.member, count):
                 return False
-            if not _is_member(factor.member, count):
-                return False
-            if not _is_index(factor.theta):
-                return False
-            if not is_sigma_only(g.algebra, factor.theta):
-                return False
+            _check_theta(g.algebra, factor.theta, "H-factor theta", sigma_only=True)
         h = multiplier_product(cert, divisors)
-        rhs = cert.remainder
-        for cof in cert.cofactors:
-            if not (_is_member(cof.member, count) and _is_index(cof.theta)
-                    and isinstance(cof.c, DPolynomial)):
-                return False
-            rhs = rhs + cof.c * divisors.image(cof.member, None, cof.theta)
+        rhs = _sum_terms(cert.remainder, cert.cofactors, count,
+                         lambda member, theta: divisors.image(member, None, theta))
         if h * g != rhs:
             return False
         if not is_reduced_wrt_set(cert.remainder, divisors):
@@ -339,7 +364,7 @@ def certificate_to_json(cert):
         "h_factors": [{"theta": list(f.theta), "source": f.source,
                        "member": f.member} for f in cert.h_factors],
         "remainder": format_poly(cert.remainder),
-        "cofactors": [_term_to_json(c.c, c.theta, c.member) for c in cert.cofactors],
+        "cofactors": [_term_to_json(*c) for c in cert.cofactors],
         "steps": [{"leader": str(s.leader), "case": s.case,
                    "degree": s.degree} for s in cert.steps],
     }

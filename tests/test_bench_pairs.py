@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,39 @@ def test_report_marks_a_wide_revision_spread_unresolved_and_differing_sides(caps
     runs["working tree"] = records([(21.0, 100.0)] * 4)
     bench_pairs.report("charset", runs, END_TO_END)
     assert table_rows(capsys.readouterr().out)["ops_per_s"][-1] == "ok"
+
+
+def test_pass_counts_alone_are_listed_but_not_flagged(capsys):
+    # a faster side fits more passes in the same run length; its tail is
+    # still the same percentile, so the sides compare like with like
+    runs = {"revision": records([(10.0, 100.0)] * 4, passes=1),
+            "working tree": records([(12.0, 100.0)] * 4, passes=2)}
+    bench_pairs.report("reduce-c6", runs, END_TO_END)
+    out = capsys.readouterr().out
+    assert "revision:      passes 1 1 1 1; tail p75 p75 p75 p75" in out
+    assert "working tree:  passes 2 2 2 2; tail p75 p75 p75 p75" in out
+    assert "SIDES DIFFER" not in out
+
+
+def test_a_stop_inside_the_run_removes_both_trees(monkeypatch, tmp_path):
+    # no signal is sent: the SIGTERM handler that main installs is called
+    # from inside its with block, as the interpreter would call it
+    handlers, dests = {}, []
+    monkeypatch.setattr(bench_pairs.signal, "signal",
+                        lambda signum, handler: handlers.__setitem__(signum, handler))
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path))
+
+    def unpack_revision(rev, dest):
+        dests.append(dest)
+        handlers[signal.SIGTERM](signal.SIGTERM, None)
+
+    monkeypatch.setattr(bench_pairs, "unpack_revision", unpack_revision)
+    with pytest.raises(SystemExit) as exit:
+        bench_pairs.main(["cli-cold"])
+    assert exit.value.code == 128 + signal.SIGTERM
+    assert set(handlers) == {signal.SIGTERM, signal.SIGINT}
+    assert dests and dests[0].parent.parent == tmp_path
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workloads_default_to_and_are_checked_against_benchmark_json(capsys):

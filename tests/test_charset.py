@@ -39,7 +39,11 @@ from dstar.ordering import CustomRanking, SequentialRanking, check_ranking_axiom
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, format_poly, monic, poly_sort_key, rank_compare
 from dstar.reduction import (
+    INITIAL,
+    Cofactor,
     DivisorSet,
+    HFactor,
+    ReductionCertificate,
     certificate_to_json,
     is_reduced,
     is_reduced_wrt_set,
@@ -619,6 +623,55 @@ def test_closure_witness_with_a_malformed_type_is_rejected(dual, fields2):
     for witness in malformed:
         with pytest.raises(BadWitness):
             closure_step_witness(gens, witness)
+
+
+def test_malformed_terms_fail_the_witness_and_the_certificate_alike(dual, fields2):
+    # f reduces by itself in one sigma step with H = 1 and the one cofactor
+    # (1, (0, 0), 0), the term of the witness that f is in [f] as well
+    f = parse_poly("x1[0,1] - 1", dual)
+    one = DPolynomial.constant(dual, 1)
+    term = (one, (0, 0), 0)
+    cert = reduce(f, [f])
+    assert cert.h_factors == (HFactor((0, 0), INITIAL, 0),)
+    assert cert.cofactors == (Cofactor(*term),) and verify_certificate(f, [f], cert)
+    assert closure_step_witness([f], ClosureWitness(f, ((0, 0),), (1,), (term,))) == f
+    # (field, value, message): the term with one field replaced
+    malformed_terms = (
+        ("member", 1, "combination references generator 1, only 1 available"),
+        ("member", -1, "combination references generator -1, only 1 available"),
+        ("member", False, "combination references generator False, only 1 available"),
+        ("member", 0.0, "combination references generator 0.0, only 1 available"),
+        ("c", 1.0, "combination coefficient 1.0 is not a polynomial over the "
+         "generators' algebra"),
+        ("c", DPolynomial.constant(fields2, 1), "combination coefficient "
+         "DPolynomial(1) is not a polynomial over the generators' algebra"),
+        ("theta", [0, 0], "combination theta [0, 0] is not a tuple of integers"),
+        ("theta", (False, 0), "combination theta (False, 0) is not a tuple of integers"),
+        ("theta", (0,), "combination theta [0] has 1 slots, algebra has 2"),
+        ("theta", (0, 0, 0), "combination theta [0, 0, 0] has 3 slots, algebra has 2"),
+        ("theta", (0, -1), "combination theta [0, -1] has a negative entry"),
+    )
+    for field, value, message in malformed_terms:
+        bad = Cofactor(**dict(zip(Cofactor._args, term), **{field: value}))
+        with pytest.raises(BadWitness) as exc:
+            closure_step_witness([f], ClosureWitness(f, ((0, 0),), (1,), (tuple(bad),)))
+        assert str(exc.value) == message
+        forged = ReductionCertificate(cert.h_factors, cert.remainder, (bad,), cert.steps)
+        assert verify_certificate(f, [f], forged) is False, message
+    # (theta, message): a malformed witness tau, and as such an H-factor theta
+    for theta, message in (
+            ([0, 0], "tau [0, 0] is not a tuple of integers"),
+            ((0, True), "tau (0, True) is not a tuple of integers"),
+            ((0,), "tau [0] has 1 slots, algebra has 2"),
+            ((0, 0, 0), "tau [0, 0, 0] has 3 slots, algebra has 2"),
+            ((-1, 0), "tau [-1, 0] has a negative entry"),
+            ((0, 1), "tau [0, 1] is not sigma-only")):
+        with pytest.raises(BadWitness) as exc:
+            closure_step_witness([f], ClosureWitness(f, (theta,), (1,), (term,)))
+        assert str(exc.value) == message
+        forged = ReductionCertificate((HFactor(theta, INITIAL, 0),), cert.remainder,
+                                      cert.cofactors, cert.steps)
+        assert verify_certificate(f, [f], forged) is False, message
 
 
 def test_witness_numbers_must_be_json_integers(dual):

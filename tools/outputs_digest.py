@@ -28,11 +28,16 @@ JSON, algebra-file coefficients and builtin algebra names) and hashes
 what each returns, as str or format_poly, or the name of the exception it
 raises.  The reprs line hashes repr() of every reduce-c6 certificate and
 of every charset-workload CharSetResult, so it covers how each result
-record prints.  The last line, monomials, hashes repr(m.factors) of every
+record prints.  The monomials line hashes repr(m.factors) of every
 monomial and format_poly of every result of products and block images
 over indeterminates no other line uses, met highest first on each of the
 four stream algebras, so that the order in which variables are first met
-runs against DVariable order.
+runs against DVariable order.  The last line, witnesses, hashes the
+outcome of closure_step_witness on each of those four algebras for
+accepted witnesses, failed identities and every malformed shape of a,
+taus, exponents and combination terms: format_poly of the accepted
+polynomial, or the exception's name and message and format_poly of the
+difference it carries.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from dstar import (  # noqa: E402
     SequentialRanking, apply_composition, block_image, charset_complete, cli,
     d_ideal_generators, format_poly, parse_operator, parse_poly, reduce)
 from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
+from dstar.charset import ClosureWitness, closure_step_witness  # noqa: E402
 from dstar.errors import DStarError  # noqa: E402
 from dstar.ordering import DVariable, parse_int, parse_variable  # noqa: E402
 from dstar.parser import parse_json  # noqa: E402
@@ -58,7 +64,8 @@ from dstar.poly import DPolynomial, Monomial  # noqa: E402
 from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
-        "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials")
+        "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
+        "witnesses")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -122,6 +129,64 @@ def monomial_records(algebras):
         for i in range(1, algebra.t + 1):
             for p, c in enumerate(block_image(f, i)):
                 yield f"{label} block {i} coordinate {p}", text(c)
+
+
+def witness_cases(algebras):
+    """(name, generators, witness) for closure_step_witness on each stream algebra."""
+    labels = ("dual", "fields:2", "hs:2", "dd:1,1")
+    for n, label in enumerate(labels):
+        algebra = algebras[label]
+        other = algebras[labels[(n + 1) % len(labels)]]
+        zero = (0,) * algebra.M
+        # the first slot is sigma_1; the second is a delta slot except on fields:2
+        sigma, second = (tuple(int(k == s) for k in range(algebra.M)) for s in (0, 1))
+        x = parse_poly(f"x1[{','.join(map(str, zero))}]", algebra)
+        sx, y = apply_composition(x, sigma), apply_composition(x, second)
+        one, elsewhere = DPolynomial.constant(algebra, 1), DPolynomial.constant(other, 1)
+        gens = [x * sx, x * x, y + x, y]
+        term = (one, zero, 0)
+        product = (x, (zero, sigma), (1, 1))
+        cases = {
+            # accepted: x * sigma(x), x^2, x = (y + x) - y, and sigma of that
+            "product": (*product, (term,)),
+            "square": (x, (zero,), (2,), ((one, zero, 1),)),
+            "difference": (x, (zero,), (1,), ((one, zero, 2), (-one, zero, 3))),
+            "sigma of the difference": (sx, (zero,), (1,),
+                                        ((one, sigma, 2), (-one, sigma, 3))),
+            "sigma of a square": (sx, (zero,), (2,), ((one, sigma, 1),)),
+            # failed identities
+            "doubled": (*product, ((one + 1, zero, 0),)),
+            "extra term": (*product, (term, (x, zero, 3))),
+            "no terms": (*product, ()),
+            # malformed a, taus and exponents
+            "a over another algebra": (elsewhere, (zero,), (1,), (term,)),
+            "a not a polynomial": (1, (zero,), (1,), (term,)),
+            "unmatched taus": (x, (zero, sigma), (1,), (term,)),
+            "no taus": (x, (), (), (term,)),
+            "bool exponent": (x, (zero,), (True,), (term,)),
+            "float exponent": (x, (zero,), (1.5,), (term,)),
+            "zero exponent": (x, (zero,), (0,), (term,)),
+            "list tau": (x, (list(zero),), (1,), (term,)),
+            "short tau": (x, (zero[1:],), (1,), (term,)),
+            "negative tau": (x, (sigma[:-1] + (-1,),), (1,), (term,)),
+            "bool tau": (x, ((False,) + zero[1:],), (1,), (term,)),
+            "second-slot tau": (x, (second,), (1,), (term,)),
+        }
+        # malformed terms, each after a well-formed one
+        for name, bad in (("member past the end", (one, zero, len(gens))),
+                          ("negative member", (one, zero, -1)),
+                          ("bool member", (one, zero, True)),
+                          ("float c", (1.0, zero, 0)),
+                          ("c over another algebra", (elsewhere, zero, 0)),
+                          ("list theta", (one, list(zero), 0)),
+                          ("short theta", (one, zero[1:], 0)),
+                          ("long theta", (one, zero + (0,), 0)),
+                          ("negative theta", (one, zero[:-1] + (-1,), 0)),
+                          ("bool theta", (one, (False,) + zero[1:], 0))):
+            cases[name] = (*product, (term, bad))
+        yield f"{label} no generators", [], ClosureWitness(*cases["product"])
+        for name, fields in cases.items():
+            yield f"{label} {name}", gens, ClosureWitness(*fields)
 
 
 def families(algebras):
@@ -197,6 +262,14 @@ def main():
             record("readers", f"{reader} {text!r}", result)
     for name, text in monomial_records(algebras):
         record("monomials", name, text)
+    for name, generators, witness in witness_cases(algebras):
+        try:
+            text = format_poly(closure_step_witness(generators, witness))
+        except DStarError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+            if getattr(exc, "difference", None) is not None:
+                text += "\n" + format_poly(exc.difference)
+        record("witnesses", name, text)
 
     print(f"families {len(items)}")
     for key, h in digests.items():
