@@ -5,30 +5,34 @@ family: greedily select a rank-minimal autoreduced subset of the pool,
 reduce everything else by it, feed nonzero remainders back, and stop when
 all remainders vanish.  Each round's selected set strictly decreases in
 the autoreduced-set pre-order, which makes the loop well-founded.  A round
-grows one DivisorSet, in rank order, as it selects; the separant checks,
-every pool reduction and the final certificate checks share its leaders
-and image memo, dropped with it when the round ends.  Input generators
-and remainders enter the pool through one function, which makes them
-monic and drops repeats, so a round's new remainders are the tail it
-appended.  An empty family has no rounds; a family whose generators are
-all zero has one round that selects and adds nothing.  The input
-generators' certificates come from one table of the last round, keyed by
-monic form: reduction is linear in the reduced polynomial, so a
-generator's certificate is that of its monic form with the cofactors
-scaled.  A form the round did not reduce (a selected one, or zero) is
-reduced once into the table.  Every certificate is verified before it is
-returned.  Perfect closure steps are not searched; they are accepted only
-with an exact product-membership witness.
+grows one DivisorSet, in rank order, as it selects; every pool reduction
+and the final certificate checks share its leaders and image memo, dropped
+with it when the round ends.  Input generators and remainders enter the
+pool through one function, which makes them monic and drops repeats, so a
+round's new remainders are the tail it appended.  An empty family has no
+rounds; a family whose generators are all zero has one round that selects
+and adds nothing.  The input generators' certificates come from one table
+of the last round, keyed by monic form: reduction is linear in the reduced
+polynomial, so a generator's certificate is that of its monic form with
+the cofactors scaled.  A form the round did not reduce (a selected one, or
+zero) is reduced once into the table.  Every certificate is verified
+before it is returned.  Perfect closure steps are not searched; they are
+accepted only with an exact product-membership witness.
 
-SeparantDegenerate is checked every round but cannot be raised under a
-ranking that passes check_ranking_axioms.  A selected member f with leader
-u of degree d is reduced with respect to the other selected members
-(validate_autoreduced checks this every round), and by axiom 1 it holds no
-proper transform of u, since one would rank above u.  Its separant holds
-only f's variables, each at no higher degree, and u at degree d - 1, so
-it is reduced with respect to the selected set: reduce takes no step and
-returns the separant itself, which is nonzero over Q, as the remainder.
-The same holds for the initial, which holds no u at all.
+A round checks neither its selected set nor the separants of its members
+again: under a ranking that passes check_ranking_axioms both are reduced
+by construction, by axiom 1 and totality.  A candidate is selected only
+when reduced with respect to every member selected before it, and a
+later member g ranks no lower than an earlier one f.  Had they one
+leader, g would hold it at no lower degree and not be reduced with
+respect to f; by totality no two leaders rank equal, so g's leader v
+ranks above f's, and so above every variable of f, while by axiom 1
+every transform of v ranks no lower than v: f is reduced with respect
+to g.  The set keeps the pool's rank order.  A selected member f with
+leader u of degree d holds no proper transform of u, which would rank
+above u; its separant and initial hold only f's variables, at no higher
+degree, and u at degree d - 1 or not at all, so both are reduced with
+respect to the selected set, and nonzero over Q.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .errors import (
     ExprParseError,
     InconsistentSystem,
     NotAutoreduced,
-    SeparantDegenerate,
 )
 from .operators import apply_composition
 from .ordering import Record, SequentialRanking
@@ -138,10 +141,10 @@ def charset_complete(generators, ranking=None):
 
     The ranking must pass check_ranking_axioms, totality included: the
     selection loop relies on a total order for the earlier members of the
-    rank-sorted pool to be reduced with respect to the later ones.  Raises
-    InconsistentSystem when a nonzero constant is generated and
-    SeparantDegenerate when a selected member's separant reduces to zero
-    modulo the selected set.
+    rank-sorted pool to be reduced with respect to the later ones, and the
+    selected sets are not checked again (validate_autoreduced checks a set
+    built under an unchecked ranking).  Raises InconsistentSystem when a
+    nonzero constant is generated.
     """
     generators = list(generators)
     if not generators:
@@ -177,19 +180,12 @@ def charset_complete(generators, ranking=None):
                 divisors.add(candidate)
             else:
                 rest.append(candidate)
-        current = validate_autoreduced(divisors.members, ranking)
+        current = AutoreducedSet(tuple(divisors.members))
         if trace and compare_autoreduced(
                 current, AutoreducedSet(trace[-1].selected), ranking) != A_LESS_B:
             raise DStarError(
                 "internal: completion round did not decrease the "
                 "autoreduced-set pre-order")
-
-        for member in current:
-            sep = member.separant(ranking)
-            if reduce(sep, divisors).remainder.is_zero():
-                raise SeparantDegenerate(
-                    f"separant of {format_poly(member)} reduces to zero "
-                    "modulo the selected set")
 
         certs = {}      # monic form -> its certificate with remainder 0
         pooled = len(pool)

@@ -96,10 +96,6 @@ class InconsistentSystem(DStarError):
     pass
 
 
-class SeparantDegenerate(DStarError):
-    pass
-
-
 class BadWitness(DStarError):
     def __init__(self, reason, difference=None):
         super().__init__(reason)

@@ -247,9 +247,10 @@ def test_charset_random_small_families(all_builtins):
 
 
 def test_selected_separants_and_initials_are_reduced(all_builtins):
-    # why SeparantDegenerate cannot be raised: under a ranking that passes
-    # the axioms, every selected member's separant and initial are already
-    # reduced with respect to that round's selected set
+    # why a completion round checks neither its selected set nor its
+    # separants: under a ranking that passes the axioms, every round's
+    # selected set is autoreduced in rank order, and each member's separant
+    # and initial are already reduced with respect to it
     rng = random.Random(58)
     for d in all_builtins.values():
         demoted = CustomRanking(
@@ -267,6 +268,8 @@ def test_selected_separants_and_initials_are_reduced(all_builtins):
                     continue
                 for entry in result.completion_trace:
                     rounds += 1
+                    assert validate_autoreduced(
+                        entry.selected, ranking).members == entry.selected
                     for member in entry.selected:
                         for part in (member.separant(ranking), member.initial(ranking)):
                             assert is_reduced_wrt_set(part, entry.selected, ranking)

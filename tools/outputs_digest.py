@@ -37,7 +37,12 @@ outcome of closure_step_witness on each of those four algebras for
 accepted witnesses, failed identities and every malformed shape of a,
 taus, exponents and combination terms: format_poly of the accepted
 polynomial, or the exception's name and message and format_poly of the
-difference it carries.
+difference it carries.  The charset-custom line completes the 2000 pool
+families again under demoted_key, the key of a custom ranking that passes
+check_ranking_axioms on each family's variables (checked here), and
+hashes repr() of each result, each certificate_to_json and each raised
+exception's name and message: completion trusts its selection under any
+such ranking, so its outputs off the sequential ranking are pinned too.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
-    SequentialRanking, apply_composition, block_image, charset_complete, cli,
-    d_ideal_generators, format_poly, parse_operator, parse_poly, reduce)
+    CustomRanking, SequentialRanking, apply_composition, block_image,
+    charset_complete, check_ranking_axioms, cli, d_ideal_generators, format_poly,
+    parse_operator, parse_poly, reduce)
 from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
 from dstar.charset import ClosureWitness, closure_step_witness  # noqa: E402
 from dstar.errors import DStarError  # noqa: E402
@@ -65,7 +71,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses")
+        "witnesses", "charset-custom")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -75,6 +81,11 @@ LITERALS = ("0", "1", "2", "3", "007", "10", "-1", "-0", "-007", "3/2", "-3/2",
             "1.5", "1e3", "0x10", "9" * 4301)
 # indeterminates of the monomials line, met in this order (highest first)
 FRESH = (94, 93, 92, 91)
+
+
+def demoted_key(v):
+    """charset-custom's ranking key: order, then the index last slot first, then var."""
+    return (sum(v.theta), tuple(reversed(v.theta)), v.var)
 
 
 def readers(algebras):
@@ -270,6 +281,17 @@ def main():
             if getattr(exc, "difference", None) is not None:
                 text += "\n" + format_poly(exc.difference)
         record("witnesses", name, text)
+    for label, index, family in inputs.charset_pool(algebras):
+        name, ranking = f"{label}#{index}", CustomRanking(algebras[label], demoted_key)
+        check_ranking_axioms(ranking, {v for f in family for v in f.variables()})
+        try:
+            result = charset_complete(family, ranking)
+        except DStarError as exc:
+            record("charset-custom", name, f"{type(exc).__name__}: {exc}")
+            continue
+        record("charset-custom", name, repr(result))
+        for cert in result.certificates:
+            record("charset-custom", name, certificate_to_json(cert))
 
     print(f"families {len(items)}")
     for key, h in digests.items():
