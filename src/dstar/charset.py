@@ -8,16 +8,21 @@ the autoreduced-set pre-order, which makes the loop well-founded.  A round
 grows one DivisorSet, in rank order, as it selects; every pool reduction
 and the final certificate checks share its leaders and image memo, dropped
 with it when the round ends.  Input generators and remainders enter the
-pool through one function, which makes them monic and drops repeats, so a
-round's new remainders are the tail it appended.  An empty family has no
+pool through one function, which makes them monic, drops repeats and
+makes each one's sort key once, so a round's new remainders are the tail
+it appended and each round's sort reads stored keys.  An empty family has no
 rounds; a family whose generators are all zero has one round that selects
 and adds nothing.  The input generators' certificates come from one table
 of the last round, keyed by monic form: reduction is linear in the reduced
 polynomial, so a generator's certificate is that of its monic form with
-the cofactors scaled.  A form the round did not reduce (a selected one, or
-zero) is reduced once into the table.  Every certificate is verified
-before it is returned.  Perfect closure steps are not searched; they are
-accepted only with an exact product-membership witness.
+the cofactors scaled.  A form the round did not reduce is zero, with the
+empty certificate, or a selected member, whose certificate is written
+out: one sigma step at its own leader and degree, with its initial as
+the multiplier and the cofactor, and remainder 0, which is what reduce
+returns for it (_selected_certificate gives the argument).  Every
+certificate is verified before it is returned.  Perfect closure steps
+are not searched; they are accepted only with an exact product-membership
+witness.
 
 A round checks neither its selected set nor the separants of its members
 again: under a ranking that passes check_ranking_axioms both are reduced
@@ -40,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     BadWitness,
@@ -53,9 +59,12 @@ from .ordering import Record, SequentialRanking
 from .parser import parse_json, parse_poly
 from .poly import DPolynomial, _rank_tuples, format_poly, monic, poly_sort_key
 from .reduction import (
+    INITIAL,
     Cofactor,
     DivisorSet,
+    HFactor,
     ReductionCertificate,
+    Step,
     _check_theta,
     _index_from_json,
     _sum_terms,
@@ -151,7 +160,7 @@ def charset_complete(generators, ranking=None):
         return CharSetResult(AutoreducedSet(()), (), ())
     ranking = ranking or SequentialRanking(generators[0].algebra)
 
-    pool = []
+    pool = []       # (poly_sort_key, monic form), the key made once
     seen = set()
 
     def pool_monic(f):
@@ -164,18 +173,19 @@ def charset_complete(generators, ranking=None):
         f = monic(f)
         if f not in seen:
             seen.add(f)
-            pool.append(f)
+            pool.append((poly_sort_key(f, ranking), f))
         return f
 
     normals = [pool_monic(f) for f in generators]
 
     trace = []
     while True:
-        pool.sort(key=lambda f: poly_sort_key(f, ranking))
+        # distinct monic forms have distinct keys, so no tie reaches a form
+        pool.sort(key=itemgetter(0))
         # one set, and so one image memo, for every reduction of the round
         divisors = DivisorSet((), ranking)
         rest = []
-        for candidate in pool:
+        for _, candidate in pool:
             if is_reduced_wrt_set(candidate, divisors):
                 divisors.add(candidate)
             else:
@@ -195,7 +205,7 @@ def charset_complete(generators, ranking=None):
                 certs[f] = cert
             else:
                 pool_monic(cert.remainder)
-        added = tuple(pool[pooled:])
+        added = tuple(f for _, f in pool[pooled:])
         if len(certs) < len(rest) and not added:
             # cannot happen: nonzero remainders are reduced w.r.t. the
             # selected set, hence never collide with the existing pool
@@ -210,14 +220,19 @@ def charset_complete(generators, ranking=None):
 def _generator_certificate(f, normal, divisors, certs):
     """Certificate that the input generator f reduces to zero, checked.
 
-    certs maps monic forms to their certificates; a form it lacks (one that
-    was selected, or the zero polynomial) is reduced once and added.
-    Reduction is linear in g: when f = s * normal, scaling the cofactors of
-    normal's certificate by s gives reduce(f) exactly.
+    certs maps the monic forms the last round reduced to their
+    certificates.  A form it lacks is zero, whose certificate is empty, or
+    a member the round selected, whose certificate is closed-form; either
+    is added.  Reduction is linear in g: when f = s * normal, scaling the
+    cofactors of normal's certificate by s gives reduce(f) exactly.
     """
     cert = certs.get(normal)
     if cert is None:
-        cert = certs[normal] = reduce(normal, divisors)
+        if normal.is_zero():
+            cert = ReductionCertificate((), normal, (), ())
+        else:
+            cert = _selected_certificate(divisors, divisors.members.index(normal))
+        certs[normal] = cert
     if cert.cofactors:
         some = next(iter(normal.terms))
         # a Fraction, never int / int, which is a float
@@ -229,12 +244,29 @@ def _generator_certificate(f, normal, divisors, certs):
                 tuple(Cofactor(c.c.scalar_mul(scale), c.theta, c.member)
                       for c in cert.cofactors),
                 cert.steps)
-    if not cert.remainder.is_zero():
-        raise DStarError("internal: an input generator does not reduce to "
-                         "zero modulo the completed set")
     if not verify_certificate(f, divisors, cert):
         raise DStarError("internal: completion certificate failed verification")
     return cert
+
+
+def _selected_certificate(divisors, k):
+    """reduce(member k, divisors), written out without reducing.
+
+    The divisors are a round's selection.  Member k, f with leader u of
+    degree d, is reduced with respect to the members before it, and every
+    later leader, and so every transform of one, ranks above all of f's
+    variables (module docstring).  So f's one offending variable is u,
+    which offends member k alone, as its sigma-transform by the zero index
+    at degree d.  reduce's one step there multiplies f by its initial I
+    (theta zero, drop d - d = 0, cofactor I) and subtracts I * f, which
+    leaves remainder 0.
+    """
+    f = divisors.members[k]
+    zero = (0,) * f.algebra.M
+    return ReductionCertificate(
+        (HFactor(zero, INITIAL, k),), DPolynomial.zero(f.algebra),
+        (Cofactor(divisors.image(k, INITIAL, zero), zero, k),),
+        (Step(divisors.leaders[k], "sigma", divisors.degrees[k]),))
 
 
 # ---------------------------------------------------------------------------

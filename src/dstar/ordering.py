@@ -199,7 +199,12 @@ def ord_i(algebra, theta, i):
 
 
 def ord_delta(algebra, theta):
-    return sum(ord_i(algebra, theta, i) for i in range(1, algebra.t + 1))
+    """Sum of the delta-slot entries of every block: all but the sigma slots."""
+    if len(theta) != algebra.M:
+        raise AlgebraMismatch(
+            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    # each block's sigma slot is its offset
+    return sum(theta) - sum([theta[s] for s in algebra._offsets[:-1]])
 
 
 def is_sigma_only(algebra, theta):
