@@ -56,16 +56,13 @@ def make_block_spec(basis_names, products):
     grammar's rational form, such as "-3/2".  A bad string is an
     ExprParseError; a float, a bool or any other type is a TypeError.
     """
-    entries = []
-    seen = set()
+    entries = {}
     for pair, coords in products.items():
         key = tuple(sorted(pair))
-        if key in seen:
+        if key in entries:
             raise InvalidAlgebraSpec(f"duplicate product entry {key[0]}*{key[1]}")
-        seen.add(key)
-        entries.append((key, tuple((n, _rational(c, key)) for n, c in coords)))
-    entries.sort(key=lambda e: e[0])
-    return BlockSpec(tuple(basis_names), tuple(entries))
+        entries[key] = tuple((n, _rational(c, key)) for n, c in coords)
+    return BlockSpec(tuple(basis_names), tuple(sorted(entries.items())))
 
 
 # the expression grammar's rational, sign included
@@ -207,9 +204,8 @@ def dump_spec(spec):
     """Serialise an AlgebraSpec back to the JSON file format."""
     blocks = []
     for block in spec.blocks:
-        table = {}
-        for (a, b), coords in block.table:
-            table[f"{a}*{b}"] = [[n, str(c)] for n, c in coords]
+        table = {f"{a}*{b}": [[n, str(c)] for n, c in coords]
+                 for (a, b), coords in block.table}
         blocks.append({"basis": list(block.basis_names), "table": table})
     return json.dumps({"blocks": blocks}, indent=2, sort_keys=True)
 
@@ -354,10 +350,7 @@ class DAlgebra(Record):
             if not 1 <= idx <= block.m:
                 raise IndexOutOfRange(
                     f"basis index {idx} out of range 1..{block.m}")
-        for jj, coeff in block.table[p][q]:
-            if jj == j:
-                return coeff
-        return 0
+        return dict(block.table[p][q]).get(j, 0)
 
 
 def validate_algebra(spec):

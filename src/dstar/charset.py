@@ -67,6 +67,7 @@ from .reduction import (
     Step,
     _check_theta,
     _index_from_json,
+    _sequence,
     _sum_terms,
     _term_from_json,
     _term_to_json,
@@ -276,24 +277,17 @@ def _selected_certificate(divisors, k):
 def d_ideal_generators(generators, order_bound):
     """All operator transforms of the generators up to the index bound.
 
-    Enumerates every multi-index with entry sum <= order_bound, applies it
-    to each generator, and deduplicates.
+    Applies every multi-index with entry sum <= order_bound, made once, to
+    each generator in turn, and keeps the first of equal transforms.
     """
     if order_bound < 0:
         raise ValueError("order bound must be >= 0")
     generators = list(generators)
     if not generators:
         return []
-    algebra = generators[0].algebra
-    out = []
-    seen = set()
-    for f in generators:
-        for theta in _indices_up_to(algebra.M, order_bound):
-            g = apply_composition(f, theta)
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-    return out
+    indices = _indices_up_to(generators[0].algebra.M, order_bound)
+    return list(dict.fromkeys(apply_composition(f, theta)
+                              for f in generators for theta in indices))
 
 
 def _indices_up_to(width, bound):
@@ -317,28 +311,33 @@ def closure_step_witness(generators, witness):
     """Accept a new element if its witness identity checks exactly.
 
     Returns the accepted polynomial; raises BadWitness (with the nonzero
-    difference) when the identity fails or the witness is malformed: a
-    multi-index that is not a tuple of natural numbers, an exponent or a
-    member index that is not an int, or an a or c that is not a
-    polynomial over the generators' algebra.  Taus and terms are checked as
-    a certificate's H-factor thetas and cofactors are, by the same code.
+    difference) when the identity fails or the witness is malformed: not a
+    ClosureWitness, taus, exponents or terms that are not sequences, a term
+    that is not a triple, a multi-index that is not a tuple of natural
+    numbers, an exponent or a member index that is not an int, or an a or c
+    that is not a polynomial over the generators' algebra.  Taus and terms
+    are checked as a certificate's H-factor thetas and cofactors are.
     """
     generators = list(generators)
     if not generators:
         raise BadWitness("no generators to check against")
+    if not isinstance(witness, ClosureWitness):
+        raise BadWitness(f"witness {witness!r} is not a ClosureWitness")
     algebra = generators[0].algebra
     if not (isinstance(witness.a, DPolynomial) and witness.a.algebra == algebra):
         raise BadWitness("witness a is not a polynomial over the generators' algebra")
-    if len(witness.taus) != len(witness.exponents) or not witness.taus:
+    taus = _sequence(witness.taus, "witness taus")
+    exponents = _sequence(witness.exponents, "witness exponents")
+    if len(taus) != len(exponents) or not taus:
         raise BadWitness("witness needs matching, nonempty taus and exponents")
-    if any(type(e) is not int for e in witness.exponents):
+    if any(type(e) is not int for e in exponents):
         raise BadWitness("witness exponents must be integers")
-    if any(e < 1 for e in witness.exponents):
+    if any(e < 1 for e in exponents):
         raise BadWitness("witness exponents must be positive")
-    for tau in witness.taus:
+    for tau in taus:
         _check_theta(algebra, tau, "tau", sigma_only=True)
     product = DPolynomial.constant(algebra, 1)
-    for tau, e in zip(witness.taus, witness.exponents):
+    for tau, e in zip(taus, exponents):
         product = product * apply_composition(witness.a, tau) ** e
     combo = _sum_terms(DPolynomial.zero(algebra), witness.combination, len(generators),
                        lambda idx, theta: apply_composition(generators[idx], theta))

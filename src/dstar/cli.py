@@ -62,12 +62,9 @@ def _cmd_algebra_check(algebra, args, out):
             pairs = sorted(algebra.gamma(i, j))
             body = ", ".join(f"({p},{q})" for p, q in pairs)
             print(f"  gamma({j}) = {{{body}}}", file=out)
-        alphas = []
-        for p in range(1, block.m + 1):
-            for q in range(1, block.m + 1):
-                for j, coeff in block.table[p][q]:
-                    alphas.append((j, p, q, coeff))
-        for j, p, q, coeff in sorted(alphas):
+        for j, p, q, coeff in sorted((j, p, q, coeff) for p in range(1, block.m + 1)
+                                     for q in range(1, block.m + 1)
+                                     for j, coeff in block.table[p][q]):
             print(f"  alpha({j};{p},{q}) = {coeff}", file=out)
     print("ok", file=out)
     return 0

@@ -260,10 +260,19 @@ def reduce(g, divisors, ranking=None):
 
 
 def multiplier_product(cert, divisors, ranking=None):
-    """Recompute H from the certificate's factor list; 1 when it is empty."""
-    divisors = _divisor_set(divisors, ranking, cert.remainder.algebra)
-    h = DPolynomial.constant(cert.remainder.algebra, 1)
-    for factor in cert.h_factors:
+    """Recompute H from the certificate's factor list; 1 when it is empty.
+
+    The one judge of H factors: raises BadWitness unless each is an HFactor
+    with source initial or separant, a member in range and a sigma-only theta.
+    """
+    algebra = cert.remainder.algebra
+    divisors = _divisor_set(divisors, ranking, algebra)
+    h = DPolynomial.constant(algebra, 1)
+    for factor in _sequence(cert.h_factors, "H factors"):
+        if not (isinstance(factor, HFactor) and factor.source in (INITIAL, SEPARANT)
+                and _is_member(factor.member, len(divisors.members))):
+            raise BadWitness(f"malformed H factor {factor!r}")
+        _check_theta(algebra, factor.theta, "H-factor theta", sigma_only=True)
         h = h * divisors.image(factor.member, factor.source, factor.theta)
     return h
 
@@ -271,6 +280,14 @@ def multiplier_product(cert, divisors, ranking=None):
 def _is_member(k, count):
     """True for a member index: an int (not a bool) in 0..count-1."""
     return type(k) is int and 0 <= k < count
+
+
+def _sequence(items, what):
+    """items as a tuple; BadWitness when it is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise BadWitness(f"{what} {items!r} is not a sequence") from None
 
 
 def _check_theta(algebra, theta, what, sigma_only=False):
@@ -290,12 +307,16 @@ def _sum_terms(total, terms, count, image):
     """total + sum c * image(member, theta) over (c, theta, member) terms.
 
     Sums certificate cofactors and witness combinations alike.  Raises
-    BadWitness at the first term whose member is not an int in 0..count-1,
-    whose c is not a polynomial over total's algebra or whose theta fails
-    _check_theta.
+    BadWitness when terms is not a sequence, or at the first term that is
+    not a triple, whose member is not an int in 0..count-1, whose c is not
+    a polynomial over total's algebra or whose theta fails _check_theta.
     """
     algebra = total.algebra
-    for c, theta, member in terms:
+    for term in _sequence(terms, "combination"):
+        try:
+            c, theta, member = term
+        except (TypeError, ValueError):
+            raise BadWitness(f"combination term {term!r} is not a triple") from None
         if not _is_member(member, count):
             raise BadWitness(f"combination references generator {member!r}, "
                              f"only {count} available")
@@ -310,35 +331,24 @@ def _sum_terms(total, terms, count, image):
 def verify_certificate(g, divisors, cert, ranking=None):
     """Check the certificate identity and postconditions exactly.
 
-    Judges the identity, the factor structure, that the remainder is
-    reduced and that it ranks no higher than g, but not the step trace.
-    Cofactors and H-factor thetas pass the checks of closure witnesses:
-    a malformed multi-index, member, remainder or cofactor is judged False
-    like any other failed check.
+    Judges the identity, that the remainder is reduced and that it ranks no
+    higher than g, but not the step trace.  multiplier_product judges the H
+    factors and _sum_terms the cofactors, as closure-witness terms: a
+    malformed certificate, factor, term, index, member or polynomial is False.
     """
     try:
         divisors = _divisor_set(divisors, ranking, g.algebra)
-        count = len(divisors.members)
-        if not isinstance(cert.remainder, DPolynomial):
+        if not (isinstance(cert, ReductionCertificate)
+                and isinstance(cert.remainder, DPolynomial)):
             return False
-        for factor in cert.h_factors:
-            if factor.source not in (INITIAL, SEPARANT) or not _is_member(
-                    factor.member, count):
-                return False
-            _check_theta(g.algebra, factor.theta, "H-factor theta", sigma_only=True)
         h = multiplier_product(cert, divisors)
-        rhs = _sum_terms(cert.remainder, cert.cofactors, count,
+        rhs = _sum_terms(cert.remainder, cert.cofactors, len(divisors.members),
                          lambda member, theta: divisors.image(member, None, theta))
-        if h * g != rhs:
-            return False
-        if not is_reduced_wrt_set(cert.remainder, divisors):
-            return False
         ranking = divisors.ranking
-        if _rank_tuple(cert.remainder, ranking) > _rank_tuple(g, ranking):
-            return False
+        return (h * g == rhs and is_reduced_wrt_set(cert.remainder, divisors)
+                and _rank_tuple(cert.remainder, ranking) <= _rank_tuple(g, ranking))
     except DStarError:
         return False
-    return True
 
 
 # ---------------------------------------------------------------------------

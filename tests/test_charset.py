@@ -715,6 +715,41 @@ def test_malformed_terms_fail_the_witness_and_the_certificate_alike(dual, fields
         assert verify_certificate(f, [f], forged) is False, message
 
 
+def test_malformed_shapes_fail_the_witness_and_the_certificate_alike(dual):
+    # these used to escape as ValueError, TypeError or AttributeError
+    f = parse_poly("x1[0,1] - 1", dual)
+    one = DPolynomial.constant(dual, 1)
+    term = (one, (0, 0), 0)
+    cert = reduce(f, [f])
+    parts = (f, ((0, 0),), (1,), (term,))
+    # any iterable container and a Cofactor record stand for tuples
+    assert verify_certificate(f, [f], ReductionCertificate(
+        list(cert.h_factors), cert.remainder, list(cert.cofactors), cert.steps))
+    for combination in ([list(term)], (Cofactor(*term),)):
+        assert closure_step_witness([f], ClosureWitness(
+            f, [(0, 0)], [1], combination)) == f
+    # terms that are not (c, theta, member) triples
+    for bad in (term[:2], term + (0,), None):
+        with pytest.raises(BadWitness, match="^combination term .* is not a triple$"):
+            closure_step_witness([f], ClosureWitness(f, ((0, 0),), (1,), (bad,)))
+        forged = ReductionCertificate(cert.h_factors, cert.remainder, (bad,), cert.steps)
+        assert verify_certificate(f, [f], forged) is False
+        assert verify_certificate(f, DivisorSet([f]), forged) is False
+    # containers that are not sequences, and records of the wrong type
+    fields = (cert.h_factors, cert.remainder, cert.cofactors, cert.steps)
+    for bad in (None, 5):
+        for forged in (bad, fields, ReductionCertificate(bad, *fields[1:]),
+                       ReductionCertificate(*fields[:2], bad, fields[3])):
+            assert verify_certificate(f, [f], forged) is False
+            assert verify_certificate(f, DivisorSet([f]), forged) is False
+        for forged in (bad, parts,
+                       ClosureWitness(f, bad, (1,), (term,)),
+                       ClosureWitness(f, ((0, 0),), bad, (term,)),
+                       ClosureWitness(f, ((0, 0),), (1,), bad)):
+            with pytest.raises(BadWitness):
+                closure_step_witness([f], forged)
+
+
 def test_witness_numbers_must_be_json_integers(dual):
     # these used to pass through int(): tau (0, 0), exponent 1, member 0
     good = {"a": "x1[0,0]", "taus": [[0, 0]], "exponents": [1],

@@ -6,6 +6,7 @@ import pytest
 from dstar.algebra import builtin, validate_algebra
 from dstar.errors import (
     AlgebraMismatch,
+    BadWitness,
     ConstantDivisor,
     ConstantPolynomial,
     DuplicateLeaders,
@@ -571,6 +572,25 @@ def test_each_structural_check_rejects_its_forgery(dual, worked, name):
     g, divisors, cert = forgeries[name]
     assert verify_certificate(g, divisors, cert) is False
     assert verify_certificate(g, DivisorSet(divisors), cert) is False
+
+
+def test_multiplier_product_judges_every_h_factor(dual, worked):
+    # these used to multiply out: to 0, to f itself or to the last member's
+    # image, or to raise IndexError or TypeError
+    forgeries = {case[0]: case[2:] for case in _structural_forgeries(dual, worked)}
+    cases = [forgeries[name] for name in ("delta H factor", "member source",
+                                          "H-factor member -1", "H-factor member 1")]
+    cert = reduce(parse_poly("x1[0,2]", dual), [worked])
+    (h,) = cert.h_factors
+    for theta in (list(h.theta), (True, 0)):
+        cases.append(([worked], ReductionCertificate(
+            (HFactor(theta, h.source, h.member),), cert.remainder, cert.cofactors, ())))
+    for divisors, forged in cases:
+        for each in (divisors, DivisorSet(divisors)):
+            with pytest.raises(BadWitness):
+                multiplier_product(forged, each)
+    # the genuine factor: sigma of the separant 2 * x1[0,1]
+    assert multiplier_product(cert, [worked]) == parse_poly("2 * x1[1,1]", dual)
 
 
 def test_malformed_certificates_verify_false(dual, worked):
