@@ -28,9 +28,7 @@ from .errors import (
     RankedBasisViolation,
     UnknownBuiltin,
 )
-from .ordering import Record, parse_int
-from .parser import parse_json
-from .poly import _coefficient
+from .ordering import Record, _coefficient, parse_int
 
 
 class BlockSpec(Record):
@@ -155,6 +153,7 @@ def load_spec(text):
     Top level: {"blocks": [{"basis": [...], "table": {"a*b": [[name, "p/q"],
     ...]}}]}.  Unknown keys are rejected; omitted products are zero.
     """
+    from .parser import parse_json   # only algebra files need the expression layer
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ExprParseError("algebra file must be a JSON object")

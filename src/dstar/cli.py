@@ -12,14 +12,11 @@ import os
 import sys
 from pathlib import Path
 
+# every subcommand loads its algebra; each handler imports the engine it runs,
+# so a cold process compiles only those modules
 from .algebra import BUILTIN_NAMES, algebra_from_name, load_spec, validate_algebra
-from .charset import charset_complete, closure_step_witness, witness_from_json
 from .errors import BadWitness, DStarError, ExprParseError, UnknownBuiltin
-from .operators import apply_composition, parse_operator
 from .ordering import EQUAL, LESS, parse_variable, SequentialRanking
-from .parser import parse_generator_file, parse_poly
-from .poly import format_poly
-from .reduction import DivisorSet, certificate_to_json, multiplier_product, reduce
 
 
 def _load_algebra(arg):
@@ -80,6 +77,9 @@ def _cmd_rank(algebra, args, out):
 
 
 def _cmd_apply(algebra, args, out):
+    from .operators import apply_composition, parse_operator
+    from .parser import parse_poly
+    from .poly import format_poly
     theta = parse_operator(args.op, algebra)
     f = parse_poly(args.expr, algebra)
     print(format_poly(apply_composition(f, theta)), file=out)
@@ -87,6 +87,9 @@ def _cmd_apply(algebra, args, out):
 
 
 def _cmd_reduce(algebra, args, out):
+    from .parser import parse_generator_file, parse_poly
+    from .poly import format_poly
+    from .reduction import DivisorSet, certificate_to_json, multiplier_product, reduce
     divisors = DivisorSet(parse_generator_file(_read(args.set), algebra),
                           SequentialRanking(algebra))
     g = parse_poly(args.expr, algebra)
@@ -104,6 +107,9 @@ def _cmd_reduce(algebra, args, out):
 
 
 def _cmd_charset(algebra, args, out):
+    from .charset import charset_complete
+    from .parser import parse_generator_file
+    from .poly import format_poly
     generators = parse_generator_file(_read(args.gens), algebra)
     result = charset_complete(generators)
     if args.trace:
@@ -120,6 +126,9 @@ def _cmd_charset(algebra, args, out):
 
 
 def _cmd_closure_check(algebra, args, out):
+    from .charset import closure_step_witness, witness_from_json
+    from .parser import parse_generator_file
+    from .poly import format_poly
     generators = parse_generator_file(_read(args.gens), algebra)
     witness = witness_from_json(_read(args.witness), algebra)
     try:

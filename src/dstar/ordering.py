@@ -7,6 +7,10 @@ subject to the three compatibility axioms.  A ranking is defined by its
 key function alone: v ranks below w exactly when key(v) < key(w), and key
 and compare are defined once, in Ranking.  The sequential ranking's key
 is (total degree, indeterminate index, slots from highest to lowest).
+
+It also holds the two number rules every layer shares: parse_int, the
+one reader of integer literals, and _coefficient, the one form in which
+a coefficient is stored.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
+from fractions import Fraction
 
 from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
 
@@ -158,6 +163,20 @@ def parse_int(literal, line=1, column=1):
         problem = "is not an optional '-' and ASCII digits"
     shown = literal if len(literal) <= 20 else literal[:20] + "..."
     raise ExprParseError(f"integer literal {shown!r} {problem}", line, column)
+
+
+def _coefficient(c):
+    """c as a polynomial stores it: an int when integral, else a Fraction.
+
+    int arithmetic is exact and several times cheaper than Fraction's, so a
+    Fraction with denominator 1 is stored as its numerator.  A float, a bool
+    or any other type is a TypeError, so no inexact value is ever stored.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def variable_from_match(match, algebra=None, line=1, column=1):

@@ -2,8 +2,8 @@
 
 Terms map monomials to nonzero exact coefficients: an int when the
 coefficient is integral, else a Fraction with denominator > 1, never a
-float.  Every coefficient is stored through _coefficient, which also
-rejects any other type with a TypeError.
+float.  Every coefficient is stored through ordering._coefficient, which
+also rejects any other type with a TypeError.
 
 A monomial is keyed by interned variable ids.  The first time a
 DVariable is met it gets the next small int id; ids are never reused,
@@ -35,7 +35,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import AlgebraMismatch, ConstantPolynomial, DStarError
-from .ordering import EQUAL, GREATER, LESS, Frozen, SequentialRanking, sequential_key
+from .ordering import (
+    EQUAL, GREATER, LESS, Frozen, SequentialRanking, _coefficient, sequential_key)
 
 
 _IDS = {}            # DVariable -> id
@@ -404,20 +405,6 @@ class DPolynomial(Frozen):
 # DPolynomial's slot setters, as for Monomial above
 _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
-
-
-def _coefficient(c):
-    """c as a polynomial stores it: an int when integral, else a Fraction.
-
-    int arithmetic is exact and several times cheaper than Fraction's, so a
-    Fraction with denominator 1 is stored as its numerator.  A float, a bool
-    or any other type is a TypeError, so no inexact value is ever stored.
-    """
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _accumulate(acc, terms, scale=1):

@@ -90,7 +90,7 @@ class DivisorSet:
         if ranking is None:
             if not members:
                 raise ValueError("an empty divisor set needs a ranking")
-            ranking = SequentialRanking(members[0].algebra)
+            ranking = SequentialRanking(_algebra_of(members[0]))
         self.ranking = ranking
         self.members = []
         self.leaders = []       # None for a constant member
@@ -102,7 +102,7 @@ class DivisorSet:
 
     def add(self, f):
         """Append f as the next member."""
-        _check_algebra(f.algebra, self.ranking.algebra)
+        _check_algebra(_algebra_of(f), self.ranking.algebra)
         self.members.append(f)
         if f.is_constant():
             self.has_constant = True
@@ -127,6 +127,13 @@ class DivisorSet:
         return img
 
 
+def _algebra_of(f):
+    """f's algebra; AlgebraMismatch when f is not a polynomial."""
+    if not isinstance(f, DPolynomial):
+        raise AlgebraMismatch(f"{f!r} is not a polynomial")
+    return f.algebra
+
+
 def _check_algebra(algebra, expected):
     # identity first: the members of one family share one algebra object
     if algebra is not expected and algebra != expected:
@@ -134,8 +141,13 @@ def _check_algebra(algebra, expected):
             "a divisor set over one algebra met a polynomial over another")
 
 
-def _divisor_set(divisors, ranking, algebra):
-    """divisors as a DivisorSet; a list gets a fresh set, local to the call."""
+def _divisor_set(divisors, ranking, g):
+    """divisors as a DivisorSet over g's algebra.
+
+    A list gets a fresh set, local to the call.  AlgebraMismatch when g or
+    a divisor is not a polynomial over the set's algebra.
+    """
+    algebra = _algebra_of(g)
     if isinstance(divisors, DivisorSet):
         if ranking is not None and ranking is not divisors.ranking:
             raise ValueError("a divisor set is used only under its own ranking")
@@ -152,7 +164,7 @@ def is_reduced(g, f, ranking=None):
 
 def is_reduced_wrt_set(g, divisors, ranking=None):
     """True when g contains no offending transform of any divisor's leader."""
-    divisors = _divisor_set(divisors, ranking, g.algebra)
+    divisors = _divisor_set(divisors, ranking, g)
     if divisors.has_constant:
         raise ConstantDivisor("cannot reduce with respect to a constant")
     return a_leader(g, divisors) is None
@@ -168,7 +180,7 @@ def a_leader(g, divisors, ranking=None):
     distinct variables of equal rank (possible only under a key that is
     not injective) go to the lowest in DVariable order.
     """
-    divisors = _divisor_set(divisors, ranking, g.algebra)
+    divisors = _divisor_set(divisors, ranking, g)
     if g.is_constant():
         return None
     if divisors.has_constant:
@@ -200,7 +212,7 @@ def reduce(g, divisors, ranking=None):
     cofactor; the certificate's c_k is that cofactor times m_{k+1} ... m_n,
     formed once at the end from a running suffix product.
     """
-    divisors = _divisor_set(divisors, ranking, g.algebra)
+    divisors = _divisor_set(divisors, ranking, g)
     ranking = divisors.ranking
     if divisors.has_constant:
         raise ConstantDivisor("divisor sets must not contain constants")
@@ -262,11 +274,17 @@ def reduce(g, divisors, ranking=None):
 def multiplier_product(cert, divisors, ranking=None):
     """Recompute H from the certificate's factor list; 1 when it is empty.
 
-    The one judge of H factors: raises BadWitness unless each is an HFactor
-    with source initial or separant, a member in range and a sigma-only theta.
+    The one judge of a certificate's shape and of its H factors: raises
+    BadWitness unless cert is a ReductionCertificate with a polynomial
+    remainder and each factor is an HFactor with source initial or
+    separant, a member in range and a sigma-only theta.
     """
+    if not (isinstance(cert, ReductionCertificate)
+            and isinstance(cert.remainder, DPolynomial)):
+        raise BadWitness(f"{cert!r} is not a reduction certificate "
+                         "with a polynomial remainder")
     algebra = cert.remainder.algebra
-    divisors = _divisor_set(divisors, ranking, algebra)
+    divisors = _divisor_set(divisors, ranking, cert.remainder)
     h = DPolynomial.constant(algebra, 1)
     for factor in _sequence(cert.h_factors, "H factors"):
         if not (isinstance(factor, HFactor) and factor.source in (INITIAL, SEPARANT)
@@ -332,15 +350,13 @@ def verify_certificate(g, divisors, cert, ranking=None):
     """Check the certificate identity and postconditions exactly.
 
     Judges the identity, that the remainder is reduced and that it ranks no
-    higher than g, but not the step trace.  multiplier_product judges the H
-    factors and _sum_terms the cofactors, as closure-witness terms: a
-    malformed certificate, factor, term, index, member or polynomial is False.
+    higher than g, but not the step trace.  multiplier_product judges the
+    certificate and its H factors and _sum_terms the cofactors, as
+    closure-witness terms: a malformed certificate, factor, term, index,
+    member or polynomial, g or divisor included, is False.
     """
     try:
-        divisors = _divisor_set(divisors, ranking, g.algebra)
-        if not (isinstance(cert, ReductionCertificate)
-                and isinstance(cert.remainder, DPolynomial)):
-            return False
+        divisors = _divisor_set(divisors, ranking, g)
         h = multiplier_product(cert, divisors)
         rhs = _sum_terms(cert.remainder, cert.cofactors, len(divisors.members),
                          lambda member, theta: divisors.image(member, None, theta))

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -486,6 +487,85 @@ def test_cli_start_up_does_not_import_dataclasses_or_inspect():
                           text=True, env=cold_env())
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "[]\n"
+
+
+# the dstar modules each cold subcommand loads; no subcommand loads classical
+_ALGEBRA = ["algebra", "cli", "errors", "ordering"]
+_APPLY = sorted(_ALGEBRA + ["operators", "parser", "poly"])
+_REDUCE = sorted(_APPLY + ["reduction"])
+_CHARSET = sorted(_REDUCE + ["charset"])
+COLD_LOADS = [
+    (["algebra-check", "dual"], _ALGEBRA),
+    (["rank", "--algebra", "dual", "x1[1,0]", "x1[0,1]"], _ALGEBRA),
+    (["apply", "--algebra", "dual", "--op", "d1.1", "x1[0,0]^2"], _APPLY),
+    (["reduce", "--algebra", "dual", "--set", "set.txt", "x1[0,2]"], _REDUCE),
+    (["charset", "--algebra", "dual", "--gens", "set.txt"], _CHARSET),
+    (["closure-check", "--algebra", "dual", "--gens", "set.txt",
+      "--witness", "witness.json"], _CHARSET),
+]
+
+
+def test_a_cold_process_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "set.txt").write_text("x1[0,1]^2 - 4 * x1[0,0]\n", encoding="utf-8")
+    (tmp_path / "witness.json").write_text(json.dumps({
+        "a": "x1[0,1]^2 - 4 * x1[0,0]", "taus": [[0, 0]], "exponents": [1],
+        "combination": [{"c": "1", "theta": [0, 0], "member": 0}]}), encoding="utf-8")
+    loaded = "sorted(m[6:] for m in sys.modules if m.startswith('dstar.'))"
+    proc = subprocess.run([sys.executable, "-c", f"import sys, dstar; print({loaded})"],
+                          capture_output=True, text=True, env=cold_env())
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+    code = ("import sys; from dstar import cli; code = cli.main(sys.argv[1:]); "
+            f"print(code, {loaded})")
+    for args, modules in COLD_LOADS:
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, cwd=tmp_path, env=cold_env())
+        assert proc.stderr == "", args
+        assert proc.stdout.splitlines()[-1] == f"0 {modules}", args
+
+
+# the package's public names by submodule, as `import dstar` has always bound them
+PUBLIC = {
+    "algebra": "AlgebraSpec BlockSpec DAlgebra algebra_from_name builtin dump_spec "
+               "load_spec make_block_spec validate_algebra",
+    "charset": "AutoreducedSet CharSetResult ClosureWitness PrimePresentation "
+               "charset_complete closure_step_witness compare_autoreduced "
+               "d_ideal_generators presentation validate_autoreduced",
+    "classical": "DiffPolynomial DiffVar dual_algebra lift_to_dual "
+                 "project_to_differential ritt_reduce",
+    "errors": "DStarError ExprParseError",
+    "operators": "apply apply_composition block_image parse_operator rho",
+    "ordering": "CustomRanking DVariable Ranking SequentialRanking apply_slot "
+                "check_ranking_axioms dickson_minimal ord_delta ord_i parse_variable "
+                "transform_of",
+    "parser": "parse_generator_file parse_poly",
+    "poly": "DPolynomial Monomial format_poly rank_compare",
+    "reduction": "DivisorSet ReductionCertificate a_leader is_reduced is_reduced_wrt_set "
+                 "reduce verify_certificate",
+}
+
+
+def test_the_package_namespace_is_unchanged_by_lazy_loading():
+    for module, names in PUBLIC.items():
+        for name in names.split():
+            assert getattr(dstar, name) is getattr(
+                importlib.import_module(f"dstar.{module}"), name), name
+    star = {}
+    exec("from dstar import *", star)
+    expected = {name for names in PUBLIC.values() for name in names.split()} | set(PUBLIC)
+    assert set(star) - {"__builtins__"} == expected
+    assert expected <= set(dir(dstar))
+    # a bare import resolves every submodule name, and nothing else
+    code = ("import importlib, dstar\n"
+            "for name in %r:\n"
+            "    assert getattr(dstar, name) is importlib.import_module('dstar.' + name)\n"
+            "try:\n"
+            "    dstar.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n") % sorted(PUBLIC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cold_env())
+    assert proc.stderr == ""
+    assert proc.stdout == "module 'dstar' has no attribute 'no_such_name'\n"
 
 
 SUBCOMMANDS = "{algebra-check,rank,apply,reduce,charset,closure-check}"

@@ -585,6 +585,12 @@ def test_multiplier_product_judges_every_h_factor(dual, worked):
     for theta in (list(h.theta), (True, 0)):
         cases.append(([worked], ReductionCertificate(
             (HFactor(theta, h.source, h.member),), cert.remainder, cert.cofactors, ())))
+    # so is the certificate, which used to raise AttributeError when it was
+    # not a ReductionCertificate with a polynomial remainder
+    fields = (cert.h_factors, cert.remainder, cert.cofactors, cert.steps)
+    cases += [([worked], bad) for bad in (
+        None, 4, fields, ReductionCertificate(h, *fields[1:]),
+        ReductionCertificate(fields[0], str(cert.remainder), *fields[2:]))]
     for divisors, forged in cases:
         for each in (divisors, DivisorSet(divisors)):
             with pytest.raises(BadWitness):
@@ -636,3 +642,20 @@ def test_divisor_sets_never_mix_algebras(dual, fields2):
     twin = parse_poly("x1[0,2]", validate_algebra(builtin("truncated_hs", 1)))
     assert twin.algebra is not dual
     assert reduce(twin, [parse_poly("x1[0,1]", dual)]).remainder.is_zero()
+
+
+def test_a_non_polynomial_is_judged_like_another_algebra(dual):
+    # these used to raise AttributeError, verify_certificate included
+    f = parse_poly("x1[0,1] - 1", dual)
+    cert = reduce(f, [f])
+    for g, divisors in ((4, [f]), (f, [4]), (None, [f]), (f, [f, "x1[0,0]"])):
+        assert verify_certificate(g, divisors, cert) is False
+    ranking = SequentialRanking(dual)
+    for call in (lambda: DivisorSet([4]),
+                 lambda: DivisorSet([], ranking).add(4),
+                 lambda: reduce(4, [f]),
+                 lambda: reduce(f, [4]),
+                 lambda: a_leader(f, [4]),
+                 lambda: is_reduced_wrt_set(4, DivisorSet([f]))):
+        with pytest.raises(AlgebraMismatch, match="^4 is not a polynomial$"):
+            call()

@@ -43,13 +43,21 @@ check_ranking_axioms on each family's variables (checked here), and
 hashes repr() of each result, each certificate_to_json and each raised
 exception's name and message: completion trusts its selection under any
 such ranking, so its outputs off the sequential ranking are pinned too.
+The cli line runs each of CLI_CASES as a cold `python -m dstar.cli`
+process on this tree's src, in a temporary directory holding CLI_FILES,
+and hashes its exit code, stdout and stderr: each of the six subcommands
+on one good input, one parse error (exit 2) and one domain error
+(exit 1), so what a cold process imports cannot change what it prints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +79,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses", "charset-custom")
+        "witnesses", "charset-custom", "cli")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -79,6 +87,47 @@ BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
 LITERALS = ("0", "1", "2", "3", "007", "10", "-1", "-0", "-007", "3/2", "-3/2",
             "6/4", "4/2", "0/5", "1/0", "1/-2", "2/3/4", "x", "", "-", "--1",
             "1.5", "1e3", "0x10", "9" * 4301)
+# the cli line's input files and (name, dstar arguments) cases
+CLI_FILES = {
+    "broken.json": '{"blocks": [',
+    "misordered.json": ('{"blocks": [{"basis": ["1", "ee", "e"], "table": {"1*1": '
+                        '[["1", "1"]], "1*ee": [["ee", "1"]], "1*e": [["e", "1"]], '
+                        '"e*e": [["ee", "1"]]}}]}'),
+    "divisors.txt": "x1[0,1]^2 - 4 * x1[0,0]\n",
+    "constant.txt": "1\n",
+    "gens.txt": "x1[0,1] + x1[0,0]\nx1[0,2] + x1[0,0]^2\n",
+    "bad_gens.txt": "x1[0,1] +\n",
+    "inconsistent.txt": "x1[1,0] - 2*x1[0,0]\nx1[0,0] - 1\n",
+    "closure_gens.txt": "x1[0,0] * x1[1,0]\n",
+    "witness.json": ('{"a": "x1[0,0]", "taus": [[0, 0], [1, 0]], "exponents": [1, 1], '
+                     '"combination": [{"c": "1", "theta": [0, 0], "member": 0}]}'),
+    "failing_witness.json": ('{"a": "x1[0,0]", "taus": [[0, 0]], "exponents": [1], '
+                             '"combination": [{"c": "1", "theta": [0, 0], "member": 0}]}'),
+}
+CLI_CASES = (
+    ("algebra-check", ["algebra-check", "hs:2"]),
+    ("algebra-check parse", ["algebra-check", "broken.json"]),
+    ("algebra-check domain", ["algebra-check", "misordered.json"]),
+    ("rank", ["rank", "--algebra", "dual", "x1[1,0]", "x1[0,1]"]),
+    ("rank parse", ["rank", "--algebra", "dual", "x1[0", "x1[0,1]"]),
+    ("rank domain", ["rank", "--algebra", "missing.json", "x1[1,0]", "x1[0,1]"]),
+    ("apply", ["apply", "--algebra", "dual", "--op", "d1.1", "x1[0,0]^2"]),
+    ("apply parse", ["apply", "--algebra", "dual", "--op", "d1.1", "x1[0,0]^"]),
+    # 2^15000 has more digits than the int/str conversion limit prints
+    ("apply domain", ["apply", "--algebra", "dual", "--op", "s1", "(2*x1[0,0])^15000"]),
+    ("reduce", ["reduce", "--algebra", "dual", "--set", "divisors.txt", "x1[0,2]"]),
+    ("reduce parse", ["reduce", "--algebra", "dual", "--set", "divisors.txt", "x1[0,2] +"]),
+    ("reduce domain", ["reduce", "--algebra", "dual", "--set", "constant.txt", "x1[0,2]"]),
+    ("charset", ["charset", "--algebra", "dual", "--gens", "gens.txt", "--trace"]),
+    ("charset parse", ["charset", "--algebra", "dual", "--gens", "bad_gens.txt"]),
+    ("charset domain", ["charset", "--algebra", "dual", "--gens", "inconsistent.txt"]),
+    ("closure-check", ["closure-check", "--algebra", "dual", "--gens", "closure_gens.txt",
+                       "--witness", "witness.json"]),
+    ("closure-check parse", ["closure-check", "--algebra", "dual", "--gens",
+                             "closure_gens.txt", "--witness", "broken.json"]),
+    ("closure-check domain", ["closure-check", "--algebra", "dual", "--gens",
+                              "closure_gens.txt", "--witness", "failing_witness.json"]),
+)
 # indeterminates of the monomials line, met in this order (highest first)
 FRESH = (94, 93, 92, 91)
 
@@ -200,6 +249,19 @@ def witness_cases(algebras):
             yield f"{label} {name}", gens, ClosureWitness(*fields)
 
 
+def cli_outputs():
+    """(name, exit code, stdout and stderr) of each of CLI_CASES, run cold."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in CLI_FILES.items():
+            Path(work, name).write_text(text, encoding="utf-8")
+        for name, argv in CLI_CASES:
+            proc = subprocess.run([sys.executable, "-m", "dstar.cli", *argv], cwd=work,
+                                  env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                                  text=True, timeout=60)
+            yield name, f"exit {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
+
+
 def families(algebras):
     """(name, generators, ranking) for every charset-workload family."""
     out = [("prolonged", inputs.prolonged_family(algebras), "dd:1,1")]
@@ -292,6 +354,9 @@ def main():
         record("charset-custom", name, repr(result))
         for cert in result.certificates:
             record("charset-custom", name, certificate_to_json(cert))
+
+    for name, text in cli_outputs():
+        record("cli", name, text)
 
     print(f"families {len(items)}")
     for key, h in digests.items():
