@@ -13,7 +13,6 @@ nilpotent basis element, block by block).
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -201,6 +200,7 @@ def load_spec(text):
 
 def dump_spec(spec):
     """Serialise an AlgebraSpec back to the JSON file format."""
+    import json
     blocks = []
     for block in spec.blocks:
         table = {f"{a}*{b}": [[n, str(c)] for n, c in coords]

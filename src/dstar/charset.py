@@ -6,7 +6,7 @@ reduce everything else by it, feed nonzero remainders back, and stop when
 all remainders vanish.  Each round's selected set strictly decreases in
 the autoreduced-set pre-order, which makes the loop well-founded.  A round
 grows one DivisorSet, in rank order, as it selects; every pool reduction
-and the final certificate checks share its leaders and image memo, dropped
+and the final certificate checks share its records and image memo, dropped
 with it when the round ends.  Input generators and remainders enter the
 pool through one function, which makes them monic, drops repeats and
 makes each one's sort key once, so a round's new remainders are the tail
@@ -43,7 +43,6 @@ respect to the selected set, and nonzero over Q.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from operator import itemgetter
 
@@ -263,11 +262,12 @@ def _selected_certificate(divisors, k):
     leaves remainder 0.
     """
     f = divisors.members[k]
+    u, _, degree = divisors.ranks[k]
     zero = (0,) * f.algebra.M
     return ReductionCertificate(
         (HFactor(zero, INITIAL, k),), DPolynomial.zero(f.algebra),
         (Cofactor(divisors.image(k, INITIAL, zero), zero, k),),
-        (Step(divisors.leaders[k], "sigma", divisors.degrees[k]),))
+        (Step(u, "sigma", degree),))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,7 @@ def witness_from_json(text, algebra):
 
 
 def witness_to_json(witness):
+    import json
     doc = {
         "a": format_poly(witness.a),
         "taus": [list(t) for t in witness.taus],

@@ -197,9 +197,9 @@ def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
     _check_index(algebra, theta)
     out = [0] * algebra.M
-    for count, (i, _) in zip(theta, algebra.slot_pairs()):
-        if count:
-            out[algebra.slot_index(i, 0)] += count
+    offsets = algebra._offsets      # each block's sigma slot, then M
+    for start, end in zip(offsets, offsets[1:]):
+        out[start] = sum(theta[start:end])
     return tuple(out)
 
 

@@ -14,7 +14,6 @@ error, here and in the JSON file formats read through parse_json.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -176,6 +175,7 @@ def parse_json(text):
 
     So is an integer too long for the interpreter to convert.
     """
+    import json
     try:
         return json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:

@@ -387,9 +387,13 @@ class DPolynomial(Frozen):
 
     def separant(self, ranking=None):
         """Derivative with respect to the leader u."""
-        i = _IDS[self.leader(ranking)]
-        # lowering u's exponent keeps the key in id order, and distinct terms
-        # containing u stay distinct, so nothing merges
+        return self._derivative(self.leader(ranking))
+
+    def _derivative(self, v):
+        """Derivative with respect to v, a variable of self."""
+        i = _IDS[v]
+        # lowering v's exponent keeps the key in id order, and distinct terms
+        # containing v stay distinct, so nothing merges
         out = {}
         for m, c in self.terms.items():
             key = m.key

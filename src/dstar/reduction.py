@@ -11,19 +11,17 @@ variable, multiplying by a sigma-transform of the divisor's separant
 witnessing the exact identity H * g = g0 + sum_k c_k * theta_k(a_k).
 
 Every call takes its divisors as a DivisorSet or as a plain sequence.  A
-DivisorSet computes each member's leader and degree once, when the member
-is added, and keeps one memo of operator images, of its members and of
-their initials and separants, for as long as the set lives; a caller that
-reduces many polynomials by the same divisors, such as one round of
-characteristic-set completion, builds the set once and passes it to every
-call.  A sequence is wrapped in a fresh set at entry, so its memo is
-local to the call.  Memo keys are exact, so a shared memo never changes a
-result or lets a forged certificate pass.
+DivisorSet makes each member's rank record (leader, key, degree) once, when
+the member is added, derives initials and separants from it, and keeps one
+memo of operator images, of its members, initials and separants, for as
+long as the set lives; a caller that reduces many polynomials by the same
+divisors, such as one round of characteristic-set completion, builds the
+set once and passes it to every call.  A sequence is wrapped in a fresh set
+at entry, so its memo is local to the call.  Memo keys are exact, so a
+shared memo never changes a result or lets a forged certificate pass.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import (
     AlgebraMismatch,
@@ -77,24 +75,27 @@ class ALeader(Record):
 class DivisorSet:
     """A divisor list under one ranking, with its per-member data built once.
 
-    Holds each member's leader and degree, computed when the member is
-    added, and one memo of operator images keyed by (member, source,
-    theta), where source is None for the member itself.  The memo lives as
-    long as the set.  A set is used only under its own ranking.  Constant
-    members and members that share a leader are accepted here and rejected
-    by the calls that forbid them, as for a list.
+    Holds one rank record per member, (leader, ranking key of the leader,
+    degree) or None for a constant, made when the member is added, and
+    one memo of operator images keyed by (member, source, theta), where
+    source is None for the member itself.  The memo lives as long as the
+    set.  A set is used only under its own ranking.  Constant members and
+    members that share a leader are accepted here and rejected by the
+    calls that forbid them, as for a list.
     """
 
     def __init__(self, members=(), ranking=None):
-        members = list(members)
+        try:
+            members = list(members)
+        except TypeError:
+            raise AlgebraMismatch(f"{members!r} is not a sequence of polynomials") from None
         if ranking is None:
             if not members:
                 raise ValueError("an empty divisor set needs a ranking")
             ranking = SequentialRanking(_algebra_of(members[0]))
         self.ranking = ranking
         self.members = []
-        self.leaders = []       # None for a constant member
-        self.degrees = []
+        self.ranks = []
         self.has_constant = False
         self._images = {}
         for f in members:
@@ -106,12 +107,10 @@ class DivisorSet:
         self.members.append(f)
         if f.is_constant():
             self.has_constant = True
-            self.leaders.append(None)
-            self.degrees.append(0)
+            self.ranks.append(None)
         else:
             u = f.leader(self.ranking)
-            self.leaders.append(u)
-            self.degrees.append(f.degree_in(u))
+            self.ranks.append((u, self.ranking.key(u), f.degree_in(u)))
 
     def image(self, member, source, theta):
         """theta applied to a member (source None), its initial or separant."""
@@ -119,10 +118,11 @@ class DivisorSet:
         img = self._images.get(key)
         if img is None:
             f = self.members[member]
-            if source == INITIAL:
-                f = f.initial(self.ranking)
-            elif source == SEPARANT:
-                f = f.separant(self.ranking)
+            if source is not None:
+                if self.ranks[member] is None:
+                    raise ConstantPolynomial("constants have no leader")
+                u, _, d = self.ranks[member]
+                f = f.coefficient_in(u, d) if source == INITIAL else f._derivative(u)
             img = self._images[key] = apply_composition(f, theta)
         return img
 
@@ -144,8 +144,8 @@ def _check_algebra(algebra, expected):
 def _divisor_set(divisors, ranking, g):
     """divisors as a DivisorSet over g's algebra.
 
-    A list gets a fresh set, local to the call.  AlgebraMismatch when g or
-    a divisor is not a polynomial over the set's algebra.
+    A list gets a fresh set.  AlgebraMismatch when divisors is not iterable,
+    or g or a divisor is not a polynomial over the set's algebra.
     """
     algebra = _algebra_of(g)
     if isinstance(divisors, DivisorSet):
@@ -185,13 +185,13 @@ def a_leader(g, divisors, ranking=None):
         return None
     if divisors.has_constant:
         raise ConstantPolynomial("constants have no leader")
-    key, leaders, degrees = divisors.ranking.key, divisors.leaders, divisors.degrees
+    key = divisors.ranking.key
     best = best_rank = None
     for v, k in sorted(g.degrees().items()):
-        for idx, u in enumerate(leaders):
+        for idx, (u, u_key, degree) in enumerate(divisors.ranks):
             tr = transform_of(g.algebra, v, u)
-            if tr is not None and (tr.is_delta or k >= degrees[idx]):
-                rank = (key(v), key(u), -idx)
+            if tr is not None and (tr.is_delta or k >= degree):
+                rank = (key(v), u_key, -idx)
                 # only a strictly higher rank wins: exact ties go to the
                 # first offender met, the lowest variable
                 if best is None or rank > best_rank:
@@ -216,7 +216,7 @@ def reduce(g, divisors, ranking=None):
     ranking = divisors.ranking
     if divisors.has_constant:
         raise ConstantDivisor("divisor sets must not contain constants")
-    leaders, degrees = divisors.leaders, divisors.degrees
+    leaders = [u for u, _, _ in divisors.ranks]
     for a in range(len(leaders)):
         for b in range(a + 1, len(leaders)):
             if leaders[a] == leaders[b]:
@@ -225,9 +225,7 @@ def reduce(g, divisors, ranking=None):
     algebra = g.algebra
 
     current = g
-    h_factors = []
-    multipliers = []
-    raw = []        # (cofactor before the later multipliers, theta, member)
+    raw = []        # (cofactor before the later multipliers, theta, H factor)
     steps = []
     prev = None
     while True:
@@ -246,29 +244,28 @@ def reduce(g, divisors, ranking=None):
         else:
             factor = HFactor(led.theta, INITIAL, led.member)
         multiplier = divisors.image(led.member, factor.source, factor.theta)
-        drop = led.degree - (1 if led.is_delta else degrees[led.member])
+        drop = led.degree - (1 if led.is_delta else divisors.ranks[led.member][2])
         v_poly = DPolynomial.from_variable(algebra, led.variable)
         cof = current.coefficient_in(led.variable, led.degree) * v_poly ** drop
         image = divisors.image(led.member, None, led.theta)
         current = multiplier * current - cof * image
-        h_factors.append(factor)
-        multipliers.append(multiplier)
-        raw.append((cof, led.theta, led.member))
+        raw.append((cof, led.theta, factor))
         steps.append(Step(led.variable, "delta" if led.is_delta else "sigma",
                           led.degree))
 
     cofactors = []
     suffix = None   # m_{k+1} ... m_n; the product with m_1 is never needed
     for k in range(len(raw) - 1, -1, -1):
-        cof, theta, member = raw[k]
+        cof, theta, factor = raw[k]
         cofactors.append(Cofactor(cof if suffix is None else cof * suffix,
-                                  theta, member))
-        if k:
-            suffix = multipliers[k] if suffix is None else multipliers[k] * suffix
+                                  theta, factor.member))
+        if k:   # m_k, from the set's memo
+            m = divisors.image(factor.member, factor.source, factor.theta)
+            suffix = m if suffix is None else m * suffix
     cofactors.reverse()
 
     return ReductionCertificate(
-        tuple(h_factors), current, tuple(cofactors), tuple(steps))
+        tuple(f for _, _, f in raw), current, tuple(cofactors), tuple(steps))
 
 
 def multiplier_product(cert, divisors, ranking=None):
@@ -386,6 +383,7 @@ def _index_from_json(values):
 
 
 def certificate_to_json(cert):
+    import json
     doc = {
         "h_factors": [{"theta": list(f.theta), "source": f.source,
                        "member": f.member} for f in cert.h_factors],

@@ -515,12 +515,14 @@ def test_a_cold_process_loads_only_the_modules_it_runs(tmp_path):
                           capture_output=True, text=True, env=cold_env())
     assert proc.returncode == 0 and proc.stdout == "[]\n"
     code = ("import sys; from dstar import cli; code = cli.main(sys.argv[1:]); "
-            f"print(code, {loaded})")
+            f"print('json' in sys.modules); print(code, {loaded})")
     for args, modules in COLD_LOADS:
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                               text=True, cwd=tmp_path, env=cold_env())
         assert proc.stderr == "", args
         assert proc.stdout.splitlines()[-1] == f"0 {modules}", args
+        # only a witness file is JSON here
+        assert proc.stdout.splitlines()[-2] == str(args[0] == "closure-check"), args
 
 
 # the package's public names by submodule, as `import dstar` has always bound them

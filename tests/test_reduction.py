@@ -150,6 +150,15 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                 for idx, f in enumerate(divisors):
                     assert is_reduced(g, f, ranking) == all(
                         c.member != idx for c in pairs)
+                # its stored rank records give the public initials and separants
+                for k, f in enumerate(divisors):
+                    if f.is_constant():
+                        continue
+                    for theta in ((0,) * d.M, (1,) + (0,) * (d.M - 1)):
+                        assert as_set.image(k, INITIAL, theta) == apply_composition(
+                            f.initial(ranking), theta)
+                        assert as_set.image(k, SEPARANT, theta) == apply_composition(
+                            f.separant(ranking), theta)
 
                 variables = sorted(g.variables())
                 for v in variables:
@@ -595,6 +604,15 @@ def test_multiplier_product_judges_every_h_factor(dual, worked):
         for each in (divisors, DivisorSet(divisors)):
             with pytest.raises(BadWitness):
                 multiplier_product(forged, each)
+    # a constant divisor has no initial or separant to multiply by
+    one, zero = DPolynomial.constant(dual, 1), (0,) * dual.M
+    for source in (INITIAL, SEPARANT):
+        forged = ReductionCertificate(
+            (HFactor(zero, source, 0),), DPolynomial.zero(dual), (), ())
+        for each in ([one], DivisorSet([one])):
+            with pytest.raises(ConstantPolynomial, match="^constants have no leader$"):
+                multiplier_product(forged, each)
+        assert verify_certificate(one, [one], forged) is False
     # the genuine factor: sigma of the separant 2 * x1[0,1]
     assert multiplier_product(cert, [worked]) == parse_poly("2 * x1[1,1]", dual)
 
@@ -650,6 +668,16 @@ def test_a_non_polynomial_is_judged_like_another_algebra(dual):
     cert = reduce(f, [f])
     for g, divisors in ((4, [f]), (f, [4]), (None, [f]), (f, [f, "x1[0,0]"])):
         assert verify_certificate(g, divisors, cert) is False
+    # a divisors argument that is not iterable used to raise TypeError
+    assert verify_certificate(f, 7, cert) is False
+    for call in (lambda: DivisorSet(7),
+                 lambda: reduce(f, 7),
+                 lambda: a_leader(f, 7),
+                 lambda: is_reduced_wrt_set(f, 7),
+                 lambda: multiplier_product(cert, 7)):
+        with pytest.raises(AlgebraMismatch,
+                           match="^7 is not a sequence of polynomials$"):
+            call()
     ranking = SequentialRanking(dual)
     for call in (lambda: DivisorSet([4]),
                  lambda: DivisorSet([], ranking).add(4),
