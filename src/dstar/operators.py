@@ -18,7 +18,9 @@ length of f's highest monomial total degree d.  That is enough because
 every coordinate of a degree-d monomial's image is homogeneous of degree
 d in the bumps, so no exponent of any intermediate product exceeds d and
 no field carries into the next.  Coordinates are multiplied as term dicts
-{packed int: coefficient}.  At the end of block_image each packed int is
+{packed int: coefficient}, in one loop over the block's nonzero
+products e_p * e_q only, listed once per block image from
+BlockData.table.  At the end of block_image each packed int is
 decoded once, lowest field first, straight into a Monomial key, which
 comes out in ascending id order with no sort, so block images and
 polynomials share one variable numbering.  Each output coordinate is
@@ -42,28 +44,37 @@ from .ordering import parse_int, slot_bumps
 from .poly import _VARIABLES, DPolynomial, _accumulate, _intern, _monomial
 
 
-def _image_mul(table, u, w):
-    """Multiply two coordinate vectors of packed term dicts through a block table.
+def _image_mul(products, u, w):
+    """Multiply two coordinate vectors of packed term dicts through a block's products.
 
-    Returns a new vector of fresh dicts, in which zero coefficients may
-    remain; u and w are never modified.
+    products lists the block's nonzero products e_p * e_q as
+    (p, q, ((j, alpha), ...)), p major (see _products).  Returns a new
+    vector of fresh dicts, in which zero coefficients may remain; u and w
+    are never modified.
     """
-    acc = [{} for _ in table]
-    for up, row in zip(u, table):
-        for wq, contributions in zip(w, row):
-            if contributions:
+    acc = [{} for _ in u]
+    for p, q, contributions in products:
+        up = u[p]
+        wq = w[q]
+        if up and wq:
+            for j, alpha in contributions:
+                a = acc[j]
                 for m1, c1 in up.items():
                     for m2, c2 in wq.items():
                         m = m1 + m2
-                        c = c1 * c2
-                        for j, alpha in contributions:
-                            a = acc[j]
-                            old = a.get(m)
-                            a[m] = c * alpha if old is None else old + c * alpha
+                        c = c1 * c2 * alpha
+                        old = a.get(m)
+                        a[m] = c if old is None else old + c
     return acc
 
 
-def _power_image(table, v, e, memo):
+def _products(table):
+    """The nonempty cells of a block's BlockData.table as (p, q, contributions), p major."""
+    return [(p, q, cell) for p, row in enumerate(table)
+            for q, cell in enumerate(row) if cell]
+
+
+def _power_image(products, v, e, memo):
     """Block image of v^e as packed term dicts, by squaring, memoised under (v, e).
 
     v is a variable id.  The memo holds every (v, 1) image before the
@@ -77,9 +88,9 @@ def _power_image(table, v, e, memo):
         e //= 2
     img = memo[(v, e)]
     for e in reversed(halvings):
-        img = _image_mul(table, img, img)
+        img = _image_mul(products, img, img)
         if e & 1:
-            img = _image_mul(table, img, memo[(v, 1)])
+            img = _image_mul(products, img, memo[(v, 1)])
         memo[(v, e)] = img
     return img
 
@@ -139,9 +150,9 @@ def block_image(f, i):
     """
     algebra = f.algebra
     block = algebra.block(i)  # validates the block index
-    table = block.table
+    products = _products(block.table)
     bumps, width, memo = _registry(f, i, block.m)
-    acc = [{} for _ in table]
+    acc = [{} for _ in block.names]
     for monomial, coeff in f.terms.items():
         key = monomial.key
         if not key:
@@ -151,8 +162,8 @@ def block_image(f, i):
             continue
         vec = None
         for v, e in zip(key[::2], key[1::2]):
-            img = _power_image(table, v, e, memo)
-            vec = img if vec is None else _image_mul(table, vec, img)
+            img = _power_image(products, v, e, memo)
+            vec = img if vec is None else _image_mul(products, vec, img)
         for a, terms in zip(acc, vec):
             _accumulate(a, terms, coeff)
     return tuple(DPolynomial(algebra, {_decode(packed, bumps, width): c

@@ -41,7 +41,7 @@ from .ordering import (
     transform_of,
 )
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, _rank_tuple, format_poly
+from .poly import DPolynomial, _accumulate, _rank_tuple, format_poly
 
 INITIAL = "initial"
 SEPARANT = "separant"
@@ -325,8 +325,11 @@ def _sum_terms(total, terms, count, image):
     BadWitness when terms is not a sequence, or at the first term that is
     not a triple, whose member is not an int in 0..count-1, whose c is not
     a polynomial over total's algebra or whose theta fails _check_theta.
+    The products are added in place into one term dict that starts from
+    total's terms, and the sum is normalised once, at the end.
     """
     algebra = total.algebra
+    acc = dict(total.terms)
     for term in _sequence(terms, "combination"):
         try:
             c, theta, member = term
@@ -339,8 +342,8 @@ def _sum_terms(total, terms, count, image):
             raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
                              "over the generators' algebra")
         _check_theta(algebra, theta, "combination theta")
-        total = total + c * image(member, theta)
-    return total
+        _accumulate(acc, (c * image(member, theta)).terms)
+    return DPolynomial(algebra, acc)
 
 
 def verify_certificate(g, divisors, cert, ranking=None):

@@ -163,6 +163,14 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
         exprs.append(f"{x}^6 * {y}^2 - 2 * {z} + 3")
         if label == "dual":
             exprs.append("x1[1,0]^3 * x1[0,1]^2")
+        # shared key prefixes: a key lists its variables by id, so a, b, c, e
+        # are the four variables in id order.  a^2*b is a proper prefix of
+        # the other two keys, which share it, met before and after them
+        w = f"x2[{last}]"
+        a, b, c, e = sorted((x, y, z, w),
+                            key=lambda v: next(iter(parse_poly(v, d).terms)).key[0])
+        exprs.append(f"{a}^2*{b} + {a}^2*{b}*{c} + {a}^2*{b}*{e} - 3")
+        exprs.append(f"{a}^2*{b}*{c} + {a}^2*{b} + {a}^2*{b}*{e} - 3")
         theta = pinned[label][0]
         for expr in exprs:
             f = parse_poly(expr, d)
@@ -201,20 +209,31 @@ def test_non_unit_structure_constants_match_the_reference(c):
                                           ("1", "f"): [("f", 1)], ("e", "e"): [("f", c)]}),
         make_block_spec(["u", "n"], {("u", "u"): [("u", 1)], ("u", "n"): [("n", 1)]}))))
     assert d.alpha(1, 2, 1, 1) == Fraction(c)
+    # and in this one e1 * e1 = f1 + f2 has two contributions, and no product
+    # of two nilpotents is one basis element with coefficient 1
+    two = validate_algebra(AlgebraSpec((make_block_spec(
+        ["1", "e1", "e2", "f1", "f2"],
+        {**{("1", b): [(b, 1)] for b in ("1", "e1", "e2", "f1", "f2")},
+         ("e1", "e1"): [("f1", 1), ("f2", 1)], ("e1", "e2"): [("f1", c)],
+         ("e2", "e2"): [("f2", -3)]}),)))
+    assert two.blocks[0].nu == (1, 1, 2, 2)
+    assert (two.alpha(1, 3, 1, 1), two.alpha(1, 4, 1, 1)) == (1, 1)
+    assert two.alpha(1, 3, 1, 2) == Fraction(c)
     rng = random.Random(37)
-    for _ in range(10):
-        f = _rand_powers_poly(rng, d)
-        theta = rand_theta(rng, d, 3)
-        results = [apply_composition(f, theta)]
-        assert results[0] == _reference_composition(f, theta), (theta, f)
-        for i in (1, 2):
-            image = list(block_image(f, i))
-            assert image == _reference_image(f, i), (i, f)
-            results += image
-        for h in results:
-            for coeff in h.terms.values():
-                assert type(coeff) is int or \
-                    (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
+    for algebra, max_exp in ((d, 5), (two, 3)):
+        for _ in range(10):
+            f = _rand_powers_poly(rng, algebra, max_exp)
+            theta = rand_theta(rng, algebra, 3)
+            results = [apply_composition(f, theta)]
+            assert results[0] == _reference_composition(f, theta), (theta, f)
+            for i in range(1, algebra.t + 1):
+                image = list(block_image(f, i))
+                assert image == _reference_image(f, i), (i, f)
+                results += image
+            for h in results:
+                for coeff in h.terms.values():
+                    assert type(coeff) is int or \
+                        (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
 
 
 def test_dual_tower_is_the_classical_derivative(dual):
