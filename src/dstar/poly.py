@@ -23,8 +23,8 @@ leaders, printing and sort keys order by DVariable or by a ranking key.
 All arithmetic is exact and results are canonical (no zero coefficients,
 deduplicated monomials); only results that cannot hold a zero (a product
 by one term, scaling by a nonzero constant) skip the zero filter.  The
-leader, initial and separant accessors take the ranking as a parameter
-and default to the sequential ranking.
+rank accessors (leader, degree, initial, separant) and the rank order read
+one walk, DPolynomial._rank, under a ranking that defaults to sequential.
 """
 
 from __future__ import annotations
@@ -351,17 +351,23 @@ class DPolynomial(Frozen):
 
     # -- leader structure ----------------------------------------------------
 
-    def leader(self, ranking=None):
-        """The highest-ranked variable.
+    def _rank(self, ranking=None):
+        """(leader, ranking.key(leader), degree), from one walk of the degrees.
 
         Distinct variables of equal rank (possible only under a key that is
         not injective) go to the lowest in DVariable order, as in a_leader.
         """
-        if self.is_constant():
+        degrees = self.degrees()
+        if not degrees:
             raise ConstantPolynomial("constants have no leader")
-        ranking = ranking or SequentialRanking(self.algebra)
+        key = (ranking or SequentialRanking(self.algebra)).key
         # max keeps the first of equal maxima, here the lowest variable
-        return max(sorted(self.variables()), key=ranking.key)
+        u = max(sorted(degrees), key=key)
+        return u, key(u), degrees[u]
+
+    def leader(self, ranking=None):
+        """The highest-ranked variable."""
+        return self._rank(ranking)[0]
 
     def degree_in(self, v):
         i = _IDS.get(v)
@@ -379,11 +385,11 @@ class DPolynomial(Frozen):
         return DPolynomial(self.algebra, out)
 
     def degree(self, ranking=None):
-        return self.degree_in(self.leader(ranking))
+        return self._rank(ranking)[2]
 
     def initial(self, ranking=None):
-        u = self.leader(ranking)
-        return self.coefficient_in(u, self.degree_in(u))
+        u, _, d = self._rank(ranking)
+        return self.coefficient_in(u, d)
 
     def separant(self, ranking=None):
         """Derivative with respect to the leader u."""
@@ -425,8 +431,7 @@ def _rank_tuple(f, ranking):
     """(is_nonconstant, key(leader), degree): compares as the ranks do."""
     if f.is_constant():
         return (0, (), 0)
-    u = f.leader(ranking)
-    return (1, ranking.key(u), f.degree_in(u))
+    return (1,) + f._rank(ranking)[1:]
 
 
 def _rank_tuples(f, g, ranking):
@@ -439,7 +444,7 @@ def _rank_tuples(f, g, ranking):
 
 def rank_compare(f, g, ranking=None):
     """Pre-order on polynomials by (leader, degree); constants lowest."""
-    rf, rg = _rank_tuples(f, g, ranking or SequentialRanking(f.algebra))
+    rf, rg = _rank_tuples(f, g, ranking)
     return LESS if rf < rg else GREATER if rf > rg else EQUAL
 
 
@@ -488,7 +493,6 @@ def format_poly(f):
 
 def poly_sort_key(f, ranking=None):
     """Total deterministic order on polynomials: rank first, then terms."""
-    ranking = ranking or SequentialRanking(f.algebra)
     term_part = tuple(sorted(
         ((m.sort_key(), c) for m, c in f.terms.items()), reverse=True))
     return (_rank_tuple(f, ranking), term_part)

@@ -11,14 +11,15 @@ variable, multiplying by a sigma-transform of the divisor's separant
 witnessing the exact identity H * g = g0 + sum_k c_k * theta_k(a_k).
 
 Every call takes its divisors as a DivisorSet or as a plain sequence.  A
-DivisorSet makes each member's rank record (leader, key, degree) once, when
-the member is added, derives initials and separants from it, and keeps one
-memo of operator images, of its members, initials and separants, for as
-long as the set lives; a caller that reduces many polynomials by the same
-divisors, such as one round of characteristic-set completion, builds the
-set once and passes it to every call.  A sequence is wrapped in a fresh set
-at entry, so its memo is local to the call.  Memo keys are exact, so a
-shared memo never changes a result or lets a forged certificate pass.
+DivisorSet makes each member's rank record once, when the member is added:
+its DPolynomial._rank, or None for a constant, and no other flag.  It
+derives initials and separants from the record and keeps one memo of
+operator images, of its members, initials and separants, for as long as the
+set lives; a caller that reduces many polynomials by the same divisors, such
+as one round of characteristic-set completion, builds the set once and
+passes it to every call.  A sequence is wrapped in a fresh set at entry, so
+its memo is local to the call.  Memo keys are exact, so a shared memo never
+changes a result or lets a forged certificate pass.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ class ALeader(Record):
 class DivisorSet:
     """A divisor list under one ranking, with its per-member data built once.
 
-    Holds one rank record per member, (leader, ranking key of the leader,
-    degree) or None for a constant, made when the member is added, and
-    one memo of operator images keyed by (member, source, theta), where
-    source is None for the member itself.  The memo lives as long as the
-    set.  A set is used only under its own ranking.  Constant members and
-    members that share a leader are accepted here and rejected by the
-    calls that forbid them, as for a list.
+    Holds one rank record per member, the member's DPolynomial._rank or
+    None for a constant, made when the member is added, and one memo of
+    operator images keyed by (member, source, theta), where source is
+    None for the member itself.  The memo lives as long as the set.  A
+    set is used only under its own ranking.  Constant members and members
+    that share a leader are accepted here and rejected by the calls that
+    forbid them, as for a list; a None record is how they tell.
     """
 
     def __init__(self, members=(), ranking=None):
@@ -96,7 +97,6 @@ class DivisorSet:
         self.ranking = ranking
         self.members = []
         self.ranks = []
-        self.has_constant = False
         self._images = {}
         for f in members:
             self.add(f)
@@ -105,12 +105,7 @@ class DivisorSet:
         """Append f as the next member."""
         _check_algebra(_algebra_of(f), self.ranking.algebra)
         self.members.append(f)
-        if f.is_constant():
-            self.has_constant = True
-            self.ranks.append(None)
-        else:
-            u = f.leader(self.ranking)
-            self.ranks.append((u, self.ranking.key(u), f.degree_in(u)))
+        self.ranks.append(None if f.is_constant() else f._rank(self.ranking))
 
     def image(self, member, source, theta):
         """theta applied to a member (source None), its initial or separant."""
@@ -165,7 +160,7 @@ def is_reduced(g, f, ranking=None):
 def is_reduced_wrt_set(g, divisors, ranking=None):
     """True when g contains no offending transform of any divisor's leader."""
     divisors = _divisor_set(divisors, ranking, g)
-    if divisors.has_constant:
+    if None in divisors.ranks:
         raise ConstantDivisor("cannot reduce with respect to a constant")
     return a_leader(g, divisors) is None
 
@@ -183,7 +178,7 @@ def a_leader(g, divisors, ranking=None):
     divisors = _divisor_set(divisors, ranking, g)
     if g.is_constant():
         return None
-    if divisors.has_constant:
+    if None in divisors.ranks:
         raise ConstantPolynomial("constants have no leader")
     key = divisors.ranking.key
     best = best_rank = None
@@ -214,7 +209,7 @@ def reduce(g, divisors, ranking=None):
     """
     divisors = _divisor_set(divisors, ranking, g)
     ranking = divisors.ranking
-    if divisors.has_constant:
+    if None in divisors.ranks:
         raise ConstantDivisor("divisor sets must not contain constants")
     leaders = [u for u, _, _ in divisors.ranks]
     for a in range(len(leaders)):

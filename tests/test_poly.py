@@ -22,6 +22,7 @@ from dstar.parser import parse_poly
 from dstar.poly import (
     _IDS,
     _VARIABLES,
+    _rank_tuple,
     UNIT_MONOMIAL,
     DPolynomial,
     Monomial,
@@ -30,7 +31,7 @@ from dstar.poly import (
     poly_sort_key,
     rank_compare,
 )
-from dstar.reduction import a_leader, reduce
+from dstar.reduction import DivisorSet, a_leader, reduce
 
 from gen import rand_poly, rand_reduction_instance, rand_theta, rand_variable
 
@@ -364,6 +365,21 @@ def test_leader_key_ties_go_to_the_lowest_variable(all_builtins):
             expected = min(tied)
             reversed_f = DPolynomial(d, dict(reversed(list(f.terms.items()))))
             assert f.leader(ranking) == reversed_f.leader(ranking) == expected
+            # degree, initial and both rank records read that same leader
+            for r in (ranking, SequentialRanking(d)):
+                top = max(map(r.key, variables))
+                expected = min(v for v in variables if r.key(v) == top)
+                k = f.degree_in(expected)
+                assert f.leader(r) == expected
+                assert f.degree(r) == k
+                assert f.initial(r) == f.coefficient_in(expected, k)
+                assert _rank_tuple(f, r) == (1, r.key(expected), k)
+                assert DivisorSet([f], r).ranks == [(expected, r.key(expected), k)]
+                for c in (DPolynomial.constant(d, 3), DPolynomial.zero(d)):
+                    assert DivisorSet([c, f], r).ranks[0] is None
+                    assert _rank_tuple(c, r) == (0, (), 0)
+                    with pytest.raises(ConstantPolynomial):
+                        c.leader(r)
     assert ties > 0
 
 

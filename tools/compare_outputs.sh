@@ -6,8 +6,9 @@
 # Unpacks `git archive REV` into a temporary directory, copies the working
 # tree's tools/outputs_digest.py into it, runs each tree's copy of that
 # script against its own tree, and prints the diff of the two outputs, or
-# the lines themselves when they agree.  Exits 1 when any line differs.  The working tree and the index are left
-# as they are; no bytecode is written.
+# the lines themselves when they agree, then the line count of
+# src/dstar/*.py in each tree.  Exits 1 when any line differs.  The working
+# tree and the index are left as they are; no bytecode is written.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -20,9 +21,13 @@ cp "$root/tools/outputs_digest.py" "$tmp/tree/tools/outputs_digest.py"
 export PYTHONDONTWRITEBYTECODE=1
 python3 "$tmp/tree/tools/outputs_digest.py" > "$tmp/before"
 python3 "$root/tools/outputs_digest.py" > "$tmp/after"
+status=0
 if diff -u --label "$rev" --label "working tree" "$tmp/before" "$tmp/after"; then
     cat "$tmp/after"
     echo "all $(wc -l < "$tmp/after") lines identical to $rev"
 else
-    exit 1
+    status=1
 fi
+echo "src/dstar: $(cat "$tmp"/tree/src/dstar/*.py | wc -l) lines at $rev," \
+     "$(cat "$root"/src/dstar/*.py | wc -l) in the working tree"
+exit $status
