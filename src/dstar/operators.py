@@ -19,10 +19,10 @@ every coordinate of a degree-d monomial's image is homogeneous of degree
 d in the bumps, so no exponent of any intermediate product exceeds d and
 no field carries into the next.  Coordinates are multiplied as term dicts
 {packed int: coefficient}, in one loop over the block's nonzero
-products e_p * e_q only, listed once per block image from
-BlockData.table.  At the end of block_image each packed int is
-decoded once, lowest field first, straight into a Monomial key, which
-comes out in ascending id order with no sort, so block images and
+products e_p * e_q only, listed from BlockData.table once per block
+table and kept coordinate.  At the end of block_image each kept packed
+int is decoded once, lowest field first, straight into a Monomial key,
+which comes out in ascending id order with no sort, so block images and
 polynomials share one variable numbering.  Each output coordinate is
 wrapped in a DPolynomial once; its constructor drops zeros and stores
 each coefficient in its canonical form.  No packed dict leaves this
@@ -33,11 +33,25 @@ sits in.  Within one block image each (v, e) image is therefore built
 once, by squaring in the block algebra, and kept in a memo local to that
 block image.  Memoised vectors are shared, so products always accumulate
 into fresh dicts.
+
+A block image may keep one coordinate p alone, as each unit step of an
+operator composition does.  Coordinate j of a product u * w reads only
+u_q and w_r of the products e_q * e_r that contribute to e_j, so p needs
+the coordinates in the closure of {p} under "a product contributing to a
+needed coordinate needs both its factors": the unit slot alone for
+sigma, {0, 1} for hs:2's delta_1.  Power images and the inner products
+of a monomial run over the products cut to their contributions into the
+needed coordinates, and each monomial's last product over those cut to
+p alone; the other coordinates stay empty.  Cutting keeps the table's
+order of products and of contributions, so coordinate p receives the
+same terms in the same order, with the same coefficients, as in the
+full image, and only p is accumulated, decoded and wrapped.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import parse_int, slot_bumps
@@ -68,10 +82,36 @@ def _image_mul(products, u, w):
     return acc
 
 
-def _products(table):
-    """The nonempty cells of a block's BlockData.table as (p, q, contributions), p major."""
-    return [(p, q, cell) for p, row in enumerate(table)
-            for q, cell in enumerate(row) if cell]
+@lru_cache(maxsize=1024)
+def _products(table, keep):
+    """A block's products that the kept coordinate needs, as (inner, last).
+
+    Both list nonempty cells of BlockData.table as (p, q, contributions),
+    p major, in the table's order.  keep is the one coordinate a block
+    image keeps, or None for all of them, and then both lists hold every
+    cell.  Otherwise inner cuts each cell to its contributions into the
+    needed coordinates, keep closed under "a cell contributing to a needed
+    coordinate needs both its factors", and last cuts each cell to its
+    contribution into keep alone.  Cached per (table, keep), in a bounded
+    cache; the lists are tuples, so no caller can change what the next
+    one reads.
+    """
+    cells = tuple((p, q, cell) for p, row in enumerate(table)
+                  for q, cell in enumerate(row) if cell)
+    if keep is None:
+        return cells, cells
+    needed, grown = set(), {keep}
+    while grown != needed:
+        needed = grown
+        grown = needed.union(*((p, q) for p, q, cell in cells
+                               if any(j in needed for j, _ in cell)))
+
+    def cut(coordinates):
+        cut_cells = ((p, q, tuple(c for c in cell if c[0] in coordinates))
+                     for p, q, cell in cells)
+        return tuple(c for c in cut_cells if c[2])
+
+    return cut(needed), cut({keep})
 
 
 def _power_image(products, v, e, memo):
@@ -140,32 +180,39 @@ def _decode(packed, bumps, width):
     return _monomial(tuple(key))
 
 
-def block_image(f, i):
+def block_image(f, i, p=None):
     """Image of f under the block-i coordinate operators.
 
-    Returns the coordinate tuple in the block basis, unit slot first.
-    Variables map to their slot bumps, constants embed in the unit slot,
-    sums add coordinatewise and products multiply through the structure
-    constants.
+    Returns the coordinate tuple in the block basis, unit slot first, or
+    with p the one-tuple of coordinate p, computed alone.  Variables map
+    to their slot bumps, constants embed in the unit slot, sums add
+    coordinatewise and products multiply through the structure constants.
     """
     algebra = f.algebra
     block = algebra.block(i)  # validates the block index
-    products = _products(block.table)
+    if p is None:
+        kept = range(block.m + 1)
+    else:
+        algebra.slot_index(i, p)  # validates the coordinate
+        kept = (p,)
+    inner, last = _products(block.table, p)
     bumps, width, memo = _registry(f, i, block.m)
-    acc = [{} for _ in block.names]
+    acc = [{} for _ in kept]
     for monomial, coeff in f.terms.items():
         key = monomial.key
         if not key:
             # a constant embeds in the unit slot (packed int 0), where no
             # other term's image has a constant
-            acc[0][0] = coeff
+            if kept[0] == 0:
+                acc[0][0] = coeff
             continue
-        vec = None
-        for v, e in zip(key[::2], key[1::2]):
-            img = _power_image(products, v, e, memo)
-            vec = img if vec is None else _image_mul(products, vec, img)
-        for a, terms in zip(acc, vec):
-            _accumulate(a, terms, coeff)
+        n = len(key)
+        vec = _power_image(inner, key[0], key[1], memo)
+        for k in range(2, n, 2):
+            img = _power_image(inner, key[k], key[k + 1], memo)
+            vec = _image_mul(inner if k + 2 < n else last, vec, img)
+        for j, a in zip(kept, acc):
+            _accumulate(a, vec[j], coeff)
     return tuple(DPolynomial(algebra, {_decode(packed, bumps, width): c
                                        for packed, c in a.items() if c})
                  for a in acc)
@@ -173,9 +220,7 @@ def block_image(f, i):
 
 def apply(f, i, p):
     """Apply the single operator (i, p): sigma_i for p = 0, else delta_{i,p}."""
-    algebra = f.algebra
-    algebra.slot_index(i, p)  # validates the slot
-    return block_image(f, i)[p]
+    return block_image(f, i, p)[0]
 
 
 def _check_index(algebra, theta):
@@ -200,7 +245,7 @@ def apply_composition(f, theta):
         if count:
             i, p = algebra.block_of_slot(slot)
             for _ in range(count):
-                out = block_image(out, i)[p]
+                out, = block_image(out, i, p)
     return out
 
 

@@ -46,6 +46,15 @@ def test_apply_examples(dual):
         apply(dx, 2, 0)
 
 
+def test_a_coordinate_out_of_range_is_rejected(dual):
+    f = parse_poly("x1[0,1]^2 + x1[0,0]", dual)
+    for p in (2, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"^operator index {p} out of range 0\.\.1$"):
+            block_image(f, 1, p)
+    with pytest.raises(IndexOutOfRange, match=r"^operator index 2 out of range 0\.\.1$"):
+        apply(f, 1, 2)
+
+
 def test_block_image_rejects_a_variable_with_the_wrong_slot_count(dual, hs2):
     for algebra, theta in ((dual, (0, 0, 0)), (hs2, (0, 1))):
         x = DVariable(1, (0,) * algebra.M)
@@ -124,12 +133,12 @@ def _reference_composition(f, theta):
     return f
 
 
-def _rand_powers_poly(rng, d, max_exp=5):
-    """Up to three terms of one or two variable powers, exponents 1..max_exp."""
+def _rand_powers_poly(rng, d, max_exp=5, max_factors=2):
+    """Up to three terms of 1..max_factors variable powers, exponents 1..max_exp."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
         mono = {}
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, max_factors)):
             mono[DVariable(rng.randint(1, 2), rand_theta(rng, d, 1))] = \
                 rng.randint(1, max_exp)
         terms[Monomial.of(mono)] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
@@ -139,8 +148,18 @@ def _rand_powers_poly(rng, d, max_exp=5):
     return DPolynomial(d, terms)
 
 
+def _assert_coordinates_alone(f, context):
+    """block_image(f, i, p) is coordinate p of the full image: terms, order, types."""
+    for i in range(1, f.algebra.t + 1):
+        for p, coordinate in enumerate(block_image(f, i)):
+            alone = block_image(f, i, p)
+            assert alone == (coordinate,), (context, i, p)
+            assert [(m, c, type(c)) for m, c in alone[0].terms.items()] == \
+                [(m, c, type(c)) for m, c in coordinate.terms.items()], (context, i, p)
+
+
 def test_apply_composition_matches_unmemoised_reference(all_builtins):
-    rng = random.Random(36)
+    rng, wide = random.Random(36), random.Random(38)
     pinned = {"dd:1,1": [(1, 1, 1), (0, 2, 1), (1, 0, 2)],  # both blocks
               "hs:2": [(1, 1, 1), (0, 0, 2)], "dual": [(1, 2), (2, 1)],
               "fields:2": [(1, 1), (2, 0)]}
@@ -151,8 +170,17 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
                 f = _rand_powers_poly(rng, d)
                 assert apply_composition(f, theta) == _reference_composition(f, theta), \
                     (label, theta, f)
+                _assert_coordinates_alone(f, (label, f))
             for i in range(1, d.t + 1):
                 assert list(block_image(f, i)) == _reference_image(f, i)
+        # monomials of up to four variable powers, so that a coordinate
+        # computed alone goes through inner products too
+        for _ in range(6):
+            f = _rand_powers_poly(wide, d, 4, max_factors=4)
+            theta = rand_theta(wide, d, 3)
+            assert apply_composition(f, theta) == _reference_composition(f, theta), \
+                (label, theta, f)
+            _assert_coordinates_alone(f, (label, f))
         # packed block-image keys: powers on both sides of each field-width
         # boundary, a degree-8 term beside a degree-1 term and a constant
         # (one width for all of them), and on dual two variables with a
@@ -178,6 +206,7 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
                 (label, theta, expr)
             for i in range(1, d.t + 1):
                 assert list(block_image(f, i)) == _reference_image(f, i), (label, i, expr)
+            _assert_coordinates_alone(f, (label, expr))
 
 
 @pytest.mark.parametrize("n", [99999999, 2 ** 1100 + 1], ids=["1e8", "2^1100+1"])
@@ -220,9 +249,9 @@ def test_non_unit_structure_constants_match_the_reference(c):
     assert (two.alpha(1, 3, 1, 1), two.alpha(1, 4, 1, 1)) == (1, 1)
     assert two.alpha(1, 3, 1, 2) == Fraction(c)
     rng = random.Random(37)
-    for algebra, max_exp in ((d, 5), (two, 3)):
+    for algebra, max_exp, max_factors in ((d, 5, 2), (two, 3, 2), (d, 3, 4), (two, 2, 4)):
         for _ in range(10):
-            f = _rand_powers_poly(rng, algebra, max_exp)
+            f = _rand_powers_poly(rng, algebra, max_exp, max_factors)
             theta = rand_theta(rng, algebra, 3)
             results = [apply_composition(f, theta)]
             assert results[0] == _reference_composition(f, theta), (theta, f)
@@ -230,6 +259,7 @@ def test_non_unit_structure_constants_match_the_reference(c):
                 image = list(block_image(f, i))
                 assert image == _reference_image(f, i), (i, f)
                 results += image
+            _assert_coordinates_alone(f, f)
             for h in results:
                 for coeff in h.terms.values():
                     assert type(coeff) is int or \
@@ -367,9 +397,9 @@ def test_apply_composition_takes_one_block_image_per_unit_step(all_builtins, mon
     calls = []
     real = dstar.operators.block_image
 
-    def counting(f, i):
-        calls.append(i)
-        return real(f, i)
+    def counting(f, i, p=None):
+        calls.append((i, p))
+        return real(f, i, p)
 
     monkeypatch.setattr(dstar.operators, "block_image", counting)
     rng = random.Random(61)
@@ -380,3 +410,6 @@ def test_apply_composition_takes_one_block_image_per_unit_step(all_builtins, mon
             calls.clear()
             apply_composition(f, theta)
             assert len(calls) == sum(theta)
+            # each unit step builds only the coordinate of its slot
+            assert calls == [d.block_of_slot(slot) for slot, count in enumerate(theta)
+                             for _ in range(count)]

@@ -8,6 +8,7 @@ benchmark run fails.
 from pathlib import Path
 
 from dstar import charset, reduction
+from dstar.operators import apply_composition
 from dstar.parser import parse_poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,3 +65,20 @@ def test_tracer_counts_every_offending_variable_scan(monkeypatch, dual):
     assert calls["charset.complete"] == 1
     assert calls["reduction.a_leader"] > \
         calls["reduction.reduce"] + counts["reduction.steps"]
+
+
+def test_tracer_counts_one_block_image_per_unit_step(monkeypatch, hs2):
+    # each unit step of a composition is one public block_image call, so
+    # the traced per-layer count reads the number of unit steps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    f = parse_poly("x1[0,0,0]^3 - 2 * x1[0,1,0] * x1[0,0,0] + 1", hs2)
+    theta = (1, 2, 1)
+    tracer = Tracer(lambda algebra: "hs2")
+    tracer.install()
+    try:
+        apply_composition(f, theta)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["calls"]["operators.block_image"] == sum(theta)

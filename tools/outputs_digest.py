@@ -48,6 +48,13 @@ process on this tree's src, in a temporary directory holding CLI_FILES,
 and hashes its exit code, stdout and stderr: each of the six subcommands
 on one good input, one parse error (exit 2) and one domain error
 (exit 1), so what a cold process imports cannot change what it prints.
+The apply line hashes format_poly of apply(h, i, p) for every block i and
+coordinate p of each reduce-c6 input and divisor.  apply computes that
+one coordinate alone, through only the products that feed it.  The line
+records the block-images line's names and texts, so its hash equals
+that line's whenever each apply(h, i, p) is coordinate p of
+block_image(h, i), and equal apply lines from two checkouts compare the
+one-coordinate path of one with that of the other.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
-    CustomRanking, SequentialRanking, apply_composition, block_image,
+    CustomRanking, SequentialRanking, apply, apply_composition, block_image,
     charset_complete, check_ranking_axioms, cli, d_ideal_generators, format_poly,
     parse_operator, parse_poly, reduce)
 from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
@@ -79,7 +86,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses", "charset-custom", "cli")
+        "witnesses", "charset-custom", "cli", "apply")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -311,6 +318,8 @@ def main():
             for i in range(1, h.algebra.t + 1):
                 record("block-images", f"{label}#{index} block {i}", "\n".join(
                     format_poly(c) for c in block_image(h, i)))
+                record("apply", f"{label}#{index} block {i}", "\n".join(
+                    format_poly(apply(h, i, p)) for p in range(h.algebra.block(i).m + 1)))
     dd11 = algebras["dd:1,1"]
     base = [parse_poly(t, dd11) for t in inputs.PROLONGED_BASE]
     for bound in range(3):
