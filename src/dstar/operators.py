@@ -8,44 +8,47 @@ individual operator application is a coordinate of a block image, so the
 homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
+A block image works in one coordinate set: the closure of the
+coordinates it keeps under "a product e_q * e_r contributing to a needed
+coordinate needs both its factors", since coordinate j of u * w reads
+only u_q and w_r of those products.  The full image keeps every
+coordinate; each unit step of an operator composition keeps one, whose
+set is the unit slot alone for sigma and {0, 1} for hs:2's delta_1.
+Every vector of the image is indexed by position in that set.
+The block's nonzero products are listed from BlockData.table once per
+block table and kept coordinate, renumbered to those positions: power
+images and the inner products of a monomial run over the products cut
+to their contributions into the set, and each monomial's last product
+over those cut to the kept coordinates.  Renumbering and cutting keep
+the table's order of products and of contributions, so a kept
+coordinate receives the same terms in the same order, with the same
+coefficients, as in the full image.
+
 Inside one block image, monomials are packed ints.  A local registry
 reads f's variable ids from its monomial keys, interns the slot bumps of
-those variables in poly.py's process-wide id table, lists the bumps once
-each in ascending id order and gives each a bit field; a monomial's
-packed int is the sum of its exponents shifted into their fields, so a
-monomial product is one int addition.  Each field is as wide as the bit
-length of f's highest monomial total degree d.  That is enough because
-every coordinate of a degree-d monomial's image is homogeneous of degree
-d in the bumps, so no exponent of any intermediate product exceeds d and
-no field carries into the next.  Coordinates are multiplied as term dicts
-{packed int: coefficient}, in one loop over the block's nonzero
-products e_p * e_q only, listed from BlockData.table once per block
-table and kept coordinate.  At the end of block_image each kept packed
-int is decoded once, lowest field first, straight into a Monomial key,
-which comes out in ascending id order with no sort, so block images and
-polynomials share one variable numbering.  Each output coordinate is
-wrapped in a DPolynomial once; its constructor drops zeros and stores
-each coefficient in its canonical form.  No packed dict leaves this
-module.
+those variables into the set's coordinates in poly.py's process-wide id
+table, lists the bumps once each in ascending id order and gives each a
+bit field; a monomial's packed int is the sum of its exponents shifted
+into their fields, so a monomial product is one int addition.  Each
+field is as wide as the bit length of f's highest monomial total degree
+d.  That is enough because every coordinate of a degree-d monomial's
+image is homogeneous of degree d in the bumps, so no exponent of any
+intermediate product exceeds d and no field carries into the next.
+Coordinates are multiplied as term dicts {packed int: coefficient}, in
+one loop over the listed products.  A constant is the empty product,
+whose image is the unit vector: packed int 0 in the unit slot.  At the
+end of block_image each kept packed int is decoded once, lowest field
+first, straight into a Monomial key, which comes out in ascending id
+order with no sort, so block images and polynomials share one variable
+numbering.  Each output coordinate is wrapped in a DPolynomial once; its
+constructor drops zeros and stores each coefficient in its canonical
+form.  No packed dict leaves this module.
 
 The image of a variable power v^e does not depend on the polynomial it
 sits in.  Within one block image each (v, e) image is therefore built
 once, by squaring in the block algebra, and kept in a memo local to that
 block image.  Memoised vectors are shared, so products always accumulate
 into fresh dicts.
-
-A block image may keep one coordinate p alone, as each unit step of an
-operator composition does.  Coordinate j of a product u * w reads only
-u_q and w_r of the products e_q * e_r that contribute to e_j, so p needs
-the coordinates in the closure of {p} under "a product contributing to a
-needed coordinate needs both its factors": the unit slot alone for
-sigma, {0, 1} for hs:2's delta_1.  Power images and the inner products
-of a monomial run over the products cut to their contributions into the
-needed coordinates, and each monomial's last product over those cut to
-p alone; the other coordinates stay empty.  Cutting keeps the table's
-order of products and of contributions, so coordinate p receives the
-same terms in the same order, with the same coefficients, as in the
-full image, and only p is accumulated, decoded and wrapped.
 """
 
 from __future__ import annotations
@@ -84,34 +87,34 @@ def _image_mul(products, u, w):
 
 @lru_cache(maxsize=1024)
 def _products(table, keep):
-    """A block's products that the kept coordinate needs, as (inner, last).
+    """A block image's coordinate set and products, as (coordinates, inner, last).
 
-    Both list nonempty cells of BlockData.table as (p, q, contributions),
-    p major, in the table's order.  keep is the one coordinate a block
-    image keeps, or None for all of them, and then both lists hold every
-    cell.  Otherwise inner cuts each cell to its contributions into the
-    needed coordinates, keep closed under "a cell contributing to a needed
-    coordinate needs both its factors", and last cuts each cell to its
-    contribution into keep alone.  Cached per (table, keep), in a bounded
-    cache; the lists are tuples, so no caller can change what the next
-    one reads.
+    coordinates is the closure of {keep}, or of every coordinate when keep
+    is None, in ascending order.  inner and last list nonempty cells of
+    BlockData.table as (p, q, contributions), p major, in the table's
+    order, with every index a position in coordinates: inner cuts each
+    cell to its contributions into the coordinates, last to those into
+    keep (every coordinate when keep is None).  Cached per (table, keep),
+    in a bounded cache; the lists are tuples, so no caller can change
+    what the next one reads.
     """
     cells = tuple((p, q, cell) for p, row in enumerate(table)
                   for q, cell in enumerate(row) if cell)
-    if keep is None:
-        return cells, cells
-    needed, grown = set(), {keep}
+    wanted = set(range(len(table))) if keep is None else {keep}
+    needed, grown = set(), wanted
     while grown != needed:
         needed = grown
         grown = needed.union(*((p, q) for p, q, cell in cells
                                if any(j in needed for j, _ in cell)))
+    coordinates = tuple(sorted(needed))
+    position = {j: k for k, j in enumerate(coordinates)}
 
-    def cut(coordinates):
-        cut_cells = ((p, q, tuple(c for c in cell if c[0] in coordinates))
+    def cut(into):
+        cut_cells = ((p, q, tuple((position[j], a) for j, a in cell if j in into))
                      for p, q, cell in cells)
-        return tuple(c for c in cut_cells if c[2])
+        return tuple((position[p], position[q], c) for p, q, c in cut_cells if c)
 
-    return cut(needed), cut({keep})
+    return coordinates, cut(needed), cut(wanted)
 
 
 def _power_image(products, v, e, memo):
@@ -135,18 +138,18 @@ def _power_image(products, v, e, memo):
     return img
 
 
-def _registry(f, i, m):
-    """The packed-int registry of f's block-i image.
+def _registry(f, i, coordinates):
+    """The packed-int registry of f's block-i image over its coordinates.
 
-    Returns (bumps, width, memo): the ids of the distinct slot bumps of f's
-    variables in ascending order, bump k owning bits [k*width, (k+1)*width)
-    of a packed int; the field width, the bit length of f's highest
-    monomial total degree; and the power memo, keyed by (variable id,
-    exponent), seeded with every variable's (v, 1) image.
+    Returns (bumps, width, memo): the ids of the distinct bumps of f's
+    variables into those slots in ascending order, bump k owning bits
+    [k*width, (k+1)*width) of a packed int; the field width, the bit length
+    of f's highest monomial total degree; and the power memo, keyed by
+    (variable id, exponent), seeded with every variable's (v, 1) image.
     """
     algebra = f.algebra
     base = algebra.slot_index(i, 0)
-    slots = range(base, base + m + 1)
+    slots = [base + q for q in coordinates]
     images = {}     # variable id -> its slot bumps' ids, unit slot first
     degree = 0
     for monomial in f.terms:
@@ -190,24 +193,18 @@ def block_image(f, i, p=None):
     """
     algebra = f.algebra
     block = algebra.block(i)  # validates the block index
-    if p is None:
-        kept = range(block.m + 1)
-    else:
+    if p is not None:
         algebra.slot_index(i, p)  # validates the coordinate
-        kept = (p,)
-    inner, last = _products(block.table, p)
-    bumps, width, memo = _registry(f, i, block.m)
+    coordinates, inner, last = _products(block.table, p)
+    kept = range(len(coordinates)) if p is None else (coordinates.index(p),)
+    bumps, width, memo = _registry(f, i, coordinates)
+    # the empty product: a constant embeds in the unit slot (packed int 0)
+    unit = [{0: 1}] + [{}] * (len(coordinates) - 1)
     acc = [{} for _ in kept]
     for monomial, coeff in f.terms.items():
         key = monomial.key
-        if not key:
-            # a constant embeds in the unit slot (packed int 0), where no
-            # other term's image has a constant
-            if kept[0] == 0:
-                acc[0][0] = coeff
-            continue
         n = len(key)
-        vec = _power_image(inner, key[0], key[1], memo)
+        vec = _power_image(inner, key[0], key[1], memo) if n else unit
         for k in range(2, n, 2):
             img = _power_image(inner, key[k], key[k + 1], memo)
             vec = _image_mul(inner if k + 2 < n else last, vec, img)

@@ -114,6 +114,8 @@ class DivisorSet:
         if img is None:
             f = self.members[member]
             if source is not None:
+                if source not in (INITIAL, SEPARANT):
+                    raise ValueError(f"{source!r} is not an image source")
                 if self.ranks[member] is None:
                     raise ConstantPolynomial("constants have no leader")
                 u, _, d = self.ranks[member]

@@ -10,7 +10,7 @@ from dstar.errors import AlgebraMismatch, ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
 from dstar.ordering import LESS, DVariable, SequentialRanking, parse_variable
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, Monomial, rank_compare
+from dstar.poly import _IDS, DPolynomial, Monomial, rank_compare
 
 from gen import rand_poly, rand_theta
 
@@ -148,6 +148,22 @@ def _rand_powers_poly(rng, d, max_exp=5, max_factors=2):
     return DPolynomial(d, terms)
 
 
+def _constant_term_exprs(d):
+    """An int constant term, a Fraction constant term, and a constant alone."""
+    zero, last = ",".join("0" * d.M), ",".join("0" * (d.M - 1) + "1")
+    x, z = f"x1[{zero}]", f"x2[{last}]"
+    return [f"{x}^2 * {z} + 7", f"{x} * {z}^3 - 5/2", "-7/3"]
+
+
+def _five_element_algebra(c):
+    """One block 1, e1, e2, f1, f2: e1*e1 = f1 + f2, e1*e2 = c f1, e2*e2 = -3 f2."""
+    return validate_algebra(AlgebraSpec((make_block_spec(
+        ["1", "e1", "e2", "f1", "f2"],
+        {**{("1", b): [(b, 1)] for b in ("1", "e1", "e2", "f1", "f2")},
+         ("e1", "e1"): [("f1", 1), ("f2", 1)], ("e1", "e2"): [("f1", c)],
+         ("e2", "e2"): [("f2", -3)]}),)))
+
+
 def _assert_coordinates_alone(f, context):
     """block_image(f, i, p) is coordinate p of the full image: terms, order, types."""
     for i in range(1, f.algebra.t + 1):
@@ -199,6 +215,8 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
                             key=lambda v: next(iter(parse_poly(v, d).terms)).key[0])
         exprs.append(f"{a}^2*{b} + {a}^2*{b}*{c} + {a}^2*{b}*{e} - 3")
         exprs.append(f"{a}^2*{b}*{c} + {a}^2*{b} + {a}^2*{b}*{e} - 3")
+        # a constant is the empty product, whose image is the unit vector
+        exprs += _constant_term_exprs(d)
         theta = pinned[label][0]
         for expr in exprs:
             f = parse_poly(expr, d)
@@ -240,30 +258,58 @@ def test_non_unit_structure_constants_match_the_reference(c):
     assert d.alpha(1, 2, 1, 1) == Fraction(c)
     # and in this one e1 * e1 = f1 + f2 has two contributions, and no product
     # of two nilpotents is one basis element with coefficient 1
-    two = validate_algebra(AlgebraSpec((make_block_spec(
-        ["1", "e1", "e2", "f1", "f2"],
-        {**{("1", b): [(b, 1)] for b in ("1", "e1", "e2", "f1", "f2")},
-         ("e1", "e1"): [("f1", 1), ("f2", 1)], ("e1", "e2"): [("f1", c)],
-         ("e2", "e2"): [("f2", -3)]}),)))
+    two = _five_element_algebra(c)
     assert two.blocks[0].nu == (1, 1, 2, 2)
     assert (two.alpha(1, 3, 1, 1), two.alpha(1, 4, 1, 1)) == (1, 1)
     assert two.alpha(1, 3, 1, 2) == Fraction(c)
     rng = random.Random(37)
-    for algebra, max_exp, max_factors in ((d, 5, 2), (two, 3, 2), (d, 3, 4), (two, 2, 4)):
-        for _ in range(10):
-            f = _rand_powers_poly(rng, algebra, max_exp, max_factors)
-            theta = rand_theta(rng, algebra, 3)
-            results = [apply_composition(f, theta)]
-            assert results[0] == _reference_composition(f, theta), (theta, f)
-            for i in range(1, algebra.t + 1):
-                image = list(block_image(f, i))
-                assert image == _reference_image(f, i), (i, f)
-                results += image
-            _assert_coordinates_alone(f, f)
-            for h in results:
-                for coeff in h.terms.values():
-                    assert type(coeff) is int or \
-                        (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
+    # from one stream: each case draws its f, then its theta
+    sizes = ((d, 5, 2), (two, 3, 2), (d, 3, 4), (two, 2, 4))
+    cases = [(algebra, _rand_powers_poly(rng, algebra, max_exp, max_factors),
+              rand_theta(rng, algebra, 3))
+             for algebra, max_exp, max_factors in sizes for _ in range(10)]
+    # constants: an int and a Fraction constant term, and a constant alone
+    cases += [(algebra, parse_poly(expr, algebra), (1,) * algebra.M)
+              for algebra in (d, two) for expr in _constant_term_exprs(algebra)]
+    for algebra, f, theta in cases:
+        results = [apply_composition(f, theta)]
+        assert results[0] == _reference_composition(f, theta), (theta, f)
+        for i in range(1, algebra.t + 1):
+            image = list(block_image(f, i))
+            assert image == _reference_image(f, i), (i, f)
+            results += image
+        _assert_coordinates_alone(f, f)
+        for h in results:
+            for coeff in h.terms.values():
+                assert type(coeff) is int or \
+                    (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
+
+
+def test_a_block_image_interns_only_the_bumps_it_reads(hs2):
+    # a kept coordinate's closure: sigma reads the unit slot alone, delta_1
+    # the unit slot and itself, delta_2 every coordinate
+    products = dstar.operators._products
+    table = hs2.block(1).table
+    assert [products(table, keep)[0] for keep in (0, 1, 2, None)] == \
+        [(0,), (0, 1), (0, 1, 2), (0, 1, 2)]
+    # closures with a gap: e2 reads the unit and e2; f2 = e1*e1 + e2*e2 skips f1
+    table = _five_element_algebra(2).block(1).table
+    assert (products(table, 2)[0], products(table, 4)[0]) == ((0, 2), (0, 1, 2, 4))
+    # x72 is an indeterminate no other test meets, so no bump of it is
+    # interned before this block image makes it
+    f = parse_poly("x72[0,0,0]^2 * x72[2,0,0] + 3 * x72[2,0,0] - 4", hs2)
+
+    def bumps(p):
+        return {DVariable(v.var, _bump(v.theta, hs2.slot_index(1, p)))
+                for v in f.variables()}
+
+    assert not (bumps(0) | bumps(1) | bumps(2)) & _IDS.keys()
+    block_image(f, 1, 0)
+    assert bumps(0) <= _IDS.keys() and not (bumps(1) | bumps(2)) & _IDS.keys()
+    block_image(f, 1, 1)
+    assert bumps(1) <= _IDS.keys() and not bumps(2) & _IDS.keys()
+    block_image(f, 1)
+    assert bumps(2) <= _IDS.keys()
 
 
 def test_dual_tower_is_the_classical_derivative(dual):

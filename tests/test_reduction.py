@@ -159,6 +159,10 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                             f.initial(ranking), theta)
                         assert as_set.image(k, SEPARANT, theta) == apply_composition(
                             f.separant(ranking), theta)
+                        # any other source is an error, not the separant
+                        with pytest.raises(ValueError, match="^'initial ' is not an image "
+                                                             "source$"):
+                            as_set.image(k, "initial ", theta)
 
                 variables = sorted(g.variables())
                 for v in variables:

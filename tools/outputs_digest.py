@@ -54,7 +54,12 @@ one coordinate alone, through only the products that feed it.  The line
 records the block-images line's names and texts, so its hash equals
 that line's whenever each apply(h, i, p) is coordinate p of
 block_image(h, i), and equal apply lines from two checkouts compare the
-one-coordinate path of one with that of the other.
+one-coordinate path of one with that of the other.  Every builtin's
+closure of a coordinate p is {0, ..., p}, so the last line, non-builtin,
+does the same for block_image(h, 1) and apply(h, 1, p) over FIVE, a
+one-block algebra whose closures have gaps ({0, 2} for e2, {0, 1, 2, 4}
+for f2), on seeded polynomials with constant terms, Fraction
+coefficients and monomials of up to four variable powers.
 """
 
 from __future__ import annotations
@@ -62,9 +67,11 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,7 +83,8 @@ from dstar import (  # noqa: E402
     CustomRanking, SequentialRanking, apply, apply_composition, block_image,
     charset_complete, check_ranking_axioms, cli, d_ideal_generators, format_poly,
     parse_operator, parse_poly, reduce)
-from dstar.algebra import algebra_from_name, load_spec  # noqa: E402
+from dstar.algebra import (  # noqa: E402
+    AlgebraSpec, algebra_from_name, load_spec, make_block_spec, validate_algebra)
 from dstar.charset import ClosureWitness, closure_step_witness  # noqa: E402
 from dstar.errors import DStarError  # noqa: E402
 from dstar.ordering import DVariable, parse_int, parse_variable  # noqa: E402
@@ -86,7 +94,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses", "charset-custom", "cli", "apply")
+        "witnesses", "charset-custom", "cli", "apply", "non-builtin")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -137,6 +145,12 @@ CLI_CASES = (
 )
 # indeterminates of the monomials line, met in this order (highest first)
 FRESH = (94, 93, 92, 91)
+# the non-builtin line's block 1, e1, e2, f1, f2, and its seed and size
+FIVE = (["1", "e1", "e2", "f1", "f2"],
+        {**{("1", b): [(b, 1)] for b in ("1", "e1", "e2", "f1", "f2")},
+         ("e1", "e1"): [("f1", 1), ("f2", 1)], ("e1", "e2"): [("f1", "1/2")],
+         ("e2", "e2"): [("f2", -3)]})
+NON_BUILTIN_SEED, NON_BUILTIN_COUNT = 35, 50
 
 
 def demoted_key(v):
@@ -256,6 +270,23 @@ def witness_cases(algebras):
             yield f"{label} {name}", gens, ClosureWitness(*fields)
 
 
+def non_builtin_polynomials():
+    """(name, polynomial) over FIVE; every other one has a constant term."""
+    algebra = validate_algebra(AlgebraSpec((make_block_spec(*FIVE),)))
+    rng = random.Random(NON_BUILTIN_SEED)
+    for n in range(NON_BUILTIN_COUNT):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            powers = {DVariable(rng.randint(1, 2),
+                                tuple(rng.randint(0, 1) for _ in range(algebra.M))):
+                      rng.randint(1, 3) for _ in range(rng.randint(1, 4))}
+            terms[Monomial.of(powers)] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                                  rng.randint(1, 3))
+        if n % 2:
+            terms[Monomial.of({})] = Fraction(rng.choice((-4, -1, 3, 7)), rng.randint(1, 2))
+        yield f"five#{n}", DPolynomial(algebra, terms)
+
+
 def cli_outputs():
     """(name, exit code, stdout and stderr) of each of CLI_CASES, run cold."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -364,6 +395,10 @@ def main():
         for cert in result.certificates:
             record("charset-custom", name, certificate_to_json(cert))
 
+    for name, h in non_builtin_polynomials():
+        record("non-builtin", name, "\n".join(
+            [format_poly(c) for c in block_image(h, 1)]
+            + [format_poly(apply(h, 1, p)) for p in range(h.algebra.block(1).m + 1)]))
     for name, text in cli_outputs():
         record("cli", name, text)
 
