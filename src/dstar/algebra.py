@@ -291,6 +291,15 @@ class DAlgebra(Record):
     def M(self):
         return self._offsets[-1]
 
+    # a polynomial's hash includes its algebra's, so the blocks are hashed
+    # once; the value is Frozen's
+    @cached_property
+    def _hash(self):
+        return hash((self.blocks,))
+
+    def __hash__(self):
+        return self._hash
+
     def block(self, i):
         """The data of block i, for i = 1..t."""
         if not 1 <= i <= self.t:

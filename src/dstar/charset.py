@@ -9,8 +9,9 @@ grows one DivisorSet, in rank order, as it selects; every pool reduction
 and the final certificate checks share its records and image memo, dropped
 with it when the round ends.  Input generators and remainders enter the
 pool through one function, which makes them monic, drops repeats and
-makes each one's sort key once, so a round's new remainders are the tail
-it appended and each round's sort reads stored keys.  An empty family has no
+makes each one's rank record and sort key once, so a round's new
+remainders are the tail it appended, each round's sort reads stored keys
+and each round's set takes its members' stored records.  An empty family has no
 rounds; a family whose generators are all zero has one round that selects
 and adds nothing.  The input generators' certificates come from one table
 of the last round, keyed by monic form: reduction is linear in the reduced
@@ -56,7 +57,7 @@ from .errors import (
 from .operators import apply_composition
 from .ordering import Record, SequentialRanking
 from .parser import parse_json, parse_poly
-from .poly import DPolynomial, _rank_tuples, format_poly, monic, poly_sort_key
+from .poly import DPolynomial, _rank_tuples, _sort_key, format_poly, monic, poly_sort_key
 from .reduction import (
     INITIAL,
     Cofactor,
@@ -160,7 +161,7 @@ def charset_complete(generators, ranking=None):
         return CharSetResult(AutoreducedSet(()), (), ())
     ranking = ranking or SequentialRanking(generators[0].algebra)
 
-    pool = []       # (poly_sort_key, monic form), the key made once
+    pool = []       # (poly_sort_key, monic form, its _rank), made once
     seen = set()
 
     def pool_monic(f):
@@ -173,7 +174,9 @@ def charset_complete(generators, ranking=None):
         f = monic(f)
         if f not in seen:
             seen.add(f)
-            pool.append((poly_sort_key(f, ranking), f))
+            rank = f._rank(ranking)
+            # f is not constant, so (1, key, degree) is its _rank_tuple
+            pool.append((_sort_key(f, (1,) + rank[1:]), f, rank))
         return f
 
     normals = [pool_monic(f) for f in generators]
@@ -185,9 +188,9 @@ def charset_complete(generators, ranking=None):
         # one set, and so one image memo, for every reduction of the round
         divisors = DivisorSet((), ranking)
         rest = []
-        for _, candidate in pool:
+        for _, candidate, rank in pool:
             if is_reduced_wrt_set(candidate, divisors):
-                divisors.add(candidate)
+                divisors._add_ranked(candidate, rank)
             else:
                 rest.append(candidate)
         current = AutoreducedSet(tuple(divisors.members))
@@ -205,7 +208,7 @@ def charset_complete(generators, ranking=None):
                 certs[f] = cert
             else:
                 pool_monic(cert.remainder)
-        added = tuple(f for _, f in pool[pooled:])
+        added = tuple(f for _, f, _ in pool[pooled:])
         if len(certs) < len(rest) and not added:
             # cannot happen: nonzero remainders are reduced w.r.t. the
             # selected set, hence never collide with the existing pool

@@ -19,6 +19,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from operator import sub
 
 from .errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
 
@@ -255,15 +256,26 @@ def transform_of(algebra, v, u):
 
     The identity (theta = 0) counts as a sigma-transform.
     """
-    if len(v.theta) != algebra.M or len(u.theta) != algebra.M:
+    vt, ut, M = v.theta, u.theta, algebra.M
+    if len(vt) != M or len(ut) != M:
         raise AlgebraMismatch(
-            f"variables {v}, {u} do not match an algebra with {algebra.M} slots")
+            f"variables {v}, {u} do not match an algebra with {M} slots")
     if v.var != u.var:
         return None
-    diff = tuple(a - b for a, b in zip(v.theta, u.theta))
-    if any(e < 0 for e in diff):
+    diff = tuple(map(sub, vt, ut))
+    if min(diff, default=0) < 0:
         return None
-    return Transform(diff, ord_delta(algebra, diff) > 0)
+    tr = object.__new__(Transform)
+    _set_transform_theta(tr, diff)
+    # ord_delta inline: a delta entry is positive when the sigma entries,
+    # each block's slot at its offset, do not make up the whole sum
+    _set_is_delta(tr, sum(diff) > sum([diff[s] for s in algebra._offsets[:-1]]))
+    return tr
+
+
+# Transform's slot setters, as for DVariable above
+_set_transform_theta = Transform.theta.__set__
+_set_is_delta = Transform.is_delta.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,8 @@ class DPolynomial(Frozen):
         """self * (c * m); m is a monomial and c a nonzero coefficient."""
         # multiplying by a monomial is injective, so no two terms merge
         if not m.key:
-            return self.scalar_mul(c)
+            # a product by one is self: polynomials are immutable
+            return self if c == 1 else self.scalar_mul(c)
         return DPolynomial._nonzero(
             self.algebra,
             {m1.mul(m): _coefficient(c1 * c) for m1, c1 in self.terms.items()})
@@ -493,9 +494,14 @@ def format_poly(f):
 
 def poly_sort_key(f, ranking=None):
     """Total deterministic order on polynomials: rank first, then terms."""
+    return _sort_key(f, _rank_tuple(f, ranking))
+
+
+def _sort_key(f, rank_tuple):
+    """poly_sort_key of f, given f's _rank_tuple."""
     term_part = tuple(sorted(
         ((m.sort_key(), c) for m, c in f.terms.items()), reverse=True))
-    return (_rank_tuple(f, ranking), term_part)
+    return (rank_tuple, term_part)
 
 
 def monic(f):

@@ -3,8 +3,9 @@
 A polynomial is reduced with respect to a divisor f when it contains no
 delta-transform of f's leader and every sigma-transform of that leader
 (including the leader itself) appears below f's degree.  There is one
-scan for offending variables, a_leader: reduce calls it at every step,
-and is_reduced_wrt_set asks it whether a divisor set has any.  The
+walk of offending (variable, divisor) pairs, _offending: a_leader ranks
+its pairs, and reduce calls a_leader at every step, while
+is_reduced_wrt_set stops at the first pair.  The
 reduction loop repeatedly eliminates the highest-ranked offending
 variable, multiplying by a sigma-transform of the divisor's separant
 (delta case) or initial (sigma case).  Every run returns a certificate
@@ -104,18 +105,23 @@ class DivisorSet:
     def add(self, f):
         """Append f as the next member."""
         _check_algebra(_algebra_of(f), self.ranking.algebra)
+        self._add_ranked(f, None if f.is_constant() else f._rank(self.ranking))
+
+    def _add_ranked(self, f, rank):
+        """Append f, over the set's algebra, with rank, its record made by the caller."""
         self.members.append(f)
-        self.ranks.append(None if f.is_constant() else f._rank(self.ranking))
+        self.ranks.append(rank)
 
     def image(self, member, source, theta):
         """theta applied to a member (source None), its initial or separant."""
+        # judged before the lookup, which an unhashable source would break
+        if source is not None and source not in (INITIAL, SEPARANT):
+            raise ValueError(f"{source!r} is not an image source")
         key = (member, source, theta)
         img = self._images.get(key)
         if img is None:
             f = self.members[member]
             if source is not None:
-                if source not in (INITIAL, SEPARANT):
-                    raise ValueError(f"{source!r} is not an image source")
                 if self.ranks[member] is None:
                     raise ConstantPolynomial("constants have no leader")
                 u, _, d = self.ranks[member]
@@ -164,16 +170,32 @@ def is_reduced_wrt_set(g, divisors, ranking=None):
     divisors = _divisor_set(divisors, ranking, g)
     if None in divisors.ranks:
         raise ConstantDivisor("cannot reduce with respect to a constant")
-    return a_leader(g, divisors) is None
+    # the first offending pair answers; none is ranked
+    return next(_offending(g, divisors), None) is None
+
+
+def _offending(g, divisors):
+    """Each offending (variable, degree, member, transform) of g, in no order.
+
+    A variable offends a divisor when it is a delta-transform of the
+    divisor's leader, or a sigma-transform of it (the leader included)
+    at a degree no lower than the divisor's.  The pairs of one variable
+    come together.  The divisors must be non-constant.
+    """
+    algebra = g.algebra
+    ranks = divisors.ranks
+    for v, k in g.degrees().items():
+        for idx, (u, _, degree) in enumerate(ranks):
+            tr = transform_of(algebra, v, u)
+            if tr is not None and (tr.is_delta or k >= degree):
+                yield v, k, idx, tr
 
 
 def a_leader(g, divisors, ranking=None):
     """Highest-ranked offending variable of g, or None when g is reduced.
 
-    A variable offends a divisor when it is a delta-transform of the
-    divisor's leader, or a sigma-transform of it (the leader included)
-    at a degree no lower than the divisor's.  Ties across divisors go to
-    the member with the highest-ranked leader, then the lowest index;
+    The offending pairs are those _offending walks.  Ties across divisors
+    go to the member with the highest-ranked leader, then the lowest index;
     distinct variables of equal rank (possible only under a key that is
     not injective) go to the lowest in DVariable order.
     """
@@ -183,16 +205,16 @@ def a_leader(g, divisors, ranking=None):
     if None in divisors.ranks:
         raise ConstantPolynomial("constants have no leader")
     key = divisors.ranking.key
-    best = best_rank = None
-    for v, k in sorted(g.degrees().items()):
-        for idx, (u, u_key, degree) in enumerate(divisors.ranks):
-            tr = transform_of(g.algebra, v, u)
-            if tr is not None and (tr.is_delta or k >= degree):
-                rank = (key(v), u_key, -idx)
-                # only a strictly higher rank wins: exact ties go to the
-                # first offender met, the lowest variable
-                if best is None or rank > best_rank:
-                    best, best_rank = (v, k, idx, tr), rank
+    ranks = divisors.ranks
+    best = best_rank = seen = None
+    for v, k, idx, tr in _offending(g, divisors):
+        if v is not seen:   # a variable's pairs come together: one key each
+            seen, v_key = v, key(v)
+        rank = (v_key, ranks[idx][1], -idx)
+        # equal ranks share a member, so an exact tie is between two
+        # variables of equal key, and the lower one wins
+        if best is None or rank > best_rank or (rank == best_rank and v < best[0]):
+            best, best_rank = (v, k, idx, tr), rank
     if best is None:
         return None
     v, k, idx, tr = best

@@ -70,6 +70,46 @@ def test_transform_of_rejects_a_variable_with_the_wrong_slot_count(dual):
             f"variables {v}, {u} do not match an algebra with 2 slots"
 
 
+def test_transform_of_matches_bruteforce(all_builtins):
+    rng = random.Random(36)
+    counts = {"sigma": 0, "delta": 0, None: 0}
+    for label, d in all_builtins.items():
+        # a slot p > 0 of its block is a delta slot, p = 0 the sigma slot
+        delta_slots = [s for s, (_, p) in enumerate(d.slot_pairs()) if p > 0]
+        for _ in range(300):
+            u = rand_variable(rng, d, max_sum=2)
+            pick = rng.random()
+            if pick < 0.5:      # u itself, or a transform of it
+                v = DVariable(u.var, tuple(
+                    a + b for a, b in zip(u.theta, rand_theta(rng, d, 2))))
+            elif pick < 0.7:    # the same theta on another indeterminate
+                v = DVariable(u.var % 2 + 1, u.theta)
+            else:
+                v = rand_variable(rng, d, max_sum=2)
+            theta = tuple(a - b for a, b in zip(v.theta, u.theta))
+            if v.var != u.var or min(theta) < 0:
+                expected = None
+            else:
+                expected = (theta, any(theta[s] > 0 for s in delta_slots))
+            tr = transform_of(d, v, u)
+            if expected is None:
+                assert tr is None, (label, v, u)
+                counts[None] += 1
+            else:
+                assert (tr.theta, tr.is_delta) == expected, (label, v, u)
+                assert type(tr.theta) is tuple and type(tr.is_delta) is bool
+                counts["delta" if tr.is_delta else "sigma"] += 1
+            # one slot too few or too many in either argument, whether the
+            # indeterminates match or not
+            for bad in (v.theta[1:], v.theta + (0,)):
+                for var in (u.var, u.var % 2 + 1):
+                    w = DVariable(var, bad)
+                    for args in ((w, u), (u, w)):
+                        with pytest.raises(AlgebraMismatch):
+                            transform_of(d, *args)
+    assert min(counts.values()) > 100, counts
+
+
 def test_sequential_compare_examples(dual):
     r = SequentialRanking(dual)
     assert r.compare(DVariable(1, (1, 0)), DVariable(1, (0, 1))) == LESS

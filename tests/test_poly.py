@@ -77,6 +77,12 @@ def test_single_term_products_match_termwise_sum(all_builtins):
                     for m2, c2 in s.terms.items():
                         expected = expected + DPolynomial(d, {m1.mul(m2): c1 * c2})
                 assert f * s == expected and s * f == expected
+            # a product by one is f itself, not a copy (a one-term f times
+            # one is one times f's term)
+            one = singles[2]
+            assert f * one is f
+            if len(f.terms) > 1:
+                assert one * f is f and f ** 1 is f
         assert all(len(s.terms) == 1 for s in singles)
 
 

@@ -45,6 +45,7 @@ from dstar.reduction import (
 )
 
 from gen import rand_divisors, rand_poly, rand_reduction_instance
+from test_operators import _five_element_algebra
 
 
 @pytest.fixture
@@ -124,7 +125,8 @@ def _outranks(a, b, leaders, ranking):
 def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
     rng = random.Random(43)
     variable_ties = leader_ties = 0
-    for d in all_builtins.values():
+    # the builtins, then a one-block algebra that is none of them
+    for d in [*all_builtins.values(), _five_element_algebra(2)]:
         # the custom key ties all variables of one indeterminate and one
         # total order, so exact key ties reach both tie rules
         for ranking in (SequentialRanking(d),
@@ -147,6 +149,10 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                 assert a_leader(g, as_set) == expected
                 assert a_leader(g, as_set, ranking) == expected
                 assert is_reduced_wrt_set(g, as_set) == (not pairs)
+                # the yes/no answer and the ranked scan agree
+                for divs in (divisors, as_set):
+                    assert is_reduced_wrt_set(g, divs, ranking) == (
+                        a_leader(g, divs, ranking) is None)
                 for idx, f in enumerate(divisors):
                     assert is_reduced(g, f, ranking) == all(
                         c.member != idx for c in pairs)
@@ -176,6 +182,15 @@ def test_a_leader_and_is_reduced_match_bruteforce(all_builtins):
                 leader_ties += len({c.member for c in top if ranking.compare(
                     leaders[c.member], leaders[expected.member]) == EQUAL}) > 1
     assert variable_ties > 0 and leader_ties > 0
+
+
+def test_divisor_set_image_judges_the_source_before_its_memo(dual, worked):
+    as_set = DivisorSet([worked])
+    # an unhashable source is an unknown source, not a failed memo lookup
+    for source in (["initial"], {"separant": 1}, "initial "):
+        with pytest.raises(ValueError, match="is not an image source$"):
+            as_set.image(0, source, (0, 0))
+    assert as_set.image(0, INITIAL, (0, 0)) == worked.initial()
 
 
 def test_worked_reduction(dual, worked):

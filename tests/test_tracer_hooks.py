@@ -38,9 +38,10 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch, dual):
 
 
 def test_tracer_counts_every_offending_variable_scan(monkeypatch, dual):
-    # is_reduced_wrt_set asks a_leader, so its scans are traced too: a
-    # completion makes more a_leader calls than its reductions alone
-    # (one per step plus the final one of each reduce)
+    # every scan walks its pairs through transform_of, which the tracer
+    # counts; is_reduced_wrt_set stops at the first offending pair without
+    # calling a_leader, so a completion's a_leader calls are its
+    # reductions' alone (one per step plus the final one of each reduce)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -54,17 +55,24 @@ def test_tracer_counts_every_offending_variable_scan(monkeypatch, dual):
         return tracer.summary()
 
     divisor = parse_poly("x1[0,1]^2 - 4 * x1[0,0]", dual)
-    g = parse_poly("x1[0,2] + x1[1,0]", dual)
+    # both variables offend: x1[0,2] as a delta-transform of the leader,
+    # x1[1,1]^2 as a sigma-transform at the divisor's degree
+    g = parse_poly("x1[0,2] + x1[1,1]^2", dual)
     summary = traced(lambda: reduction.is_reduced_wrt_set(g, [divisor]))
-    assert summary["calls"].get("reduction.a_leader") == 1
+    assert "reduction.a_leader" not in summary["calls"]
+    assert summary["counts"]["ordering.transform_of"] == 1
+    summary = traced(lambda: reduction.a_leader(g, [divisor]))
+    assert summary["calls"]["reduction.a_leader"] == 1
+    assert summary["counts"]["ordering.transform_of"] == 2
 
     family = [parse_poly("x1[0,1] + x1[0,0]", dual),
               parse_poly("x1[0,2] + x1[0,0]^2", dual)]
     summary = traced(lambda: charset.charset_complete(family))
     calls, counts = summary["calls"], summary["counts"]
     assert calls["charset.complete"] == 1
-    assert calls["reduction.a_leader"] > \
+    assert calls["reduction.a_leader"] == \
         calls["reduction.reduce"] + counts["reduction.steps"]
+    assert counts["ordering.transform_of"] > 0
 
 
 def test_tracer_counts_one_block_image_per_unit_step(monkeypatch, hs2):

@@ -59,7 +59,12 @@ closure of a coordinate p is {0, ..., p}, so the last line, non-builtin,
 does the same for block_image(h, 1) and apply(h, 1, p) over FIVE, a
 one-block algebra whose closures have gaps ({0, 2} for e2, {0, 1, 2, 4}
 for f2), on seeded polynomials with constant terms, Fraction
-coefficients and monomials of up to four variable powers.
+coefficients and monomials of up to four variable powers.  The scan line
+hashes repr(a_leader(g, divisors)) and is_reduced_wrt_set(g, divisors),
+or the name of the exception each raises, for every reduce-c6 input g
+and its divisor set, under the sequential ranking and under tie_key, a
+key that ties the variables of one indeterminate and one order, so that
+the offending-variable scan's winners are pinned, its tie rules included.
 """
 
 from __future__ import annotations
@@ -80,9 +85,9 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from dstar import (  # noqa: E402
-    CustomRanking, SequentialRanking, apply, apply_composition, block_image,
+    CustomRanking, SequentialRanking, a_leader, apply, apply_composition, block_image,
     charset_complete, check_ranking_axioms, cli, d_ideal_generators, format_poly,
-    parse_operator, parse_poly, reduce)
+    is_reduced_wrt_set, parse_operator, parse_poly, reduce)
 from dstar.algebra import (  # noqa: E402
     AlgebraSpec, algebra_from_name, load_spec, make_block_spec, validate_algebra)
 from dstar.charset import ClosureWitness, closure_step_witness  # noqa: E402
@@ -94,7 +99,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses", "charset-custom", "cli", "apply", "non-builtin")
+        "witnesses", "charset-custom", "cli", "apply", "non-builtin", "scan")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -156,6 +161,22 @@ NON_BUILTIN_SEED, NON_BUILTIN_COUNT = 35, 50
 def demoted_key(v):
     """charset-custom's ranking key: order, then the index last slot first, then var."""
     return (sum(v.theta), tuple(reversed(v.theta)), v.var)
+
+
+def tie_key(v):
+    """The scan line's non-injective key: order, then indeterminate."""
+    return (sum(v.theta), v.var)
+
+
+def scan_text(g, divisors, ranking):
+    """The scan's answers for g: a_leader's repr and is_reduced_wrt_set's."""
+    lines = []
+    for scan in (a_leader, is_reduced_wrt_set):
+        try:
+            lines.append(repr(scan(g, divisors, ranking)))
+        except DStarError as exc:
+            lines.append(type(exc).__name__)
+    return "\n".join(lines)
 
 
 def readers(algebras):
@@ -351,6 +372,9 @@ def main():
                     format_poly(c) for c in block_image(h, i)))
                 record("apply", f"{label}#{index} block {i}", "\n".join(
                     format_poly(apply(h, i, p)) for p in range(h.algebra.block(i).m + 1)))
+        for name, ranking in (("sequential", SequentialRanking(g.algebra)),
+                              ("ties", CustomRanking(g.algebra, tie_key))):
+            record("scan", f"{label}#{index} {name}", scan_text(g, divisors, ranking))
     dd11 = algebras["dd:1,1"]
     base = [parse_poly(t, dd11) for t in inputs.PROLONGED_BASE]
     for bound in range(3):
