@@ -57,7 +57,8 @@ from .errors import (
 from .operators import apply_composition
 from .ordering import Record, SequentialRanking
 from .parser import parse_json, parse_poly
-from .poly import DPolynomial, _rank_tuples, _sort_key, format_poly, monic, poly_sort_key
+from .poly import (
+    DPolynomial, _keyed_monic, _rank_tuples, _sort_key, format_poly, poly_sort_key)
 from .reduction import (
     INITIAL,
     Cofactor,
@@ -171,12 +172,12 @@ def charset_complete(generators, ranking=None):
         if f.is_constant():
             raise InconsistentSystem(
                 f"derived the nonzero constant {format_poly(f)}")
-        f = monic(f)
+        f, keys = _keyed_monic(f)
         if f not in seen:
             seen.add(f)
             rank = f._rank(ranking)
             # f is not constant, so (1, key, degree) is its _rank_tuple
-            pool.append((_sort_key(f, (1,) + rank[1:]), f, rank))
+            pool.append((_sort_key(f, (1,) + rank[1:], keys), f, rank))
         return f
 
     normals = [pool_monic(f) for f in generators]

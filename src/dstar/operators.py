@@ -44,6 +44,19 @@ numbering.  Each output coordinate is wrapped in a DPolynomial once; its
 constructor drops zeros and stores each coefficient in its canonical
 form.  No packed dict leaves this module.
 
+When the coordinate set is the unit slot alone, which is sigma_i in every
+block and the full image of a one-element block, no registry is built: the
+image is f with each variable replaced by its bump into the unit slot.
+That is exact because the set's one product is e_0 * e_0 = e_0 (the unit
+row of a valid block's table; block_image checks it), so coordinate 0 of
+a product is the product of coordinates 0, and that coordinate is a ring
+homomorphism fixing constants, the residue map of the local block.  A
+bump adds 1 in one slot, so it is injective on variables: no two
+monomials merge, every coefficient keeps its stored value and form, and
+the terms keep f's order, as the packed path gives them.  Only the keys
+change, and each is sorted again into id order, since bump ids need not
+follow the ids of the variables they bump.
+
 The image of a variable power v^e does not depend on the polynomial it
 sits in.  Within one block image each (v, e) image is therefore built
 once, by squaring in the block algebra, and kept in a memo local to that
@@ -55,6 +68,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import parse_int, slot_bumps
@@ -183,6 +197,36 @@ def _decode(packed, bumps, width):
     return _monomial(tuple(key))
 
 
+# the products of a coordinate set that is the unit slot alone: e_0 * e_0 = e_0
+_UNIT_PRODUCT = ((0, 0, ((0, 1),)),)
+
+
+def _substitute(f, slot):
+    """f with each variable replaced by its bump in the global slot.
+
+    The bump is injective on variables, so no two monomials merge and each
+    coefficient is kept as it is; each key is sorted again into id order.
+    The bumps are interned in the order f's keys meet them, as _registry
+    interns them, with slot_bumps' AlgebraMismatch for a variable whose
+    slot count is not the algebra's.
+    """
+    algebra = f.algebra
+    bumped = {}     # variable id -> its bump's id
+    out = {}
+    for monomial, coeff in f.terms.items():
+        key = monomial.key
+        pairs = []
+        for k in range(0, len(key), 2):
+            v = key[k]
+            b = bumped.get(v)
+            if b is None:
+                b = bumped[v] = _intern(slot_bumps(algebra, _VARIABLES[v], (slot,))[0])
+            pairs.append((b, key[k + 1]))
+        pairs.sort()
+        out[_monomial(tuple(chain.from_iterable(pairs)))] = coeff
+    return DPolynomial._nonzero(algebra, out)
+
+
 def block_image(f, i, p=None):
     """Image of f under the block-i coordinate operators.
 
@@ -196,6 +240,8 @@ def block_image(f, i, p=None):
     if p is not None:
         algebra.slot_index(i, p)  # validates the coordinate
     coordinates, inner, last = _products(block.table, p)
+    if coordinates == (0,) and inner == _UNIT_PRODUCT:
+        return (_substitute(f, algebra.slot_index(i, 0)),)
     kept = range(len(coordinates)) if p is None else (coordinates.index(p),)
     bumps, width, memo = _registry(f, i, coordinates)
     # the empty product: a constant embeds in the unit slot (packed int 0)

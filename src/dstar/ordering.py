@@ -90,14 +90,21 @@ class Record(Frozen):
     __dataclass_fields__ = _DataclassAttribute()
     __dataclass_params__ = _DataclassAttribute()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, found once per class: calling it skips
+        # the immutability guard and the by-name lookup of object.__setattr__
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._args])
+
     def __init__(self, *values, **named):
         if named:
             values += tuple([named.pop(name) for name in self._args[len(values):]
                              if name in named])
-        if named or len(values) != len(self._args):
+        setters = self._setters
+        if named or len(values) != len(setters):
             raise TypeError(f"{type(self).__name__} takes ({', '.join(self._args)})")
-        for name, value in zip(self._args, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
 
 @functools.total_ordering

@@ -14,23 +14,35 @@ because a monomial is built without an algebra, and block images
 alive every variable it has met (99 over the whole reduce-c6 stream).  A
 monomial stores only its key, the flat tuple (id, exponent, id,
 exponent, ...) in ascending id order with exponents >= 1, and the key's
-hash, computed once; so equality, hashing and the product, one linear
-merge of two keys, compare and add plain ints.  Exponents are unbounded
-ints.  Its factors, ((DVariable, exponent), ...) sorted by DVariable
-order, are decoded from the key when read.  Ids never decide an order:
-leaders, printing and sort keys order by DVariable or by a ranking key.
+hash, computed once; so equality, hashing and the product compare and
+add plain ints.  The product is one linear merge of two keys, or, when
+either key is one variable power (most products in pseudo-reduction,
+whose multipliers are often a bare variable), a bump of that variable's
+exponent or an insertion at its place, found by bisection.  Exponents are
+unbounded ints.  Its factors, ((DVariable, exponent), ...) sorted by
+DVariable order, are decoded from the key when read.  Ids never decide an
+order: leaders, printing and sort keys order by DVariable or by a ranking
+key.
 
 All arithmetic is exact and results are canonical (no zero coefficients,
-deduplicated monomials); only results that cannot hold a zero (a product
-by one term, scaling by a nonzero constant) skip the zero filter.  The
-rank accessors (leader, degree, initial, separant) and the rank order read
-one walk, DPolynomial._rank, under a ranking that defaults to sequential.
+deduplicated monomials); each operation judges only the coefficients it
+can change.  Results that cannot hold a zero (a product by one term,
+scaling by a nonzero constant) skip the zero filter, and a product by a
+term with coefficient 1 copies the stored coefficients as they are.  A sum
+copies the left operand's terms, already canonical, and judges only the
+addend's: a new monomial is stored as it is, a merged one through
+_coefficient, and a sum of zero deletes its term, so the result keeps the
+left operand's order, then the addend's new monomials in its order.  The
+rank accessors (leader, degree, initial, separant) and the rank order
+read one walk, DPolynomial._rank, under a ranking that defaults to
+sequential.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
@@ -127,12 +139,24 @@ class Monomial(Frozen):
         return [v for v, _ in self.factors]
 
     def mul(self, other):
-        """The product, as one linear merge of the two keys."""
+        """The product: one linear merge of the two keys, or, when either key
+        holds one variable, that variable's exponent bumped or inserted."""
         a, b = self.key, other.key
         if not b:
             return self
         if not a:
             return other
+        if len(a) == 2:
+            a, b = b, a     # the product commutes, and so does the merge below
+        if len(b) == 2:
+            # b is one variable power: bump its exponent in a, or insert it
+            v = b[0]
+            ids = a[::2]
+            k = bisect_left(ids, v)
+            p = 2 * k
+            if k < len(ids) and ids[k] == v:
+                return _monomial(a[:p + 1] + (a[p + 1] + b[1],) + a[p + 2:])
+            return _monomial(a[:p] + b + a[p:])
         out = []
         i = j = 0
         na, nb = len(a), len(b)
@@ -274,9 +298,7 @@ class DPolynomial(Frozen):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return DPolynomial(self.algebra, out)
+        return self._plus(other.terms.items())
 
     __radd__ = __add__
 
@@ -287,9 +309,27 @@ class DPolynomial(Frozen):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        return self._plus((m, -c) for m, c in other.terms.items())
+
+    def _plus(self, addend):
+        """self + the (monomial, stored nonzero coefficient) pairs of addend.
+
+        self's terms are canonical already, so only the addend's terms are
+        judged: a new monomial is stored as it is, a sum is stored through
+        _coefficient, and a sum of zero deletes its term.
+        """
         out = dict(self.terms)
-        _accumulate(out, other.terms, -1)
-        return DPolynomial(self.algebra, out)
+        for m, c in addend:
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+            else:
+                c = _coefficient(old + c)
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return DPolynomial._nonzero(self.algebra, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -321,6 +361,10 @@ class DPolynomial(Frozen):
         if not m.key:
             # a product by one is self: polynomials are immutable
             return self if c == 1 else self.scalar_mul(c)
+        if c == 1:
+            # each stored coefficient times 1 is itself, already in stored form
+            return DPolynomial._nonzero(
+                self.algebra, {m1.mul(m): c1 for m1, c1 in self.terms.items()})
         return DPolynomial._nonzero(
             self.algebra,
             {m1.mul(m): _coefficient(c1 * c) for m1, c1 in self.terms.items()})
@@ -494,19 +538,29 @@ def format_poly(f):
 
 def poly_sort_key(f, ranking=None):
     """Total deterministic order on polynomials: rank first, then terms."""
-    return _sort_key(f, _rank_tuple(f, ranking))
+    return _sort_key(f, _rank_tuple(f, ranking), map(Monomial.sort_key, f.terms))
 
 
-def _sort_key(f, rank_tuple):
-    """poly_sort_key of f, given f's _rank_tuple."""
-    term_part = tuple(sorted(
-        ((m.sort_key(), c) for m, c in f.terms.items()), reverse=True))
-    return (rank_tuple, term_part)
+def _sort_key(f, rank_tuple, keys):
+    """poly_sort_key of f, given f's _rank_tuple and its monomials' sort keys
+    in term order."""
+    return (rank_tuple, tuple(sorted(zip(keys, f.terms.values()), reverse=True)))
 
 
 def monic(f):
-    """Scale so the canonically-leading coefficient is 1."""
-    if f.is_zero():
-        return f
-    lead = max(f.terms.items(), key=lambda it: it[0].sort_key())
-    return f.scalar_mul(Fraction(1) / lead[1])
+    """Scale so the canonically-leading coefficient is 1; f itself when it is."""
+    return _keyed_monic(f)[0]
+
+
+def _keyed_monic(f):
+    """(monic(f), the sort keys of its monomials in term order), each key made once.
+
+    Scaling keeps every monomial and the order of the terms, so the keys
+    are those of f's terms and of monic(f)'s alike.  Distinct monomials
+    have distinct keys, so the lead is decided by its key alone.
+    """
+    keys = [m.sort_key() for m in f.terms]
+    if not keys:
+        return f, keys
+    lead = max(zip(keys, f.terms.values()))[1]
+    return (f if lead == 1 else f.scalar_mul(Fraction(1) / lead)), keys

@@ -55,13 +55,19 @@ def test_a_coordinate_out_of_range_is_rejected(dual):
         apply(f, 1, 2)
 
 
-def test_block_image_rejects_a_variable_with_the_wrong_slot_count(dual, hs2):
-    for algebra, theta in ((dual, (0, 0, 0)), (hs2, (0, 1))):
+def test_block_image_rejects_a_variable_with_the_wrong_slot_count(dual, hs2, fields2):
+    # the full image and sigma alone, which substitutes (on fields:2 the
+    # full image too, since its blocks have one element each)
+    for algebra, theta in ((dual, (0, 0, 0)), (hs2, (0, 1)), (fields2, (0,))):
         x = DVariable(1, (0,) * algebra.M)
         bad = DPolynomial(algebra, {Monomial.of({x: 1, DVariable(2, theta): 2}): 1})
-        with pytest.raises(AlgebraMismatch, match=f"variable has {len(theta)} slots, "
-                                                  f"algebra has {algebra.M}"):
-            block_image(bad, 1)
+        sigma = [0] * algebra.M
+        sigma[algebra.slot_index(1, 0)] = 1
+        for image in (lambda: block_image(bad, 1), lambda: block_image(bad, 1, 0),
+                      lambda: apply_composition(bad, tuple(sigma))):
+            with pytest.raises(AlgebraMismatch, match=f"^variable has {len(theta)} "
+                                                      f"slots, algebra has {algebra.M}$"):
+                image()
 
 
 def test_apply_composition_on_variables(dual):
@@ -227,6 +233,43 @@ def test_apply_composition_matches_unmemoised_reference(all_builtins):
             _assert_coordinates_alone(f, (label, expr))
 
 
+def test_sigma_images_substitute_the_unit_slot_bump(all_builtins):
+    # sigma_i, and the full image of a one-element block, replace each
+    # variable by its unit-slot bump: against the reference, and with the
+    # terms, order and coefficient types of the full image's unit coordinate
+    rng = random.Random(39)
+    algebras = list(all_builtins.values()) + [_five_element_algebra(Fraction(1, 2))]
+    for d in algebras:
+        polys = [parse_poly(expr, d) for expr in _constant_term_exprs(d)]
+        polys += [_rand_powers_poly(rng, d, 4, max_factors=3) for _ in range(8)]
+        polys += [rand_poly(rng, d, n_vars=3) for _ in range(8)]
+        for f in polys:
+            for i in range(1, d.t + 1):
+                reference = _reference_image(f, i)
+                sigma, = block_image(f, i, 0)
+                assert sigma == reference[0], (i, f)
+                unit = block_image(f, i)[0]
+                assert [(m, c, type(c)) for m, c in sigma.terms.items()] == \
+                    [(m, c, type(c)) for m, c in unit.terms.items()], (i, f)
+            theta = rho(d, rand_theta(rng, d, 3))
+            assert apply_composition(f, theta) == _reference_composition(f, theta), \
+                (theta, f)
+    # a bump met before the bumps of lower-id variables: the substituted key
+    # must be sorted again into id order
+    d = all_builtins["hs:2"]
+    x, y = DVariable(91, (0, 0, 0)), DVariable(92, (0, 0, 0))
+    for v in (x, y):
+        DPolynomial.from_variable(d, v)
+    block_image(DPolynomial.from_variable(d, y), 1, 0)     # interns sigma y
+    f = DPolynomial(d, {Monomial.of({x: 2, y: 1}): Fraction(3, 2)})
+    sigma_f, = block_image(f, 1, 0)
+    sx, sy = DVariable(91, (1, 0, 0)), DVariable(92, (1, 0, 0))
+    assert _IDS[x] < _IDS[y] and _IDS[sy] < _IDS[sx]
+    assert sigma_f == _reference_image(f, 1)[0] == \
+        DPolynomial(d, {Monomial.of({sx: 2, sy: 1}): Fraction(3, 2)})
+    assert next(iter(sigma_f.terms)).key == (_IDS[sy], 1, _IDS[sx], 2)
+
+
 @pytest.mark.parametrize("n", [99999999, 2 ** 1100 + 1], ids=["1e8", "2^1100+1"])
 def test_block_image_of_a_huge_power_has_its_closed_form(dual, hs2, n):
     # 2^1100 + 1 has more bits than the interpreter's default recursion
@@ -295,9 +338,9 @@ def test_a_block_image_interns_only_the_bumps_it_reads(hs2):
     # closures with a gap: e2 reads the unit and e2; f2 = e1*e1 + e2*e2 skips f1
     table = _five_element_algebra(2).block(1).table
     assert (products(table, 2)[0], products(table, 4)[0]) == ((0, 2), (0, 1, 2, 4))
-    # x72 is an indeterminate no other test meets, so no bump of it is
+    # x77 is an indeterminate no other test meets, so no bump of it is
     # interned before this block image makes it
-    f = parse_poly("x72[0,0,0]^2 * x72[2,0,0] + 3 * x72[2,0,0] - 4", hs2)
+    f = parse_poly("x77[0,0,0]^2 * x77[2,0,0] + 3 * x77[2,0,0] - 4", hs2)
 
     def bumps(p):
         return {DVariable(v.var, _bump(v.theta, hs2.slot_index(1, p)))

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -67,6 +68,7 @@ def test_single_term_products_match_termwise_sum(all_builtins):
             DPolynomial(d, {Monomial.of({x: 2, dx: 1}): Fraction(-3, 4)}),
             DPolynomial.constant(d, Fraction(5, 2)),
             DPolynomial.constant(d, 1),
+            DPolynomial.from_variable(d, dx),   # a product by coefficient 1
         ] + [rand_poly(rng, d, max_terms=1) for _ in range(10)]
         for _ in range(20):
             f = rand_poly(rng, d)
@@ -205,6 +207,9 @@ def test_monic_normalisation(dual):
     f = parse_poly("2 * x1[0,1] + 4 * x1[0,0]", dual)
     assert monic(f) == parse_poly("x1[0,1] + 2 * x1[0,0]", dual)
     assert monic(DPolynomial.zero(dual)).is_zero()
+    # a polynomial already monic is its own monic form
+    g = monic(f)
+    assert monic(g) is g
 
 
 def _rand_monomial(rng, algebra, max_factors=4):
@@ -235,6 +240,72 @@ def test_monomial_mul_matches_dict_merge_reference(all_builtins):
     unit = Monomial.of({})
     m = _rand_monomial(rng, all_builtins["dual"])
     assert unit.mul(m) == m.mul(unit) == m and unit.mul(unit) == unit
+
+
+def test_one_variable_products_match_a_bruteforce_merge(all_builtins):
+    # a product with a one-variable key bumps or inserts that variable in the
+    # other key; the reference sums the two keys' exponents by id and sorts
+    rng = random.Random(22)
+    seen = set()
+
+    def check(a, b):
+        summed = {}
+        for key in (a.key, b.key):
+            for i, e in zip(key[::2], key[1::2]):
+                summed[i] = summed.get(i, 0) + e
+        key = tuple(chain.from_iterable(sorted(summed.items())))
+        expected = Monomial([(_VARIABLES[i], e) for i, e in summed.items()])
+        for product in (a.mul(b), b.mul(a)):
+            assert product.key == key == expected.key
+            assert product == expected and hash(product) == hash(expected)
+            assert product.factors == expected.factors
+
+    for d in all_builtins.values():
+        pool = [rand_variable(rng, d, n_vars=3, max_sum=2) for _ in range(12)]
+        for _ in range(200):
+            a = Monomial.of({v: rng.randint(1, 3)
+                             for v in rng.sample(pool, rng.randint(1, 4))})
+            v = rng.choice(pool)
+            b = Monomial.of({v: rng.randint(1, 3)})
+            check(a, b)
+            ids, i = a.key[::2], b.key[0]
+            seen.add("bump" if i in ids else "first" if i < min(ids)
+                     else "last" if i > max(ids) else "between")
+            check(b, b)
+            check(UNIT_MONOMIAL, b)
+    assert seen == {"bump", "first", "last", "between"}
+
+
+def test_sums_judge_only_the_addend(all_builtins):
+    # the reference is the constructor over the left operand's terms with the
+    # addend's accumulated into them: the same terms, order and types
+    rng = random.Random(23)
+    cases = set()
+    for d in all_builtins.values():
+        for _ in range(40):
+            f = rand_poly(rng, d, max_terms=4)
+            before = list(f.terms.items())
+            addend = dict(rand_poly(rng, d, max_terms=2).terms)
+            # cancel one term, make a Fraction integral or a sum another Fraction
+            m = rng.choice(list(f.terms))
+            addend[m] = rng.choice((-f.terms[m], Fraction(1, 2), Fraction(-1, 3), 2))
+            g = DPolynomial(d, addend)
+            for sign, total in ((1, f + g), (-1, f - g)):
+                out = dict(f.terms)
+                for n, c in g.terms.items():
+                    out[n] = out.get(n, 0) + sign * c
+                reference = DPolynomial(d, out)
+                assert [(n, c, type(c)) for n, c in total.terms.items()] == \
+                    [(n, c, type(c)) for n, c in reference.terms.items()]
+                assert all(c != 0 for c in total.terms.values())
+                assert list(f.terms.items()) == before
+                old = f.terms.get(m, 0)
+                new = total.terms.get(m, 0)
+                cases.add("cancelled" if not new
+                          else "made integral" if type(old) is Fraction and type(new) is int
+                          else "summed")
+                cases.update("added" for n in g.terms if n not in f.terms)
+    assert cases == {"cancelled", "made integral", "summed", "added"}
 
 
 def test_equal_monomials_compare_and_hash_equal(all_builtins):
@@ -421,8 +492,13 @@ def test_integral_coefficients_are_stored_as_ints(all_builtins):
         for _ in range(15):
             f, g = rand_poly(rng, d), rand_poly(rng, d)
             term = rand_poly(rng, d, max_terms=1, nonconstant=True)
+            # a product by a bare variable copies each coefficient; the sums
+            # of halves make Fractions integral, or cancel
+            bare = DPolynomial.from_variable(d, rand_variable(rng, d))
+            half = f.scalar_mul(Fraction(1, 2))
             for h in (parse_poly(format_poly(f), d), f + g, f - g, 3 - f, f * g,
-                      f * term, term * f, f * 2, f ** 2, g ** 3,
+                      f * term, term * f, f * bare, bare * f, f * 2, f ** 2, g ** 3,
+                      half + half, half - (f - half), f - half - half,
                       f.scalar_mul(Fraction(4, 2)), monic(f)):
                 check(h)
             for i in range(1, d.t + 1):
