@@ -55,10 +55,10 @@ from .errors import (
     NotAutoreduced,
 )
 from .operators import apply_composition
-from .ordering import Record, SequentialRanking
+from .ordering import EQUAL, LESS, Record, SequentialRanking
 from .parser import parse_json, parse_poly
 from .poly import (
-    DPolynomial, _keyed_monic, _rank_tuples, _sort_key, format_poly, poly_sort_key)
+    DPolynomial, _keyed_monic, _sort_key, format_poly, poly_sort_key, rank_compare)
 from .reduction import (
     INITIAL,
     Cofactor,
@@ -128,9 +128,9 @@ def compare_autoreduced(a, b, ranking=None):
         return EQUIVALENT
     ranking = ranking or SequentialRanking(first.algebra)
     for fa, fb in zip(a.members, b.members):
-        ra, rb = _rank_tuples(fa, fb, ranking)
-        if ra != rb:
-            return A_LESS_B if ra < rb else B_LESS_A
+        order = rank_compare(fa, fb, ranking)
+        if order != EQUAL:
+            return A_LESS_B if order == LESS else B_LESS_A
     if len(a) > len(b):
         return A_LESS_B
     if len(b) > len(a):

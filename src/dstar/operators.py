@@ -40,9 +40,9 @@ whose image is the unit vector: packed int 0 in the unit slot.  At the
 end of block_image each kept packed int is decoded once, lowest field
 first, straight into a Monomial key, which comes out in ascending id
 order with no sort, so block images and polynomials share one variable
-numbering.  Each output coordinate is wrapped in a DPolynomial once; its
-constructor drops zeros and stores each coefficient in its canonical
-form.  No packed dict leaves this module.
+numbering.  Each coefficient is judged once, as its packed int is decoded,
+into the one term dict that becomes the output coordinate as it is.  No
+packed dict leaves this module.
 
 When the coordinate set is the unit slot alone, which is sigma_i in every
 block and the full image of a one-element block, no registry is built: the
@@ -71,8 +71,8 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import parse_int, slot_bumps
-from .poly import _VARIABLES, DPolynomial, _accumulate, _intern, _monomial
+from .ordering import _coefficient, parse_int, slot_bumps
+from .poly import _VARIABLES, DPolynomial, _intern, _monomial
 
 
 def _image_mul(products, u, w):
@@ -97,6 +97,16 @@ def _image_mul(products, u, w):
                         old = a.get(m)
                         a[m] = c if old is None else old + c
     return acc
+
+
+def _accumulate(acc, terms, scale):
+    """Add scale * terms into the packed term dict acc in place; zeros may remain."""
+    terms = terms.items()
+    if scale != 1:
+        terms = ((m, c * scale) for m, c in terms)
+    for m, c in terms:
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
 
 
 @lru_cache(maxsize=1024)
@@ -183,18 +193,24 @@ def _registry(f, i, coordinates):
     return bumps, width, memo
 
 
-def _decode(packed, bumps, width):
-    """The Monomial of a packed int; fields read lowest first come out in id order."""
+def _decode(algebra, packed_terms, bumps, width):
+    """The DPolynomial of a packed term dict: zero coefficients drop, the rest are
+    stored through _coefficient, and fields read lowest first give keys in id order."""
     mask = (1 << width) - 1
-    key = []
-    for b in bumps:
-        if not packed:
-            break
-        e = packed & mask
-        if e:
-            key += (b, e)
-        packed >>= width
-    return _monomial(tuple(key))
+    terms = {}
+    for packed, c in packed_terms.items():
+        c = _coefficient(c)
+        if c:
+            key = []
+            for b in bumps:
+                if not packed:
+                    break
+                e = packed & mask
+                if e:
+                    key += (b, e)
+                packed >>= width
+            terms[_monomial(tuple(key))] = c
+    return DPolynomial._nonzero(algebra, terms)
 
 
 # the products of a coordinate set that is the unit slot alone: e_0 * e_0 = e_0
@@ -256,9 +272,7 @@ def block_image(f, i, p=None):
             vec = _image_mul(inner if k + 2 < n else last, vec, img)
         for j, a in zip(kept, acc):
             _accumulate(a, vec[j], coeff)
-    return tuple(DPolynomial(algebra, {_decode(packed, bumps, width): c
-                                       for packed, c in a.items() if c})
-                 for a in acc)
+    return tuple(_decode(algebra, a, bumps, width) for a in acc)
 
 
 def apply(f, i, p):
@@ -267,12 +281,15 @@ def apply(f, i, p):
 
 
 def _check_index(algebra, theta):
-    """A multi-index has one natural number per slot of the algebra."""
+    """A multi-index has one natural number (an int, not a bool) per algebra slot."""
     if len(theta) != algebra.M:
         raise IndexOutOfRange(
             f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
-    if min(theta, default=0) < 0:
-        raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
+    for e in theta:
+        if type(e) is not int:
+            raise IndexOutOfRange(f"multi-index {list(theta)} has a non-int entry {e!r}")
+        if e < 0:
+            raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
 
 
 def apply_composition(f, theta):

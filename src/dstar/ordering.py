@@ -213,10 +213,6 @@ def parse_variable(text, algebra=None):
 # multi-index helpers (multi-indices are plain tuples of naturals)
 
 
-def bump(theta, slot):
-    return theta[:slot] + (theta[slot] + 1,) + theta[slot + 1:]
-
-
 def ord_i(algebra, theta, i):
     """Sum of the delta-slot entries of block i (sigma excluded)."""
     if len(theta) != algebra.M:
@@ -251,7 +247,8 @@ def slot_bumps(algebra, v, slots):
     if len(v.theta) != algebra.M:
         raise AlgebraMismatch(
             f"variable has {len(v.theta)} slots, algebra has {algebra.M}")
-    return [DVariable(v.var, bump(v.theta, s)) for s in slots]
+    theta = v.theta
+    return [DVariable(v.var, theta[:s] + (theta[s] + 1,) + theta[s + 1:]) for s in slots]
 
 
 class Transform(Record):

@@ -26,16 +26,19 @@ key.
 
 All arithmetic is exact and results are canonical (no zero coefficients,
 deduplicated monomials); each operation judges only the coefficients it
-can change.  Results that cannot hold a zero (a product by one term,
-scaling by a nonzero constant) skip the zero filter, and a product by a
-term with coefficient 1 copies the stored coefficients as they are.  A sum
-copies the left operand's terms, already canonical, and judges only the
-addend's: a new monomial is stored as it is, a merged one through
-_coefficient, and a sum of zero deletes its term, so the result keeps the
-left operand's order, then the addend's new monomials in its order.  The
-rank accessors (leader, degree, initial, separant) and the rank order
-read one walk, DPolynomial._rank, under a ranking that defaults to
-sequential.
+can change.  The normalising constructor, which judges them all, serves
+callers' term dicts, zero, constant and the general product; any other
+result is canonical by construction and wrapped as it is (_nonzero).
+Negation, coefficient extraction, derivatives, scaling and products by
+one term merge and zero nothing: only a derivative's c * k, a scaling's
+products and a term product's c1 * c with c not 1 are judged.  Every sum
+goes through _plus, which copies the left operand's canonical terms and
+judges only the addend's: a new monomial is stored as it is, a merged one
+through _coefficient, and a sum of zero deletes its term, so the result
+keeps the left operand's order, then the addend's new monomials in its
+order.  The rank accessors (leader, degree, initial, separant) and the
+rank order read one walk, DPolynomial._rank, under a ranking that
+defaults to sequential.
 """
 
 from __future__ import annotations
@@ -70,11 +73,6 @@ def _intern(v):
     return i
 
 
-def _key_of(factors):
-    """The key of (DVariable, exponent) pairs over distinct variables."""
-    return tuple(chain.from_iterable(sorted([(_intern(v), e) for v, e in factors])))
-
-
 def _pairs(key):
     """The (DVariable, exponent) pairs of a key, in id order."""
     return zip(map(_VARIABLES.__getitem__, key[::2]), key[1::2])
@@ -94,15 +92,29 @@ class Monomial(Frozen):
 
     key is the tuple (id, exponent, ...) in ascending id order, with
     exponents >= 1; factors is ((DVariable, exponent), ...) sorted by
-    DVariable order, decoded from the key on each read.  The constructor
-    takes factors in any order; of() builds them from a mapping.
+    DVariable order, decoded from the key on each read.  The constructor,
+    the one check of factors (in any order), drops zero exponents; an
+    exponent that is not an int (a bool or a float included) is a
+    TypeError, since it would print as text parse_poly rejects, and a
+    negative one or a repeated variable a ValueError.  The kernel builds
+    its monomials through _monomial, which checks nothing.
     """
 
     __slots__ = ("key", "_hash")
     _args = ("factors",)
 
     def __init__(self, factors):
-        key = _key_of(factors)
+        exponents = {}
+        for v, e in factors:
+            if type(e) is not int:
+                raise TypeError(f"exponent {e!r} is not an int")
+            if e < 0:
+                raise ValueError("negative exponent in monomial")
+            if v in exponents:
+                raise ValueError(f"variable {v} repeated in monomial")
+            exponents[v] = e
+        key = tuple(chain.from_iterable(sorted(
+            [(_intern(v), e) for v, e in exponents.items() if e])))
         _set_key(self, key)
         _set_monomial_hash(self, hash(key))
 
@@ -120,17 +132,8 @@ class Monomial(Frozen):
 
     @staticmethod
     def of(mapping):
-        """The monomial of a {DVariable: exponent} map; zero exponents drop out.
-
-        An exponent that is not an int (a bool or a float included) is a
-        TypeError, since it would print as text parse_poly rejects.
-        """
-        for e in mapping.values():
-            if type(e) is not int:
-                raise TypeError(f"exponent {e!r} is not an int")
-            if e < 0:
-                raise ValueError("negative exponent in monomial")
-        return _monomial(_key_of([(v, e) for v, e in mapping.items() if e]))
+        """The monomial of a {DVariable: exponent} map, checked by the constructor."""
+        return Monomial(mapping.items())
 
     def degree_in(self, v):
         return _split(self.key, _IDS.get(v))[0]
@@ -303,7 +306,7 @@ class DPolynomial(Frozen):
     __radd__ = __add__
 
     def __neg__(self):
-        return DPolynomial(self.algebra, {m: -c for m, c in self.terms.items()})
+        return DPolynomial._nonzero(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -427,7 +430,7 @@ class DPolynomial(Frozen):
             e, key = _split(m.key, i)
             if e == k:
                 out[_monomial(key) if e else m] = c
-        return DPolynomial(self.algebra, out)
+        return DPolynomial._nonzero(self.algebra, out)
 
     def degree(self, ranking=None):
         return self._rank(ranking)[2]
@@ -444,7 +447,7 @@ class DPolynomial(Frozen):
         """Derivative with respect to v, a variable of self."""
         i = _IDS[v]
         # lowering v's exponent keeps the key in id order, and distinct terms
-        # containing v stay distinct, so nothing merges
+        # containing v stay distinct, so nothing merges; c * k is nonzero
         out = {}
         for m, c in self.terms.items():
             key = m.key
@@ -453,23 +456,13 @@ class DPolynomial(Frozen):
                 p = 2 * ids.index(i)
                 k = key[p + 1]
                 lowered = key[p + 2:] if k == 1 else (i, k - 1) + key[p + 2:]
-                out[_monomial(key[:p] + lowered)] = c * k
-        return DPolynomial(self.algebra, out)
+                out[_monomial(key[:p] + lowered)] = _coefficient(c * k)
+        return DPolynomial._nonzero(self.algebra, out)
 
 
 # DPolynomial's slot setters, as for Monomial above
 _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
-
-
-def _accumulate(acc, terms, scale=1):
-    """Add scale * terms into the term dict acc in place; zeros may remain."""
-    terms = terms.items()
-    if scale != 1:
-        terms = ((m, c * scale) for m, c in terms)
-    for m, c in terms:
-        old = acc.get(m)
-        acc[m] = c if old is None else old + c
 
 
 def _rank_tuple(f, ranking):
@@ -479,17 +472,12 @@ def _rank_tuple(f, ranking):
     return (1,) + f._rank(ranking)[1:]
 
 
-def _rank_tuples(f, g, ranking):
-    """The _rank_tuple of f and of g, which must share an algebra."""
+def rank_compare(f, g, ranking=None):
+    """Pre-order on polynomials over one algebra by (leader, degree); constants lowest."""
     if isinstance(f, DPolynomial) and isinstance(g, DPolynomial):
         if f.algebra != g.algebra:
             raise AlgebraMismatch("rank comparison across algebras")
-    return _rank_tuple(f, ranking), _rank_tuple(g, ranking)
-
-
-def rank_compare(f, g, ranking=None):
-    """Pre-order on polynomials by (leader, degree); constants lowest."""
-    rf, rg = _rank_tuples(f, g, ranking)
+    rf, rg = _rank_tuple(f, ranking), _rank_tuple(g, ranking)
     return LESS if rf < rg else GREATER if rf > rg else EQUAL
 
 

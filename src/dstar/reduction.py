@@ -18,9 +18,11 @@ derives initials and separants from the record and keeps one memo of
 operator images, of its members, initials and separants, for as long as the
 set lives; a caller that reduces many polynomials by the same divisors, such
 as one round of characteristic-set completion, builds the set once and
-passes it to every call.  A sequence is wrapped in a fresh set at entry, so
-its memo is local to the call.  Memo keys are exact, so a shared memo never
-changes a result or lets a forged certificate pass.
+passes it to every call.  A plain sequence gets a fresh set per call, so
+verify_certificate after reduce on one list recomputes every operator
+image reduce made, unless one DivisorSet is passed to both.  Memo keys
+are exact, so a shared memo never changes a result or lets a forged
+certificate pass.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .ordering import (
     transform_of,
 )
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, _accumulate, _rank_tuple, format_poly
+from .poly import DPolynomial, _rank_tuple, format_poly
 
 INITIAL = "initial"
 SEPARANT = "separant"
@@ -344,25 +346,28 @@ def _sum_terms(total, terms, count, image):
     BadWitness when terms is not a sequence, or at the first term that is
     not a triple, whose member is not an int in 0..count-1, whose c is not
     a polynomial over total's algebra or whose theta fails _check_theta.
-    The products are added in place into one term dict that starts from
-    total's terms, and the sum is normalised once, at the end.
+    Each product's terms go, as the product is made, into one total._plus,
+    which copies total's terms once and judges only the coefficients that
+    the sums change.
     """
     algebra = total.algebra
-    acc = dict(total.terms)
-    for term in _sequence(terms, "combination"):
-        try:
-            c, theta, member = term
-        except (TypeError, ValueError):
-            raise BadWitness(f"combination term {term!r} is not a triple") from None
-        if not _is_member(member, count):
-            raise BadWitness(f"combination references generator {member!r}, "
-                             f"only {count} available")
-        if not (isinstance(c, DPolynomial) and c.algebra == algebra):
-            raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
-                             "over the generators' algebra")
-        _check_theta(algebra, theta, "combination theta")
-        _accumulate(acc, (c * image(member, theta)).terms)
-    return DPolynomial(algebra, acc)
+
+    def products():
+        for term in _sequence(terms, "combination"):
+            try:
+                c, theta, member = term
+            except (TypeError, ValueError):
+                raise BadWitness(f"combination term {term!r} is not a triple") from None
+            if not _is_member(member, count):
+                raise BadWitness(f"combination references generator {member!r}, "
+                                 f"only {count} available")
+            if not (isinstance(c, DPolynomial) and c.algebra == algebra):
+                raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
+                                 "over the generators' algebra")
+            _check_theta(algebra, theta, "combination theta")
+            yield from (c * image(member, theta)).terms.items()
+
+    return total._plus(products())
 
 
 def verify_certificate(g, divisors, cert, ranking=None):

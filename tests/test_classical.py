@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from dstar.classical import (
     ritt_reduce,
     verify_ritt_certificate,
 )
-from dstar.errors import WrongAlgebra
+from dstar.errors import ConstantDivisor, DuplicateLeaders, WrongAlgebra
 from dstar.operators import apply
 from dstar.ordering import DVariable
 from dstar.parser import parse_poly
@@ -83,6 +84,27 @@ def test_classical_reduce_to_zero():
     cert = ritt_reduce(g, [x])
     assert cert.remainder.is_zero()
     assert verify_ritt_certificate(g, [x], cert)
+
+
+def test_classical_printing_and_rejections():
+    x, x1, x2 = (DiffPolynomial.from_variable(dv(k)) for k in range(3))
+    assert [str(dv(k, 2)) for k in (0, 1, 3, 4)] == ["x2", "x2'", "x2'''", "D^4 x2"]
+    # terms print highest first; a coefficient of magnitude 1 is left out
+    # except on a constant, and only a leading minus is unspaced
+    assert str(3 * x1 ** 2 - x + Fraction(1, 2)) == "3 * x1'^2 - x1 + 1/2"
+    assert str(-x1 * x + 2 * x2 - 1) == "2 * x1'' - x1' * x1 - 1"
+    assert str(-x2 + 1) == "-x1'' + 1" and str(-x - Fraction(1, 3)) == "-x1 - 1/3"
+    assert str(DiffPolynomial.zero()) == "0" and str(DiffPolynomial.constant(-1)) == "-1"
+    with pytest.raises(ConstantDivisor):
+        ritt_reduce(x2, [x1, DiffPolynomial.constant(2)])
+    with pytest.raises(DuplicateLeaders):
+        ritt_reduce(x2, [x1, x1 ** 2 - x])
+    # against x1'^2 - x1: a proper derivative of x1', or x1' at degree 2, offends
+    f = x1 ** 2 - x
+    assert not diff_is_reduced(x2 + x, f)
+    assert not diff_is_reduced(x1 ** 2 * x + 1, f)
+    assert diff_is_reduced(x1 * x ** 3 + 5, f)
+    assert diff_is_reduced(DiffPolynomial.constant(3), f)
 
 
 def test_ritt_certificates_on_random_systems():

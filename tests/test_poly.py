@@ -32,7 +32,7 @@ from dstar.poly import (
     poly_sort_key,
     rank_compare,
 )
-from dstar.reduction import DivisorSet, a_leader, reduce
+from dstar.reduction import DivisorSet, _sum_terms, a_leader, reduce
 
 from gen import rand_poly, rand_reduction_instance, rand_theta, rand_variable
 
@@ -375,18 +375,37 @@ def test_polynomials_copy_and_pickle(hs2):
 
 
 def test_monomial_exponents_are_ints(dual):
-    # a float exponent used to print as text that parse_poly rejects
+    # a float exponent used to print as text that parse_poly rejects; the
+    # constructor, which of() now calls, used to store any factors unchecked
     v, w = DVariable(1, (0, 1)), DVariable(1, (0, 0))
-    for bad in (2.0, 0.0, Fraction(2), True):
+    for bad in (2.0, 0.0, 1.5, Fraction(2), True):
         with pytest.raises(TypeError):
             Monomial.of({v: bad})
         with pytest.raises(TypeError):
             Monomial.of({v: 1, w: bad})
-    with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            Monomial([(v, bad)])
+    with pytest.raises(ValueError, match="negative exponent"):
         Monomial.of({v: -1})
-    f = DPolynomial(dual, {Monomial.of({v: 2, w: 0}): 3})
-    assert format_poly(f) == "3 * x1[0,1]^2"
-    assert parse_poly(format_poly(f), dual) == f
+    for bad in ([(v, -1)], [(w, 1), (v, -1)]):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial(bad)
+    # a repeated variable would make a key unequal to its canonical one
+    for bad in ([(v, 1), (v, 2)], [(v, 0), (v, 3)], [(v, 1), (w, 1), (v, 1)]):
+        with pytest.raises(ValueError, match="repeated"):
+            Monomial(bad)
+    # a zero exponent drops out: x^0 is the unit, so its polynomial is constant
+    unit = Monomial([(w, 0)])
+    assert unit == UNIT_MONOMIAL and unit.key == () and unit.factors == ()
+    assert DPolynomial(dual, {unit: 1}).is_constant()
+    assert format_poly(DPolynomial(dual, {unit: 1})) == "1"
+    for m in (Monomial([(v, 2), (w, 0)]), Monomial.of({v: 2, w: 0})):
+        f = DPolynomial(dual, {m: 3})
+        assert m.factors == ((v, 2),)
+        assert format_poly(f) == "3 * x1[0,1]^2"
+        assert parse_poly(format_poly(f), dual) == f
+    assert (Monomial([(v, 1), (w, 2)]) == Monomial([(w, 2), (v, 1)])
+            == Monomial.of({w: 2, v: 1}))
 
 
 def test_single_term_and_scalar_products_leave_no_zero(all_builtins):
@@ -496,11 +515,22 @@ def test_integral_coefficients_are_stored_as_ints(all_builtins):
             # of halves make Fractions integral, or cancel
             bare = DPolynomial.from_variable(d, rand_variable(rng, d))
             half = f.scalar_mul(Fraction(1, 2))
+            # half + (1/2) f = f and half - (1/2) f = 0, summed from Fraction cofactors
+            zero = (0,) * d.M
+            sums = [_sum_terms(half, [(DPolynomial.constant(d, c), zero, 0)], 1,
+                               lambda member, theta: f)
+                    for c in (Fraction(1, 2), Fraction(-1, 2))]
+            assert sums == [f, DPolynomial.zero(d)]
             for h in (parse_poly(format_poly(f), d), f + g, f - g, 3 - f, f * g,
                       f * term, term * f, f * bare, bare * f, f * 2, f ** 2, g ** 3,
                       half + half, half - (f - half), f - half - half,
-                      f.scalar_mul(Fraction(4, 2)), monic(f)):
+                      f.scalar_mul(Fraction(4, 2)), monic(f), -f, -half, *sums):
                 check(h)
+            for v, k in half.degrees().items():
+                check(f.coefficient_in(v, k))
+                check(half.coefficient_in(v, k))
+            if not f.is_constant():
+                check(half.separant())
             for i in range(1, d.t + 1):
                 for h in block_image(f, i):
                     check(h)

@@ -499,6 +499,15 @@ def test_negative_multi_index_entries_are_rejected(hs2):
         with pytest.raises(IndexOutOfRange,
                            match="^multi-index has 2 slots, algebra has 3$"):
             call()
+    # an entry that is not an int used to be read as a count: rho returned
+    # (1.5, 0, 0), range() raised a bare TypeError and True was one sigma step
+    for theta in ((0.5, 1, 0), (0.5, 0, 0), (True, 0, 0), (0, 1, 2.0), [0, False, 0]):
+        for call in (lambda: apply_composition(x, theta), lambda: rho(hs2, theta)):
+            with pytest.raises(IndexOutOfRange, match=r"^multi-index \[.*\] has a non-int entry"):
+                call()
+    # lists stay accepted
+    assert apply_composition(x, [1, 1, 0]) == apply_composition(x, (1, 1, 0))
+    assert rho(hs2, [0, 1, 2]) == rho(hs2, (0, 1, 2)) == (3, 0, 0)
 
 
 def test_negative_theta_certificate_is_not_a_proof(hs2):

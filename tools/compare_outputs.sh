@@ -6,9 +6,10 @@
 # Unpacks `git archive REV` into a temporary directory, copies the working
 # tree's tools/outputs_digest.py into it, runs each tree's copy of that
 # script against its own tree, and prints the diff of the two outputs, or
-# the lines themselves when they agree, then the line count of
-# src/dstar/*.py in each tree.  Exits 1 when any line differs.  The working
-# tree and the index are left as they are; no bytecode is written.
+# the lines themselves when they agree, then the line count of each
+# src/dstar/*.py file in each tree (0 where a tree lacks the file) and the
+# totals.  Exits 1 when any line differs.  The working tree and the index
+# are left as they are; no bytecode is written.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -28,6 +29,14 @@ if diff -u --label "$rev" --label "working tree" "$tmp/before" "$tmp/after"; the
 else
     status=1
 fi
+lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi; }
+for name in $( (cd "$tmp/tree/src/dstar" && ls -- *.py; cd "$root/src/dstar" && ls -- *.py) \
+               | sort -u); do
+    before=$(lines "$tmp/tree/src/dstar/$name")
+    after=$(lines "$root/src/dstar/$name")
+    printf '  %-14s %5d at %s, %5d in the working tree (%+d)\n' \
+        "$name" "$before" "$rev" "$after" $((after - before))
+done
 echo "src/dstar: $(cat "$tmp"/tree/src/dstar/*.py | wc -l) lines at $rev," \
      "$(cat "$root"/src/dstar/*.py | wc -l) in the working tree"
 exit $status
