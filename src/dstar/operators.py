@@ -71,7 +71,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import _coefficient, parse_int, slot_bumps
+from .ordering import _check_entries, _coefficient, parse_int, slot_bumps
 from .poly import _VARIABLES, DPolynomial, _intern, _monomial
 
 
@@ -285,11 +285,7 @@ def _check_index(algebra, theta):
     if len(theta) != algebra.M:
         raise IndexOutOfRange(
             f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
-    for e in theta:
-        if type(e) is not int:
-            raise IndexOutOfRange(f"multi-index {list(theta)} has a non-int entry {e!r}")
-        if e < 0:
-            raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
+    _check_entries(theta)
 
 
 def apply_composition(f, theta):

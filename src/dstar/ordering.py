@@ -213,28 +213,38 @@ def parse_variable(text, algebra=None):
 # multi-index helpers (multi-indices are plain tuples of naturals)
 
 
-def ord_i(algebra, theta, i):
-    """Sum of the delta-slot entries of block i (sigma excluded)."""
+def _check_entries(theta):
+    """IndexOutOfRange unless each entry is a natural number (an int, not a bool)."""
+    for e in theta:
+        if type(e) is not int:
+            raise IndexOutOfRange(f"multi-index {list(theta)} has a non-int entry {e!r}")
+        if e < 0:
+            raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
+
+
+def _check_multi_index(algebra, theta):
+    """AlgebraMismatch unless theta has one slot per algebra slot, then _check_entries."""
     if len(theta) != algebra.M:
         raise AlgebraMismatch(
             f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    _check_entries(theta)
+
+
+def ord_i(algebra, theta, i):
+    """Sum of the delta-slot entries of block i (sigma excluded)."""
+    _check_multi_index(algebra, theta)
     return sum(theta[s] for s in algebra.delta_slots(i))
 
 
 def ord_delta(algebra, theta):
     """Sum of the delta-slot entries of every block: all but the sigma slots."""
-    if len(theta) != algebra.M:
-        raise AlgebraMismatch(
-            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    _check_multi_index(algebra, theta)
     # each block's sigma slot is its offset
     return sum(theta) - sum([theta[s] for s in algebra._offsets[:-1]])
 
 
 def is_sigma_only(algebra, theta):
-    sigma_only = ord_delta(algebra, theta) == 0
-    if min(theta, default=0) < 0:
-        raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
-    return sigma_only
+    return ord_delta(algebra, theta) == 0
 
 
 def apply_slot(algebra, v, i, p):

@@ -26,19 +26,25 @@ key.
 
 All arithmetic is exact and results are canonical (no zero coefficients,
 deduplicated monomials); each operation judges only the coefficients it
-can change.  The normalising constructor, which judges them all, serves
-callers' term dicts, zero, constant and the general product; any other
-result is canonical by construction and wrapped as it is (_nonzero).
-Negation, coefficient extraction, derivatives, scaling and products by
-one term merge and zero nothing: only a derivative's c * k, a scaling's
-products and a term product's c1 * c with c not 1 are judged.  Every sum
-goes through _plus, which copies the left operand's canonical terms and
-judges only the addend's: a new monomial is stored as it is, a merged one
-through _coefficient, and a sum of zero deletes its term, so the result
-keeps the left operand's order, then the addend's new monomials in its
-order.  The rank accessors (leader, degree, initial, separant) and the
-rank order read one walk, DPolynomial._rank, under a ranking that
-defaults to sequential.
+can change.  The normalising constructor serves callers' term dicts and
+constant: it raises TypeError for a key that is not a Monomial, and
+judges every coefficient through _judged, as the general product does
+for its own dict; any other result, zero included, is canonical by
+construction and wrapped as it is (_nonzero).  Coefficient extraction
+is one walk, _split_at(v, d, e): it returns the terms of v-degree d with
+v's exponent lowered by e, a slice of each key rather than a product,
+and every other term; reduction's step reads both halves, coefficient_in
+the first, with e = d.  Negation, coefficient extraction, derivatives,
+scaling and products by one term merge and zero nothing: only a
+derivative's c * k, a scaling's products and a term product's c1 * c
+with c not 1 are judged.  Every sum goes through _plus, which copies
+the left operand's canonical terms and judges only the addend's: a new
+monomial is stored as it is, a merged one through _coefficient, and a
+sum of zero deletes its term, so the result keeps the left operand's
+order, then the addend's new monomials in its order.  The rank
+accessors (leader, degree, initial, separant) and the rank order read
+one walk, DPolynomial._rank, under a ranking that defaults to
+sequential.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from itertools import chain
 
 from .errors import AlgebraMismatch, ConstantPolynomial, DStarError
 from .ordering import (
-    EQUAL, GREATER, LESS, Frozen, SequentialRanking, _coefficient, sequential_key)
+    EQUAL, GREATER, LESS, DVariable, Frozen, SequentialRanking, _coefficient,
+    sequential_key)
 
 
 _IDS = {}            # DVariable -> id
@@ -93,11 +100,13 @@ class Monomial(Frozen):
     key is the tuple (id, exponent, ...) in ascending id order, with
     exponents >= 1; factors is ((DVariable, exponent), ...) sorted by
     DVariable order, decoded from the key on each read.  The constructor,
-    the one check of factors (in any order), drops zero exponents; an
-    exponent that is not an int (a bool or a float included) is a
-    TypeError, since it would print as text parse_poly rejects, and a
-    negative one or a repeated variable a ValueError.  The kernel builds
-    its monomials through _monomial, which checks nothing.
+    the one check of factors (in any order), drops zero exponents.  A
+    variable that is not a DVariable is a TypeError, raised before any
+    variable is interned, and so is an exponent that is not an int (a
+    bool or a float included), since it would print as text parse_poly
+    rejects; a negative exponent or a repeated variable is a ValueError.
+    The kernel builds its monomials through _monomial, which checks
+    nothing.
     """
 
     __slots__ = ("key", "_hash")
@@ -106,6 +115,8 @@ class Monomial(Frozen):
     def __init__(self, factors):
         exponents = {}
         for v, e in factors:
+            if v.__class__ is not DVariable:    # judged before it is interned
+                raise TypeError(f"variable {v!r} is not a DVariable")
             if type(e) is not int:
                 raise TypeError(f"exponent {e!r} is not an int")
             if e < 0:
@@ -213,13 +224,11 @@ class DPolynomial(Frozen):
     _args = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
+        for m in terms:
+            if m.__class__ is not Monomial:
+                raise TypeError(f"term key {m!r} is not a Monomial")
         _set_algebra(self, algebra)
-        out = {}
-        for m, c in terms.items():
-            c = _coefficient(c)
-            if c:  # a zero is the int 0 once stored
-                out[m] = c
-        _set_terms(self, out)
+        _set_terms(self, _judged(terms))
 
     @staticmethod
     def _nonzero(algebra, terms):
@@ -233,7 +242,7 @@ class DPolynomial(Frozen):
 
     @staticmethod
     def zero(algebra):
-        return DPolynomial(algebra, {})
+        return DPolynomial._nonzero(algebra, {})
 
     @staticmethod
     def constant(algebra, value):
@@ -356,7 +365,7 @@ class DPolynomial(Frozen):
                 m = m1.mul(m2)
                 old = out.get(m)
                 out[m] = c1 * c2 if old is None else old + c1 * c2
-        return DPolynomial(self.algebra, out)
+        return DPolynomial._nonzero(self.algebra, _judged(out))
 
     def _times_term(self, m, c):
         """self * (c * m); m is a monomial and c a nonzero coefficient."""
@@ -423,14 +432,36 @@ class DPolynomial(Frozen):
 
     def coefficient_in(self, v, k):
         """The v-free g_k of the decomposition sum g_k * v^k (zero if absent)."""
-        # distinct monomials with equal v-degree differ off v, so none merge
+        return self._split_at(v, k, k)[0]
+
+    def _split_at(self, v, d, e):
+        """(the terms of v-degree d with v's exponent lowered by e, the rest).
+
+        One walk of the terms; 0 <= e <= d.  Lowering slices the key: it
+        drops v when e == d and rewrites its exponent otherwise, so it costs
+        no monomial product.  Distinct monomials of one v-degree differ off
+        v, so none merge, and both halves are canonical as they are.
+        """
         i = _IDS.get(v)
-        out = {}
+        lowered, rest = {}, {}
         for m, c in self.terms.items():
-            e, key = _split(m.key, i)
-            if e == k:
-                out[_monomial(key) if e else m] = c
-        return DPolynomial._nonzero(self.algebra, out)
+            key = m.key
+            ids = key[::2]
+            if i in ids:
+                p = 2 * ids.index(i)
+                if key[p + 1] == d:
+                    if e == d:
+                        m = _monomial(key[:p] + key[p + 2:])
+                    elif e:
+                        m = _monomial(key[:p + 1] + (d - e,) + key[p + 2:])
+                    lowered[m] = c
+                    continue
+            elif not d:
+                lowered[m] = c
+                continue
+            rest[m] = c
+        return (DPolynomial._nonzero(self.algebra, lowered),
+                DPolynomial._nonzero(self.algebra, rest))
 
     def degree(self, ranking=None):
         return self._rank(ranking)[2]
@@ -463,6 +494,16 @@ class DPolynomial(Frozen):
 # DPolynomial's slot setters, as for Monomial above
 _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
+
+
+def _judged(terms):
+    """The terms with each coefficient in stored form and the zeros dropped."""
+    out = {}
+    for m, c in terms.items():
+        c = _coefficient(c)
+        if c:  # a zero is the int 0 once stored
+            out[m] = c
+    return out
 
 
 def _rank_tuple(f, ranking):

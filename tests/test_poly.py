@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -406,6 +407,30 @@ def test_monomial_exponents_are_ints(dual):
         assert parse_poly(format_poly(f), dual) == f
     assert (Monomial([(v, 1), (w, 2)]) == Monomial([(w, 2), (v, 1)])
             == Monomial.of({w: 2, v: 1}))
+
+
+def test_constructors_reject_keys_that_are_not_variables_or_monomials(dual):
+    # a string variable used to be interned for the process's life, and
+    # sort_key() and format_poly then raised a bare AttributeError; a
+    # polynomial stored a string term key as it was
+    v = DVariable(1, (0, 1))
+    interned = len(_VARIABLES)
+    for bad in ("x", ("x", (0, 1)), 1, None, (1, (0, 1))):
+        for factors in ([(bad, 1)], [(v, 1), (bad, 2)], [(bad, 0)]):
+            with pytest.raises(TypeError,
+                               match=f"^variable {re.escape(repr(bad))} is not a DVariable$"):
+                Monomial(factors)
+        with pytest.raises(TypeError, match="is not a DVariable"):
+            Monomial.of({bad: 1})
+    assert len(_VARIABLES) == interned and "x" not in _IDS
+    x = Monomial([(v, 1)])
+    for bad in ("notamonomial", v, x.key, (), 1):
+        for terms in ({bad: 1}, {x: 2, bad: 1}, {bad: 0}):
+            with pytest.raises(TypeError,
+                               match=f"^term key {re.escape(repr(bad))} is not a Monomial$"):
+                DPolynomial(dual, terms)
+    # Monomial and DPolynomial keep accepting what they accepted
+    assert DPolynomial(dual, {x: 2, UNIT_MONOMIAL: 0}).terms == {x: 2}
 
 
 def test_single_term_and_scalar_products_leave_no_zero(all_builtins):

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,11 +21,14 @@ from dstar.ordering import (
     CustomRanking,
     DVariable,
     SequentialRanking,
+    check_ranking_axioms,
     is_sigma_only,
+    ord_delta,
+    ord_i,
     transform_of,
 )
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, rank_compare
+from dstar.poly import DPolynomial, Monomial, rank_compare
 from dstar.reduction import (
     DivisorSet,
     a_leader,
@@ -407,18 +411,61 @@ def _eager_reduce(g, divisors, ranking):
         tuple(h_factors), current, tuple(cofactors), tuple(steps))
 
 
+def _split_reference(g, v, d, e):
+    """g's terms of v-degree d with v's exponent lowered by e, and the rest."""
+    lowered, rest = {}, {}
+    for m, c in g.terms.items():
+        k, free = m.without(v)
+        if k == d:
+            lowered[free.mul(Monomial([(v, d - e)]))] = c
+        else:
+            rest[m] = c
+    return DPolynomial(g.algebra, lowered), DPolynomial(g.algebra, rest)
+
+
+def _elimination_key(v):
+    """Every transform of x2 above every transform of x1; sequential within one."""
+    return (v.var, sum(v.theta), tuple(reversed(v.theta)))
+
+
 def test_lazy_cofactor_fold_matches_eager_reference(all_builtins):
+    # reduce subtracts a memoised tail from the running polynomial split at
+    # the eliminated power; the reference runs the textbook step
     rng = random.Random(44)
-    long_runs = 0
-    for d in all_builtins.values():
-        ranking = SequentialRanking(d)
-        for _ in range(100):
-            g, divisors = rand_reduction_instance(rng, d, ranking)
+    five = _five_element_algebra(Fraction(1, 2))
+    cases = [(SequentialRanking(d), False, 100) for d in all_builtins.values()]
+    # a one-block algebra that is none of the builtins, and an elimination
+    # ranking, checked on each instance's variables; 40 draws each, since
+    # the 43rd draw over five swells to an 80-step reduction of over a minute
+    cases += [(SequentialRanking(five), False, 40)]
+    cases += [(CustomRanking(d, _elimination_key), True, 40)
+              for d in [*all_builtins.values(), five]]
+    for ranking, check, count in cases:
+        long_runs = 0
+        for _ in range(count):
+            g, divisors = rand_reduction_instance(rng, ranking.algebra, ranking)
+            if check:
+                check_ranking_axioms(
+                    ranking, {v for f in [g, *divisors] for v in f.variables()})
             cert = reduce(g, divisors, ranking)
             assert certificate_to_json(cert) == \
                 certificate_to_json(_eager_reduce(g, divisors, ranking))
             long_runs += len(cert.steps) >= 4
-    assert long_runs > 0
+            # reduce splits at a variable's top degree; the split itself
+            # holds at every degree and lowering
+            for v in g.variables():
+                for d in range(1, g.degree_in(v) + 1):
+                    for e in {1, d}:
+                        assert g._split_at(v, d, e) == _split_reference(g, v, d, e)
+        assert long_runs > 0, ranking
+    # the tails share the set's memo under a key that image() refuses
+    divisors = DivisorSet(divisors, ranking)
+    reduce(g, divisors)
+    tails = [key for key in divisors._images if key[1] not in (None, INITIAL, SEPARANT)]
+    assert tails
+    for member, source, theta in tails:
+        with pytest.raises(ValueError, match="is not an image source"):
+            divisors.image(member, source, theta)
 
 
 def _check_measure_decreases(ranking, cert):
@@ -491,10 +538,16 @@ def test_negative_multi_index_entries_are_rejected(hs2):
                  lambda: rho(hs2, (0, 1, -1))):
         with pytest.raises(IndexOutOfRange, match="negative entry"):
             call()
+    for call in (lambda: ord_delta(hs2, (0, 1, -1)), lambda: ord_i(hs2, (-1, 0, 1), 1)):
+        with pytest.raises(IndexOutOfRange,
+                           match=r"^multi-index \[.*\] has a negative entry$"):
+            call()
     # wrong lengths keep their own errors and messages
-    with pytest.raises(AlgebraMismatch,
-                       match="^multi-index has 2 slots, algebra has 3$"):
-        is_sigma_only(hs2, (0, 1))
+    for call in (lambda: is_sigma_only(hs2, (0, 1)), lambda: ord_delta(hs2, (0, 1)),
+                 lambda: ord_i(hs2, (0, 1), 1)):
+        with pytest.raises(AlgebraMismatch,
+                           match="^multi-index has 2 slots, algebra has 3$"):
+            call()
     for call in (lambda: apply_composition(x, (0, 1)), lambda: rho(hs2, (0, 1))):
         with pytest.raises(IndexOutOfRange,
                            match="^multi-index has 2 slots, algebra has 3$"):
@@ -502,9 +555,22 @@ def test_negative_multi_index_entries_are_rejected(hs2):
     # an entry that is not an int used to be read as a count: rho returned
     # (1.5, 0, 0), range() raised a bare TypeError and True was one sigma step
     for theta in ((0.5, 1, 0), (0.5, 0, 0), (True, 0, 0), (0, 1, 2.0), [0, False, 0]):
-        for call in (lambda: apply_composition(x, theta), lambda: rho(hs2, theta)):
+        for call in (lambda: apply_composition(x, theta), lambda: rho(hs2, theta),
+                     lambda: is_sigma_only(hs2, theta), lambda: ord_delta(hs2, theta),
+                     lambda: ord_i(hs2, theta, 1)):
             with pytest.raises(IndexOutOfRange, match=r"^multi-index \[.*\] has a non-int entry"):
                 call()
+    # is_sigma_only read (0.5, 0, 0) as sigma-only, ord_delta counted True as
+    # a delta step and ord_i returned 1.5; operators and orders now share one
+    # judge of the entries, with one text
+    for theta in ((0.5, 0, 0), (1, True, 0), (0, 0.5, 1)):
+        texts = set()
+        for call in (lambda: apply_composition(x, theta), lambda: is_sigma_only(hs2, theta),
+                     lambda: ord_delta(hs2, theta), lambda: ord_i(hs2, theta, 1)):
+            with pytest.raises(IndexOutOfRange) as caught:
+                call()
+            texts.add(str(caught.value))
+        assert len(texts) == 1
     # lists stay accepted
     assert apply_composition(x, [1, 1, 0]) == apply_composition(x, (1, 1, 0))
     assert rho(hs2, [0, 1, 2]) == rho(hs2, (0, 1, 2)) == (3, 0, 0)

@@ -65,6 +65,13 @@ or the name of the exception each raises, for every reduce-c6 input g
 and its divisor set, under the sequential ranking and under tie_key, a
 key that ties the variables of one indeterminate and one order, so that
 the offending-variable scan's winners are pinned, its tie rules included.
+The reductions-general line hashes certificate_to_json of seeded
+reductions, or the name and message of the exception one raises
+(DuplicateLeaders among them), over FIVE and over hs:3, each under the
+sequential ranking and under demoted_key (checked on each instance's
+variables), GENERAL_COUNT per algebra and ranking.  Every other
+reduction the lines pin runs over a builtin stream algebra, and all but
+the charset-custom ones under the sequential ranking.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
-        "witnesses", "charset-custom", "cli", "apply", "non-builtin", "scan")
+        "witnesses", "charset-custom", "cli", "apply", "non-builtin", "scan",
+        "reductions-general")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -156,6 +164,8 @@ FIVE = (["1", "e1", "e2", "f1", "f2"],
          ("e1", "e1"): [("f1", 1), ("f2", 1)], ("e1", "e2"): [("f1", "1/2")],
          ("e2", "e2"): [("f2", -3)]})
 NON_BUILTIN_SEED, NON_BUILTIN_COUNT = 35, 50
+# the reductions-general line's seed, and its reductions per algebra and ranking
+GENERAL_SEED, GENERAL_COUNT = 39, 100
 
 
 def demoted_key(v):
@@ -308,6 +318,45 @@ def non_builtin_polynomials():
         yield f"five#{n}", DPolynomial(algebra, terms)
 
 
+def bumped(rng, theta):
+    """theta with 1 added in one random slot, or theta itself."""
+    s = rng.randrange(len(theta) + 1)
+    return theta if s == len(theta) else theta[:s] + (theta[s] + 1,) + theta[s + 1:]
+
+
+def small_polynomial(rng, algebra):
+    """One or two terms, each one or two powers of x1 or x2 of order at most one."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        powers = {DVariable(rng.randint(1, 2), bumped(rng, (0,) * algebra.M)):
+                  rng.randint(1, 2) for _ in range(rng.randint(1, 2))}
+        terms[Monomial.of(powers)] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                              rng.randint(1, 3))
+    return DPolynomial(algebra, terms)
+
+
+def general_reductions():
+    """(name, g, divisors, ranking) over FIVE and hs:3, sequential and demoted.
+
+    Each g is a small polynomial plus a power of a transform of the first
+    divisor's leader, at most one order above it, so most reductions take
+    steps; the inputs stay small because a reduction has no size limit.
+    """
+    five = validate_algebra(AlgebraSpec((make_block_spec(*FIVE),)))
+    rng = random.Random(GENERAL_SEED)
+    for label, algebra in (("five", five), ("hs:3", algebra_from_name("hs:3"))):
+        for name, ranking in (("sequential", SequentialRanking(algebra)),
+                              ("demoted", CustomRanking(algebra, demoted_key))):
+            for n in range(GENERAL_COUNT):
+                divisors = [small_polynomial(rng, algebra)
+                            for _ in range(rng.randint(1, 2))]
+                u = divisors[0].leader(ranking)
+                power = Monomial.of({DVariable(u.var, bumped(rng, u.theta)):
+                                     rng.randint(1, 3)})
+                g = small_polynomial(rng, algebra) + DPolynomial(algebra, {power: 1})
+                yield f"{label} {name}#{n}", g, divisors, ranking
+
+
 def cli_outputs():
     """(name, exit code, stdout and stderr) of each of CLI_CASES, run cold."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -425,6 +474,13 @@ def main():
             + [format_poly(apply(h, 1, p)) for p in range(h.algebra.block(1).m + 1)]))
     for name, text in cli_outputs():
         record("cli", name, text)
+    for name, g, divisors, ranking in general_reductions():
+        check_ranking_axioms(ranking, {v for f in [g, *divisors] for v in f.variables()})
+        try:
+            text = certificate_to_json(reduce(g, divisors, ranking))
+        except DStarError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        record("reductions-general", name, text)
 
     print(f"families {len(items)}")
     for key, h in digests.items():
