@@ -21,19 +21,18 @@ m * g - C * v^(d-e) * theta(a) as
 which is the same polynomial for every m and theta(a): the two products
 the textbook step forms only to cancel, m * C * v^d and
 C * v^(d-e) * m * v^e, are never formed.  C * v^(d-e), the step's raw
-cofactor, and rest come from one walk of g.  The tail theta(a) - m * v^e
+cofactor, and rest come from one walk of g; the tail theta(a) - m * v^e
 comes from one such walk of theta(a), whose v^e coefficient is checked
-to be m, and depends only on (a, theta), so the divisor set memoises it.
+to be m.
 
 Every call takes its divisors as a DivisorSet or as a plain sequence.  A
 DivisorSet makes each member's rank record once, when the member is added:
 its DPolynomial._rank, or None for a constant, and no other flag.  It
 derives initials and separants from the record and keeps one memo of
-operator images, of its members, initials and separants, and of the
-tails that reduction steps subtract, for as long as the set lives; a
-caller that reduces many polynomials by the same divisors, such as one
-round of characteristic-set completion, builds the set once and passes
-it to every call.  A plain sequence gets a fresh set per call, so
+operator images, of its members, initials and separants, for as long as the
+set lives; a caller that reduces many polynomials by the same divisors, such
+as one round of characteristic-set completion, builds the set once and
+passes it to every call.  A plain sequence gets a fresh set per call, so
 verify_certificate after reduce on one list recomputes every operator
 image reduce made, unless one DivisorSet is passed to both.  Memo keys
 are exact, so a shared memo never changes a result or lets a forged
@@ -55,7 +54,6 @@ from .operators import apply_composition, rho
 from .ordering import (
     Record,
     SequentialRanking,
-    is_sigma_only,
     parse_variable,
     transform_of,
 )
@@ -64,7 +62,6 @@ from .poly import DPolynomial, _rank_tuple, format_poly
 
 INITIAL = "initial"
 SEPARANT = "separant"
-_TAIL = "tail"      # the memo's source for a step's tail; not an image source
 
 
 class HFactor(Record):
@@ -98,15 +95,10 @@ class DivisorSet:
     Holds one rank record per member, the member's DPolynomial._rank or
     None for a constant, made when the member is added, and one memo of
     operator images keyed by (member, source, theta), where source is
-    None for the member itself.  The same memo holds, under the source
-    _TAIL, which image() refuses, the tail theta(member) - m * v^e of the
-    reduction step by theta of the member: v is theta of its leader, m the
-    step's multiplier and e the power of v that m multiplies.  The tail is
-    read off the memoised image of the member, with no product.  The memo
-    lives as long as the set.  A set is used only under its own ranking.
-    Constant members and members that share a leader are accepted here and
-    rejected by the calls that forbid them, as for a list; a None record is
-    how they tell.
+    None for the member itself.  The memo lives as long as the set.  A
+    set is used only under its own ranking.  Constant members and members
+    that share a leader are accepted here and rejected by the calls that
+    forbid them, as for a list; a None record is how they tell.
     """
 
     def __init__(self, members=(), ranking=None):
@@ -151,24 +143,6 @@ class DivisorSet:
                 f = f.coefficient_in(u, d) if source == INITIAL else f._derivative(u)
             img = self._images[key] = apply_composition(f, theta)
         return img
-
-    def _tail(self, member, theta, v, e, multiplier):
-        """theta(member) - multiplier * v^e, where v = theta(leader).
-
-        One split of the image at v^e gives the tail as the terms of other
-        v-degrees, once the v^e coefficient is checked to be the multiplier.
-        v, e and multiplier follow from member and theta, so the tail is
-        memoised under (member, _TAIL, theta), a key image() refuses.
-        """
-        key = (member, _TAIL, theta)
-        tail = self._images.get(key)
-        if tail is None:
-            top, tail = self.image(member, None, theta)._split_at(v, e, e)
-            if top != multiplier:
-                raise DStarError(f"internal: the {v}^{e} coefficient of divisor "
-                                 f"{member}'s image is not the step's multiplier")
-            self._images[key] = tail
-        return tail
 
 
 def _algebra_of(f):
@@ -272,8 +246,8 @@ def reduce(g, divisors, ranking=None):
     cofactor; the certificate's c_k is that cofactor times m_{k+1} ... m_n,
     formed once at the end from a running suffix product.  A step splits
     the running polynomial g = C * v^d + rest at the eliminated power and
-    sets g to m * rest - C * v^(d-e) * tail, with the memoised tail
-    theta(a) - m * v^e: by the identity
+    sets g to m * rest - C * v^(d-e) * tail, with the tail
+    theta(a) - m * v^e split off theta(a) the same way: by the identity
     m * (g - C * v^d) - C * v^(d-e) * (theta(a) - m * v^e)
     = m * g - C * v^(d-e) * theta(a), that is the textbook step's result,
     without the products that cancel in it.
@@ -312,7 +286,11 @@ def reduce(g, divisors, ranking=None):
         multiplier = divisors.image(led.member, factor.source, factor.theta)
         e = 1 if led.is_delta else divisors.ranks[led.member][2]
         cof, rest = current._split_at(led.variable, led.degree, e)
-        tail = divisors._tail(led.member, led.theta, led.variable, e, multiplier)
+        top, tail = divisors.image(led.member, None, led.theta)._split_at(
+            led.variable, e, e)
+        if top != multiplier:
+            raise DStarError(f"internal: the {led.variable}^{e} coefficient of "
+                             f"divisor {led.member}'s image is not the multiplier")
         current = multiplier * rest - cof * tail
         raw.append((cof, led.theta, factor))
         steps.append(Step(led.variable, "delta" if led.is_delta else "sigma",
@@ -379,7 +357,8 @@ def _check_theta(algebra, theta, what, sigma_only=False):
                          f"algebra has {algebra.M}")
     if min(theta, default=0) < 0:
         raise BadWitness(f"{what} {list(theta)} has a negative entry")
-    if sigma_only and not is_sigma_only(algebra, theta):
+    if sigma_only and any(theta[s] for i in range(1, algebra.t + 1)
+                          for s in algebra.delta_slots(i)):
         raise BadWitness(f"{what} {list(theta)} is not sigma-only")
 
 
