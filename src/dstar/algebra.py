@@ -301,14 +301,18 @@ class DAlgebra(Record):
         return self._hash
 
     def block(self, i):
-        """The data of block i, for i = 1..t."""
+        """The data of block i, for i = 1..t (an int, not a bool)."""
+        if type(i) is not int:
+            raise IndexOutOfRange(f"block index {i!r} is not an int")
         if not 1 <= i <= self.t:
             raise IndexOutOfRange(f"block index {i} out of range 1..{self.t}")
         return self.blocks[i - 1]
 
     def slot_index(self, i, p):
-        """Global slot of operator (i, p); p = 0 is sigma_i."""
+        """Global slot of operator (i, p), both ints (not bools); p = 0 is sigma_i."""
         block = self.block(i)
+        if type(p) is not int:
+            raise IndexOutOfRange(f"operator index {p!r} is not an int")
         if not 0 <= p <= block.m:
             raise IndexOutOfRange(f"operator index {p} out of range 0..{block.m}")
         return self._offsets[i - 1] + p

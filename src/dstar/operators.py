@@ -57,6 +57,24 @@ the terms keep f's order, as the packed path gives them.  Only the keys
 change, and each is sorted again into id order, since bump ids need not
 follow the ids of the variables they bump.
 
+When a unit step's coordinate set is {0, p} and its products are exactly
+e_0 * e_0 = e_0 and e_0 * e_p = e_p * e_0 = e_p (the delta of dual and
+dd:n,m, hs:n's delta_1), coordinate p is a sigma-twisted derivation,
+delta_p(u * w) = sigma(u) * delta_p(w) + delta_p(u) * sigma(w), since
+coordinate p of a product reads only those products.  A term
+c * v1^a1 ... vn^an then maps to the sum over k of c * ak times its sigma
+image with one sigma(vk) replaced by delta_p(vk), so no power image is
+built: in the registry's fields the term's sigma image is packed once, and
+each factor's term is that int minus sigma(vk)'s field plus delta_p(vk)'s.
+The whole cut product list, coefficients included, is compared, so a
+block whose e_p * e_p adds to {0, p}, or whose constants there are not 1,
+keeps the packed path.  That path multiplies a key's powers left to right,
+and each product inserts the new factor's term (e_0 * e_p) before the
+running ones (e_p * e_0); emitting the factors last first gives the same
+terms in the same order with the same coefficients.  A bump that is one
+variable's delta_p and another's sigma (dual's delta x1[1,0] is
+sigma x1[0,1]) is one field, like any other.
+
 The image of a variable power v^e does not depend on the polynomial it
 sits in.  Within one block image each (v, e) image is therefore built
 once, by squaring in the block algebra, and kept in a memo local to that
@@ -165,11 +183,11 @@ def _power_image(products, v, e, memo):
 def _registry(f, i, coordinates):
     """The packed-int registry of f's block-i image over its coordinates.
 
-    Returns (bumps, width, memo): the ids of the distinct bumps of f's
+    Returns (bumps, width, fields): the ids of the distinct bumps of f's
     variables into those slots in ascending order, bump k owning bits
     [k*width, (k+1)*width) of a packed int; the field width, the bit length
-    of f's highest monomial total degree; and the power memo, keyed by
-    (variable id, exponent), seeded with every variable's (v, 1) image.
+    of f's highest monomial total degree; and, per variable id, the packed
+    ints of its bumps, one per coordinate.
     """
     algebra = f.algebra
     base = algebra.slot_index(i, 0)
@@ -187,10 +205,8 @@ def _registry(f, i, coordinates):
             degree = d
     bumps = sorted({b for image in images.values() for b in image})
     width = degree.bit_length()
-    shift = {b: k * width for k, b in enumerate(bumps)}
-    memo = {(v, 1): [{1 << shift[b]: 1} for b in image]
-            for v, image in images.items()}
-    return bumps, width, memo
+    field = {b: 1 << k * width for k, b in enumerate(bumps)}
+    return bumps, width, {v: [field[b] for b in image] for v, image in images.items()}
 
 
 def _decode(algebra, packed_terms, bumps, width):
@@ -243,6 +259,30 @@ def _substitute(f, slot):
     return DPolynomial._nonzero(algebra, out)
 
 
+# the products of a coordinate set {0, p} whose delta_p is a sigma-derivation:
+# e_0 * e_0 = e_0, e_0 * e_p = e_p, e_p * e_0 = e_p
+_DERIVATION_PRODUCTS = ((0, 0, ((0, 1),)), (0, 1, ((1, 1),)), (1, 0, ((1, 1),)))
+
+
+def _derivation(f, i, coordinates):
+    """Coordinate p of f's block-i image over coordinates (0, p), when delta_p
+    is a sigma-derivation: one walk per term, its factors last first."""
+    bumps, width, fields = _registry(f, i, coordinates)
+    acc = {}
+    for monomial, coeff in f.terms.items():
+        key = monomial.key
+        sigma = 0
+        for k in range(0, len(key), 2):
+            sigma += fields[key[k]][0] * key[k + 1]
+        for k in range(len(key) - 2, -1, -2):
+            s, d = fields[key[k]]
+            m = sigma - s + d
+            c = key[k + 1] * coeff
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
+    return _decode(f.algebra, acc, bumps, width)
+
+
 def block_image(f, i, p=None):
     """Image of f under the block-i coordinate operators.
 
@@ -258,8 +298,11 @@ def block_image(f, i, p=None):
     coordinates, inner, last = _products(block.table, p)
     if coordinates == (0,) and inner == _UNIT_PRODUCT:
         return (_substitute(f, algebra.slot_index(i, 0)),)
+    if p is not None and inner == _DERIVATION_PRODUCTS:
+        return (_derivation(f, i, coordinates),)
     kept = range(len(coordinates)) if p is None else (coordinates.index(p),)
-    bumps, width, memo = _registry(f, i, coordinates)
+    bumps, width, fields = _registry(f, i, coordinates)
+    memo = {(v, 1): [{b: 1} for b in packed] for v, packed in fields.items()}
     # the empty product: a constant embeds in the unit slot (packed int 0)
     unit = [{0: 1}] + [{}] * (len(coordinates) - 1)
     acc = [{} for _ in kept]

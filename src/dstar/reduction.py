@@ -49,6 +49,7 @@ from .errors import (
     DStarError,
     DuplicateLeaders,
     ExprParseError,
+    IndexOutOfRange,
 )
 from .operators import apply_composition, rho
 from .ordering import (
@@ -129,9 +130,13 @@ class DivisorSet:
 
     def image(self, member, source, theta):
         """theta applied to a member (source None), its initial or separant."""
-        # judged before the lookup, which an unhashable source would break
+        # judged before the lookup: an unhashable source or member would break
+        # it, and a member -1 or True would read another member's image
         if source is not None and source not in (INITIAL, SEPARANT):
             raise ValueError(f"{source!r} is not an image source")
+        if not _is_member(member, len(self.members)):
+            raise IndexOutOfRange(f"member index {member!r} out of range for "
+                                  f"a set of {len(self.members)}")
         key = (member, source, theta)
         img = self._images.get(key)
         if img is None:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from dstar.algebra import AlgebraSpec, make_block_spec, validate_algebra
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import AlgebraMismatch, ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
-from dstar.ordering import LESS, DVariable, SequentialRanking, parse_variable
+from dstar.ordering import LESS, DVariable, SequentialRanking, apply_slot, parse_variable
 from dstar.parser import parse_poly
 from dstar.poly import _IDS, DPolynomial, Monomial, rank_compare
 
@@ -53,6 +54,26 @@ def test_a_coordinate_out_of_range_is_rejected(dual):
             block_image(f, 1, p)
     with pytest.raises(IndexOutOfRange, match=r"^operator index 2 out of range 0\.\.1$"):
         apply(f, 1, 2)
+
+
+def test_a_block_or_operator_index_that_is_not_an_int_is_rejected(dual):
+    # no float or bool stands for an index: 1.0 and True are not block 1 or
+    # delta_1, and 0.5 is no bare TypeError
+    f = parse_poly("x1[0,1]^2 + x1[0,0]", dual)
+    x = DVariable(1, (0, 0))
+    cases = [((1, 0.5), "operator index 0.5"), ((1, 1.0), "operator index 1.0"),
+             ((1, True), "operator index True"), ((1, "1"), "operator index '1'"),
+             ((True, 1), "block index True"), ((1.0, 1), "block index 1.0"),
+             ((1.0, 0.5), "block index 1.0")]
+    for (i, p), what in cases:
+        calls = (lambda: block_image(f, i, p), lambda: apply(f, i, p),
+                 lambda: apply_slot(dual, x, i, p))
+        for call in calls:
+            with pytest.raises(IndexOutOfRange, match=rf"^{re.escape(what)} is not an int$"):
+                call()
+    for i in (1.0, True):
+        with pytest.raises(IndexOutOfRange, match=rf"^block index {i} is not an int$"):
+            block_image(f, i)
 
 
 def test_block_image_rejects_a_variable_with_the_wrong_slot_count(dual, hs2, fields2):
@@ -270,6 +291,53 @@ def test_sigma_images_substitute_the_unit_slot_bump(all_builtins):
     assert next(iter(sigma_f.terms)).key == (_IDS[sy], 1, _IDS[sx], 2)
 
 
+def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
+    # delta_p whose coordinate set {0, p} has only the products e_0 e_0 = e_0
+    # and e_0 e_p = e_p e_0 = e_p is a sigma-derivation, computed without
+    # power images: against the reference, and with the terms, order and
+    # coefficient types of the full image's coordinate p
+    derivation = dstar.operators._DERIVATION_PRODUCTS
+    products = dstar.operators._products
+    rng = random.Random(40)
+    algebras = {**all_builtins, "five": _five_element_algebra(Fraction(1, 2))}
+    extra = {"dual": ["x1[1,0]^3 * x1[0,1]^2",     # delta x1[1,0] = sigma x1[0,1]
+                      "1/2*x1[0,0]^2 - 3/4",       # made integral
+                      # the two middle terms meet: 1/2 + 1/2 and 1/2 - 1/2
+                      "1/2*x1[2,0]*x1[0,1] + 1/2*x1[1,0]*x1[1,1]",
+                      "1/2*x1[2,0]*x1[0,1] - 1/2*x1[1,0]*x1[1,1]"]}
+    matched = set()
+    for label, d in algebras.items():
+        polys = [parse_poly(expr, d) for expr in _constant_term_exprs(d) + extra.get(label, [])]
+        polys += [_rand_powers_poly(rng, d, 4, max_factors=3) for _ in range(8)]
+        polys += [rand_poly(rng, d, n_vars=3) for _ in range(8)]
+        for f in polys:
+            for i in range(1, d.t + 1):
+                table = d.block(i).table
+                reference, full = _reference_image(f, i), block_image(f, i)
+                for p in range(1, len(table)):
+                    if products(table, p)[1] != derivation:
+                        continue
+                    matched.add((label, i, p))
+                    alone, = block_image(f, i, p)
+                    assert alone == reference[p], (label, i, p, f)
+                    assert [(m, c, type(c)) for m, c in alone.terms.items()] == \
+                        [(m, c, type(c)) for m, c in full[p].terms.items()], (label, i, p, f)
+    # every delta of dual and dd:1,1, hs:2's delta_1 and the five-element e1
+    # and e2; hs:2's delta_2 and f1, f2 keep the packed path
+    assert matched == {("dual", 1, 1), ("dd:1,1", 1, 1), ("hs:2", 1, 1),
+                       ("five", 1, 1), ("five", 1, 2)}
+    d = algebras["dual"]
+    assert apply(parse_poly("1/2*x1[2,0]*x1[0,1] + 1/2*x1[1,0]*x1[1,1]", d), 1, 1) == \
+        parse_poly("1/2*x1[3,0]*x1[0,2] + x1[1,1]*x1[2,1] + 1/2*x1[2,0]*x1[1,2]", d)
+    assert apply(parse_poly("1/2*x1[2,0]*x1[0,1] - 1/2*x1[1,0]*x1[1,1]", d), 1, 1) == \
+        parse_poly("1/2*x1[3,0]*x1[0,2] - 1/2*x1[2,0]*x1[1,2]", d)
+    assert [(m, c, type(c)) for m, c in apply(parse_poly("1/2*x1[0,0]^2 - 3/4", d),
+                                                1, 1).terms.items()] == \
+        [(Monomial.of({parse_variable("x1[1,0]", d): 1,
+                       parse_variable("x1[0,1]", d): 1}), 1, int)]
+    assert apply(parse_poly("-7/3", d), 1, 1) == DPolynomial.zero(d)
+
+
 @pytest.mark.parametrize("n", [99999999, 2 ** 1100 + 1], ids=["1e8", "2^1100+1"])
 def test_block_image_of_a_huge_power_has_its_closed_form(dual, hs2, n):
     # 2^1100 + 1 has more bits than the interpreter's default recursion
@@ -279,15 +347,20 @@ def test_block_image_of_a_huge_power_has_its_closed_form(dual, hs2, n):
         return DPolynomial(d, {Monomial.of({parse_variable(v, d): e
                                             for v, e in factors.items()}): c})
 
-    assert block_image(parse_poly(f"x1[0,0]^{n}", dual), 1) == (
-        term(dual, 1, **{"x1[1,0]": n}),
-        term(dual, n, **{"x1[1,0]": n - 1, "x1[0,1]": 1}))
+    dual_image = (term(dual, 1, **{"x1[1,0]": n}),
+                  term(dual, n, **{"x1[1,0]": n - 1, "x1[0,1]": 1}))
     s, d1, d2 = "x1[1,0,0]", "x1[0,1,0]", "x1[0,0,1]"
-    assert block_image(parse_poly(f"x1[0,0,0]^{n}", hs2), 1) == (
-        term(hs2, 1, **{s: n}),
-        term(hs2, n, **{s: n - 1, d1: 1}),
-        term(hs2, n, **{s: n - 1, d2: 1})
-        + term(hs2, n * (n - 1) // 2, **{s: n - 2, d1: 2}))
+    hs2_image = (term(hs2, 1, **{s: n}),
+                 term(hs2, n, **{s: n - 1, d1: 1}),
+                 term(hs2, n, **{s: n - 1, d2: 1})
+                 + term(hs2, n * (n - 1) // 2, **{s: n - 2, d1: 2}))
+    for f, image in ((parse_poly(f"x1[0,0]^{n}", dual), dual_image),
+                     (parse_poly(f"x1[0,0,0]^{n}", hs2), hs2_image)):
+        assert block_image(f, 1) == image
+        # each coordinate alone: the delta of dual and hs:2's delta_1 walk
+        # the one term, hs:2's delta_2 squares
+        for p, coordinate in enumerate(image):
+            assert block_image(f, 1, p) == (coordinate,)
 
 
 @pytest.mark.parametrize("c", ["1/2", "2", "-3"])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,21 @@ def test_divisor_set_image_judges_the_source_before_its_memo(dual, worked):
         with pytest.raises(ValueError, match="is not an image source$"):
             as_set.image(0, source, (0, 0))
     assert as_set.image(0, INITIAL, (0, 0)) == worked.initial()
+
+
+def test_divisor_set_image_judges_the_member_before_its_memo(dual, worked):
+    as_set = DivisorSet([worked])
+    image = as_set.image(0, None, (0, 0))
+    # -1 is not the last member, True not member 1; an unhashable index is
+    # judged, not looked up
+    for member in (-1, True, 1, 0.0, "0", [0]):
+        with pytest.raises(IndexOutOfRange, match=rf"^member index {re.escape(repr(member))} "
+                                                  r"out of range for a set of 1$"):
+            as_set.image(member, None, (0, 0))
+    assert as_set.image(0, None, (0, 0)) is image
+    # the source is judged first
+    with pytest.raises(ValueError, match="is not an image source$"):
+        as_set.image(5, "initial ", (0, 0))
 
 
 def test_worked_reduction(dual, worked):
