@@ -27,7 +27,7 @@ from .errors import (
     RankedBasisViolation,
     UnknownBuiltin,
 )
-from .ordering import Record, _coefficient, parse_int
+from .ordering import Record, _coefficient, check_index, parse_int
 
 
 class BlockSpec(Record):
@@ -116,10 +116,12 @@ def builtin(name, *params):
 
 
 def _check_params(name, params, count):
-    if len(params) != count or any(type(p) is not int or p < 1 for p in params):
-        raise UnknownBuiltin(
-            f"builtin {name!r} expects {count} positive integer parameter(s)")
-    return params
+    try:
+        if len(params) == count:
+            return [check_index(p, 1, float("inf"), "parameter") for p in params]
+    except IndexOutOfRange:
+        pass
+    raise UnknownBuiltin(f"builtin {name!r} expects {count} positive integer parameter(s)")
 
 
 # the builtin each CLI name with parameters stands for, as in hs:2 and dd:1,2;
@@ -302,30 +304,20 @@ class DAlgebra(Record):
 
     def block(self, i):
         """The data of block i, for i = 1..t (an int, not a bool)."""
-        if type(i) is not int:
-            raise IndexOutOfRange(f"block index {i!r} is not an int")
-        if not 1 <= i <= self.t:
-            raise IndexOutOfRange(f"block index {i} out of range 1..{self.t}")
-        return self.blocks[i - 1]
+        return self.blocks[check_index(i, 1, self.t, "block index") - 1]
 
     def slot_index(self, i, p):
         """Global slot of operator (i, p), both ints (not bools); p = 0 is sigma_i."""
         block = self.block(i)
-        if type(p) is not int:
-            raise IndexOutOfRange(f"operator index {p!r} is not an int")
-        if not 0 <= p <= block.m:
-            raise IndexOutOfRange(f"operator index {p} out of range 0..{block.m}")
-        return self._offsets[i - 1] + p
+        return self._offsets[i - 1] + check_index(p, 0, block.m, "operator index")
 
     def slot_pairs(self):
         """All (i, p) operator slots in global slot order, one per basis element."""
         return list(self._slot_pairs)
 
     def block_of_slot(self, s):
-        """Inverse of slot_index: global slot -> (i, p)."""
-        if not 0 <= s < self.M:
-            raise IndexOutOfRange(f"slot {s} out of range 0..{self.M - 1}")
-        return self._slot_pairs[s]
+        """Inverse of slot_index: global slot s, an int (not a bool) -> (i, p)."""
+        return self._slot_pairs[check_index(s, 0, self.M - 1, "slot")]
 
     def delta_slots(self, i):
         """Global slot range of the delta operators of block i."""
@@ -337,31 +329,25 @@ class DAlgebra(Record):
         return tuple(f"d{i}.{p}" if p else f"s{i}" for i, p in self._slot_pairs)
 
     def nu(self, i, j):
-        """Nilpotency depth of epsilon_{i,j}; nu(i, 0) = 0 by convention."""
+        """Nilpotency depth of epsilon_{i,j}, j an int (not a bool); nu(i, 0) = 0."""
         block = self.block(i)
-        if j == 0:
-            return 0
-        if not 1 <= j <= block.m:
-            raise IndexOutOfRange(f"basis index {j} out of range 0..{block.m}")
-        return block.nu[j - 1]
+        return block.nu[j - 1] if check_index(j, 0, block.m, "basis index") else 0
 
     def gamma(self, i, j):
-        """Index pairs (p, q) allowed to contribute to coordinate j."""
+        """Index pairs (p, q) that may contribute to coordinate j (an int, not a bool)."""
         block = self.block(i)
-        if not 1 <= j <= block.m:
-            raise IndexOutOfRange(f"basis index {j} out of range 1..{block.m}")
+        check_index(j, 1, block.m, "basis index")
         nu = block.nu
         return frozenset((p, q) for p in range(1, block.m + 1)
                          for q in range(1, block.m + 1)
                          if nu[p - 1] + nu[q - 1] <= nu[j - 1])
 
     def alpha(self, i, j, p, q):
-        """Coefficient of epsilon_{i,j} in epsilon_{i,p} * epsilon_{i,q}."""
+        """Coefficient of epsilon_{i,j} in epsilon_{i,p} * epsilon_{i,q}; each index is
+        an int, not a bool."""
         block = self.block(i)
         for idx in (j, p, q):
-            if not 1 <= idx <= block.m:
-                raise IndexOutOfRange(
-                    f"basis index {idx} out of range 1..{block.m}")
+            check_index(idx, 1, block.m, "basis index")
         return dict(block.table[p][q]).get(j, 0)
 
 

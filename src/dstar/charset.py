@@ -48,6 +48,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import (
+    AlgebraMismatch,
     BadWitness,
     DStarError,
     ExprParseError,
@@ -58,7 +59,8 @@ from .operators import apply_composition
 from .ordering import EQUAL, LESS, Record, SequentialRanking
 from .parser import parse_json, parse_poly
 from .poly import (
-    DPolynomial, _keyed_monic, _sort_key, format_poly, poly_sort_key, rank_compare)
+    DPolynomial, _keyed_monic, _sort_key, check_natural, check_polynomial, format_poly,
+    poly_sort_key, rank_compare)
 from .reduction import (
     INITIAL,
     Cofactor,
@@ -97,7 +99,7 @@ class AutoreducedSet(Record):
 
 def validate_autoreduced(members, ranking=None):
     """Check pairwise reducedness, sort by rank, and wrap."""
-    members = list(members)
+    members = [check_polynomial(f) for f in members]
     if not members:
         return AutoreducedSet(())
     ranking = ranking or SequentialRanking(members[0].algebra)
@@ -157,7 +159,7 @@ def charset_complete(generators, ranking=None):
     built under an unchecked ranking).  Raises InconsistentSystem when a
     nonzero constant is generated.
     """
-    generators = list(generators)
+    generators = [check_polynomial(f) for f in generators]
     if not generators:
         return CharSetResult(AutoreducedSet(()), (), ())
     ranking = ranking or SequentialRanking(generators[0].algebra)
@@ -282,14 +284,14 @@ def d_ideal_generators(generators, order_bound):
     """All operator transforms of the generators up to the index bound.
 
     Applies every multi-index with entry sum <= order_bound, made once, to
-    each generator in turn, and keeps the first of equal transforms.
+    each generator in turn, and keeps the first of equal transforms.  A bound
+    that is not an int (a bool included) >= 0 is a ValueError.
     """
-    if order_bound < 0:
-        raise ValueError("order bound must be >= 0")
+    check_natural(order_bound, "order bound must be >= 0")
     generators = list(generators)
     if not generators:
         return []
-    indices = _indices_up_to(generators[0].algebra.M, order_bound)
+    indices = _indices_up_to(check_polynomial(generators[0]).algebra.M, order_bound)
     return list(dict.fromkeys(apply_composition(f, theta)
                               for f in generators for theta in indices))
 
@@ -321,15 +323,21 @@ def closure_step_witness(generators, witness):
     numbers, an exponent or a member index that is not an int, or an a or c
     that is not a polynomial over the generators' algebra.  Taus and terms
     are checked as a certificate's H-factor thetas and cofactors are.
+    Generators not all polynomials over one algebra are an AlgebraMismatch.
     """
     generators = list(generators)
     if not generators:
         raise BadWitness("no generators to check against")
     if not isinstance(witness, ClosureWitness):
         raise BadWitness(f"witness {witness!r} is not a ClosureWitness")
-    algebra = generators[0].algebra
-    if not (isinstance(witness.a, DPolynomial) and witness.a.algebra == algebra):
-        raise BadWitness("witness a is not a polynomial over the generators' algebra")
+    algebra = check_polynomial(generators[0]).algebra
+    for g in generators:
+        check_polynomial(g, algebra, "a generator list")
+    try:
+        check_polynomial(witness.a, algebra)
+    except AlgebraMismatch:
+        raise BadWitness(
+            "witness a is not a polynomial over the generators' algebra") from None
     taus = _sequence(witness.taus, "witness taus")
     exponents = _sequence(witness.exponents, "witness exponents")
     if len(taus) != len(exponents) or not taus:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import builtin, validate_algebra
 from .errors import ConstantDivisor, DuplicateLeaders, WrongAlgebra
 from .ordering import DVariable, Record
-from .poly import DPolynomial, Monomial
+from .poly import DPolynomial, Monomial, check_polynomial
 
 
 @functools.total_ordering
@@ -310,7 +310,7 @@ def dual_algebra():
 
 def project_to_differential(f):
     """Collapse the sigma slot: d^(a,b) x_j becomes the b-th derivative."""
-    if f.algebra != dual_algebra():
+    if check_polynomial(f).algebra != dual_algebra():
         raise WrongAlgebra("projection is defined over the dual-number algebra")
     out = {}
     for m, c in f.terms.items():

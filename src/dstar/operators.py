@@ -89,8 +89,8 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import ExprParseError, IndexOutOfRange
-from .ordering import _check_entries, _coefficient, parse_int, slot_bumps
-from .poly import _VARIABLES, DPolynomial, _intern, _monomial
+from .ordering import _coefficient, check_index, check_multi_index, parse_int, slot_bumps
+from .poly import _VARIABLES, DPolynomial, _intern, _monomial, check_polynomial
 
 
 def _image_mul(products, u, w):
@@ -190,7 +190,7 @@ def _registry(f, i, coordinates):
     ints of its bumps, one per coordinate.
     """
     algebra = f.algebra
-    base = algebra.slot_index(i, 0)
+    base = algebra._offsets[i - 1]      # block i's sigma slot; block_image judged i
     slots = [base + q for q in coordinates]
     images = {}     # variable id -> its slot bumps' ids, unit slot first
     degree = 0
@@ -291,13 +291,13 @@ def block_image(f, i, p=None):
     to their slot bumps, constants embed in the unit slot, sums add
     coordinatewise and products multiply through the structure constants.
     """
-    algebra = f.algebra
+    algebra = check_polynomial(f).algebra
     block = algebra.block(i)  # validates the block index
     if p is not None:
-        algebra.slot_index(i, p)  # validates the coordinate
+        check_index(p, 0, block.m, "operator index")
     coordinates, inner, last = _products(block.table, p)
     if coordinates == (0,) and inner == _UNIT_PRODUCT:
-        return (_substitute(f, algebra.slot_index(i, 0)),)
+        return (_substitute(f, algebra._offsets[i - 1]),)
     if p is not None and inner == _DERIVATION_PRODUCTS:
         return (_derivation(f, i, coordinates),)
     kept = range(len(coordinates)) if p is None else (coordinates.index(p),)
@@ -320,15 +320,9 @@ def block_image(f, i, p=None):
 
 def apply(f, i, p):
     """Apply the single operator (i, p): sigma_i for p = 0, else delta_{i,p}."""
+    # judged as an operator here: block_image reads p = None as every coordinate
+    check_polynomial(f).algebra.slot_index(i, p)
     return block_image(f, i, p)[0]
-
-
-def _check_index(algebra, theta):
-    """A multi-index has one natural number (an int, not a bool) per algebra slot."""
-    if len(theta) != algebra.M:
-        raise IndexOutOfRange(
-            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
-    _check_entries(theta)
 
 
 def apply_composition(f, theta):
@@ -337,12 +331,12 @@ def apply_composition(f, theta):
     Slots are applied in ascending global order; the result is
     independent of the order because the coordinate operators commute.
     """
-    algebra = f.algebra
-    _check_index(algebra, theta)
+    algebra = check_polynomial(f).algebra
+    check_multi_index(algebra, theta)
     out = f
     for slot, count in enumerate(theta):
         if count:
-            i, p = algebra.block_of_slot(slot)
+            i, p = algebra._slot_pairs[slot]    # theta is judged: slot < M
             for _ in range(count):
                 out, = block_image(out, i, p)
     return out
@@ -350,7 +344,7 @@ def apply_composition(f, theta):
 
 def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
-    _check_index(algebra, theta)
+    check_multi_index(algebra, theta)
     out = [0] * algebra.M
     offsets = algebra._offsets      # each block's sigma slot, then M
     for start, end in zip(offsets, offsets[1:]):

@@ -10,7 +10,7 @@ is (total degree, indeterminate index, slots from highest to lowest).
 
 It also holds the two number rules every layer shares: parse_int, the
 one reader of integer literals, and _coefficient, the one form in which
-a coefficient is stored.
+a coefficient is stored; and the judges of index and multi-index arguments.
 """
 
 from __future__ import annotations
@@ -210,35 +210,55 @@ def parse_variable(text, algebra=None):
 
 
 # ---------------------------------------------------------------------------
-# multi-index helpers (multi-indices are plain tuples of naturals)
+# the judges of the index and multi-index arguments of every public call
 
 
-def _check_entries(theta):
-    """IndexOutOfRange unless each entry is a natural number (an int, not a bool)."""
-    for e in theta:
+def check_index(k, low, high, what):
+    """k, an int (not a bool) in low..high, else IndexOutOfRange naming it as what."""
+    if type(k) is not int:
+        raise IndexOutOfRange(f"{what} {k!r} is not an int")
+    if not low <= k <= high:
+        raise IndexOutOfRange(f"{what} {k} out of range {low}..{high}")
+    return k
+
+
+def multi_index_fault(algebra, theta):
+    """None for a multi-index, a tuple or list of one int (not a bool) >= 0 per
+    slot, else its first fault: "sequence", "entry", "width" or "negative"."""
+    if not isinstance(theta, (tuple, list)):
+        return "sequence"
+    negative = False
+    for e in theta:     # one loop: min() and any() cost more on a few entries
         if type(e) is not int:
-            raise IndexOutOfRange(f"multi-index {list(theta)} has a non-int entry {e!r}")
-        if e < 0:
-            raise IndexOutOfRange(f"multi-index {list(theta)} has a negative entry")
-
-
-def _check_multi_index(algebra, theta):
-    """AlgebraMismatch unless theta has one slot per algebra slot, then _check_entries."""
+            return "entry"
+        negative = negative or e < 0
     if len(theta) != algebra.M:
-        raise AlgebraMismatch(
-            f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
-    _check_entries(theta)
+        return "width"
+    return "negative" if negative else None
+
+
+def check_multi_index(algebra, theta):
+    """AlgebraMismatch for a multi-index of the wrong width, as for a variable, and
+    IndexOutOfRange for any other fault."""
+    fault = multi_index_fault(algebra, theta)
+    if fault == "width":
+        raise AlgebraMismatch(f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+    if fault == "sequence":
+        raise IndexOutOfRange(f"multi-index {theta!r} is not a tuple or list")
+    if fault:
+        kind = "negative" if fault == "negative" else "non-int"
+        raise IndexOutOfRange(f"multi-index {list(theta)} has a {kind} entry")
 
 
 def ord_i(algebra, theta, i):
     """Sum of the delta-slot entries of block i (sigma excluded)."""
-    _check_multi_index(algebra, theta)
+    check_multi_index(algebra, theta)
     return sum(theta[s] for s in algebra.delta_slots(i))
 
 
 def ord_delta(algebra, theta):
     """Sum of the delta-slot entries of every block: all but the sigma slots."""
-    _check_multi_index(algebra, theta)
+    check_multi_index(algebra, theta)
     # each block's sigma slot is its offset
     return sum(theta) - sum([theta[s] for s in algebra._offsets[:-1]])
 

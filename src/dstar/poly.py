@@ -30,21 +30,16 @@ can change.  The normalising constructor serves callers' term dicts and
 constant: it raises TypeError for a key that is not a Monomial, and
 judges every coefficient through _judged, as the general product does
 for its own dict; any other result, zero included, is canonical by
-construction and wrapped as it is (_nonzero).  Coefficient extraction
-is one walk, _split_at(v, d, e): it returns the terms of v-degree d with
-v's exponent lowered by e, a slice of each key rather than a product,
-and every other term; reduction's step reads both halves, coefficient_in
-the first, with e = d.  Negation, coefficient extraction, derivatives,
-scaling and products by one term merge and zero nothing: only a
-derivative's c * k, a scaling's products and a term product's c1 * c
-with c not 1 are judged.  Every sum goes through _plus, which copies
-the left operand's canonical terms and judges only the addend's: a new
-monomial is stored as it is, a merged one through _coefficient, and a
-sum of zero deletes its term, so the result keeps the left operand's
-order, then the addend's new monomials in its order.  The rank
-accessors (leader, degree, initial, separant) and the rank order read
-one walk, DPolynomial._rank, under a ranking that defaults to
-sequential.
+construction and wrapped as it is (_nonzero).  Negation, coefficient
+extraction (one walk, _split_at, whose halves reduction's step reads),
+derivatives, scaling and products by one term merge and zero nothing:
+only a derivative's c * k, a scaling's products and a term product's
+c1 * c with c not 1 are judged.  Every sum goes through _plus, so the
+result keeps the left operand's order, then the addend's new monomials
+in its order.  The rank accessors (leader, degree, initial, separant) and
+the rank order read one walk, DPolynomial._rank, under a ranking that
+defaults to sequential.  A public call judges a polynomial argument with
+check_polynomial, and an exponent, a degree or a bound with check_natural.
 """
 
 from __future__ import annotations
@@ -394,8 +389,7 @@ class DPolynomial(Frozen):
             self.algebra, {m: _coefficient(c * cf) for m, cf in self.terms.items()})
 
     def __pow__(self, exponent):
-        if type(exponent) is not int or exponent < 0:   # a bool is not an int
-            raise ValueError("exponent must be a natural number")
+        check_natural(exponent, "exponent must be a natural number")
         result = DPolynomial.constant(self.algebra, 1)
         base = self
         e = exponent
@@ -431,7 +425,8 @@ class DPolynomial(Frozen):
         return max((_split(m.key, i)[0] for m in self.terms), default=0)
 
     def coefficient_in(self, v, k):
-        """The v-free g_k of the decomposition sum g_k * v^k (zero if absent)."""
+        """The v-free g_k of sum g_k * v^k (zero if absent); k an int (not a bool) >= 0."""
+        check_natural(k, "degree must be a natural number")
         return self._split_at(v, k, k)[0]
 
     def _split_at(self, v, d, e):
@@ -496,6 +491,22 @@ _set_algebra = DPolynomial.algebra.__set__
 _set_terms = DPolynomial.terms.__set__
 
 
+def check_polynomial(f, algebra=None, user="a call"):
+    """f, a DPolynomial over the algebra if one is given, else AlgebraMismatch."""
+    if not isinstance(f, DPolynomial):
+        raise AlgebraMismatch(f"{f!r} is not a polynomial")
+    # identity first: the polynomials of one family share one algebra object
+    if algebra is not None and f.algebra is not algebra and f.algebra != algebra:
+        raise AlgebraMismatch(f"{user} over one algebra met a polynomial over another")
+    return f
+
+
+def check_natural(n, message):
+    """ValueError(message) unless n is an int (not a bool) >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(message)
+
+
 def _judged(terms):
     """The terms with each coefficient in stored form and the zeros dropped."""
     out = {}
@@ -515,9 +526,8 @@ def _rank_tuple(f, ranking):
 
 def rank_compare(f, g, ranking=None):
     """Pre-order on polynomials over one algebra by (leader, degree); constants lowest."""
-    if isinstance(f, DPolynomial) and isinstance(g, DPolynomial):
-        if f.algebra != g.algebra:
-            raise AlgebraMismatch("rank comparison across algebras")
+    if check_polynomial(f).algebra != check_polynomial(g).algebra:
+        raise AlgebraMismatch("rank comparison across algebras")
     rf, rg = _rank_tuple(f, ranking), _rank_tuple(g, ranking)
     return LESS if rf < rg else GREATER if rf > rg else EQUAL
 
@@ -544,7 +554,7 @@ def format_poly(f):
     monomial in descending sequential rank.  A number too long to print
     under the interpreter's int/str conversion limit is a DStarError.
     """
-    if f.is_zero():
+    if check_polynomial(f).is_zero():
         return "0"
     ordered = sorted(f.terms.items(), key=lambda it: it[0].sort_key(), reverse=True)
     chunks = []

@@ -55,11 +55,14 @@ from .operators import apply_composition, rho
 from .ordering import (
     Record,
     SequentialRanking,
+    check_index,
+    multi_index_fault,
+    ord_delta,
     parse_variable,
     transform_of,
 )
 from .parser import json_int, parse_json, parse_poly
-from .poly import DPolynomial, _rank_tuple, format_poly
+from .poly import DPolynomial, _rank_tuple, check_polynomial, format_poly
 
 INITIAL = "initial"
 SEPARANT = "separant"
@@ -93,13 +96,11 @@ class ALeader(Record):
 class DivisorSet:
     """A divisor list under one ranking, with its per-member data built once.
 
-    Holds one rank record per member, the member's DPolynomial._rank or
-    None for a constant, made when the member is added, and one memo of
-    operator images keyed by (member, source, theta), where source is
-    None for the member itself.  The memo lives as long as the set.  A
-    set is used only under its own ranking.  Constant members and members
-    that share a leader are accepted here and rejected by the calls that
-    forbid them, as for a list; a None record is how they tell.
+    Its memo of operator images (module docstring) is keyed by (member,
+    source, theta), where source is None for the member itself.  A set is
+    used only under its own ranking.  Constant members and members that
+    share a leader are accepted here and rejected by the calls that forbid
+    them, as for a list; a None rank record is how they tell.
     """
 
     def __init__(self, members=(), ranking=None):
@@ -110,7 +111,7 @@ class DivisorSet:
         if ranking is None:
             if not members:
                 raise ValueError("an empty divisor set needs a ranking")
-            ranking = SequentialRanking(_algebra_of(members[0]))
+            ranking = SequentialRanking(check_polynomial(members[0]).algebra)
         self.ranking = ranking
         self.members = []
         self.ranks = []
@@ -120,7 +121,7 @@ class DivisorSet:
 
     def add(self, f):
         """Append f as the next member."""
-        _check_algebra(_algebra_of(f), self.ranking.algebra)
+        check_polynomial(f, self.ranking.algebra, "a divisor set")
         self._add_ranked(f, None if f.is_constant() else f._rank(self.ranking))
 
     def _add_ranked(self, f, rank):
@@ -134,9 +135,7 @@ class DivisorSet:
         # it, and a member -1 or True would read another member's image
         if source is not None and source not in (INITIAL, SEPARANT):
             raise ValueError(f"{source!r} is not an image source")
-        if not _is_member(member, len(self.members)):
-            raise IndexOutOfRange(f"member index {member!r} out of range for "
-                                  f"a set of {len(self.members)}")
+        check_index(member, 0, len(self.members) - 1, "member index")
         key = (member, source, theta)
         img = self._images.get(key)
         if img is None:
@@ -150,33 +149,19 @@ class DivisorSet:
         return img
 
 
-def _algebra_of(f):
-    """f's algebra; AlgebraMismatch when f is not a polynomial."""
-    if not isinstance(f, DPolynomial):
-        raise AlgebraMismatch(f"{f!r} is not a polynomial")
-    return f.algebra
-
-
-def _check_algebra(algebra, expected):
-    # identity first: the members of one family share one algebra object
-    if algebra is not expected and algebra != expected:
-        raise AlgebraMismatch(
-            "a divisor set over one algebra met a polynomial over another")
-
-
 def _divisor_set(divisors, ranking, g):
     """divisors as a DivisorSet over g's algebra.
 
     A list gets a fresh set.  AlgebraMismatch when divisors is not iterable,
     or g or a divisor is not a polynomial over the set's algebra.
     """
-    algebra = _algebra_of(g)
+    algebra = check_polynomial(g).algebra
     if isinstance(divisors, DivisorSet):
         if ranking is not None and ranking is not divisors.ranking:
             raise ValueError("a divisor set is used only under its own ranking")
     else:
         divisors = DivisorSet(divisors, ranking or SequentialRanking(algebra))
-    _check_algebra(algebra, divisors.ranking.algebra)
+    check_polynomial(g, divisors.ranking.algebra, "a divisor set")
     return divisors
 
 
@@ -249,13 +234,9 @@ def reduce(g, divisors, ranking=None):
     strictly decreases lexicographically at each step; this is asserted.
     Step k multiplies the running polynomial by m_k and records a raw
     cofactor; the certificate's c_k is that cofactor times m_{k+1} ... m_n,
-    formed once at the end from a running suffix product.  A step splits
-    the running polynomial g = C * v^d + rest at the eliminated power and
-    sets g to m * rest - C * v^(d-e) * tail, with the tail
-    theta(a) - m * v^e split off theta(a) the same way: by the identity
-    m * (g - C * v^d) - C * v^(d-e) * (theta(a) - m * v^e)
-    = m * g - C * v^(d-e) * theta(a), that is the textbook step's result,
-    without the products that cancel in it.
+    formed once at the end from a running suffix product.  Each step forms
+    the textbook step's result without the products that cancel in it, as
+    the module docstring sets out.
     """
     divisors = _divisor_set(divisors, ranking, g)
     ranking = divisors.ranking
@@ -332,17 +313,15 @@ def multiplier_product(cert, divisors, ranking=None):
     divisors = _divisor_set(divisors, ranking, cert.remainder)
     h = DPolynomial.constant(algebra, 1)
     for factor in _sequence(cert.h_factors, "H factors"):
-        if not (isinstance(factor, HFactor) and factor.source in (INITIAL, SEPARANT)
-                and _is_member(factor.member, len(divisors.members))):
+        if not (isinstance(factor, HFactor) and factor.source in (INITIAL, SEPARANT)):
             raise BadWitness(f"malformed H factor {factor!r}")
+        try:
+            check_index(factor.member, 0, len(divisors.members) - 1, "member index")
+        except IndexOutOfRange:
+            raise BadWitness(f"malformed H factor {factor!r}") from None
         _check_theta(algebra, factor.theta, "H-factor theta", sigma_only=True)
         h = h * divisors.image(factor.member, factor.source, factor.theta)
     return h
-
-
-def _is_member(k, count):
-    """True for a member index: an int (not a bool) in 0..count-1."""
-    return type(k) is int and 0 <= k < count
 
 
 def _sequence(items, what):
@@ -354,16 +333,15 @@ def _sequence(items, what):
 
 
 def _check_theta(algebra, theta, what, sigma_only=False):
-    """BadWitness unless theta is one natural number per slot, sigma-only if asked."""
-    if type(theta) is not tuple or any(type(e) is not int for e in theta):
+    """BadWitness unless theta is a tuple and a multi-index, sigma-only if asked."""
+    fault = "entry" if type(theta) is not tuple else multi_index_fault(algebra, theta)
+    if fault == "entry":
         raise BadWitness(f"{what} {theta!r} is not a tuple of integers")
-    if len(theta) != algebra.M:
-        raise BadWitness(f"{what} {list(theta)} has {len(theta)} slots, "
-                         f"algebra has {algebra.M}")
-    if min(theta, default=0) < 0:
-        raise BadWitness(f"{what} {list(theta)} has a negative entry")
-    if sigma_only and any(theta[s] for i in range(1, algebra.t + 1)
-                          for s in algebra.delta_slots(i)):
+    if fault:
+        problem = ("has a negative entry" if fault == "negative"
+                   else f"has {len(theta)} slots, algebra has {algebra.M}")
+        raise BadWitness(f"{what} {list(theta)} {problem}")
+    if sigma_only and ord_delta(algebra, theta):
         raise BadWitness(f"{what} {list(theta)} is not sigma-only")
 
 
@@ -386,12 +364,15 @@ def _sum_terms(total, terms, count, image):
                 c, theta, member = term
             except (TypeError, ValueError):
                 raise BadWitness(f"combination term {term!r} is not a triple") from None
-            if not _is_member(member, count):
+            try:
+                check_index(member, 0, count - 1, "member index")
+                check_polynomial(c, algebra)
+            except IndexOutOfRange:
                 raise BadWitness(f"combination references generator {member!r}, "
-                                 f"only {count} available")
-            if not (isinstance(c, DPolynomial) and c.algebra == algebra):
+                                 f"only {count} available") from None
+            except AlgebraMismatch:
                 raise BadWitness(f"combination coefficient {c!r} is not a polynomial "
-                                 "over the generators' algebra")
+                                 "over the generators' algebra") from None
             _check_theta(algebra, theta, "combination theta")
             yield from (c * image(member, theta)).terms.items()
 

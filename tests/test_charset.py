@@ -540,6 +540,13 @@ def test_d_ideal_generators_over_fields_40_within_two_seconds():
     assert len(generators) == 861
 
 
+def test_an_order_bound_that_is_not_a_natural_int_is_rejected(dual):
+    # True used to run as bound 1, and the others to escape as a bare TypeError
+    for bound in (True, False, 1.0, "1", None, -1):
+        with pytest.raises(ValueError, match="^order bound must be >= 0$"):
+            d_ideal_generators([parse_poly("x1[0,0]", dual)], bound)
+
+
 def test_empty_families_and_sets(dual):
     empty = AutoreducedSet(())
     assert compare_autoreduced(empty, empty) == EQUIVALENT

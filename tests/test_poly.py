@@ -585,6 +585,18 @@ def test_integral_coefficients_are_stored_as_ints(all_builtins):
     assert format_poly(as_fraction) == format_poly(as_int) == "3 * x1[0,0] - 1/2"
 
 
+def test_coefficient_in_takes_only_natural_int_degrees(hs2):
+    # None used to return the v-free part and True to read as degree 1
+    f = parse_poly("x1[0,0,0]^2 + x1[0,1,0]", hs2)
+    x = DVariable(1, (0, 0, 0))
+    assert f.coefficient_in(x, 0) == parse_poly("x1[0,1,0]", hs2)
+    assert f.coefficient_in(x, 2) == DPolynomial.constant(hs2, 1)
+    assert f.coefficient_in(x, 10 ** 30).is_zero()
+    for k in (None, True, False, -1, 1.0, "1", Fraction(2)):
+        with pytest.raises(ValueError, match="^degree must be a natural number$"):
+            f.coefficient_in(x, k)
+
+
 def test_power_takes_only_natural_int_exponents(dual):
     # x ** True used to return x; a bool is not an int here, as in Monomial.of
     x = parse_poly("x1[0,0] + 1", dual)

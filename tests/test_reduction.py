@@ -204,8 +204,9 @@ def test_divisor_set_image_judges_the_member_before_its_memo(dual, worked):
     # -1 is not the last member, True not member 1; an unhashable index is
     # judged, not looked up
     for member in (-1, True, 1, 0.0, "0", [0]):
+        problem = "out of range 0..0" if type(member) is int else "is not an int"
         with pytest.raises(IndexOutOfRange, match=rf"^member index {re.escape(repr(member))} "
-                                                  r"out of range for a set of 1$"):
+                                                  rf"{problem}$"):
             as_set.image(member, None, (0, 0))
     assert as_set.image(0, None, (0, 0)) is image
     # the source is judged first
@@ -550,14 +551,11 @@ def test_negative_multi_index_entries_are_rejected(hs2):
         with pytest.raises(IndexOutOfRange,
                            match=r"^multi-index \[.*\] has a negative entry$"):
             call()
-    # wrong lengths keep their own errors and messages
+    # a wrong length is one error with one message, as for a variable
     for call in (lambda: is_sigma_only(hs2, (0, 1)), lambda: ord_delta(hs2, (0, 1)),
-                 lambda: ord_i(hs2, (0, 1), 1)):
+                 lambda: ord_i(hs2, (0, 1), 1), lambda: apply_composition(x, (0, 1)),
+                 lambda: rho(hs2, (0, 1))):
         with pytest.raises(AlgebraMismatch,
-                           match="^multi-index has 2 slots, algebra has 3$"):
-            call()
-    for call in (lambda: apply_composition(x, (0, 1)), lambda: rho(hs2, (0, 1))):
-        with pytest.raises(IndexOutOfRange,
                            match="^multi-index has 2 slots, algebra has 3$"):
             call()
     # an entry that is not an int used to be read as a count: rho returned
