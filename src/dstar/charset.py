@@ -285,13 +285,18 @@ def d_ideal_generators(generators, order_bound):
 
     Applies every multi-index with entry sum <= order_bound, made once, to
     each generator in turn, and keeps the first of equal transforms.  A bound
-    that is not an int (a bool included) >= 0 is a ValueError.
+    that is not an int (a bool included) >= 0 is a ValueError, and a
+    generator that is not a polynomial over the first's algebra is an
+    AlgebraMismatch.
     """
     check_natural(order_bound, "order bound must be >= 0")
     generators = list(generators)
     if not generators:
         return []
-    indices = _indices_up_to(check_polynomial(generators[0]).algebra.M, order_bound)
+    algebra = check_polynomial(generators[0]).algebra
+    for g in generators:
+        check_polynomial(g, algebra, "a generator list")
+    indices = _indices_up_to(algebra.M, order_bound)
     return list(dict.fromkeys(apply_composition(f, theta)
                               for f in generators for theta in indices))
 

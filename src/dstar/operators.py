@@ -1,85 +1,61 @@
 """Operator action on polynomials.
 
 The coordinate operators extend from variables to the whole polynomial
-ring through one code path: the block image.  For block i, the image of a
-polynomial is its coordinate vector in the block basis, computed by
-structural recursion with the block's structure constants.  Every
-individual operator application is a coordinate of a block image, so the
+ring through one code path: the block image.  For block i, a variable v
+maps to sum_q e_q * delta_q(v) in the block basis (delta_0 = sigma), and a
+polynomial's image is the block-algebra value of its terms, so every
+individual operator application is a coordinate of a block image, the
 homomorphism property holds by construction and the classical product
 rules become testable consequences.
 
-A block image works in one coordinate set: the closure of the
-coordinates it keeps under "a product e_q * e_r contributing to a needed
-coordinate needs both its factors", since coordinate j of u * w reads
-only u_q and w_r of those products.  The full image keeps every
-coordinate; each unit step of an operator composition keeps one, whose
-set is the unit slot alone for sigma and {0, 1} for hs:2's delta_1.
-Every vector of the image is indexed by position in that set.
-The block's nonzero products are listed from BlockData.table once per
-block table and kept coordinate, renumbered to those positions: power
-images and the inner products of a monomial run over the products cut
-to their contributions into the set, and each monomial's last product
-over those cut to the kept coordinates.  Renumbering and cutting keep
-the table's order of products and of contributions, so a kept
-coordinate receives the same terms in the same order, with the same
-coefficients, as in the full image.
+Coordinate p of a product follows the generalised Hasse-Schmidt rule.
+Expand a term c * v1^a1 ... vn^an over its degree d factor copies: each
+copy takes one coordinate q, and that choice contributes c times the e_p
+coordinate of the product of the chosen e_q.  e_0 is the unit, so only
+the non-unit coordinates chosen matter: a pick is a multiset of them
+whose product in the block has a nonzero e_p coordinate alpha.  Handing
+a pick to the copies, r_j of it to v_j's copies, of which m_jq take q,
+gives the monomial with delta_q(v_j)^m_jq in place of those copies of
+sigma(v_j), counted prod_j falling(a_j, r_j) / prod_q m_jq! times, so
+coordinate p of the term is the sum of alpha * c times those counted
+monomials over every pick and every way to hand it out.  A coordinate q
+lies in the nu(q)-th power of the block's maximal ideal, and
+validate_algebra checks that products respect those depths, so a pick
+of total depth above nu(p) has no e_p coordinate: _picks finds p's picks
+once per block table by a search cut at that depth.  A pick longer than
+a term's degree has no copies to take it.  Every p has the pick (p,),
+one copy taking delta_p, the sigma-twisted derivation rule; it is the
+only pick of the delta of dual and dd:n,m and of hs:n's delta_1, and
+hs:2's delta_2 adds (1, 1): the C(a, 2) pairs of one variable's copies
+and the a * b pairs of two variables'.
 
-Inside one block image, monomials are packed ints.  A local registry
-reads f's variable ids from its monomial keys, interns the slot bumps of
-those variables into the set's coordinates in poly.py's process-wide id
-table, lists the bumps once each in ascending id order and gives each a
-bit field; a monomial's packed int is the sum of its exponents shifted
-into their fields, so a monomial product is one int addition.  Each
-field is as wide as the bit length of f's highest monomial total degree
-d.  That is enough because every coordinate of a degree-d monomial's
-image is homogeneous of degree d in the bumps, so no exponent of any
-intermediate product exceeds d and no field carries into the next.
-Coordinates are multiplied as term dicts {packed int: coefficient}, in
-one loop over the listed products.  A constant is the empty product,
-whose image is the unit vector: packed int 0 in the unit slot.  At the
-end of block_image each kept packed int is decoded once, lowest field
-first, straight into a Monomial key, which comes out in ascending id
-order with no sort, so block images and polynomials share one variable
-numbering.  Each coefficient is judged once, as its packed int is decoded,
-into the one term dict that becomes the output coordinate as it is.  No
-packed dict leaves this module.
+Coordinate 0 has only the empty pick, since no product of non-unit
+basis elements has a unit component (validate_algebra checks that too):
+it is the residue map of the local block, a ring homomorphism fixing
+constants.  So sigma_i, and the full image of a one-element block,
+replace each variable by its bump into the unit slot.  A bump adds 1 in
+one slot, so it is injective on variables: no two monomials merge,
+every coefficient keeps its stored value and form, and the terms keep
+f's order.  Only the keys change, and each is sorted again into id
+order, since bump ids need not follow the ids of the variables they
+bump.
 
-When the coordinate set is the unit slot alone, which is sigma_i in every
-block and the full image of a one-element block, no registry is built: the
-image is f with each variable replaced by its bump into the unit slot.
-That is exact because the set's one product is e_0 * e_0 = e_0 (the unit
-row of a valid block's table; block_image checks it), so coordinate 0 of
-a product is the product of coordinates 0, and that coordinate is a ring
-homomorphism fixing constants, the residue map of the local block.  A
-bump adds 1 in one slot, so it is injective on variables: no two
-monomials merge, every coefficient keeps its stored value and form, and
-the terms keep f's order, as the packed path gives them.  Only the keys
-change, and each is sorted again into id order, since bump ids need not
-follow the ids of the variables they bump.
-
-When a unit step's coordinate set is {0, p} and its products are exactly
-e_0 * e_0 = e_0 and e_0 * e_p = e_p * e_0 = e_p (the delta of dual and
-dd:n,m, hs:n's delta_1), coordinate p is a sigma-twisted derivation,
-delta_p(u * w) = sigma(u) * delta_p(w) + delta_p(u) * sigma(w), since
-coordinate p of a product reads only those products.  A term
-c * v1^a1 ... vn^an then maps to the sum over k of c * ak times its sigma
-image with one sigma(vk) replaced by delta_p(vk), so no power image is
-built: in the registry's fields the term's sigma image is packed once, and
-each factor's term is that int minus sigma(vk)'s field plus delta_p(vk)'s.
-The whole cut product list, coefficients included, is compared, so a
-block whose e_p * e_p adds to {0, p}, or whose constants there are not 1,
-keeps the packed path.  That path multiplies a key's powers left to right,
-and each product inserts the new factor's term (e_0 * e_p) before the
-running ones (e_p * e_0); emitting the factors last first gives the same
-terms in the same order with the same coefficients.  A bump that is one
-variable's delta_p and another's sigma (dual's delta x1[1,0] is
-sigma x1[0,1]) is one field, like any other.
-
-The image of a variable power v^e does not depend on the polynomial it
-sits in.  Within one block image each (v, e) image is therefore built
-once, by squaring in the block algebra, and kept in a memo local to that
-block image.  Memoised vectors are shared, so products always accumulate
-into fresh dicts.
+Inside the walk of one coordinate p >= 1, monomials are packed ints.  A
+local registry reads f's variable ids from its monomial keys, interns
+the slot bumps of those variables into the coordinates p's picks read,
+and no others, in poly.py's process-wide id table, lists the bumps once
+each in ascending id order and gives each a bit field, as wide as the
+bit length of f's highest monomial total degree d: every output
+monomial of a degree-d term has degree d in the bumps, so no field
+carries into the next.  A term's sigma image is packed once, and each
+way to hand out a pick adds, per copy, the shift from sigma(v)'s field
+to delta_q(v)'s.  A bump that is one variable's delta_q and another's
+sigma (dual's delta x1[1,0] is sigma x1[0,1]) is one field, like any
+other.  Each kept packed int is decoded once, lowest field first,
+straight into a Monomial key, which comes out in ascending id order with
+no sort, and each coefficient is judged once, as it is decoded.  No
+packed dict leaves this module.  A full image is the tuple of its
+coordinates, each computed by the one call that computes it alone.
 """
 
 from __future__ import annotations
@@ -93,101 +69,56 @@ from .ordering import _coefficient, check_index, check_multi_index, parse_int, s
 from .poly import _VARIABLES, DPolynomial, _intern, _monomial, check_polynomial
 
 
-def _image_mul(products, u, w):
-    """Multiply two coordinate vectors of packed term dicts through a block's products.
-
-    products lists the block's nonzero products e_p * e_q as
-    (p, q, ((j, alpha), ...)), p major (see _products).  Returns a new
-    vector of fresh dicts, in which zero coefficients may remain; u and w
-    are never modified.
-    """
-    acc = [{} for _ in u]
-    for p, q, contributions in products:
-        up = u[p]
-        wq = w[q]
-        if up and wq:
-            for j, alpha in contributions:
-                a = acc[j]
-                for m1, c1 in up.items():
-                    for m2, c2 in wq.items():
-                        m = m1 + m2
-                        c = c1 * c2 * alpha
-                        old = a.get(m)
-                        a[m] = c if old is None else old + c
-    return acc
-
-
-def _accumulate(acc, terms, scale):
-    """Add scale * terms into the packed term dict acc in place; zeros may remain."""
-    terms = terms.items()
-    if scale != 1:
-        terms = ((m, c * scale) for m, c in terms)
-    for m, c in terms:
-        old = acc.get(m)
-        acc[m] = c if old is None else old + c
-
-
 @lru_cache(maxsize=1024)
-def _products(table, keep):
-    """A block image's coordinate set and products, as (coordinates, inner, last).
+def _picks(table, nu, p):
+    """Coordinate p's picks of two or more coordinates, as (coordinates, picks).
 
-    coordinates is the closure of {keep}, or of every coordinate when keep
-    is None, in ascending order.  inner and last list nonempty cells of
-    BlockData.table as (p, q, contributions), p major, in the table's
-    order, with every index a position in coordinates: inner cuts each
-    cell to its contributions into the coordinates, last to those into
-    keep (every coordinate when keep is None).  Cached per (table, keep),
-    in a bounded cache; the lists are tuples, so no caller can change
-    what the next one reads.
+    A pick is a multiset of non-unit coordinates whose product in the
+    block has the nonzero e_p coordinate alpha.  Every p has the pick (p,),
+    with alpha 1, and no other pick of one coordinate; every coordinate of
+    a longer pick is shallower than p, so lies below it.  coordinates is 0
+    and every coordinate a pick holds, ascending, so p is the last, and
+    picks lists each longer pick as (positions, alpha), shortest first,
+    with each coordinate named by its position in coordinates, ascending.
+    The search extends a pick by coordinates no lower than its last while
+    its total depth stays within nu(p) (nu is nondecreasing along a valid
+    block's basis) and its product is nonzero.  Cached per (table, nu, p) in
+    a bounded cache; the lists are tuples, so no caller can change what the
+    next one reads.
     """
-    cells = tuple((p, q, cell) for p, row in enumerate(table)
-                  for q, cell in enumerate(row) if cell)
-    wanted = set(range(len(table))) if keep is None else {keep}
-    needed, grown = set(), wanted
-    while grown != needed:
-        needed = grown
-        grown = needed.union(*((p, q) for p, q, cell in cells
-                               if any(j in needed for j, _ in cell)))
-    coordinates = tuple(sorted(needed))
-    position = {j: k for k, j in enumerate(coordinates)}
+    limit = nu[p - 1]
+    picks = []
 
-    def cut(into):
-        cut_cells = ((p, q, tuple((position[j], a) for j, a in cell if j in into))
-                     for p, q, cell in cells)
-        return tuple((position[p], position[q], c) for p, q, c in cut_cells if c)
+    def extend(pick, product, depth):
+        for q in range(pick[-1] if pick else 1, len(table)):
+            deeper = depth + nu[q - 1]
+            if deeper > limit:
+                break
+            grown = {}
+            for j, c in product.items():
+                for k, a in table[j][q]:
+                    grown[k] = grown.get(k, 0) + c * a
+            grown = {k: c for k, c in grown.items() if c}
+            if grown:
+                if pick and p in grown:
+                    picks.append((pick + (q,), _coefficient(grown[p])))
+                extend(pick + (q,), grown, deeper)
 
-    return coordinates, cut(needed), cut(wanted)
-
-
-def _power_image(products, v, e, memo):
-    """Block image of v^e as packed term dicts, by squaring, memoised under (v, e).
-
-    v is a variable id.  The memo holds every (v, 1) image before the
-    first call.  The halvings down to a memoised power are a loop, not a
-    recursion, so an exponent of any bit length is built without
-    exhausting the interpreter's stack.
-    """
-    halvings = []
-    while (v, e) not in memo:
-        halvings.append(e)
-        e //= 2
-    img = memo[(v, e)]
-    for e in reversed(halvings):
-        img = _image_mul(products, img, img)
-        if e & 1:
-            img = _image_mul(products, img, memo[(v, 1)])
-        memo[(v, e)] = img
-    return img
+    extend((), {0: 1}, 0)
+    coordinates = (0, *sorted({q for pick, _ in picks for q in pick} | {p}))
+    position = {q: k for k, q in enumerate(coordinates)}
+    return coordinates, tuple(sorted(((tuple(map(position.get, pick)), alpha)
+                                      for pick, alpha in picks), key=lambda e: len(e[0])))
 
 
 def _registry(f, i, coordinates):
-    """The packed-int registry of f's block-i image over its coordinates.
+    """The packed-int registry of a walk of f's block-i image over coordinates.
 
     Returns (bumps, width, fields): the ids of the distinct bumps of f's
     variables into those slots in ascending order, bump k owning bits
     [k*width, (k+1)*width) of a packed int; the field width, the bit length
     of f's highest monomial total degree; and, per variable id, the packed
-    ints of its bumps, one per coordinate.
+    ints of its bumps, one per coordinate, unit slot first.
     """
     algebra = f.algebra
     base = algebra._offsets[i - 1]      # block i's sigma slot; block_image judged i
@@ -229,10 +160,6 @@ def _decode(algebra, packed_terms, bumps, width):
     return DPolynomial._nonzero(algebra, terms)
 
 
-# the products of a coordinate set that is the unit slot alone: e_0 * e_0 = e_0
-_UNIT_PRODUCT = ((0, 0, ((0, 1),)),)
-
-
 def _substitute(f, slot):
     """f with each variable replaced by its bump in the global slot.
 
@@ -259,27 +186,63 @@ def _substitute(f, slot):
     return DPolynomial._nonzero(algebra, out)
 
 
-# the products of a coordinate set {0, p} whose delta_p is a sigma-derivation:
-# e_0 * e_0 = e_0, e_0 * e_p = e_p, e_p * e_0 = e_p
-_DERIVATION_PRODUCTS = ((0, 0, ((0, 1),)), (0, 1, ((1, 1),)), (1, 0, ((1, 1),)))
+def _spread(acc, pick, fields, room, c, packed, t=0, last=0, run=0, count=1):
+    """Add into acc each way to hand pick[t:] to a term's factors.
+
+    c is the term's coefficient times the pick's alpha, packed the term's
+    image so far, and fields[k] and room[k] factor k's fields and its copies
+    not yet picked.  Equal coordinates of the pick go to factors in ascending
+    order, so each way is met once; last is the factor that took pick[t - 1]
+    and run how many of that coordinate it holds.  count is the number of
+    ways to place the picks handed out so far on the copies, so each step
+    multiplies it by the free copies and divides it by the run, exactly.
+    """
+    if t == len(pick):
+        old = acc.get(packed)
+        acc[packed] = c * count if old is None else old + c * count
+        return
+    q = pick[t]
+    same = t and pick[t - 1] == q
+    for k in range(last if same else 0, len(room)):
+        free = room[k]
+        if free:
+            held = run + 1 if same and k == last else 1
+            room[k] = free - 1
+            fk = fields[k]
+            _spread(acc, pick, fields, room, c, packed - fk[0] + fk[q],
+                    t + 1, k, held, count * free // held)
+            room[k] = free
 
 
-def _derivation(f, i, coordinates):
-    """Coordinate p of f's block-i image over coordinates (0, p), when delta_p
-    is a sigma-derivation: one walk per term, its factors last first."""
+def _walk(f, i, p):
+    """Coordinate p >= 1 of f's block-i image: each term walks p's picks once."""
+    block = f.algebra.blocks[i - 1]
+    coordinates, picks = _picks(block.table, block.nu, p)
     bumps, width, fields = _registry(f, i, coordinates)
+    top = len(coordinates) - 1      # p's position
     acc = {}
     for monomial, coeff in f.terms.items():
         key = monomial.key
-        sigma = 0
-        for k in range(0, len(key), 2):
-            sigma += fields[key[k]][0] * key[k + 1]
-        for k in range(len(key) - 2, -1, -2):
-            s, d = fields[key[k]]
-            m = sigma - s + d
+        n = len(key)
+        packed = 0      # the term's sigma image
+        for k in range(0, n, 2):
+            packed += fields[key[k]][0] * key[k + 1]
+        # the pick (p,): one copy of factor k, a_k ways; last factor first, for
+        # no result reads the term order, but the offending scan's early exit,
+        # and so its traced call counts, do
+        for k in range(n - 2, -1, -2):
+            fk = fields[key[k]]
+            m = packed - fk[0] + fk[top]
             c = key[k + 1] * coeff
             old = acc.get(m)
             acc[m] = c if old is None else old + c
+        if picks:
+            degree = sum(key[1::2])
+            for pick, alpha in picks:
+                if len(pick) > degree:
+                    break
+                _spread(acc, pick, [fields[v] for v in key[::2]], list(key[1::2]),
+                        coeff * alpha, packed)
     return _decode(f.algebra, acc, bumps, width)
 
 
@@ -287,35 +250,18 @@ def block_image(f, i, p=None):
     """Image of f under the block-i coordinate operators.
 
     Returns the coordinate tuple in the block basis, unit slot first, or
-    with p the one-tuple of coordinate p, computed alone.  Variables map
-    to their slot bumps, constants embed in the unit slot, sums add
-    coordinatewise and products multiply through the structure constants.
+    with p the one-tuple of coordinate p, computed alone: coordinate 0
+    substitutes the unit-slot bumps, and each other coordinate walks its
+    picks (module docstring).
     """
     algebra = check_polynomial(f).algebra
     block = algebra.block(i)  # validates the block index
-    if p is not None:
-        check_index(p, 0, block.m, "operator index")
-    coordinates, inner, last = _products(block.table, p)
-    if coordinates == (0,) and inner == _UNIT_PRODUCT:
-        return (_substitute(f, algebra._offsets[i - 1]),)
-    if p is not None and inner == _DERIVATION_PRODUCTS:
-        return (_derivation(f, i, coordinates),)
-    kept = range(len(coordinates)) if p is None else (coordinates.index(p),)
-    bumps, width, fields = _registry(f, i, coordinates)
-    memo = {(v, 1): [{b: 1} for b in packed] for v, packed in fields.items()}
-    # the empty product: a constant embeds in the unit slot (packed int 0)
-    unit = [{0: 1}] + [{}] * (len(coordinates) - 1)
-    acc = [{} for _ in kept]
-    for monomial, coeff in f.terms.items():
-        key = monomial.key
-        n = len(key)
-        vec = _power_image(inner, key[0], key[1], memo) if n else unit
-        for k in range(2, n, 2):
-            img = _power_image(inner, key[k], key[k + 1], memo)
-            vec = _image_mul(inner if k + 2 < n else last, vec, img)
-        for j, a in zip(kept, acc):
-            _accumulate(a, vec[j], coeff)
-    return tuple(_decode(algebra, a, bumps, width) for a in acc)
+    slot = algebra._offsets[i - 1]
+    if p is None:
+        return tuple([_walk(f, i, q) if q else _substitute(f, slot)
+                      for q in range(block.m + 1)])
+    check_index(p, 0, block.m, "operator index")
+    return (_walk(f, i, p) if p else _substitute(f, slot),)
 
 
 def apply(f, i, p):
@@ -332,7 +278,7 @@ def apply_composition(f, theta):
     independent of the order because the coordinate operators commute.
     """
     algebra = check_polynomial(f).algebra
-    check_multi_index(algebra, theta)
+    check_multi_index(algebra.M, theta)
     out = f
     for slot, count in enumerate(theta):
         if count:
@@ -344,7 +290,7 @@ def apply_composition(f, theta):
 
 def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
-    check_multi_index(algebra, theta)
+    check_multi_index(algebra.M, theta)
     out = [0] * algebra.M
     offsets = algebra._offsets      # each block's sigma slot, then M
     for start, end in zip(offsets, offsets[1:]):

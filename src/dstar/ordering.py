@@ -222,9 +222,10 @@ def check_index(k, low, high, what):
     return k
 
 
-def multi_index_fault(algebra, theta):
-    """None for a multi-index, a tuple or list of one int (not a bool) >= 0 per
-    slot, else its first fault: "sequence", "entry", "width" or "negative"."""
+def multi_index_fault(width, theta):
+    """None for a multi-index of the width, a tuple or list of one int (not a
+    bool) >= 0 per slot, else its first fault: "sequence", "entry", "width"
+    or "negative"."""
     if not isinstance(theta, (tuple, list)):
         return "sequence"
     negative = False
@@ -232,17 +233,18 @@ def multi_index_fault(algebra, theta):
         if type(e) is not int:
             return "entry"
         negative = negative or e < 0
-    if len(theta) != algebra.M:
+    if len(theta) != width:
         return "width"
     return "negative" if negative else None
 
 
-def check_multi_index(algebra, theta):
-    """AlgebraMismatch for a multi-index of the wrong width, as for a variable, and
-    IndexOutOfRange for any other fault."""
-    fault = multi_index_fault(algebra, theta)
+def check_multi_index(width, theta, owner="algebra"):
+    """AlgebraMismatch for a multi-index that is not width slots wide, as for a
+    variable, naming the owner of the width, and IndexOutOfRange for any other
+    fault."""
+    fault = multi_index_fault(width, theta)
     if fault == "width":
-        raise AlgebraMismatch(f"multi-index has {len(theta)} slots, algebra has {algebra.M}")
+        raise AlgebraMismatch(f"multi-index has {len(theta)} slots, {owner} has {width}")
     if fault == "sequence":
         raise IndexOutOfRange(f"multi-index {theta!r} is not a tuple or list")
     if fault:
@@ -252,13 +254,13 @@ def check_multi_index(algebra, theta):
 
 def ord_i(algebra, theta, i):
     """Sum of the delta-slot entries of block i (sigma excluded)."""
-    check_multi_index(algebra, theta)
+    check_multi_index(algebra.M, theta)
     return sum(theta[s] for s in algebra.delta_slots(i))
 
 
 def ord_delta(algebra, theta):
     """Sum of the delta-slot entries of every block: all but the sigma slots."""
-    check_multi_index(algebra, theta)
+    check_multi_index(algebra.M, theta)
     # each block's sigma slot is its offset
     return sum(theta) - sum([theta[s] for s in algebra._offsets[:-1]])
 
@@ -400,11 +402,18 @@ def check_ranking_axioms(ranking, sample_variables):
 def dickson_minimal(indices):
     """Minimal elements of a finite multi-index set under componentwise <=.
 
-    Every input element dominates some returned element.  Processing in
-    ascending total-degree order lets each candidate be tested against the
-    kept minima only.
+    Every input element dominates some returned element.  Each index is
+    judged as a multi-index as wide as the first.  Processing in ascending
+    total-degree order lets each candidate be tested against the kept
+    minima only.
     """
-    seen = sorted(set(indices), key=lambda t: (sum(t), t))
+    indices = list(indices)
+    if indices:
+        first = indices[0]
+        width = len(first) if isinstance(first, (tuple, list)) else 0
+        for theta in indices:
+            check_multi_index(width, theta, "the first multi-index")
+    seen = sorted(set(map(tuple, indices)), key=lambda t: (sum(t), t))
     minimal = []
     for theta in seen:
         if not any(all(a <= b for a, b in zip(mu, theta)) for mu in minimal):

@@ -56,6 +56,7 @@ from .ordering import (
     Record,
     SequentialRanking,
     check_index,
+    check_multi_index,
     multi_index_fault,
     ord_delta,
     parse_variable,
@@ -136,7 +137,9 @@ class DivisorSet:
         if source is not None and source not in (INITIAL, SEPARANT):
             raise ValueError(f"{source!r} is not an image source")
         check_index(member, 0, len(self.members) - 1, "member index")
-        key = (member, source, theta)
+        # theta too: (0, True, 0) and (0, 1, 0) are one key; a list is keyed as its tuple
+        check_multi_index(self.ranking.algebra.M, theta)
+        key = (member, source, tuple(theta))
         img = self._images.get(key)
         if img is None:
             f = self.members[member]
@@ -334,7 +337,7 @@ def _sequence(items, what):
 
 def _check_theta(algebra, theta, what, sigma_only=False):
     """BadWitness unless theta is a tuple and a multi-index, sigma-only if asked."""
-    fault = "entry" if type(theta) is not tuple else multi_index_fault(algebra, theta)
+    fault = "entry" if type(theta) is not tuple else multi_index_fault(algebra.M, theta)
     if fault == "entry":
         raise BadWitness(f"{what} {theta!r} is not a tuple of integers")
     if fault:

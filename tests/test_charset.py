@@ -495,6 +495,16 @@ def test_d_ideal_generators(dual):
     assert len(d_ideal_generators([x], 2)) == 6
 
 
+def test_d_ideal_generators_judge_every_generator(all_builtins):
+    # hs:2 and dd:1,1 both have three slots, so only the algebra tells them apart
+    hs2, dd11 = all_builtins["hs:2"], all_builtins["dd:1,1"]
+    x, y = parse_poly("x1[0,0,0]", hs2), parse_poly("x1[0,0,0]", dd11)
+    for generators in ([x, y], [y, x], [x, x, y]):
+        with pytest.raises(AlgebraMismatch, match="^a generator list over one algebra met "
+                                                  "a polynomial over another$"):
+            d_ideal_generators(generators, 1)
+
+
 def test_d_ideal_generators_match_transforms_from_scratch(all_builtins):
     # reference: apply every multi-index afresh, in the enumeration order
     rng = random.Random(53)

@@ -24,7 +24,7 @@ from dstar.classical import project_to_differential
 from dstar.errors import (
     AlgebraMismatch, BadWitness, IndexOutOfRange, UnknownBuiltin, WrongAlgebra)
 from dstar.operators import apply, apply_composition, block_image, rho
-from dstar.ordering import DVariable, apply_slot, ord_delta, ord_i
+from dstar.ordering import DVariable, apply_slot, dickson_minimal, ord_delta, ord_i
 from dstar.parser import parse_poly
 from dstar.poly import DPolynomial, format_poly, rank_compare
 from dstar.reduction import (
@@ -59,8 +59,6 @@ NOT_SWEPT = {
     "parse_generator_file",
     # autoreduced sets, rankings and variables
     "compare_autoreduced", "presentation", "check_ranking_axioms", "transform_of",
-    # tuples of any one width, with no algebra to judge them against
-    "dickson_minimal",
     # the classical oracle's own types, and its algebra
     "DiffPolynomial", "DiffVar", "dual_algebra", "lift_to_dual", "ritt_reduce",
     "DStarError", "ExprParseError",
@@ -194,6 +192,12 @@ def sweep_cases():
     s.multi_index("ord_delta", "theta", 3, lambda t: ord_delta(hs2, t))
     s.multi_index("ord_i", "theta", 3, lambda t: ord_i(hs2, t, 1))
     s.multi_index("DivisorSet.image", "theta", 3, lambda t: DivisorSet([f]).image(0, None, t))
+    # judged at the first index's width, so the faults of the first index
+    # itself are every fault but the width
+    s.multi_index("dickson_minimal", "second index", 3, lambda t: dickson_minimal([zero, t]))
+    s.add("dickson_minimal", "first index",
+          NOT_ONE + (HUGE,) + tuple((e,) + zero[1:] for e in NOT_ONE), IndexOutOfRange,
+          lambda t: dickson_minimal([t, zero]))
     s.multi_index("closure_step_witness", "tau", 3,
                   lambda t: closure_step_witness([x], witness(tau=t)), expected=BadWitness)
     s.multi_index("closure_step_witness", "term theta", 3,
@@ -223,8 +227,7 @@ def sweep_cases():
                        ("closure_step_witness",
                         lambda fs: closure_step_witness(fs, witness()))):
         s.polynomial(name, "first member", lambda p, call=call: call([p, x]))
-        s.polynomial(name, "second member", lambda p, call=call: call([x, p]),
-                     None if name == "d_ideal_generators" else other)
+        s.polynomial(name, "second member", lambda p, call=call: call([x, p]), other)
     for name, call in (("reduce", reduce), ("a_leader", a_leader),
                        ("is_reduced_wrt_set", is_reduced_wrt_set)):
         s.polynomial(name, "g", lambda p, call=call: call(p, [x]), other)

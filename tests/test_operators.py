@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dstar.operators
-from dstar.algebra import AlgebraSpec, make_block_spec, validate_algebra
+from dstar.algebra import AlgebraSpec, builtin, make_block_spec, validate_algebra
 from dstar.classical import DiffPolynomial, DiffVar, project_to_differential
 from dstar.errors import AlgebraMismatch, ExprParseError, IndexOutOfRange
 from dstar.operators import apply, apply_composition, block_image, parse_operator, rho
@@ -292,12 +292,10 @@ def test_sigma_images_substitute_the_unit_slot_bump(all_builtins):
 
 
 def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
-    # delta_p whose coordinate set {0, p} has only the products e_0 e_0 = e_0
-    # and e_0 e_p = e_p e_0 = e_p is a sigma-derivation, computed without
-    # power images: against the reference, and with the terms, order and
-    # coefficient types of the full image's coordinate p
-    derivation = dstar.operators._DERIVATION_PRODUCTS
-    products = dstar.operators._products
+    # delta_p whose only pick is (p,) is a sigma-derivation: one walk over
+    # each term's factors, against the reference, and with the terms, order
+    # and coefficient types of the full image's coordinate p
+    picks = dstar.operators._picks
     rng = random.Random(40)
     algebras = {**all_builtins, "five": _five_element_algebra(Fraction(1, 2))}
     extra = {"dual": ["x1[1,0]^3 * x1[0,1]^2",     # delta x1[1,0] = sigma x1[0,1]
@@ -312,10 +310,10 @@ def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
         polys += [rand_poly(rng, d, n_vars=3) for _ in range(8)]
         for f in polys:
             for i in range(1, d.t + 1):
-                table = d.block(i).table
+                block = d.block(i)
                 reference, full = _reference_image(f, i), block_image(f, i)
-                for p in range(1, len(table)):
-                    if products(table, p)[1] != derivation:
+                for p in range(1, block.m + 1):
+                    if picks(block.table, block.nu, p)[1]:
                         continue
                     matched.add((label, i, p))
                     alone, = block_image(f, i, p)
@@ -323,7 +321,7 @@ def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
                     assert [(m, c, type(c)) for m, c in alone.terms.items()] == \
                         [(m, c, type(c)) for m, c in full[p].terms.items()], (label, i, p, f)
     # every delta of dual and dd:1,1, hs:2's delta_1 and the five-element e1
-    # and e2; hs:2's delta_2 and f1, f2 keep the packed path
+    # and e2; hs:2's delta_2 and f1, f2 have longer picks
     assert matched == {("dual", 1, 1), ("dd:1,1", 1, 1), ("hs:2", 1, 1),
                        ("five", 1, 1), ("five", 1, 2)}
     d = algebras["dual"]
@@ -336,6 +334,41 @@ def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
         [(Monomial.of({parse_variable("x1[1,0]", d): 1,
                        parse_variable("x1[0,1]", d): 1}), 1, int)]
     assert apply(parse_poly("-7/3", d), 1, 1) == DPolynomial.zero(d)
+
+
+def test_unit_steps_walk_the_pinned_pick_tables(hs2):
+    # each coordinate's picks beside (p,): positions in its coordinates
+    picks = dstar.operators._picks
+    hs3 = validate_algebra(builtin("truncated_hs", 3))
+    five = _five_element_algebra(Fraction(1, 2))
+    tables = {label: [picks(d.block(1).table, d.block(1).nu, p)
+                      for p in range(1, d.block(1).m + 1)]
+              for label, d in (("hs:3", hs3), ("five", five))}
+    assert tables["hs:3"] == [((0, 1), ()), ((0, 1, 2), (((1, 1), 1),)),
+                              ((0, 1, 2, 3), (((1, 2), 1), ((1, 1, 1), 1)))]
+    # f1 = e1*e1 + 2*e1*e2 reads e1 and e2; f2 = e1*e1 - 3*e2*e2, whose
+    # coordinates skip f1, names e2 by its position 2
+    assert tables["five"] == [((0, 1), ()), ((0, 2), ()),
+                              ((0, 1, 2, 3), (((1, 1), 1), ((1, 2), Fraction(1, 2)))),
+                              ((0, 1, 2, 4), (((1, 1), 1), ((2, 2), -3)))]
+    # every unit step against the reference, on hs:3 and hs:4: powers on
+    # both sides of each pick length (a pick of three coordinates on a term
+    # of degree two takes no copy; one spread over three factors takes one
+    # copy of each) and several factors beside one another
+    rng = random.Random(42)
+    for d in (hs3, validate_algebra(builtin("truncated_hs", 4))):
+        zero, last = ",".join("0" * d.M), ",".join("0" * (d.M - 1) + "1")
+        x, y, z = f"x1[{zero}]", f"x2[{zero}]", f"x1[{last}]"
+        exprs = [f"{x}^{e}" for e in range(1, 6)]
+        exprs += [f"{x} * {y}", f"{x} * {y} * {z}", f"{x}^2 * {y} - 3/2 * {z}^3",
+                  f"2/3 * {x}^3 * {y}^2 * {z} + {x} * {z} - 4"]
+        polys = [parse_poly(expr, d) for expr in exprs]
+        polys += [_rand_powers_poly(rng, d, 4, max_factors=3) for _ in range(12)]
+        for f in polys:
+            reference = _reference_image(f, 1)
+            for p in range(1, d.block(1).m + 1):
+                assert block_image(f, 1, p) == (reference[p],), (d.M, p, f)
+                assert apply(f, 1, p) == reference[p], (d.M, p, f)
 
 
 @pytest.mark.parametrize("n", [99999999, 2 ** 1100 + 1], ids=["1e8", "2^1100+1"])
@@ -358,7 +391,7 @@ def test_block_image_of_a_huge_power_has_its_closed_form(dual, hs2, n):
                      (parse_poly(f"x1[0,0,0]^{n}", hs2), hs2_image)):
         assert block_image(f, 1) == image
         # each coordinate alone: the delta of dual and hs:2's delta_1 walk
-        # the one term, hs:2's delta_2 squares
+        # the pick (1,), and hs:2's delta_2 the picks (2,) and (1, 1)
         for p, coordinate in enumerate(image):
             assert block_image(f, 1, p) == (coordinate,)
 
@@ -402,15 +435,15 @@ def test_non_unit_structure_constants_match_the_reference(c):
 
 
 def test_a_block_image_interns_only_the_bumps_it_reads(hs2):
-    # a kept coordinate's closure: sigma reads the unit slot alone, delta_1
-    # the unit slot and itself, delta_2 every coordinate
-    products = dstar.operators._products
-    table = hs2.block(1).table
-    assert [products(table, keep)[0] for keep in (0, 1, 2, None)] == \
-        [(0,), (0, 1), (0, 1, 2), (0, 1, 2)]
-    # closures with a gap: e2 reads the unit and e2; f2 = e1*e1 + e2*e2 skips f1
-    table = _five_element_algebra(2).block(1).table
-    assert (products(table, 2)[0], products(table, 4)[0]) == ((0, 2), (0, 1, 2, 4))
+    # sigma reads the unit slot alone, and each delta the coordinates of its
+    # picks: delta_1 the unit slot and itself, delta_2 every coordinate
+    picks = dstar.operators._picks
+    block = hs2.block(1)
+    assert [picks(block.table, block.nu, p)[0] for p in (1, 2)] == [(0, 1), (0, 1, 2)]
+    # coordinates with a gap: e2 reads the unit and e2; f2 = e1*e1 + e2*e2 skips f1
+    block = _five_element_algebra(2).block(1)
+    assert (picks(block.table, block.nu, 2)[0], picks(block.table, block.nu, 4)[0]) == \
+        ((0, 2), (0, 1, 2, 4))
     # x77 is an indeterminate no other test meets, so no bump of it is
     # interned before this block image makes it
     f = parse_poly("x77[0,0,0]^2 * x77[2,0,0] + 3 * x77[2,0,0] - 4", hs2)
@@ -426,6 +459,17 @@ def test_a_block_image_interns_only_the_bumps_it_reads(hs2):
     assert bumps(1) <= _IDS.keys() and not bumps(2) & _IDS.keys()
     block_image(f, 1)
     assert bumps(2) <= _IDS.keys()
+    # and on the five-element block, f2's walk skips f1's bumps
+    five = _five_element_algebra(Fraction(1, 2))
+    g = parse_poly("x78[0,0,0,0,0]^3 - x78[0,0,0,0,0]", five)
+
+    def five_bumps(p):
+        return {DVariable(78, _bump((0,) * 5, five.slot_index(1, p)))}
+
+    assert not set().union(*map(five_bumps, range(5))) & _IDS.keys()
+    block_image(g, 1, 4)
+    assert set().union(*map(five_bumps, (0, 1, 2, 4))) <= _IDS.keys()
+    assert not five_bumps(3) & _IDS.keys()
 
 
 def test_dual_tower_is_the_classical_derivative(dual):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dstar.errors import AlgebraMismatch, ExprParseError, InvalidRanking
+from dstar.errors import AlgebraMismatch, ExprParseError, IndexOutOfRange, InvalidRanking
 from dstar.ordering import (
     EQUAL,
     GREATER,
@@ -233,6 +233,22 @@ def test_dickson_examples():
     assert set(dickson_minimal([(1, 0), (0, 1), (1, 1)])) == {(1, 0), (0, 1)}
     assert dickson_minimal([]) == []
     assert dickson_minimal([(2, 2)]) == [(2, 2)]
+
+
+def test_dickson_minimal_judges_each_multi_index():
+    # at the first index's width: a negative or non-int entry, a value that
+    # is no sequence and a width of its own are the judge's errors
+    for indices, error, message in (
+            ([(-1, 0), (0, 0)], IndexOutOfRange, r"^multi-index \[-1, 0\] has a negative entry$"),
+            ([(0, "a")], IndexOutOfRange, r"^multi-index \[0, 'a'\] has a non-int entry$"),
+            ([(0, 0), (True, 0)], IndexOutOfRange, r"has a non-int entry$"),
+            ([(0, 0), 3], IndexOutOfRange, r"^multi-index 3 is not a tuple or list$"),
+            ([(0, 0), (1, 2, 3)], AlgebraMismatch,
+             r"^multi-index has 3 slots, the first multi-index has 2$")):
+        with pytest.raises(error, match=message):
+            dickson_minimal(indices)
+    # a list is a multi-index too, returned as a tuple
+    assert dickson_minimal([[1, 0], (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
 
 
 def _dickson_oracle(points):

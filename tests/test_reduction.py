@@ -198,6 +198,22 @@ def test_divisor_set_image_judges_the_source_before_its_memo(dual, worked):
     assert as_set.image(0, INITIAL, (0, 0)) == worked.initial()
 
 
+def test_divisor_set_image_judges_theta_before_its_memo(hs2):
+    # (0, True, 0) and (0, 1.0, 0) hash and compare as (0, 1, 0), so a memo
+    # read before the judge returned that image; a fresh set raised
+    f = parse_poly("x1[0,1,0] + x1[0,0,0]^2", hs2)
+    as_set = DivisorSet([f])
+    image = as_set.image(0, None, (0, 1, 0))
+    for theta in ((0, True, 0), (0, 1.0, 0)):
+        for divisors in (as_set, DivisorSet([f])):
+            with pytest.raises(IndexOutOfRange, match=r"has a non-int entry$"):
+                divisors.image(0, None, theta)
+    # a list is a multi-index, keyed as its tuple
+    assert as_set.image(0, None, [0, 1, 0]) is image
+    with pytest.raises(AlgebraMismatch, match=r"^multi-index has 2 slots, algebra has 3$"):
+        as_set.image(0, None, (0, 1))
+
+
 def test_divisor_set_image_judges_the_member_before_its_memo(dual, worked):
     as_set = DivisorSet([worked])
     image = as_set.image(0, None, (0, 0))

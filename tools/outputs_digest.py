@@ -71,7 +71,12 @@ reductions, or the name and message of the exception one raises
 sequential ranking and under demoted_key (checked on each instance's
 variables), GENERAL_COUNT per algebra and ranking.  Every other
 reduction the lines pin runs over a builtin stream algebra, and all but
-the charset-custom ones under the sequential ranking.
+the charset-custom ones under the sequential ranking.  The deep-steps
+line hashes format_poly of apply(h, 1, p) for every p >= 1 over hs:3,
+hs:4 and FIVE, on seeded polynomials whose exponents lie on both sides
+of each length of a multiset of coordinates whose product reaches p
+(up to p on hs:p, up to 2 on FIVE): every unit step of those blocks
+beyond the sigma-derivations that the other lines mostly meet.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
         "witnesses", "charset-custom", "cli", "apply", "non-builtin", "scan",
-        "reductions-general")
+        "reductions-general", "deep-steps")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -166,6 +171,8 @@ FIVE = (["1", "e1", "e2", "f1", "f2"],
 NON_BUILTIN_SEED, NON_BUILTIN_COUNT = 35, 50
 # the reductions-general line's seed, and its reductions per algebra and ranking
 GENERAL_SEED, GENERAL_COUNT = 39, 100
+# the deep-steps line's seed, and its polynomials per algebra
+DEEP_SEED, DEEP_COUNT = 42, 40
 
 
 def demoted_key(v):
@@ -316,6 +323,31 @@ def non_builtin_polynomials():
         if n % 2:
             terms[Monomial.of({})] = Fraction(rng.choice((-4, -1, 3, 7)), rng.randint(1, 2))
         yield f"five#{n}", DPolynomial(algebra, terms)
+
+
+def deep_step_polynomials():
+    """(name, polynomial) over hs:3, hs:4 and FIVE; every other one has a constant term.
+
+    Each term has one to three variable powers, with exponents from 1 to
+    one above the block's deepest nu, the longest multiset of coordinates
+    whose product reaches a coordinate.
+    """
+    five = validate_algebra(AlgebraSpec((make_block_spec(*FIVE),)))
+    rng = random.Random(DEEP_SEED)
+    for label, algebra in (("hs:3", algebra_from_name("hs:3")),
+                           ("hs:4", algebra_from_name("hs:4")), ("five", five)):
+        top = algebra.block(1).nu[-1] + 1
+        for n in range(DEEP_COUNT):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                powers = {DVariable(rng.randint(1, 2),
+                                    tuple(rng.randint(0, 1) for _ in range(algebra.M))):
+                          rng.randint(1, top) for _ in range(rng.randint(1, 3))}
+                terms[Monomial.of(powers)] = Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                                      rng.randint(1, 3))
+            if n % 2:
+                terms[Monomial.of({})] = Fraction(rng.choice((-4, -1, 3, 7)), rng.randint(1, 2))
+            yield f"{label}#{n}", DPolynomial(algebra, terms)
 
 
 def bumped(rng, theta):
@@ -481,6 +513,10 @@ def main():
         except DStarError as exc:
             text = f"{type(exc).__name__}: {exc}"
         record("reductions-general", name, text)
+
+    for name, h in deep_step_polynomials():
+        record("deep-steps", name, "\n".join(
+            format_poly(apply(h, 1, p)) for p in range(1, h.algebra.block(1).m + 1)))
 
     print(f"families {len(items)}")
     for key, h in digests.items():
