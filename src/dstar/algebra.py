@@ -9,6 +9,11 @@ the basis and products respect the depth filtration.  The validated
 DAlgebra carries nu, the index sets gamma, the structure constants alpha
 and the operator signature (one sigma slot plus one delta slot per
 nilpotent basis element, block by block).
+
+Each block's structure constants are stored once, as one sparse table,
+and multiplied by one product, _times.  Validation resolves the basis
+names straight into that table and runs every check through _times, and
+the block images of operators.py multiply the same table through it.
 """
 
 from __future__ import annotations
@@ -370,13 +375,25 @@ def validate_algebra(spec):
     return DAlgebra(tuple(blocks))
 
 
+def _times(table, u, w):
+    """The product of sparse basis vectors u and w, {index: coefficient} dicts
+    without zeros, over the stored table of one block."""
+    out = {}
+    for p, up in u.items():
+        for q, wq in w.items():
+            for k, a in table[p][q]:
+                out[k] = out.get(k, 0) + up * wq * a
+    # a scan of the values is cheaper than a rebuild, and most products cancel nothing
+    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+
+
 def _validate_block(bi, block):
     names = block.basis_names
     dim = len(names)
     index = {n: k for k, n in enumerate(names)}
 
-    # sparse multiplication table; mul_table[p][q] is the vector of e_p * e_q
-    mul_table = [[{} for _ in range(dim)] for _ in range(dim)]
+    # the stored table: a coordinate listed twice is summed, and a zero dropped
+    rows = [[()] * dim for _ in range(dim)]
     for (a, b), coords in block.table:
         if a not in index or b not in index:
             bad = a if a not in index else b
@@ -388,44 +405,38 @@ def _validate_block(bi, block):
                 raise InvalidAlgebraSpec(
                     f"block {bi}: product {a}*{b} yields unknown name {n!r}")
             vec[index[n]] = vec.get(index[n], 0) + c
-        mul_table[index[a]][index[b]] = mul_table[index[b]][index[a]] = {
-            k: c for k, c in vec.items() if c}
-
-    def times(u, w):
-        out = {}
-        for p, up in u.items():
-            for q, wq in w.items():
-                for k, c in mul_table[p][q].items():
-                    out[k] = out.get(k, 0) + up * wq * c
-        return {k: c for k, c in out.items() if c}
+        rows[index[a]][index[b]] = rows[index[b]][index[a]] = tuple(
+            (j, _coefficient(c)) for j, c in sorted(vec.items()) if c)
+    table = tuple(map(tuple, rows))
 
     # unitality: the first basis element must act as the identity
     for q in range(dim):
-        if mul_table[0][q] != {q: 1}:
+        if _times(table, {0: 1}, {q: 1}) != {q: 1}:
             raise NotUnital(bi, (names[0], names[q]))
 
     # associativity on basis triples
     for p in range(dim):
         for q in range(dim):
+            pq = dict(table[p][q])
             for r in range(dim):
-                if times(mul_table[p][q], {r: 1}) != times({p: 1}, mul_table[q][r]):
+                if _times(table, pq, {r: 1}) != _times(table, {p: 1}, dict(table[q][r])):
                     raise NotAssociative(bi, (names[p], names[q], names[r]))
 
     # the non-unit elements must span an ideal (products avoid the unit)
     for p in range(1, dim):
         for q in range(1, dim):
-            if 0 in mul_table[p][q]:
+            pq = _times(table, {p: 1}, {q: 1})
+            if 0 in pq:
                 raise NotLocalBlock(
                     bi, f"{names[p]}*{names[q]} has a unit component "
-                        f"({mul_table[p][q][0]}); nilpotent span is not an ideal")
+                        f"({pq[0]}); nilpotent span is not an ideal")
 
     # powers of the nilpotent span, as Q-subspaces
-    m = dim - 1
     spans = []
     first = current = {k: {k: Fraction(1)} for k in range(1, dim)}
     while current:
         spans.append(current)
-        nxt = _echelon(times(u, w) for u in current.values()
+        nxt = _echelon(_times(table, u, w) for u in current.values()
                        for w in first.values())
         if len(nxt) >= len(current):
             raise NotLocalBlock(
@@ -441,19 +452,17 @@ def _validate_block(bi, block):
                 depth = r
         nu.append(depth)
 
-    for j in range(1, m):
+    for j in range(1, dim - 1):
         if nu[j - 1] > nu[j]:
             raise RankedBasisViolation(
                 bi, f"nu({j})={nu[j - 1]} > nu({j + 1})={nu[j]}: basis indices "
                     f"{j} < {j + 1} are not depth-ordered")
 
-    # products must respect the depth filtration, else the simplified
-    # product rule over gamma would drop nonzero terms
-    table = tuple(tuple(tuple((j, _coefficient(c)) for j, c in sorted(vec.items()))
-                        for vec in row) for row in mul_table)
+    # products must respect the depth filtration: a pick search cut at depth
+    # nu(p) (operators._picks) then misses no pick with an e_p coordinate
     for p in range(1, dim):
         for q in range(1, dim):
-            for j, _ in table[p][q]:
+            for j in _times(table, {p: 1}, {q: 1}):
                 if nu[p - 1] + nu[q - 1] > nu[j - 1]:
                     raise RankedBasisViolation(
                         bi, f"{names[p]}*{names[q]} has a {names[j]} component "

@@ -22,7 +22,7 @@ monomials over every pick and every way to hand it out.  A coordinate q
 lies in the nu(q)-th power of the block's maximal ideal, and
 validate_algebra checks that products respect those depths, so a pick
 of total depth above nu(p) has no e_p coordinate: _picks finds p's picks
-once per block table by a search cut at that depth.  A pick longer than
+once per block by a search cut at that depth.  A pick longer than
 a term's degree has no copies to take it.  Every p has the pick (p,),
 one copy taking delta_p, the sigma-twisted derivation rule; it is the
 only pick of the delta of dual and dd:n,m and of hs:n's delta_1, and
@@ -64,13 +64,14 @@ import re
 from functools import lru_cache
 from itertools import chain
 
+from .algebra import _times
 from .errors import ExprParseError, IndexOutOfRange
 from .ordering import _coefficient, check_index, check_multi_index, parse_int, slot_bumps
 from .poly import _VARIABLES, DPolynomial, _intern, _monomial, check_polynomial
 
 
 @lru_cache(maxsize=1024)
-def _picks(table, nu, p):
+def _picks(block, p):
     """Coordinate p's picks of two or more coordinates, as (coordinates, picks).
 
     A pick is a multiset of non-unit coordinates whose product in the
@@ -80,12 +81,13 @@ def _picks(table, nu, p):
     and every coordinate a pick holds, ascending, so p is the last, and
     picks lists each longer pick as (positions, alpha), shortest first,
     with each coordinate named by its position in coordinates, ascending.
-    The search extends a pick by coordinates no lower than its last while
-    its total depth stays within nu(p) (nu is nondecreasing along a valid
-    block's basis) and its product is nonzero.  Cached per (table, nu, p) in
-    a bounded cache; the lists are tuples, so no caller can change what the
-    next one reads.
+    The search grows a pick by coordinates no lower than its last, through
+    the block product algebra._times, while its total depth stays within
+    nu(p) (nu is nondecreasing along a valid block's basis) and its product
+    is nonzero.  Cached per (block, p) in a bounded cache; the lists are
+    tuples, so no caller can change what the next one reads.
     """
+    table, nu = block.table, block.nu
     limit = nu[p - 1]
     picks = []
 
@@ -94,11 +96,7 @@ def _picks(table, nu, p):
             deeper = depth + nu[q - 1]
             if deeper > limit:
                 break
-            grown = {}
-            for j, c in product.items():
-                for k, a in table[j][q]:
-                    grown[k] = grown.get(k, 0) + c * a
-            grown = {k: c for k, c in grown.items() if c}
+            grown = _times(table, product, {q: 1})
             if grown:
                 if pick and p in grown:
                     picks.append((pick + (q,), _coefficient(grown[p])))
@@ -111,8 +109,9 @@ def _picks(table, nu, p):
                                       for pick, alpha in picks), key=lambda e: len(e[0])))
 
 
-def _registry(f, i, coordinates):
-    """The packed-int registry of a walk of f's block-i image over coordinates.
+def _registry(f, base, coordinates):
+    """The packed-int registry of a walk of f's image in the block whose sigma
+    slot is base, over coordinates.
 
     Returns (bumps, width, fields): the ids of the distinct bumps of f's
     variables into those slots in ascending order, bump k owning bits
@@ -121,7 +120,6 @@ def _registry(f, i, coordinates):
     ints of its bumps, one per coordinate, unit slot first.
     """
     algebra = f.algebra
-    base = algebra._offsets[i - 1]      # block i's sigma slot; block_image judged i
     slots = [base + q for q in coordinates]
     images = {}     # variable id -> its slot bumps' ids, unit slot first
     degree = 0
@@ -214,11 +212,11 @@ def _spread(acc, pick, fields, room, c, packed, t=0, last=0, run=0, count=1):
             room[k] = free
 
 
-def _walk(f, i, p):
-    """Coordinate p >= 1 of f's block-i image: each term walks p's picks once."""
-    block = f.algebra.blocks[i - 1]
-    coordinates, picks = _picks(block.table, block.nu, p)
-    bumps, width, fields = _registry(f, i, coordinates)
+def _walk(f, block, base, p):
+    """Coordinate p >= 1 of f's image in the block whose sigma slot is base:
+    each term walks p's picks once."""
+    coordinates, picks = _picks(block, p)
+    bumps, width, fields = _registry(f, base, coordinates)
     top = len(coordinates) - 1      # p's position
     acc = {}
     for monomial, coeff in f.terms.items():
@@ -258,10 +256,10 @@ def block_image(f, i, p=None):
     block = algebra.block(i)  # validates the block index
     slot = algebra._offsets[i - 1]
     if p is None:
-        return tuple([_walk(f, i, q) if q else _substitute(f, slot)
+        return tuple([_walk(f, block, slot, q) if q else _substitute(f, slot)
                       for q in range(block.m + 1)])
     check_index(p, 0, block.m, "operator index")
-    return (_walk(f, i, p) if p else _substitute(f, slot),)
+    return (_walk(f, block, slot, p) if p else _substitute(f, slot),)
 
 
 def apply(f, i, p):

@@ -10,7 +10,8 @@ is (total degree, indeterminate index, slots from highest to lowest).
 
 It also holds the two number rules every layer shares: parse_int, the
 one reader of integer literals, and _coefficient, the one form in which
-a coefficient is stored; and the judges of index and multi-index arguments.
+a coefficient is stored; and the judges of index, multi-index and variable
+arguments.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def parse_variable(text, algebra=None):
 
 
 # ---------------------------------------------------------------------------
-# the judges of the index and multi-index arguments of every public call
+# the judges of the index, multi-index and variable arguments of every public call
 
 
 def check_index(k, low, high, what):
@@ -252,6 +253,15 @@ def check_multi_index(width, theta, owner="algebra"):
         raise IndexOutOfRange(f"multi-index {list(theta)} has a {kind} entry")
 
 
+def check_variable(v, width=None):
+    """v, a DVariable of width slots when a width is given, else AlgebraMismatch."""
+    if v.__class__ is not DVariable:
+        raise AlgebraMismatch(f"{v!r} is not a variable")
+    if width is not None and len(v.theta) != width:
+        raise AlgebraMismatch(f"variable {v} has {len(v.theta)} slots, algebra has {width}")
+    return v
+
+
 def ord_i(algebra, theta, i):
     """Sum of the delta-slot entries of block i (sigma excluded)."""
     check_multi_index(algebra.M, theta)
@@ -271,7 +281,7 @@ def is_sigma_only(algebra, theta):
 
 def apply_slot(algebra, v, i, p):
     """Apply operator (i, p) to a variable: add 1 in its slot."""
-    return slot_bumps(algebra, v, (algebra.slot_index(i, p),))[0]
+    return slot_bumps(algebra, check_variable(v), (algebra.slot_index(i, p),))[0]
 
 
 def slot_bumps(algebra, v, slots):
@@ -292,10 +302,15 @@ def transform_of(algebra, v, u):
 
     The identity (theta = 0) counts as a sigma-transform.
     """
-    vt, ut, M = v.theta, u.theta, algebra.M
-    if len(vt) != M or len(ut) != M:
+    M = algebra.M
+    # check_variable's class test inline, as this runs once per pair the scan meets
+    if (v.__class__ is not DVariable or u.__class__ is not DVariable
+            or len(v.theta) != M or len(u.theta) != M):
+        check_variable(v)
+        check_variable(u)
         raise AlgebraMismatch(
             f"variables {v}, {u} do not match an algebra with {M} slots")
+    vt, ut = v.theta, u.theta
     if v.var != u.var:
         return None
     diff = tuple(map(sub, vt, ut))
@@ -327,7 +342,8 @@ class Ranking:
 
     def key(self, v):
         """Sort key: v ranks below w exactly when key(v) < key(w)."""
-        if len(v.theta) != self.algebra.M:
+        if v.__class__ is not DVariable or len(v.theta) != self.algebra.M:
+            check_variable(v)
             raise AlgebraMismatch(
                 f"variable {v} has {len(v.theta)} slots, "
                 f"algebra has {self.algebra.M}")

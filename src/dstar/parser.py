@@ -149,7 +149,9 @@ class _Parser:
             return DPolynomial.constant(self.algebra, tok.value)
         if tok.kind == "var":
             self.take()
-            return DPolynomial.from_variable(self.algebra, variable_from_match(
+            # variable_from_match makes a well-formed variable of the algebra's
+            # width, so it skips from_variable's judges
+            return DPolynomial._variable(self.algebra, variable_from_match(
                 tok.value, self.algebra, tok.line, tok.column))
         if tok.kind == "(":
             self.take()

@@ -53,7 +53,7 @@ from itertools import chain
 from .errors import AlgebraMismatch, ConstantPolynomial, DStarError
 from .ordering import (
     EQUAL, GREATER, LESS, DVariable, Frozen, SequentialRanking, _coefficient,
-    sequential_key)
+    check_index, check_multi_index, check_variable, sequential_key)
 
 
 _IDS = {}            # DVariable -> id
@@ -95,11 +95,14 @@ class Monomial(Frozen):
     key is the tuple (id, exponent, ...) in ascending id order, with
     exponents >= 1; factors is ((DVariable, exponent), ...) sorted by
     DVariable order, decoded from the key on each read.  The constructor,
-    the one check of factors (in any order), drops zero exponents.  A
-    variable that is not a DVariable is a TypeError, raised before any
-    variable is interned, and so is an exponent that is not an int (a
-    bool or a float included), since it would print as text parse_poly
-    rejects; a negative exponent or a repeated variable is a ValueError.
+    the one check of factors (in any order), drops zero exponents.  Every
+    fault is raised before any variable is interned.  A variable that is
+    not a DVariable is a TypeError, and so is an exponent that is not an
+    int (a bool or a float included), since it would print as text
+    parse_poly rejects; an indeterminate that is not an int >= 1, or a
+    theta entry that is not an int >= 0, is an IndexOutOfRange, since an
+    interned variable equal to a well-formed one would print in its place;
+    a negative exponent or a repeated variable is a ValueError.
     The kernel builds its monomials through _monomial, which checks
     nothing.
     """
@@ -110,8 +113,7 @@ class Monomial(Frozen):
     def __init__(self, factors):
         exponents = {}
         for v, e in factors:
-            if v.__class__ is not DVariable:    # judged before it is interned
-                raise TypeError(f"variable {v!r} is not a DVariable")
+            _judged_variable(v)
             if type(e) is not int:
                 raise TypeError(f"exponent {e!r} is not an int")
             if e < 0:
@@ -142,7 +144,7 @@ class Monomial(Frozen):
         return Monomial(mapping.items())
 
     def degree_in(self, v):
-        return _split(self.key, _IDS.get(v))[0]
+        return _split(self.key, _IDS.get(check_variable(v)))[0]
 
     def variables(self):
         return [v for v, _ in self.factors]
@@ -186,13 +188,23 @@ class Monomial(Frozen):
 
     def without(self, v):
         """Split off the power of v: returns (exponent, monomial without v)."""
-        e, key = _split(self.key, _IDS.get(v))
+        e, key = _split(self.key, _IDS.get(check_variable(v)))
         return (e, _monomial(key)) if e else (0, self)
 
     def sort_key(self):
         """Descending canonical order key (higher key prints first)."""
         return tuple(sorted(((sequential_key(v), e) for v, e in _pairs(self.key)),
                             reverse=True))
+
+
+def _judged_variable(v):
+    """v, judged as Monomial judges a factor's variable before it is interned."""
+    if v.__class__ is not DVariable:
+        raise TypeError(f"variable {v!r} is not a DVariable")
+    check_index(v.var, 1, float("inf"), "indeterminate index")
+    theta = v.theta     # entries judged at its own length; an algebra judges that
+    check_multi_index(len(theta) if isinstance(theta, tuple) else 0, theta)
+    return v
 
 
 # slot setters for constructors: they bypass the immutability guard and
@@ -245,9 +257,12 @@ class DPolynomial(Frozen):
 
     @staticmethod
     def from_variable(algebra, v):
-        if len(v.theta) != algebra.M:
-            raise AlgebraMismatch(
-                f"variable {v} has {len(v.theta)} slots, algebra has {algebra.M}")
+        check_variable(v, algebra.M)
+        return DPolynomial._variable(algebra, _judged_variable(v))
+
+    @staticmethod
+    def _variable(algebra, v):
+        """The polynomial v, for a well-formed variable of the algebra's width."""
         return DPolynomial._nonzero(algebra, {_monomial((_intern(v), 1)): 1})
 
     # -- basics --------------------------------------------------------------
@@ -421,11 +436,12 @@ class DPolynomial(Frozen):
         return self._rank(ranking)[0]
 
     def degree_in(self, v):
-        i = _IDS.get(v)
+        i = _IDS.get(check_variable(v, self.algebra.M))
         return max((_split(m.key, i)[0] for m in self.terms), default=0)
 
     def coefficient_in(self, v, k):
         """The v-free g_k of sum g_k * v^k (zero if absent); k an int (not a bool) >= 0."""
+        check_variable(v, self.algebra.M)
         check_natural(k, "degree must be a natural number")
         return self._split_at(v, k, k)[0]
 
@@ -463,7 +479,7 @@ class DPolynomial(Frozen):
 
     def initial(self, ranking=None):
         u, _, d = self._rank(ranking)
-        return self.coefficient_in(u, d)
+        return self._split_at(u, d, d)[0]
 
     def separant(self, ranking=None):
         """Derivative with respect to the leader u."""

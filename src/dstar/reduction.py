@@ -147,7 +147,7 @@ class DivisorSet:
                 if self.ranks[member] is None:
                     raise ConstantPolynomial("constants have no leader")
                 u, _, d = self.ranks[member]
-                f = f.coefficient_in(u, d) if source == INITIAL else f._derivative(u)
+                f = f._split_at(u, d, d)[0] if source == INITIAL else f._derivative(u)
             img = self._images[key] = apply_composition(f, theta)
         return img
 

@@ -442,6 +442,21 @@ def test_block_table_has_the_identity_as_unit_row_and_gives_alpha(params):
                     assert d.alpha(i, j, p, q) == dict(block.table[p][q]).get(j, 0)
 
 
+def test_a_coordinate_listed_twice_is_summed_and_a_zero_sum_dropped():
+    # 1*e lists e twice (1/2 + 1/2 = 1) and e*e sums to zero, so it is e*e = 0
+    dual = validate_algebra(builtin("dual"))
+    spec = make_block_spec(["1", "e"], {("1", "1"): [("1", 1)],
+                                        ("1", "e"): [("e", "1/2"), ("e", "1/2")],
+                                        ("e", "e"): [("e", "1"), ("e", "-1")]})
+    text = ('{"blocks": [{"basis": ["1", "e"], "table": {"1*1": [["1", "1"]], '
+            '"1*e": [["e", "1/2"], ["e", "1/2"]], "e*e": [["e", "1"], ["e", "-1"]]}}]}')
+    for written in (AlgebraSpec((spec,)), load_spec(text)):
+        d = validate_algebra(written)
+        assert d == dual
+        assert d.blocks[0].table == ((((0, 1),), ((1, 1),)), (((1, 1),), ()))
+        assert type(d.blocks[0].table[0][1][0][1]) is int
+
+
 def test_truncated_hs_40_validates_within_two_seconds():
     start = time.perf_counter()
     d = validate_algebra(builtin("truncated_hs", 40))

@@ -1,10 +1,11 @@
-"""Every index, multi-index, member and polynomial argument has one judge.
+"""Every index, multi-index, member, polynomial and variable argument has one judge.
 
 The sweep calls each public callable that takes such an argument with
 each value that is not one: -1, True, False, 0.0, 1.0, 0.5, "1", None,
 one past the end and 10**30.  Each call must raise, within two seconds, the error of
 its fault: IndexOutOfRange for an index or an entry, AlgebraMismatch for
-a wrong width or a polynomial that is not one over the algebra, or the
+a wrong width, a polynomial that is not one over the algebra or a variable
+that is not a DVariable of the algebra's width, or the
 result its wrapper makes of them (BadWitness, UnknownBuiltin, a
 documented ValueError, or False from verify_certificate).  No call may
 return, and none may let a bare TypeError, AttributeError or IndexError
@@ -24,9 +25,11 @@ from dstar.classical import project_to_differential
 from dstar.errors import (
     AlgebraMismatch, BadWitness, IndexOutOfRange, UnknownBuiltin, WrongAlgebra)
 from dstar.operators import apply, apply_composition, block_image, rho
-from dstar.ordering import DVariable, apply_slot, dickson_minimal, ord_delta, ord_i
+from dstar.ordering import (
+    DVariable, SequentialRanking, apply_slot, check_ranking_axioms, dickson_minimal, ord_delta,
+    ord_i, transform_of)
 from dstar.parser import parse_poly
-from dstar.poly import DPolynomial, format_poly, rank_compare
+from dstar.poly import DPolynomial, Monomial, format_poly, rank_compare
 from dstar.reduction import (
     Cofactor, DivisorSet, HFactor, ReductionCertificate, a_leader, is_reduced,
     is_reduced_wrt_set, reduce, verify_certificate)
@@ -43,8 +46,8 @@ NOT_ONE = (-1, True, False, 0.0, 1.0, 0.5, "1", None)
 # exponents of DPolynomial.__pow__, the order bounds of d_ideal_generators
 # and the parameters of builtin (hs:10**30 would be built).
 
-# public names that take no index, multi-index, member or polynomial argument,
-# or whose arguments of these kinds are judged by the calls that read them
+# public names that take no index, multi-index, member, polynomial or variable
+# argument, or whose arguments of these kinds are judged by the calls that read them
 NOT_SWEPT = {
     # records and constructors: their fields are judged where they are read
     "AlgebraSpec", "BlockSpec", "DAlgebra", "AutoreducedSet", "CharSetResult",
@@ -57,8 +60,8 @@ NOT_SWEPT = {
     "algebra_from_name", "dump_spec", "load_spec", "make_block_spec",
     "validate_algebra", "parse_operator", "parse_variable", "parse_poly",
     "parse_generator_file",
-    # autoreduced sets, rankings and variables
-    "compare_autoreduced", "presentation", "check_ranking_axioms", "transform_of",
+    # autoreduced sets
+    "compare_autoreduced", "presentation",
     # the classical oracle's own types, and its algebra
     "DiffPolynomial", "DiffVar", "dual_algebra", "lift_to_dual", "ritt_reduce",
     "DStarError", "ExprParseError",
@@ -66,10 +69,10 @@ NOT_SWEPT = {
 NOT_SWEPT_METHODS = {
     "DAlgebra": {"blocks", "slot_pairs", "op_names", "t", "M"},
     # arithmetic takes ints as constants; __pow__ is excluded above;
-    # variables and rankings are not swept
-    "DPolynomial": {"algebra", "terms", "zero", "constant", "from_variable", "is_zero",
-                    "is_constant", "variables", "degrees", "leader", "degree_in", "degree",
-                    "initial", "separant", "scalar_mul"},
+    # rankings are not swept
+    "DPolynomial": {"algebra", "terms", "zero", "constant", "is_zero", "is_constant",
+                    "variables", "degrees", "leader", "degree", "initial", "separant",
+                    "scalar_mul"},
     "DivisorSet": set(),
 }
 
@@ -120,6 +123,10 @@ class Sweep:
         algebra, when the call has an algebra of its own."""
         values = NOT_ONE + (HUGE,) + (() if elsewhere is None else (elsewhere,))
         self.add(name, argument, values, expected, call)
+
+    # every value that is not a variable, and elsewhere, one of another width:
+    # the values and the error of a polynomial argument
+    variable = polynomial
 
 
 def sweep_cases():
@@ -245,6 +252,24 @@ def sweep_cases():
                  lambda p: closure_step_witness([x], witness(a=p)), other, BadWitness)
     s.polynomial("closure_step_witness", "term c",
                  lambda p: closure_step_witness([x], witness(c=p)), other, BadWitness)
+
+    # variables: narrow has two slots, hs:2 three
+    narrow = DVariable(1, (0, 0))
+    ranking = SequentialRanking(hs2)
+    s.variable("DPolynomial.from_variable", "v",
+               lambda w: DPolynomial.from_variable(hs2, w), narrow)
+    s.variable("DPolynomial.degree_in", "v", lambda w: f.degree_in(w), narrow)
+    s.variable("DPolynomial.coefficient_in", "v", lambda w: f.coefficient_in(w, 0), narrow)
+    s.variable("Monomial.degree_in", "v", lambda w: Monomial([(v, 2)]).degree_in(w))
+    s.variable("Monomial.without", "v", lambda w: Monomial([(v, 2)]).without(w))
+    s.variable("transform_of", "v", lambda w: transform_of(hs2, w, v), narrow)
+    s.variable("transform_of", "u", lambda w: transform_of(hs2, v, w), narrow)
+    s.variable("apply_slot", "v", lambda w: apply_slot(hs2, w, 1, 0), narrow)
+    s.variable("SequentialRanking.key", "v", ranking.key, narrow)
+    s.variable("SequentialRanking.compare", "v", lambda w: ranking.compare(w, v), narrow)
+    s.variable("SequentialRanking.compare", "w", lambda w: ranking.compare(v, w), narrow)
+    s.variable("check_ranking_axioms", "sample member",
+               lambda w: check_ranking_axioms(ranking, [v, w]), narrow)
     return s
 
 

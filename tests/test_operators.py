@@ -313,7 +313,7 @@ def test_sigma_derivation_steps_walk_each_term_once(all_builtins):
                 block = d.block(i)
                 reference, full = _reference_image(f, i), block_image(f, i)
                 for p in range(1, block.m + 1):
-                    if picks(block.table, block.nu, p)[1]:
+                    if picks(block, p)[1]:
                         continue
                     matched.add((label, i, p))
                     alone, = block_image(f, i, p)
@@ -341,7 +341,7 @@ def test_unit_steps_walk_the_pinned_pick_tables(hs2):
     picks = dstar.operators._picks
     hs3 = validate_algebra(builtin("truncated_hs", 3))
     five = _five_element_algebra(Fraction(1, 2))
-    tables = {label: [picks(d.block(1).table, d.block(1).nu, p)
+    tables = {label: [picks(d.block(1), p)
                       for p in range(1, d.block(1).m + 1)]
               for label, d in (("hs:3", hs3), ("five", five))}
     assert tables["hs:3"] == [((0, 1), ()), ((0, 1, 2), (((1, 1), 1),)),
@@ -439,11 +439,10 @@ def test_a_block_image_interns_only_the_bumps_it_reads(hs2):
     # picks: delta_1 the unit slot and itself, delta_2 every coordinate
     picks = dstar.operators._picks
     block = hs2.block(1)
-    assert [picks(block.table, block.nu, p)[0] for p in (1, 2)] == [(0, 1), (0, 1, 2)]
+    assert [picks(block, p)[0] for p in (1, 2)] == [(0, 1), (0, 1, 2)]
     # coordinates with a gap: e2 reads the unit and e2; f2 = e1*e1 + e2*e2 skips f1
     block = _five_element_algebra(2).block(1)
-    assert (picks(block.table, block.nu, 2)[0], picks(block.table, block.nu, 4)[0]) == \
-        ((0, 2), (0, 1, 2, 4))
+    assert (picks(block, 2)[0], picks(block, 4)[0]) == ((0, 2), (0, 1, 2, 4))
     # x77 is an indeterminate no other test meets, so no bump of it is
     # interned before this block image makes it
     f = parse_poly("x77[0,0,0]^2 * x77[2,0,0] + 3 * x77[2,0,0] - 4", hs2)

@@ -10,7 +10,7 @@ from itertools import chain
 import pytest
 
 from dstar.charset import charset_complete
-from dstar.errors import AlgebraMismatch, ConstantPolynomial, InconsistentSystem
+from dstar.errors import AlgebraMismatch, ConstantPolynomial, InconsistentSystem, IndexOutOfRange
 from dstar.operators import apply_composition, block_image
 from dstar.ordering import (
     EQUAL,
@@ -431,6 +431,26 @@ def test_constructors_reject_keys_that_are_not_variables_or_monomials(dual):
                 DPolynomial(dual, terms)
     # Monomial and DPolynomial keep accepting what they accepted
     assert DPolynomial(dual, {x: 2, UNIT_MONOMIAL: 0}).terms == {x: 2}
+
+
+def test_malformed_variables_are_judged_before_they_are_interned(dual):
+    # a variable equal to a well-formed one (True == 1, 1.0 == 1) used to be
+    # interned for the process's life, and every later equal variable then
+    # printed through it: x97[0,True]^2, which parse_poly rejects.  x97 is an
+    # indeterminate no other test meets, so nothing else reads its ids
+    malformed = [DVariable(97, (0, True)), DVariable(97, (0, 1.0)), DVariable(97, (-1, 0)),
+                 DVariable(97, (0, "1")), DVariable(97, "00"), DVariable(97.0, (0, 0)),
+                 DVariable(0, (0, 0)), DVariable(-97, (0, 0))]
+    for bad in malformed:
+        for build in (lambda: Monomial([(bad, 1)]), lambda: Monomial.of({bad: 2}),
+                      lambda: Monomial([(DVariable(97, (1, 1)), 1), (bad, 1)]),
+                      lambda: DPolynomial.from_variable(dual, bad)):
+            with pytest.raises(IndexOutOfRange):
+                build()
+    assert not {DVariable(97, theta) for theta in ((0, 0), (0, 1), (1, 1))} & _IDS.keys()
+    assert str(parse_poly("x97[0,1]^2", dual)) == "x97[0,1]^2"
+    assert str(3 * parse_poly("x97[0,0]^2", dual)) == "3 * x97[0,0]^2"
+    assert all(type(e) is int for v in _VARIABLES for e in (v.var, *v.theta))
 
 
 def test_single_term_and_scalar_products_leave_no_zero(all_builtins):
