@@ -257,7 +257,8 @@ class BlockData(Record):
     # table[p][q] = ((j, alpha), ...), j ascending, for p, q = 0..m, each alpha a
     # polynomial coefficient.  The table is compared but not hashed: a
     # polynomial's hash includes its algebra's, and names and nu spread blocks.
-    __slots__ = _args = ("names", "nu", "table")
+    __slots__ = ("names", "nu", "table", "__dict__")
+    _args = ("names", "nu", "table")
 
     def __hash__(self):
         return hash((self.names, self.nu))
@@ -265,6 +266,14 @@ class BlockData(Record):
     @property
     def m(self):
         return len(self.names) - 1
+
+    # operators._picks's memo, {p: p's picks}, kept per object: a block equal
+    # to another, from a second validation, is never compared to find it.
+    # cached_property stores it in the instance __dict__, which equality,
+    # hashing and pickling do not see.
+    @cached_property
+    def _pick_memo(self):
+        return {}
 
 
 class DAlgebra(Record):

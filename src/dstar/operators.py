@@ -61,7 +61,6 @@ coordinates, each computed by the one call that computes it alone.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import chain
 
 from .algebra import _times
@@ -70,7 +69,6 @@ from .ordering import _coefficient, check_index, check_multi_index, parse_int, s
 from .poly import _VARIABLES, DPolynomial, _intern, _monomial, check_polynomial
 
 
-@lru_cache(maxsize=1024)
 def _picks(block, p):
     """Coordinate p's picks of two or more coordinates, as (coordinates, picks).
 
@@ -84,9 +82,12 @@ def _picks(block, p):
     The search grows a pick by coordinates no lower than its last, through
     the block product algebra._times, while its total depth stays within
     nu(p) (nu is nondecreasing along a valid block's basis) and its product
-    is nonzero.  Cached per (block, p) in a bounded cache; the lists are
-    tuples, so no caller can change what the next one reads.
+    is nonzero.  Found once per block object and p, in the block's memo;
+    the lists are tuples, so no caller can change what the next one reads.
     """
+    memo = block._pick_memo
+    if p in memo:
+        return memo[p]
     table, nu = block.table, block.nu
     limit = nu[p - 1]
     picks = []
@@ -105,8 +106,10 @@ def _picks(block, p):
     extend((), {0: 1}, 0)
     coordinates = (0, *sorted({q for pick, _ in picks for q in pick} | {p}))
     position = {q: k for k, q in enumerate(coordinates)}
-    return coordinates, tuple(sorted(((tuple(map(position.get, pick)), alpha)
-                                      for pick, alpha in picks), key=lambda e: len(e[0])))
+    memo[p] = found = (coordinates, tuple(sorted(((tuple(map(position.get, pick)), alpha)
+                                                 for pick, alpha in picks),
+                                                key=lambda e: len(e[0]))))
+    return found
 
 
 def _registry(f, base, coordinates):

@@ -151,18 +151,19 @@ _set_theta = DVariable.theta.__set__
 _set_var_hash = DVariable._hash.__set__
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
 # x<j>[t0,...,t(M-1)]; its pattern is the expression tokenizer's variable rule
 VAR_RE = re.compile(r"x(?P<vidx>[0-9]+)\[(?P<slots>[0-9]+(?:,[0-9]+)*)\]")
 
 
-def parse_int(literal, line=1, column=1):
+def parse_int(literal):
     """An integer literal, exactly ASCII -?[0-9]+, as an int.
 
     A '+', whitespace, '_' or a digit of another script is a parse error,
     and so is a literal longer than the int/str conversion limit.
     """
-    if _INT_RE.fullmatch(literal):
+    digits = literal.removeprefix("-")
+    # an ASCII character is a digit only if it is one of 0-9
+    if digits.isascii() and digits.isdigit():
         try:
             return int(literal)
         except ValueError:
@@ -171,7 +172,7 @@ def parse_int(literal, line=1, column=1):
     else:
         problem = "is not an optional '-' and ASCII digits"
     shown = literal if len(literal) <= 20 else literal[:20] + "..."
-    raise ExprParseError(f"integer literal {shown!r} {problem}", line, column)
+    raise ExprParseError(f"integer literal {shown!r} {problem}")
 
 
 def _coefficient(c):
@@ -188,17 +189,19 @@ def _coefficient(c):
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def variable_from_match(match, algebra=None, line=1, column=1):
-    """The DVariable of a VAR_RE match, checked against the algebra."""
-    var = parse_int(match["vidx"], line, column)
+def variable_from_match(match, algebra=None):
+    """The DVariable of a VAR_RE match, checked against the algebra.
+
+    A fault is an ExprParseError at line 1, column 1; the expression parser
+    moves it to the variable's place.
+    """
+    var = parse_int(match["vidx"])
     if var < 1:
-        raise ExprParseError(
-            f"indeterminate index must be >= 1 in {match[0]!r}", line, column)
-    theta = tuple(parse_int(e, line, column) for e in match["slots"].split(","))
+        raise ExprParseError(f"indeterminate index must be >= 1 in {match[0]!r}")
+    theta = tuple([parse_int(e) for e in match["slots"].split(",")])
     if algebra is not None and len(theta) != algebra.M:
         raise ExprParseError(
-            f"variable {match[0]!r} has {len(theta)} slots, algebra has "
-            f"{algebra.M}", line, column)
+            f"variable {match[0]!r} has {len(theta)} slots, algebra has {algebra.M}")
     return DVariable(var, theta)
 
 

@@ -258,12 +258,7 @@ class DPolynomial(Frozen):
     @staticmethod
     def from_variable(algebra, v):
         check_variable(v, algebra.M)
-        return DPolynomial._variable(algebra, _judged_variable(v))
-
-    @staticmethod
-    def _variable(algebra, v):
-        """The polynomial v, for a well-formed variable of the algebra's width."""
-        return DPolynomial._nonzero(algebra, {_monomial((_intern(v), 1)): 1})
+        return DPolynomial._nonzero(algebra, {_monomial((_intern(_judged_variable(v)), 1)): 1})
 
     # -- basics --------------------------------------------------------------
 

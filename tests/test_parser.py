@@ -152,3 +152,81 @@ def test_a_bad_character_inside_variable_brackets_is_named_at_its_column(dual):
             parse_poly(text, dual)
         assert exc.value.message == "variable is missing its closing ']'"
         assert exc.value.column == column
+
+
+# whitespace between tokens, newlines included
+SPACES = ("", " ", "  ", "\n", " \n\t")
+
+
+def _expression(rng, algebra, depth):
+    """(text, value, level): a random expression as text, its value through
+    DPolynomial's + - * **, and how loosely its text binds: 0 a sum (or a
+    negation), 1 a product, 2 a power, 3 an atom."""
+
+    def operand(level):
+        text, value, got = _expression(rng, algebra, depth - 1)
+        return (text if got >= level else f"({rng.choice(SPACES)}{text})"), value
+
+    def space():
+        return rng.choice(SPACES)
+
+    shape = rng.choice(("number", "fraction", "variable") if depth == 0 else
+                       ("number", "variable", "sum", "difference", "cancel", "negation",
+                        "product", "power", "parenthesised"))
+    if shape == "number":
+        n = rng.choice((0, 1, 2, 3, 7))
+        return str(n), DPolynomial.constant(algebra, n), 3
+    if shape == "fraction":
+        n, d = rng.randint(0, 5), rng.randint(1, 4)
+        return f"{n}/{d}", DPolynomial.constant(algebra, Fraction(n, d)), 3
+    if shape == "variable":
+        v = DVariable(rng.randint(1, 2), tuple(rng.randint(0, 1) for _ in range(algebra.M)))
+        return str(v), DPolynomial.from_variable(algebra, v), 3
+    if shape in ("sum", "difference", "cancel"):
+        (left, a), (right, b) = operand(0), operand(1)
+        if shape == "cancel":
+            right, b = f"({left})", a
+        op = "+" if shape == "sum" else "-"
+        return f"{left}{space()}{op}{space()}{right}", a + b if op == "+" else a - b, 0
+    if shape == "negation":
+        text, a = operand(1)
+        return f"-{space()}{text}", -a, 0
+    if shape == "product":
+        (left, a), (right, b) = operand(1), operand(2)
+        return f"{left}{space()}*{space()}{right}", a * b, 1
+    if shape == "power":
+        base, a = operand(2)
+        k = rng.randint(0, 3)
+        return f"{base}{space()}^{space()}{k}", a ** k, 2
+    text, a = operand(0)
+    return f"({space()}{text}{space()})", a, 3
+
+
+def test_parsing_evaluates_as_the_polynomial_operators_do(dual, hs2):
+    # nested parentheses, unary minus, powers of sums and of monomials, x^0,
+    # 0^0, cancelling terms and fractions, with newlines between tokens
+    rng = random.Random(44)
+    for algebra in (dual, hs2):
+        for _ in range(300):
+            text, value, _ = _expression(rng, algebra, rng.randint(1, 4))
+            parsed = parse_poly(text, algebra)
+            assert parsed == value, text
+            assert {m: type(c) for m, c in parsed.terms.items()} == \
+                {m: type(c) for m, c in value.terms.items()}, text
+    assert parse_poly("0^0 + x1[0,0]^0 - (x1[0,0] + 1)^0", dual) == \
+        DPolynomial.constant(dual, 1)
+
+
+def test_a_long_sum_parses_in_one_accumulator(dual, monkeypatch):
+    # a running sum copied at every '+' made parsing quadratic in the terms
+    calls = []
+    plus = DPolynomial._plus
+
+    def counted(self, addend):
+        calls.append(1)
+        return plus(self, addend)
+
+    monkeypatch.setattr(DPolynomial, "_plus", counted)
+    text = " + ".join(f"{k % 7 + 1} * x1[{k},0]" for k in range(4000))
+    assert len(parse_poly(text, dual).terms) == 4000
+    assert len(calls) < 10

@@ -76,7 +76,17 @@ line hashes format_poly of apply(h, 1, p) for every p >= 1 over hs:3,
 hs:4 and FIVE, on seeded polynomials whose exponents lie on both sides
 of each length of a multiset of coordinates whose product reaches p
 (up to p on hs:p, up to 2 on FIVE): every unit step of those blocks
-beyond the sigma-derivations that the other lines mostly meet.
+beyond the sigma-derivations that the other lines mostly meet.  The
+parse line hashes format_poly(parse_poly(t)) for every set-up text t of
+the reduce-c6 and charset workloads (recorded by wrapping
+inputs.parse_poly), then, for PARSE_COUNT seeded texts of nested
+parentheses, unary minus, powers of sums and of monomials, x^0, 0^0,
+cancelling terms, fractions and whitespace with newlines, and for each of
+those texts with one character deleted or replaced, and for each of
+MALFORMED (a multi-line text, an unclosed variable followed by a bad
+character, nesting past the recursion limit and others), the
+format_poly of what parse_poly returns or the name, message, line and
+column of the ExprParseError it raises.
 """
 
 from __future__ import annotations
@@ -103,7 +113,7 @@ from dstar import (  # noqa: E402
 from dstar.algebra import (  # noqa: E402
     AlgebraSpec, algebra_from_name, load_spec, make_block_spec, validate_algebra)
 from dstar.charset import ClosureWitness, closure_step_witness  # noqa: E402
-from dstar.errors import DStarError  # noqa: E402
+from dstar.errors import DStarError, ExprParseError  # noqa: E402
 from dstar.ordering import DVariable, parse_int, parse_variable  # noqa: E402
 from dstar.parser import parse_json  # noqa: E402
 from dstar.poly import DPolynomial, Monomial  # noqa: E402
@@ -112,7 +122,7 @@ from dstar.reduction import certificate_to_json  # noqa: E402
 KEYS = ("certificates", "traces", "exceptions", "towers", "reduce-c6", "d-ideal",
         "algebra-check", "block-images", "big-towers", "readers", "reprs", "monomials",
         "witnesses", "charset-custom", "cli", "apply", "non-builtin", "scan",
-        "reductions-general", "deep-steps")
+        "reductions-general", "deep-steps", "parse")
 ALGEBRA_CHECK = ("dual", "fields:2", "hs:2", "hs:5", "dd:1,1", "dd:2,1")
 # (algebra, operator, k): the operator to the k applied to x1^k
 BIG_TOWERS = (("dual", "d1.1", 20), ("dual", "d1.1", 24), ("hs:2", "d1.2", 8))
@@ -173,6 +183,18 @@ NON_BUILTIN_SEED, NON_BUILTIN_COUNT = 35, 50
 GENERAL_SEED, GENERAL_COUNT = 39, 100
 # the deep-steps line's seed, and its polynomials per algebra
 DEEP_SEED, DEEP_COUNT = 42, 40
+# the parse line's seed and its well-formed texts per algebra; the characters
+# a malformed copy puts in, no digit among them, so no exponent grows
+PARSE_SEED, PARSE_COUNT = 44, 150
+PARSE_NOISE = "()+-*^/ x[],\n\t$\u0662"
+MALFORMED = (
+    "", " ", "-", "+1", "--1", "1 +", "x1[0,0] +\n\n  * 2", "x1[0,0]\n+ 1\n)\n",
+    "x1[0,2 $ ]", "x1[0,2 + x1[0,0]", "(x1[0,1) + 1", "x1[0, 2]", "x1[0,\u0662]",
+    "x1[0,0", "x1[0,0]^", "x1[0,0]^x1[0,1]", "2^-1", "1/0", "1/00", "3/x1[0,0]",
+    "x0[0,0]", "x1[0,0,0]", "x1[0]", "x1[0,0] x1[0,1]", "(1 + 2", "1 + 2)", "()",
+    "1 " + "9" * 5000, "x1[0," + "9" * 5000 + "]", "x" + "9" * 5000 + "[0,0]",
+    "(" * 5000 + "x1[0,0]" + ")" * 5000, "(\n" * 3000 + "1", "-(" * 3000 + "1",
+)
 
 
 def demoted_key(v):
@@ -350,6 +372,60 @@ def deep_step_polynomials():
             yield f"{label}#{n}", DPolynomial(algebra, terms)
 
 
+def parse_text(rng, algebra, depth):
+    """A random expression as text, with whitespace and newlines between tokens."""
+    def space():
+        return rng.choice(("", " ", "\n", " \n\t"))
+
+    def sub(loosest):
+        text, level = parse_text(rng, algebra, depth - 1)
+        return (text, level) if level >= loosest else (f"({text})", 3)
+
+    shape = rng.choice(("number", "variable") if depth == 0 else
+                       ("number", "variable", "sum", "negation", "product", "power",
+                        "parenthesised"))
+    if shape == "number":
+        return rng.choice(("0", "1", "2", "7", "1/2", "0/3", "6/4")), 3
+    if shape == "variable":
+        return str(DVariable(rng.randint(1, 2),
+                             tuple(rng.randint(0, 1) for _ in range(algebra.M)))), 3
+    if shape == "sum":
+        left, right = sub(0)[0], sub(1)[0]
+        if rng.random() < 0.3:
+            right = f"({left})"         # cancels
+        return f"{left}{space()}{rng.choice('+-')}{space()}{right}", 0
+    if shape == "negation":
+        return f"-{space()}{sub(1)[0]}", 0
+    if shape == "product":
+        return f"{sub(1)[0]}{space()}*{space()}{sub(2)[0]}", 1
+    if shape == "power":
+        return f"{sub(2)[0]}{space()}^{space()}{rng.randint(0, 3)}", 2
+    return f"({space()}{sub(0)[0]}{space()})", 3
+
+
+def parse_cases(algebras):
+    """(algebra, text) for the parse line's seeded and malformed texts."""
+    rng = random.Random(PARSE_SEED)
+    for label in ("dual", "hs:2"):
+        algebra = algebras[label]
+        for _ in range(PARSE_COUNT):
+            text = parse_text(rng, algebra, rng.randint(1, 4))[0]
+            k = rng.randrange(len(text))
+            yield algebra, text
+            yield algebra, text[:k] + text[k + 1:]
+            yield algebra, text[:k] + rng.choice(PARSE_NOISE) + text[k + 1:]
+        for text in MALFORMED:
+            yield algebra, text
+
+
+def parsed(text, algebra):
+    """format_poly of text's polynomial, or its ExprParseError and where it is."""
+    try:
+        return format_poly(parse_poly(text, algebra))
+    except ExprParseError as exc:
+        return f"{type(exc).__name__}: {exc.message} at {exc.line}:{exc.column}"
+
+
 def bumped(rng, theta):
     """theta with 1 added in one random slot, or theta itself."""
     s = rng.randrange(len(theta) + 1)
@@ -517,6 +593,23 @@ def main():
     for name, h in deep_step_polynomials():
         record("deep-steps", name, "\n".join(
             format_poly(apply(h, 1, p)) for p in range(1, h.algebra.block(1).m + 1)))
+
+    reader = inputs.parse_poly
+
+    def recorded(text, algebra):
+        f = reader(text, algebra)
+        record("parse", text, format_poly(f))
+        return f
+
+    inputs.parse_poly = recorded
+    try:
+        inputs.reduction_stream(algebras)
+        inputs.prolonged_family(algebras)
+        inputs.charset_pool(algebras)
+    finally:
+        inputs.parse_poly = reader
+    for algebra, text in parse_cases(algebras):
+        record("parse", text, parsed(text, algebra))
 
     print(f"families {len(items)}")
     for key, h in digests.items():
