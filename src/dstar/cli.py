@@ -89,12 +89,12 @@ def _cmd_apply(algebra, args, out):
 def _cmd_reduce(algebra, args, out):
     from .parser import parse_generator_file, parse_poly
     from .poly import format_poly
-    from .reduction import DivisorSet, certificate_to_json, multiplier_product, reduce
-    divisors = DivisorSet(parse_generator_file(_read(args.set), algebra),
-                          SequentialRanking(algebra))
+    from .reduction import certificate_to_json, multiplier_product, reduce
+    divisors = parse_generator_file(_read(args.set), algebra)
+    ranking = SequentialRanking(algebra)    # one object: both calls share one set
     g = parse_poly(args.expr, algebra)
-    cert = reduce(g, divisors)
-    h = multiplier_product(cert, divisors)
+    cert = reduce(g, divisors, ranking)
+    h = multiplier_product(cert, divisors, ranking)
     if args.cert:   # written first, so a failed write prints no result
         try:
             Path(args.cert).write_text(certificate_to_json(cert) + "\n",

@@ -278,12 +278,18 @@ def apply_composition(f, theta):
     Slots are applied in ascending global order; the result is
     independent of the order because the coordinate operators commute.
     """
-    algebra = check_polynomial(f).algebra
-    check_multi_index(algebra.M, theta)
+    check_multi_index(check_polynomial(f).algebra.M, theta)
+    return _compose(f, theta)
+
+
+def _compose(f, theta):
+    """apply_composition unjudged: f a polynomial, theta a multi-index of its
+    algebra; one public block_image call per unit step."""
+    slot_pairs = f.algebra._slot_pairs
     out = f
     for slot, count in enumerate(theta):
         if count:
-            i, p = algebra._slot_pairs[slot]    # theta is judged: slot < M
+            i, p = slot_pairs[slot]
             for _ in range(count):
                 out, = block_image(out, i, p)
     return out

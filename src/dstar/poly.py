@@ -304,7 +304,8 @@ class DPolynomial(Frozen):
 
     def _coerce(self, other):
         if isinstance(other, DPolynomial):
-            if other.algebra != self.algebra:
+            # identity first: the polynomials of one family share one algebra object
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise AlgebraMismatch("operands live over different algebras")
             return other
         if isinstance(other, (int, Fraction)):

@@ -32,14 +32,23 @@ derives initials and separants from the record and keeps one memo of
 operator images, of its members, initials and separants, for as long as the
 set lives; a caller that reduces many polynomials by the same divisors, such
 as one round of characteristic-set completion, builds the set once and
-passes it to every call.  A plain sequence gets a fresh set per call, so
-verify_certificate after reduce on one list recomputes every operator
-image reduce made, unless one DivisorSet is passed to both.  Memo keys
-are exact, so a shared memo never changes a result or lets a forged
-certificate pass.
+passes it to every call.  A plain list or tuple is wrapped in a set, and
+the module keeps the last such set: a later call whose sequence holds the
+same member objects in the same order, under the same ranking object (or
+with none, over the same algebra object), reuses its rank records and
+images, so verify_certificate after reduce on one list recomputes none of
+the images reduce made.  Any other sequence, an iterator included, gets a
+fresh set.  The kept set is never handed out, so nothing adds to it, and
+one is kept at a time, so at most one set's members and images outlive a
+call.  Memo keys are exact and images a pure function of immutable
+members, so a shared memo never changes a result or lets a forged
+certificate pass: every check still forms H, each cofactor product, the
+sum, the identity, reducedness and the rank bound.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .errors import (
     AlgebraMismatch,
@@ -51,7 +60,7 @@ from .errors import (
     ExprParseError,
     IndexOutOfRange,
 )
-from .operators import apply_composition, rho
+from .operators import _compose, rho
 from .ordering import (
     Record,
     SequentialRanking,
@@ -98,8 +107,11 @@ class DivisorSet:
     """A divisor list under one ranking, with its per-member data built once.
 
     Its memo of operator images (module docstring) is keyed by (member,
-    source, theta), where source is None for the member itself.  A set is
-    used only under its own ranking.  Constant members and members that
+    source, theta), where source is None for the member itself; a miss
+    composes the operators unjudged, theta and the member being judged
+    already.  A set is used only under its own ranking.  A set the caller
+    builds is the caller's: the module keeps only the sets it wraps plain
+    lists and tuples in.  Constant members and members that
     share a leader are accepted here and rejected by the calls that forbid
     them, as for a list; a None rank record is how they tell.
     """
@@ -148,20 +160,39 @@ class DivisorSet:
                     raise ConstantPolynomial("constants have no leader")
                 u, _, d = self.ranks[member]
                 f = f._split_at(u, d, d)[0] if source == INITIAL else f._derivative(u)
-            img = self._images[key] = apply_composition(f, theta)
+            img = self._images[key] = _compose(f, theta)
         return img
+
+
+# (ranking argument, or g's algebra when there is none; the set) of the last
+# list or tuple _divisor_set wrapped; read once and replaced whole, so a race
+# between threads costs a rebuild, never a wrong set
+_last_wrapped = None
 
 
 def _divisor_set(divisors, ranking, g):
     """divisors as a DivisorSet over g's algebra.
 
-    A list gets a fresh set.  AlgebraMismatch when divisors is not iterable,
-    or g or a divisor is not a polynomial over the set's algebra.
+    A list or tuple holding the members of the last one wrapped, the same
+    objects in the same order, under the same ranking key gets that set
+    again; any other gets a fresh set, and a list or tuple's becomes the
+    one kept (module docstring).  AlgebraMismatch when divisors is not
+    iterable, or g or a divisor is not a polynomial over the set's algebra.
     """
+    global _last_wrapped
     algebra = check_polynomial(g).algebra
     if isinstance(divisors, DivisorSet):
         if ranking is not None and ranking is not divisors.ranking:
             raise ValueError("a divisor set is used only under its own ranking")
+    elif type(divisors) in (list, tuple):
+        key = ranking or algebra    # a set built without a ranking ranks over g's algebra
+        last = _last_wrapped
+        if (last is not None and last[0] is key and len(last[1].members) == len(divisors)
+                and all(map(is_, last[1].members, divisors))):
+            divisors = last[1]
+        else:
+            divisors = DivisorSet(divisors, ranking or SequentialRanking(algebra))
+            _last_wrapped = (key, divisors)
     else:
         divisors = DivisorSet(divisors, ranking or SequentialRanking(algebra))
     check_polynomial(g, divisors.ranking.algebra, "a divisor set")

@@ -1,9 +1,15 @@
+import inspect
 import json
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+
+import dstar.operators
+import dstar.reduction
 
 from dstar.algebra import builtin, validate_algebra
 from dstar.errors import (
@@ -11,6 +17,7 @@ from dstar.errors import (
     BadWitness,
     ConstantDivisor,
     ConstantPolynomial,
+    DStarError,
     DuplicateLeaders,
     ExprParseError,
     IndexOutOfRange,
@@ -803,3 +810,200 @@ def test_a_non_polynomial_is_judged_like_another_algebra(dual):
                  lambda: is_reduced_wrt_set(4, DivisorSet([f]))):
         with pytest.raises(AlgebraMismatch, match="^4 is not a polynomial$"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the set kept for the last plain list or tuple
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by one each time a DivisorSet is built; the kept set
+    starts empty, so the first call on any list is cold."""
+    builds = []
+    real = DivisorSet.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DivisorSet, "__init__", counting)
+    monkeypatch.setattr(dstar.reduction, "_last_wrapped", None)
+    return builds
+
+
+def _outcome(call, cold=False):
+    """call's result, or its exception's type and text; cold empties the kept set first."""
+    if cold:
+        dstar.reduction._last_wrapped = None
+    try:
+        return call()
+    except DStarError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_after_reduce_on_one_list_makes_no_block_image(all_builtins, monkeypatch):
+    # reduce made every image the check needs, and the check finds the same
+    # member objects under the same ranking key, in any list or tuple
+    _count_builds(monkeypatch)
+    images = []
+    real = dstar.operators.block_image
+    monkeypatch.setattr(dstar.operators, "block_image",
+                        lambda *args: images.append(args) or real(*args))
+    rng = random.Random(450)
+    made = 0
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(8):
+            g, divisors = rand_reduction_instance(rng, d, ranking)
+            for rk in (None, ranking):
+                cert = reduce(g, divisors, rk)
+                made += len(images)
+                images.clear()
+                for same in (divisors, list(divisors), tuple(divisors)):
+                    assert verify_certificate(g, same, cert, rk)
+                    multiplier_product(cert, same, rk)
+                    assert is_reduced_wrt_set(cert.remainder, same, rk)
+                    assert a_leader(cert.remainder, same, rk) is None
+                assert not images, (d, g, divisors)
+    assert made     # the reductions themselves made images
+
+
+@pytest.mark.parametrize("name", [
+    "test_malformed_terms_fail_the_witness_and_the_certificate_alike",
+    "test_malformed_shapes_fail_the_witness_and_the_certificate_alike"])
+def test_charset_forgeries_fail_with_the_kept_set_hot(name, request, monkeypatch):
+    # each plain-list check in the charset forgery tests runs right after a
+    # reduction on the same list, and reuses its set
+    import test_charset
+    real = verify_certificate
+    checked = []
+
+    def hot(g, divisors, cert, ranking=None):
+        if type(divisors) is list:
+            _outcome(lambda: reduce(g, divisors, ranking))
+            kept = dstar.reduction._last_wrapped
+            verdict = real(g, divisors, cert, ranking)
+            assert dstar.reduction._last_wrapped is kept
+            checked.append(verdict)
+            return verdict
+        return real(g, divisors, cert, ranking)
+
+    monkeypatch.setattr(test_charset, "verify_certificate", hot)
+    test = getattr(test_charset, name)
+    test(*(request.getfixturevalue(arg) for arg in inspect.signature(test).parameters))
+    assert False in checked
+
+
+def test_a_changed_list_or_ranking_gets_a_fresh_set(all_builtins, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    rng = random.Random(451)
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(4):
+            g, divisors = rand_reduction_instance(rng, d, ranking)
+            other = rand_poly(rng, d, nonconstant=True)
+            twin = DPolynomial(d, divisors[0].terms)
+            assert twin == divisors[0] and twin is not divisors[0]
+
+            def mutated(ds):
+                ds[0] = other
+                return ds
+
+            # (name, the second call's divisors from a copy of the first's, ranking)
+            cases = (("an equal member", lambda ds: [twin, *ds[1:]], ranking),
+                     ("another member", lambda ds: [other, *ds[1:]], ranking),
+                     ("mutated in place", mutated, ranking),
+                     ("grown in place", lambda ds: ds.append(other) or ds, ranking),
+                     ("another ranking", lambda ds: ds, SequentialRanking(d)),
+                     ("no ranking", lambda ds: ds, None))
+            for name, change, rk in cases:
+                first = list(divisors)
+                cert = reduce(g, first, ranking)
+                second = change(first)
+                del builds[:]
+                calls = (lambda: certificate_to_json(reduce(g, second, rk)),
+                         lambda: verify_certificate(g, second, cert, rk),
+                         lambda: a_leader(g, second, rk))
+                hot = [_outcome(call) for call in calls]
+                assert len(builds) == 1, name     # fresh, then kept
+                assert hot == [_outcome(call, cold=True) for call in calls], name
+            # an iterator is never kept: each call wraps it afresh
+            reduce(g, divisors, ranking)
+            kept = dstar.reduction._last_wrapped
+            del builds[:]
+            hot = [certificate_to_json(reduce(g, iter(divisors), ranking)),
+                   verify_certificate(g, iter(divisors), cert, ranking)]
+            assert len(builds) == 2 and dstar.reduction._last_wrapped is kept
+            assert hot == [certificate_to_json(reduce(g, divisors, ranking)),
+                           verify_certificate(g, divisors, cert, ranking)]
+
+
+def test_bad_divisors_raise_alike_hot_and_cold(dual, fields2, worked, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    g = parse_poly("x1[0,2]^2 + x1[1,1]", dual)
+    cert = reduce(g, [worked])
+    foreign = parse_poly("x1[0,2]", fields2)
+    ranking = SequentialRanking(dual)
+    # (reducend, divisors, ranking, whether the hot calls find the kept set)
+    cases = ((g, [worked, DPolynomial.constant(dual, 1)], None, True),
+             (g, [worked, parse_poly("x1[0,1] + 3", dual)], ranking, True),
+             (foreign, [worked], ranking, True),
+             # keyed by g's algebra, so never the set kept over dual
+             (foreign, [worked], None, False))
+    for h, divisors, rk, kept in cases:
+        calls = (lambda: reduce(h, divisors, rk),
+                 lambda: a_leader(h, divisors, rk),
+                 lambda: is_reduced_wrt_set(h, divisors, rk),
+                 lambda: verify_certificate(h, divisors, cert, rk))
+        cold = [_outcome(call, cold=True) for call in calls]
+        assert type(cold[0]) is tuple and cold[3] is False     # reduce raises, the check fails
+        _outcome(lambda: reduce(g, divisors, rk))      # the same list, over dual
+        del builds[:]
+        assert [_outcome(call) for call in calls] == cold
+        assert not builds if kept else len(builds) == len(calls)
+
+
+def test_threads_sharing_the_kept_set_get_the_serial_certificates(hs2, dd11):
+    # two lists, each worked by two threads, fight over one kept set; a lost
+    # race costs a rebuild only
+    rng = random.Random(452)
+    work = []
+    for d in (hs2, dd11):
+        ranking = SequentialRanking(d)
+        g, divisors = rand_reduction_instance(rng, d, ranking)
+        work.append((divisors, [g] + [rand_reduction_instance(rng, d, ranking)[0]
+                                      for _ in range(3)]))
+
+    def run(divisors, gs, rounds):
+        out = []
+        for _ in range(rounds):
+            for g in gs:
+                cert = reduce(g, divisors)
+                out.append((certificate_to_json(cert),
+                            verify_certificate(g, divisors, cert)))
+        return out
+
+    serial = [run(divisors, gs, 1) * 20 for divisors, gs in work]
+    assert all(ok for out in serial for _, ok in out)
+    results, errors = [None] * 4, []
+    start = threading.Barrier(len(results), timeout=60)
+
+    def thread(k):
+        try:
+            start.wait()
+            results[k] = run(*work[k % 2], 20)
+        except Exception as exc:    # reported below, not lost with the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=thread, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert results == [serial[k % 2] for k in range(len(results))]
