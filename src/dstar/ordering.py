@@ -346,10 +346,7 @@ class Ranking:
     def key(self, v):
         """Sort key: v ranks below w exactly when key(v) < key(w)."""
         if v.__class__ is not DVariable or len(v.theta) != self.algebra.M:
-            check_variable(v)
-            raise AlgebraMismatch(
-                f"variable {v} has {len(v.theta)} slots, "
-                f"algebra has {self.algebra.M}")
+            check_variable(v, self.algebra.M)
         return self._key_fn(v)
 
     def compare(self, v, w):

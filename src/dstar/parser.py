@@ -11,11 +11,11 @@ Whitespace is insignificant.  The tokenizer makes plain (kind, value,
 offset) tuples, and the parser evaluates as it descends.  A term folds
 its numbers and variable powers into one coefficient and one monomial,
 through Monomial.mul; only a parenthesised sum of two or more terms is
-multiplied, or raised to a power, as a DPolynomial.  A sum adds each
-term's (monomial, coefficient) pairs, sign applied, into one dict, and a
-pair that cancels is deleted there, so the terms keep the order in which
-DPolynomial's own sums would leave them, and a sum of n terms costs O(n).
-The result is built once by the DPolynomial constructor.  Errors carry 1-based
+multiplied, or raised to a power, as a DPolynomial.  A sum collects each
+term's (monomial, coefficient) pairs in stored form, sign applied, and
+adds them once, through DPolynomial._plus, so the terms keep the order in
+which DPolynomial's own sums leave them, and a sum of n terms costs O(n).
+Monomials are built through poly.py's helpers.  Errors carry 1-based
 line and column, computed from the offset only when one is raised.  Input
 nested deeper than the interpreter's recursion limit is a parse error,
 here and in the JSON file formats read through parse_json.
@@ -27,8 +27,8 @@ import re
 from fractions import Fraction
 
 from .errors import ExprParseError
-from .poly import UNIT_MONOMIAL, DPolynomial, _intern, _monomial
-from .ordering import VAR_RE, parse_int, variable_from_match
+from .poly import UNIT_MONOMIAL, DPolynomial, _monomial_power, _variable_monomial
+from .ordering import VAR_RE, _coefficient, parse_int, variable_from_match
 
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
@@ -97,30 +97,28 @@ class _Parser:
         return token[1]
 
     def parse(self):
-        terms = self.expr()
+        f = self.expr()
         if self.tokens[self.pos][0] != "end":
             raise self.unexpected("unexpected trailing input")
-        return DPolynomial(self.algebra, terms)
+        return f
 
     def expr(self):
-        """The sum as a {monomial: coefficient} dict, each coefficient nonzero."""
+        """The sum as a DPolynomial, its terms added by one _plus."""
         tokens = self.tokens
-        terms = {}
+        pairs = []
         sign = 1
         if tokens[self.pos][0] == "-":
             self.pos, sign = self.pos + 1, -1
         while True:
             c, m, f = self.term()
             if c:
-                for mono, coeff in ((m, c),) if f is None else f._times_term(m, c).terms.items():
-                    coeff = terms.get(mono, 0) + sign * coeff
-                    if coeff:
-                        terms[mono] = coeff
-                    else:
-                        del terms[mono]
+                if f is None:
+                    pairs.append((m, _coefficient(sign * c)))
+                else:
+                    pairs += f._times_term(m, sign * c).terms.items()
             kind = tokens[self.pos][0]
             if kind != "+" and kind != "-":
-                return terms
+                return DPolynomial.zero(self.algebra)._plus(pairs)
             sign = 1 if kind == "+" else -1
             self.pos += 1
 
@@ -141,8 +139,7 @@ class _Parser:
         while self.tokens[self.pos][0] == "^":
             self.pos += 1
             e = self.take("int")
-            key = m.key if e else ()
-            c, m = c ** e, _monomial(tuple([x * e if k & 1 else x for k, x in enumerate(key)]))
+            c, m = c ** e, _monomial_power(m, e)
             f = None if f is None else f ** e
         return c, m, f
 
@@ -156,7 +153,7 @@ class _Parser:
                 v = variable_from_match(value, self.algebra)
             except ExprParseError as exc:
                 raise _error(exc.message, self.text, offset) from None
-            return 1, _monomial((_intern(v), 1)), None
+            return 1, _variable_monomial(v), None
         if kind == "int":
             self.pos += 1
             # optional denominator
@@ -171,11 +168,11 @@ class _Parser:
             # a call one frame below atom consumes the '(', so that a recursion
             # limit struck at that depth names this '(', and deeper ones the next
             self.take("(")
-            terms = self.expr()
+            f = self.expr()
             self.take(")")
-            if len(terms) > 1:
-                return 1, UNIT_MONOMIAL, DPolynomial(self.algebra, terms)
-            (m, c), = terms.items() or ((UNIT_MONOMIAL, 0),)
+            if len(f.terms) > 1:
+                return 1, UNIT_MONOMIAL, f
+            (m, c), = f.terms.items() or ((UNIT_MONOMIAL, 0),)
             return c, m, None
         raise self.unexpected("unexpected token")
 

@@ -80,15 +80,6 @@ def _pairs(key):
     return zip(map(_VARIABLES.__getitem__, key[::2]), key[1::2])
 
 
-def _split(key, i):
-    """(exponent of id i, key without it), or (0, key) when i is absent."""
-    ids = key[::2]
-    if i in ids:
-        p = 2 * ids.index(i)
-        return key[p + 1], key[:p] + key[p + 2:]
-    return 0, key
-
-
 class Monomial(Frozen):
     """Product of variable powers, immutable and hashed once.
 
@@ -144,7 +135,7 @@ class Monomial(Frozen):
         return Monomial(mapping.items())
 
     def degree_in(self, v):
-        return _split(self.key, _IDS.get(check_variable(v)))[0]
+        return self.without(v)[0]
 
     def variables(self):
         return [v for v, _ in self.factors]
@@ -188,8 +179,12 @@ class Monomial(Frozen):
 
     def without(self, v):
         """Split off the power of v: returns (exponent, monomial without v)."""
-        e, key = _split(self.key, _IDS.get(check_variable(v)))
-        return (e, _monomial(key)) if e else (0, self)
+        key, i = self.key, _IDS.get(check_variable(v))
+        ids = key[::2]
+        if i not in ids:
+            return 0, self
+        p = 2 * ids.index(i)
+        return key[p + 1], _monomial(key[:p] + key[p + 2:])
 
     def sort_key(self):
         """Descending canonical order key (higher key prints first)."""
@@ -219,6 +214,16 @@ def _monomial(key):
     _set_key(m, key)
     _set_monomial_hash(m, hash(key))
     return m
+
+
+def _variable_monomial(v):
+    """The Monomial v^1 of a variable judged already."""
+    return _monomial((_intern(v), 1))
+
+
+def _monomial_power(m, e):
+    """The Monomial m^e, for an int e >= 0."""
+    return _monomial(tuple([x * e if k & 1 else x for k, x in enumerate(m.key if e else ())]))
 
 
 UNIT_MONOMIAL = Monomial(())
@@ -258,7 +263,7 @@ class DPolynomial(Frozen):
     @staticmethod
     def from_variable(algebra, v):
         check_variable(v, algebra.M)
-        return DPolynomial._nonzero(algebra, {_monomial((_intern(_judged_variable(v)), 1)): 1})
+        return DPolynomial._nonzero(algebra, {_variable_monomial(_judged_variable(v)): 1})
 
     # -- basics --------------------------------------------------------------
 
@@ -271,10 +276,7 @@ class DPolynomial(Frozen):
         return not terms or (len(terms) == 1 and UNIT_MONOMIAL in terms)
 
     def variables(self):
-        ids = set()
-        for m in self.terms:
-            ids.update(m.key[::2])
-        return {_VARIABLES[i] for i in ids}
+        return set(self.degrees())
 
     def degrees(self):
         """{variable: highest exponent} over the variables present, in one pass."""
@@ -289,7 +291,9 @@ class DPolynomial(Frozen):
     def __eq__(self, other):
         if not isinstance(other, DPolynomial):
             return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+        # identity first, as in _coerce
+        return ((self.algebra is other.algebra or self.algebra == other.algebra)
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.algebra, frozenset(self.terms.items())))
@@ -387,10 +391,7 @@ class DPolynomial(Frozen):
             self.algebra,
             {m1.mul(m): _coefficient(c1 * c) for m1, c1 in self.terms.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scalar_mul(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scalar_mul(self, c):
         c = _coefficient(c)
@@ -432,8 +433,7 @@ class DPolynomial(Frozen):
         return self._rank(ranking)[0]
 
     def degree_in(self, v):
-        i = _IDS.get(check_variable(v, self.algebra.M))
-        return max((_split(m.key, i)[0] for m in self.terms), default=0)
+        return self.degrees().get(check_variable(v, self.algebra.M), 0)
 
     def coefficient_in(self, v, k):
         """The v-free g_k of sum g_k * v^k (zero if absent); k an int (not a bool) >= 0."""

@@ -96,6 +96,26 @@ def test_reduce_with_certificate(tmp_path):
                                  "theta": [1, 0]}]
 
 
+def test_reduce_checks_its_certificate_before_it_prints_or_writes(tmp_path, monkeypatch):
+    # a reduction whose certificate lost its one cofactor: H * g = g0 fails
+    import dataclasses
+    import dstar.reduction
+    reduce = dstar.reduction.reduce
+
+    def dropped(g, divisors, ranking=None):
+        return dataclasses.replace(reduce(g, divisors, ranking), cofactors=())
+
+    monkeypatch.setattr(dstar.reduction, "reduce", dropped)
+    divisors = tmp_path / "set.txt"
+    divisors.write_text("x1[0,1]^2 - 4 * x1[0,0]\n", encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(["reduce", "--algebra", "dual", "--set",
+                              str(divisors), "--cert", str(cert_path), "x1[0,2]"])
+    assert (code, out) == (1, "")
+    assert err == "error: DStarError: internal: reduction certificate failed verification\n"
+    assert not cert_path.exists()
+
+
 def test_reduce_output_and_certificate_file_are_pinned(tmp_path):
     # three steps over two members: a sigma step on each and a delta step
     divisors = tmp_path / "set.txt"

@@ -230,3 +230,27 @@ def test_a_long_sum_parses_in_one_accumulator(dual, monkeypatch):
     text = " + ".join(f"{k % 7 + 1} * x1[{k},0]" for k in range(4000))
     assert len(parse_poly(text, dual).terms) == 4000
     assert len(calls) < 10
+
+
+def test_parsed_terms_keep_their_stored_order_and_form(dual):
+    # equality and printing ignore term order, but later sums keep it
+    def monomial(text):
+        return next(iter(parse_poly(text, dual).terms))
+
+    cases = {
+        # a cancelled monomial, added again, goes to the end
+        "x1[0,1] + 2 * x1[0,0] - x1[0,1] + 3 + x1[0,1] + 4/2 * x2[0,0]":
+            [("x1[0,0]", 2), ("1", 3), ("x1[0,1]", 1), ("x2[0,0]", 2)],
+        # a parenthesised group times a monomial; one of its terms cancels
+        "x2[0,0] - (x1[0,1] - 1/2) * x1[0,0] + x1[0,1] * x1[0,0] + 2":
+            [("x2[0,0]", 1), ("x1[0,0]", Fraction(1, 2)), ("1", 2)],
+        # a group raised to a power
+        "x1[1,0] - (x1[0,0] - 2 * x1[0,1])^2 + 4 * x1[0,1]^2":
+            [("x1[1,0]", 1), ("x1[0,0]^2", -1), ("x1[0,0] * x1[0,1]", 4)],
+        "-(x1[0,0] + 1) * (x1[0,0] - 1) + (x2[0,0] + 1)^3 * 6/4":
+            [("x1[0,0]^2", -1), ("1", Fraction(5, 2)), ("x2[0,0]^3", Fraction(3, 2)),
+             ("x2[0,0]^2", Fraction(9, 2)), ("x2[0,0]", Fraction(9, 2))],
+    }
+    for text, expected in cases.items():
+        terms = [(m, c, type(c)) for m, c in parse_poly(text, dual).terms.items()]
+        assert terms == [(monomial(m), c, type(c)) for m, c in expected], text

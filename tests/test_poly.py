@@ -9,6 +9,7 @@ from itertools import chain
 
 import pytest
 
+from dstar.algebra import DAlgebra, builtin, validate_algebra
 from dstar.charset import charset_complete
 from dstar.errors import AlgebraMismatch, ConstantPolynomial, InconsistentSystem, IndexOutOfRange
 from dstar.operators import apply_composition, block_image
@@ -96,6 +97,27 @@ def test_algebra_mismatch(dual, hs2):
         _ = x + y
     with pytest.raises(AlgebraMismatch):
         _ = x * y
+
+
+def test_equality_over_one_algebra_object_does_not_compare_algebras(dual, monkeypatch):
+    # the polynomials of one family share one algebra object
+    calls = []
+    algebra_eq = DAlgebra.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return algebra_eq(self, other)
+
+    f, g = parse_poly("x1[0,0] + 1", dual), parse_poly("x1[0,0] + 1", dual)
+    h = parse_poly("x1[0,1]", dual)
+    monkeypatch.setattr(DAlgebra, "__eq__", counted)
+    assert f == g and f != h and not f == h
+    assert calls == []
+    # over two equal algebra objects the algebras are compared, and match
+    twin = validate_algebra(builtin("dual"))
+    assert twin is not dual
+    assert parse_poly("x1[0,0] + 1", twin) == f and parse_poly("x1[0,1]", twin) != f
+    assert calls
 
 
 def test_leader_initial_separant(dual):

@@ -36,7 +36,9 @@ code() {
     if [ "$2" = total ]; then
         python3 "$root/tools/code_lines.py" "$1"/src/dstar/*.py | tail -n 1 | awk '{print $1}'
     elif [ -f "$1/src/dstar/$2" ]; then
-        python3 "$root/tools/code_lines.py" "$1/src/dstar/$2" | head -n 1 | awk '{print $1}'
+        # awk reads to the end: a reader that stops after one line lets
+        # code_lines.py die of a broken pipe, which pipefail makes a failure
+        python3 "$root/tools/code_lines.py" "$1/src/dstar/$2" | awk 'NR == 1 {print $1}'
     else
         echo 0
     fi

@@ -77,16 +77,17 @@ hs:4 and FIVE, on seeded polynomials whose exponents lie on both sides
 of each length of a multiset of coordinates whose product reaches p
 (up to p on hs:p, up to 2 on FIVE): every unit step of those blocks
 beyond the sigma-derivations that the other lines mostly meet.  The
-parse line hashes format_poly(parse_poly(t)) for every set-up text t of
-the reduce-c6 and charset workloads (recorded by wrapping
-inputs.parse_poly), then, for PARSE_COUNT seeded texts of nested
-parentheses, unary minus, powers of sums and of monomials, x^0, 0^0,
-cancelling terms, fractions and whitespace with newlines, and for each of
-those texts with one character deleted or replaced, and for each of
-MALFORMED (a multi-line text, an unclosed variable followed by a bad
-character, nesting past the recursion limit and others), the
-format_poly of what parse_poly returns or the name, message, line and
-column of the ExprParseError it raises.
+parse line hashes stored(parse_poly(t)), format_poly followed by each
+term in stored order as the reprs of its monomial's factors and of its
+coefficient, for every set-up text t of the reduce-c6 and charset
+workloads (recorded by wrapping inputs.parse_poly), then, for
+PARSE_COUNT seeded texts of nested parentheses, unary minus, powers of
+sums and of monomials, x^0, 0^0, cancelling terms, fractions and
+whitespace with newlines, and for each of those texts with one
+character deleted or replaced, and for each of MALFORMED (a multi-line
+text, an unclosed variable followed by a bad character, nesting past
+the recursion limit and others), the stored() of what parse_poly returns
+or the name, message, line and column of the ExprParseError it raises.
 """
 
 from __future__ import annotations
@@ -418,10 +419,17 @@ def parse_cases(algebras):
             yield algebra, text
 
 
+def stored(f):
+    """format_poly of f, then each term in stored order, which format_poly
+    and == ignore but later sums keep."""
+    return "\n".join([format_poly(f)]
+                     + [f"{m.factors!r} {c!r}" for m, c in f.terms.items()])
+
+
 def parsed(text, algebra):
-    """format_poly of text's polynomial, or its ExprParseError and where it is."""
+    """stored() of text's polynomial, or its ExprParseError and where it is."""
     try:
-        return format_poly(parse_poly(text, algebra))
+        return stored(parse_poly(text, algebra))
     except ExprParseError as exc:
         return f"{type(exc).__name__}: {exc.message} at {exc.line}:{exc.column}"
 
@@ -598,7 +606,7 @@ def main():
 
     def recorded(text, algebra):
         f = reader(text, algebra)
-        record("parse", text, format_poly(f))
+        record("parse", text, stored(f))
         return f
 
     inputs.parse_poly = recorded
