@@ -89,14 +89,14 @@ def _cmd_apply(algebra, args, out):
 def _cmd_reduce(algebra, args, out):
     from .parser import parse_generator_file, parse_poly
     from .poly import format_poly
-    from .reduction import certificate_to_json, multiplier_product, reduce, verify_certificate
+    from .reduction import _verified_multiplier, certificate_to_json, reduce
     divisors = parse_generator_file(_read(args.set), algebra)
     ranking = SequentialRanking(algebra)    # one object: every call shares one set
     g = parse_poly(args.expr, algebra)
     cert = reduce(g, divisors, ranking)
-    if not verify_certificate(g, divisors, cert, ranking):
+    h = _verified_multiplier(g, divisors, cert, ranking)    # the H the check formed
+    if h is None:
         raise DStarError("internal: reduction certificate failed verification")
-    h = multiplier_product(cert, divisors, ranking)
     if args.cert:   # written first, so a failed write prints no result
         try:
             Path(args.cert).write_text(certificate_to_json(cert) + "\n",

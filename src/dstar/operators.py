@@ -298,6 +298,11 @@ def _compose(f, theta):
 def rho(algebra, theta):
     """Sigma-only companion index: each block's sigma slot absorbs its order."""
     check_multi_index(algebra.M, theta)
+    return _rho(algebra, theta)
+
+
+def _rho(algebra, theta):
+    """rho unjudged: theta a multi-index of the algebra."""
     out = [0] * algebra.M
     offsets = algebra._offsets      # each block's sigma slot, then M
     for start, end in zip(offsets, offsets[1:]):

@@ -274,6 +274,11 @@ def ord_i(algebra, theta, i):
 def ord_delta(algebra, theta):
     """Sum of the delta-slot entries of every block: all but the sigma slots."""
     check_multi_index(algebra.M, theta)
+    return _ord_delta(algebra, theta)
+
+
+def _ord_delta(algebra, theta):
+    """ord_delta unjudged: theta a multi-index of the algebra."""
     # each block's sigma slot is its offset
     return sum(theta) - sum([theta[s] for s in algebra._offsets[:-1]])
 

@@ -360,7 +360,9 @@ class DPolynomial(Frozen):
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the class test first: most products are of two polynomials, and
+        # Fraction's instance check runs through its ABC metaclass
+        if other.__class__ is not DPolynomial and isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         other = self._coerce(other)
         if other is None:
@@ -424,9 +426,11 @@ class DPolynomial(Frozen):
         if not degrees:
             raise ConstantPolynomial("constants have no leader")
         key = (ranking or SequentialRanking(self.algebra)).key
-        # max keeps the first of equal maxima, here the lowest variable
-        u = max(sorted(degrees), key=key)
-        return u, key(u), degrees[u]
+        keys = list(map(key, degrees))
+        top = max(keys)
+        # DVariable order decides among equal maximal keys alone
+        u = min([v for v, k in zip(degrees, keys) if k == top])
+        return u, top, degrees[u]
 
     def leader(self, ranking=None):
         """The highest-ranked variable."""
@@ -538,7 +542,9 @@ def _rank_tuple(f, ranking):
 
 def rank_compare(f, g, ranking=None):
     """Pre-order on polynomials over one algebra by (leader, degree); constants lowest."""
-    if check_polynomial(f).algebra != check_polynomial(g).algebra:
+    algebra, other = check_polynomial(f).algebra, check_polynomial(g).algebra
+    # identity first, as in check_polynomial
+    if algebra is not other and algebra != other:
         raise AlgebraMismatch("rank comparison across algebras")
     rf, rg = _rank_tuple(f, ranking), _rank_tuple(g, ranking)
     return LESS if rf < rg else GREATER if rf > rg else EQUAL

@@ -60,14 +60,14 @@ from .errors import (
     ExprParseError,
     IndexOutOfRange,
 )
-from .operators import _compose, rho
+from .operators import _compose, _rho
 from .ordering import (
     Record,
     SequentialRanking,
+    _ord_delta,
     check_index,
     check_multi_index,
     multi_index_fault,
-    ord_delta,
     parse_variable,
     transform_of,
 )
@@ -109,7 +109,9 @@ class DivisorSet:
     Its memo of operator images (module docstring) is keyed by (member,
     source, theta), where source is None for the member itself; a miss
     composes the operators unjudged, theta and the member being judged
-    already.  A set is used only under its own ranking.  A set the caller
+    already.  image judges its arguments and reads the memo through _image,
+    which reduce and the certificate check call directly with the indices
+    they made or judged.  A set is used only under its own ranking.  A set the caller
     builds is the caller's: the module keeps only the sets it wraps plain
     lists and tuples in.  Constant members and members that
     share a leader are accepted here and rejected by the calls that forbid
@@ -151,7 +153,13 @@ class DivisorSet:
         check_index(member, 0, len(self.members) - 1, "member index")
         # theta too: (0, True, 0) and (0, 1, 0) are one key; a list is keyed as its tuple
         check_multi_index(self.ranking.algebra.M, theta)
-        key = (member, source, tuple(theta))
+        return self._image(member, source, tuple(theta))
+
+    def _image(self, member, source, theta):
+        """image unjudged: member an int in range, source None, INITIAL or
+        SEPARANT, and theta a tuple multi-index of ints, as the engine makes
+        them and the certificate judges pass them."""
+        key = (member, source, theta)
         img = self._images.get(key)
         if img is None:
             f = self.members[member]
@@ -206,7 +214,11 @@ def is_reduced(g, f, ranking=None):
 
 def is_reduced_wrt_set(g, divisors, ranking=None):
     """True when g contains no offending transform of any divisor's leader."""
-    divisors = _divisor_set(divisors, ranking, g)
+    return _is_reduced(g, _divisor_set(divisors, ranking, g))
+
+
+def _is_reduced(g, divisors):
+    """is_reduced_wrt_set unjudged: g a polynomial over the set's algebra."""
     if None in divisors.ranks:
         raise ConstantDivisor("cannot reduce with respect to a constant")
     # the first offending pair answers; none is ranked
@@ -300,13 +312,13 @@ def reduce(g, divisors, ranking=None):
         prev = rank
 
         if led.is_delta:
-            factor = HFactor(rho(algebra, led.theta), SEPARANT, led.member)
+            factor = HFactor(_rho(algebra, led.theta), SEPARANT, led.member)
         else:
             factor = HFactor(led.theta, INITIAL, led.member)
-        multiplier = divisors.image(led.member, factor.source, factor.theta)
+        multiplier = divisors._image(led.member, factor.source, factor.theta)
         e = 1 if led.is_delta else divisors.ranks[led.member][2]
         cof, rest = current._split_at(led.variable, led.degree, e)
-        top, tail = divisors.image(led.member, None, led.theta)._split_at(
+        top, tail = divisors._image(led.member, None, led.theta)._split_at(
             led.variable, e, e)
         if top != multiplier:
             raise DStarError(f"internal: the {led.variable}^{e} coefficient of "
@@ -323,7 +335,7 @@ def reduce(g, divisors, ranking=None):
         cofactors.append(Cofactor(cof if suffix is None else cof * suffix,
                                   theta, factor.member))
         if k:   # m_k, from the set's memo
-            m = divisors.image(factor.member, factor.source, factor.theta)
+            m = divisors._image(factor.member, factor.source, factor.theta)
             suffix = m if suffix is None else m * suffix
     cofactors.reverse()
 
@@ -339,12 +351,22 @@ def multiplier_product(cert, divisors, ranking=None):
     remainder and each factor is an HFactor with source initial or
     separant, a member in range and a sigma-only theta.
     """
+    _check_certificate(cert)
+    return _multiplier_product(cert, _divisor_set(divisors, ranking, cert.remainder))
+
+
+def _check_certificate(cert):
+    """BadWitness unless cert is a ReductionCertificate with a polynomial remainder."""
     if not (isinstance(cert, ReductionCertificate)
             and isinstance(cert.remainder, DPolynomial)):
         raise BadWitness(f"{cert!r} is not a reduction certificate "
                          "with a polynomial remainder")
+
+
+def _multiplier_product(cert, divisors):
+    """multiplier_product of a judged certificate whose remainder is over the
+    set's algebra: judges each H factor, then reads its image unjudged."""
     algebra = cert.remainder.algebra
-    divisors = _divisor_set(divisors, ranking, cert.remainder)
     h = DPolynomial.constant(algebra, 1)
     for factor in _sequence(cert.h_factors, "H factors"):
         if not (isinstance(factor, HFactor) and factor.source in (INITIAL, SEPARANT)):
@@ -354,7 +376,7 @@ def multiplier_product(cert, divisors, ranking=None):
         except IndexOutOfRange:
             raise BadWitness(f"malformed H factor {factor!r}") from None
         _check_theta(algebra, factor.theta, "H-factor theta", sigma_only=True)
-        h = h * divisors.image(factor.member, factor.source, factor.theta)
+        h = h * divisors._image(factor.member, factor.source, factor.theta)
     return h
 
 
@@ -375,7 +397,7 @@ def _check_theta(algebra, theta, what, sigma_only=False):
         problem = ("has a negative entry" if fault == "negative"
                    else f"has {len(theta)} slots, algebra has {algebra.M}")
         raise BadWitness(f"{what} {list(theta)} {problem}")
-    if sigma_only and ord_delta(algebra, theta):
+    if sigma_only and _ord_delta(algebra, theta):
         raise BadWitness(f"{what} {list(theta)} is not sigma-only")
 
 
@@ -417,21 +439,38 @@ def verify_certificate(g, divisors, cert, ranking=None):
     """Check the certificate identity and postconditions exactly.
 
     Judges the identity, that the remainder is reduced and that it ranks no
-    higher than g, but not the step trace.  multiplier_product judges the
-    certificate and its H factors and _sum_terms the cofactors, as
-    closure-witness terms: a malformed certificate, factor, term, index,
-    member or polynomial, g or divisor included, is False.
+    higher than g, but not the step trace.  The certificate and its H
+    factors are judged as multiplier_product judges them, and the cofactors
+    by _sum_terms, as closure-witness terms: a malformed certificate, factor,
+    term, index, member or polynomial, g or divisor included, is False.
+    """
+    return _verified_multiplier(g, divisors, cert, ranking) is not None
+
+
+def _verified_multiplier(g, divisors, cert, ranking=None):
+    """The H that verify_certificate forms, when it accepts the certificate;
+    else None.
+
+    Each argument is judged once, here: the divisors are wrapped once, and
+    multiplier_product's and is_reduced_wrt_set's checks run in their order,
+    the remainder's algebra and the rejection of a constant divisor
+    included, before and inside their unjudged cores.
     """
     try:
         divisors = _divisor_set(divisors, ranking, g)
-        h = multiplier_product(cert, divisors)
-        rhs = _sum_terms(cert.remainder, cert.cofactors, len(divisors.members),
-                         lambda member, theta: divisors.image(member, None, theta))
+        _check_certificate(cert)
+        remainder = check_polynomial(cert.remainder, divisors.ranking.algebra,
+                                     "a divisor set")
+        h = _multiplier_product(cert, divisors)
+        rhs = _sum_terms(remainder, cert.cofactors, len(divisors.members),
+                         lambda member, theta: divisors._image(member, None, theta))
         ranking = divisors.ranking
-        return (h * g == rhs and is_reduced_wrt_set(cert.remainder, divisors)
-                and _rank_tuple(cert.remainder, ranking) <= _rank_tuple(g, ranking))
+        if (h * g == rhs and _is_reduced(remainder, divisors)
+                and _rank_tuple(remainder, ranking) <= _rank_tuple(g, ranking)):
+            return h
     except DStarError:
-        return False
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------

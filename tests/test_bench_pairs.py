@@ -123,3 +123,49 @@ def test_workloads_default_to_and_are_checked_against_benchmark_json(capsys):
     assert exit.value.code == 2
     listed = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["workloads"]
     assert f"lists {', '.join(w['name'] for w in listed)}" in capsys.readouterr().err
+
+
+def test_the_report_entry_has_the_layout_of_the_bench_files(capsys):
+    runs = {"revision": records([(10.0, 100.0), (10.0, 120.0), (12.0, 100.0), (11.0, 110.0)]),
+            "working tree": records([(12.0, 90.0)] * 4, passes=2, pct="p90")}
+    entry = bench_pairs.report("charset", runs, END_TO_END)
+    rows = table_rows(capsys.readouterr().out)
+    assert list(entry) == ["metrics", "passes_parent", "tail_parent", "passes_change",
+                           "tail_change"]
+    assert entry["passes_parent"] == [1] * 4 and entry["tail_parent"] == ["p75"] * 4
+    assert entry["passes_change"] == [2] * 4 and entry["tail_change"] == ["p90"] * 4
+    assert list(entry["metrics"]) == ["ops_per_s", "op_tail_ms"]
+    ops = entry["metrics"]["ops_per_s"]
+    assert ops == {"parent": {"median": 10.5, "q1": 10.0, "q3": 11.25},
+                   "change": {"median": 12.0, "q1": 12.0, "q3": 12.0},
+                   "ratio": 1.143, "change_wins": 3, "pairs": 4, "verdict": "ok"}
+    # the table prints the entry's numbers
+    assert rows["ops_per_s"][1:] == ["10.5000", "[", "10.0000,", "11.2500]", "12.0000",
+                                     "[", "12.0000,", "12.0000]", "1.143", "3/4", "ok"]
+    assert entry["metrics"]["op_tail_ms"]["change_wins"] == 4
+
+
+def test_json_writes_every_tabled_workload_with_the_parent_and_a_null_claim(
+        monkeypatch, tmp_path, capsys):
+    # no benchmark runs and no trees: every run reads 1.0 on every metric
+    listed = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    record = {"metrics": {m["name"]: 1.0 for m in listed}, "passes": 1, "tail": "p75"}
+    monkeypatch.setattr(bench_pairs, "unpack_revision", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "abbreviate", lambda rev: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, command, workload, seed, seconds: (record, None))
+    path = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--rev", "HEAD~1", "--json", str(path), "cli-cold"]) == 0
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["description", "parent", "claim", "workloads"]
+    assert doc["parent"] == "abc1234" and doc["claim"] is None
+    assert doc["description"].startswith("tools/bench_pairs.py --rev HEAD~1 (cli-cold): ")
+    assert doc["description"].endswith("every run correct with 0 failed operations")
+    assert list(doc["workloads"]) == ["cli-cold"]
+    entry = doc["workloads"]["cli-cold"]
+    assert entry["passes_parent"] == entry["passes_change"] == [1] * bench_pairs.PAIRS
+    # every end-to-end metric of BENCHMARK.json, in its order
+    assert list(entry["metrics"]) == [m["name"] for m in listed]
+    assert entry["metrics"]["ops_per_s"]["ratio"] == 1.0
+    assert "SIDES DIFFER" not in capsys.readouterr().out

@@ -25,7 +25,7 @@ from dstar.charset import (
     witness_to_json,
     _indices_up_to,
 )
-from dstar.algebra import builtin, validate_algebra
+from dstar.algebra import DAlgebra, builtin, validate_algebra
 from dstar.errors import (
     AlgebraMismatch,
     BadWitness,
@@ -165,6 +165,24 @@ def test_charset_multi_round_monotone(dual):
         assert compare_autoreduced(cur, prev, ranking) == A_LESS_B
     for cert in result.certificates:
         assert cert.remainder.is_zero()
+
+
+def test_a_completion_over_one_algebra_object_compares_no_algebras(dual, monkeypatch):
+    # rank_compare tests identity first, as check_polynomial does: the
+    # polynomials of one family share one algebra object
+    calls = []
+    algebra_eq = DAlgebra.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return algebra_eq(self, other)
+
+    family = [parse_poly("x1[0,1] + x1[0,0]", dual), parse_poly("x1[0,2] + x1[0,0]^2", dual)]
+    monkeypatch.setattr(DAlgebra, "__eq__", counted)
+    result = charset_complete(family)
+    # the rounds after the first compare their selections, through rank_compare
+    assert len(result.completion_trace) >= 2
+    assert calls == []
 
 
 def test_charset_zero_and_duplicate_generators(dual):

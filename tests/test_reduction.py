@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import dstar.operators
+import dstar.ordering
 import dstar.reduction
 
 from dstar.algebra import builtin, validate_algebra
@@ -866,6 +867,54 @@ def test_verify_after_reduce_on_one_list_makes_no_block_image(all_builtins, monk
                     assert a_leader(cert.remainder, same, rk) is None
                 assert not images, (d, g, divisors)
     assert made     # the reductions themselves made images
+
+
+def _count_multi_index_judges(monkeypatch):
+    """{judge: calls} of the two multi-index judges, counted through every
+    dstar module's binding of each; check_multi_index's own call of
+    multi_index_fault counts too."""
+    calls = {"multi_index_fault": 0, "check_multi_index": 0}
+    modules = [m for name, m in sys.modules.items()
+               if name == "dstar" or name.startswith("dstar.")]
+    for judge in calls:
+        real = getattr(dstar.ordering, judge)
+
+        def counted(*args, _judge=judge, _real=real):
+            calls[_judge] += 1
+            return _real(*args)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reduce_and_its_check_judge_each_multi_index_once(all_builtins, monkeypatch):
+    # reduce reads the transforms, rho and the images it made unjudged, and
+    # the check judges each H factor's and cofactor's theta once, at its door,
+    # whether the images it reads are kept from the reduction or made afresh
+    calls = _count_multi_index_judges(monkeypatch)
+    rng = random.Random(470)
+    steps, cases = [], set()
+    for d in all_builtins.values():
+        ranking = SequentialRanking(d)
+        for _ in range(8):
+            g, divisors = rand_reduction_instance(rng, d, ranking)
+            for rk in (None, ranking):
+                for cold in (False, True):
+                    calls.update(multi_index_fault=0, check_multi_index=0)
+                    cert = reduce(g, list(divisors), rk)
+                    assert calls == {"multi_index_fault": 0, "check_multi_index": 0}
+                    if cold:
+                        monkeypatch.setattr(dstar.reduction, "_last_wrapped", None)
+                    assert verify_certificate(g, list(divisors), cert, rk)
+                    judged = len(cert.h_factors) + len(cert.cofactors)
+                    assert calls == {"multi_index_fault": judged, "check_multi_index": 0}
+            steps.append(len(cert.steps))
+            cases.update(step.case for step in cert.steps)
+    # short and long reductions, with delta steps (rho) and sigma steps
+    assert min(steps) == 0 and max(steps) >= 3 and cases == {"delta", "sigma"}, steps
 
 
 @pytest.mark.parametrize("name", [

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark a git revision against the working tree in alternating pairs.
 
-    tools/bench_pairs.py [--rev REV] [WORKLOAD...]
+    tools/bench_pairs.py [--rev REV] [--json PATH] [WORKLOAD...]
 
 Unpacks `git archive REV` (default HEAD) into a temporary directory, and
 copies the working tree's files (tracked and untracked, not ignored) into
@@ -29,6 +29,14 @@ whose two sides' tail percentiles differ, since op_tail_ms then reads a
 different percentile on each side.  Pass counts differ with speed alone,
 so they are listed but not flagged.
 
+With --json PATH it also writes the report to PATH in the layout of the
+repository's BENCH_*.json files: a description of the runs, the parent
+revision (REV, abbreviated), a null claim, for a change that claims a gain
+to fill in, and per workload each metric's parent and change median, Q1 and
+Q3, ratio, change wins, pairs and verdict, then each side's pass counts and
+tail percentiles by seed (passes_parent, tail_parent, passes_change,
+tail_change).  A workload with no table is left out of it.
+
 Exits 1 when any run fails, reports `correct: false` or failed
 operations; the verdicts do not change the exit status.  SIGTERM and
 SIGINT exit with 128 + the signal number, after the temporary trees are
@@ -41,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import re
 import shutil
 import signal
@@ -60,6 +69,12 @@ def unpack_revision(rev, dest):
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def abbreviate(rev):
+    """rev's commit, as git abbreviates it."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
 
 
 def copy_working_tree(dest):
@@ -108,11 +123,14 @@ def quartiles(values):
 
 
 def report(workload, runs, end_to_end):
-    """Print one workload's table; runs maps side -> list of records by seed."""
+    """Print one workload's table and return its entry in the --json report;
+    runs maps side -> list of records by seed.  The entry holds the numbers
+    the table prints: medians and quartiles to 4 places, ratios to 3."""
     base, change = runs["revision"], runs["working tree"]
     print(f"\nworkload {workload}: {len(base)} pairs")
     print(f"  {'metric':<12} {'revision median [Q1, Q3]':>34} "
           f"{'working tree median [Q1, Q3]':>34} {'ratio':>7} {'wins':>6}  verdict")
+    metrics = {}
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
         lower = metric["better"] == "lower"
@@ -131,11 +149,38 @@ def report(workload, runs, end_to_end):
         print(f"  {name:<12} {bm:12.4f} [{bq1:9.4f}, {bq3:9.4f}] "
               f"{cm:12.4f} [{cq1:9.4f}, {cq3:9.4f}] {ratio:7.3f} "
               f"{wins:>3}/{len(b):<2}  {verdict}")
-    for side, records in runs.items():
+        metrics[name] = {
+            "parent": {"median": round(bm, 4), "q1": round(bq1, 4), "q3": round(bq3, 4)},
+            "change": {"median": round(cm, 4), "q1": round(cq1, 4), "q3": round(cq3, 4)},
+            "ratio": round(ratio, 3), "change_wins": wins, "pairs": len(b),
+            "verdict": verdict}
+    entry = {"metrics": metrics}
+    for side, key in (("revision", "parent"), ("working tree", "change")):
+        records = runs[side]
+        entry["passes_" + key] = [r["passes"] for r in records]
+        entry["tail_" + key] = [r["tail"] for r in records]
         print(f"  {side + ':':<14} passes {' '.join(str(r['passes']) for r in records)}; "
               f"tail {' '.join(r['tail'] for r in records)}")
-    if [r["tail"] for r in base] != [r["tail"] for r in change]:
+    if entry["tail_parent"] != entry["tail_change"]:
         print("  SIDES DIFFER: tail percentiles differ between the sides")
+    return entry
+
+
+def document(rev, parent, bench, workloads, entries, failures):
+    """The --json report: the runs described, the parent, a null claim and
+    the entries of the workloads that have a table."""
+    outcome = ("every run correct with 0 failed operations" if not failures
+               else f"{failures} run(s) failed, gave no record, were not correct "
+                    "or had failed operations")
+    description = (
+        f"tools/bench_pairs.py --rev {rev} ({', '.join(workloads)}): "
+        f"{' '.join(bench['command'])} --workload W --seed N --seconds "
+        f"{bench['run_seconds']} --trace 0 on the parent (git archive {parent}) and on "
+        f"the working tree, {PAIRS} alternating pairs per workload, seeds 1-{PAIRS}, "
+        f"the parent first on odd seeds; Python {platform.python_version()}, "
+        f"{platform.machine()}, {os.cpu_count()} CPUs; {outcome}")
+    return {"description": description, "parent": parent, "claim": None,
+            "workloads": entries}
 
 
 def stop(signum, frame):
@@ -148,6 +193,8 @@ def main(argv=None):
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD")
+    parser.add_argument("--json", metavar="PATH", type=Path,
+                        help="also write the report to PATH, as BENCH_*.json")
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"default: all of {', '.join(names)}")
     args = parser.parse_args(argv)
@@ -155,17 +202,19 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json lists "
                      f"{', '.join(names)}")
+    workloads = args.workloads or names
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, stop)
-    failed = False
+    failures = 0
+    entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"revision": Path(tmp, "revision"), "working tree": Path(tmp, "work")}
         for tree in trees.values():
             tree.mkdir()
         unpack_revision(args.rev, trees["revision"])
         copy_working_tree(trees["working tree"])
-        for workload in args.workloads or names:
+        for workload in workloads:
             runs = {side: [] for side in trees}
             for seed in range(1, PAIRS + 1):
                 order = list(trees) if seed % 2 else list(reversed(trees))
@@ -174,14 +223,17 @@ def main(argv=None):
                                                seed, bench["run_seconds"])
                     print(f"{workload} seed {seed} {side}: "
                           f"{problem or 'ok'}", file=sys.stderr, flush=True)
-                    failed = failed or problem is not None
+                    failures += problem is not None
                     if record is not None:
                         runs[side].append(record)
             if all(len(records) == PAIRS for records in runs.values()):
-                report(workload, runs, bench["end_to_end"])
+                entries[workload] = report(workload, runs, bench["end_to_end"])
             else:
                 print(f"\nworkload {workload}: no table, a run gave no record")
-    return 1 if failed else 0
+    if args.json:
+        doc = document(args.rev, abbreviate(args.rev), bench, workloads, entries, failures)
+        args.json.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
